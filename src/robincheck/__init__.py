@@ -19,7 +19,6 @@ from .intervals import (
     euler_gamma,
     exp_gamma,
     ln_interval,
-    ln_of_interval,
 )
 from .primes import (
     DuplicateBase,

@@ -2,14 +2,18 @@
 
 Commands: check, scan, conjecture1, conjecture2, bounds, prime-powers,
 substitute.  Exit codes: 0 satisfied/empty, 1 violated/counterexample
-found, 2 indeterminate, 64 usage error, 65 raw input too large to
-factor (use a factor string).
+found, 2 indeterminate (also a substitution whose log increase stays
+undecided), 64 usage error, 65 raw input too large to factor (use a
+factor string), 74 the output could not be opened or written (nothing
+is printed for a reader that closed the pipe early).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -17,7 +21,7 @@ from typing import Optional, TextIO
 
 from . import explorer, primes, robin, theorems
 from .factorization import Factorization
-from .intervals import PrecisionConfig, RealInterval, interval_from_fractions
+from .intervals import _GUARD, PrecisionConfig, dyadic_from_fraction
 from .output import (
     interval_cell,
     interval_json,
@@ -33,6 +37,7 @@ EXIT_VIOLATED = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_TOO_LARGE = 65
+EXIT_IOERR = 74
 
 _VERDICT_EXIT = {
     Verdict.SATISFIED: EXIT_SATISFIED,
@@ -130,19 +135,18 @@ def _n_display(f: Factorization) -> tuple[Optional[str], Optional[str]]:
         s = str(n)
         if len(s) <= _N_PRINT_DIGITS:
             return s, None
-        log10 = _log10_interval(f)
-        return None, sig_str_fraction(log10.midpoint())
-    return None, sig_str_fraction(_log10_interval(f).midpoint())
+    return None, sig_str_fraction(_log10_midpoint(f))
 
 
-def _log10_interval(f: Factorization) -> RealInterval:
+def _log10_midpoint(f: Factorization) -> Fraction:
+    """Midpoint of a 53-bit outward-rounded enclosure of log10(n)."""
     lnn = robin.log_n(f, 53)
     ln10 = robin.log_n(Factorization(((2, 1), (5, 1)),), 53)
-    return interval_from_fractions(
-        lnn.lo.as_fraction() / ln10.hi.as_fraction(),
-        lnn.hi.as_fraction() / ln10.lo.as_fraction(),
-        53,
-    )
+    lo = dyadic_from_fraction(
+        lnn.lo.as_fraction() / ln10.hi.as_fraction(), 53 + _GUARD, False)
+    hi = dyadic_from_fraction(
+        lnn.hi.as_fraction() / ln10.lo.as_fraction(), 53 + _GUARD, True)
+    return (lo.as_fraction() + hi.as_fraction()) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +590,8 @@ def _cmd_substitute(args, out: TextIO) -> int:
             report.after.verdict.value,
             str(report.index), str(report.old_prime), str(report.new_prime),
             "true" if report.lhs_decreased else "false",
-            "true" if report.rhs_increased else "false",
+            {True: "true", False: "false", None: "undecided"}[
+                report.rhs_increased],
         ]) + "\n")
     else:
         out.write(f"before: {report.before.factorization.as_string()} "
@@ -596,8 +601,13 @@ def _cmd_substitute(args, out: TextIO) -> int:
         out.write(f"replaced p={report.old_prime} with P={report.new_prime} "
                   f"at index {report.index}\n")
         out.write(f"lhs strictly decreased: {report.lhs_decreased}\n")
-        out.write(f"rhs (log n) certified increased: {report.rhs_increased}\n")
-    return _VERDICT_EXIT[report.after.verdict]
+        increased = ("undecided" if report.rhs_increased is None
+                     else report.rhs_increased)
+        out.write(f"rhs (log n) certified increased: {increased}\n")
+    code = _VERDICT_EXIT[report.after.verdict]
+    if code == EXIT_SATISFIED and report.rhs_increased is None:
+        return EXIT_INDETERMINATE
+    return code
 
 
 _COMMANDS = {
@@ -613,6 +623,21 @@ _COMMANDS = {
 _SVG_COMMANDS = {"conjecture1"}
 
 
+def _discard_stdout() -> None:
+    """Point fd 1 at the null device after the reader closed the pipe.
+
+    Otherwise the interpreter's final flush of sys.stdout fails again and
+    prints a traceback on the way out.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -626,12 +651,22 @@ def main(argv=None) -> int:
             raise _UsageError(str(exc))
         if args.jobs < 1:
             raise _UsageError("--jobs must be >= 1")
-        out = _open_output(args)
         try:
-            return _COMMANDS[args.command](args, out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+            out = _open_output(args)
+            try:
+                code = _COMMANDS[args.command](args, out)
+                out.flush()
+            finally:
+                if out is not sys.stdout:
+                    out.close()
+            return code
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                _discard_stdout()
+            else:
+                print(f"robincheck: cannot write output: {exc}",
+                      file=sys.stderr)
+            return EXIT_IOERR
     except _UsageError as exc:
         print(f"robincheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

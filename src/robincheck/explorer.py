@@ -30,7 +30,6 @@ from .factorization import Factorization
 from .intervals import (
     _GUARD,
     DEFAULT_PRECISION,
-    Dyadic,
     PrecisionConfig,
     RealInterval,
     _ln_fp,
@@ -92,11 +91,9 @@ def _rhs_floor_scaled(t: int, bits: int) -> Optional[int]:
     """
     W = bits + _GUARD
     L, H = _ln_fp(t, 1, W)
-    lnn = RealInterval(Dyadic(L, -W), Dyadic(H, -W), bits)
-    if lnn.lo.cmp_fraction(Fraction(1)) <= 0:
+    if L <= 1 << W:
         return None
-    rhs = _rhs_from_log(lnn, bits)
-    d = rhs.lo
+    d = _rhs_from_log(L, H, bits).lo
     shift = d.e + _THR_SHIFT
     return d.m << shift if shift >= 0 else d.m >> -shift
 
@@ -251,8 +248,7 @@ def conjecture31_table(
             alpha = None
             ratio = None
         else:
-            lnn = RealInterval(Dyadic(s_lo, -W), Dyadic(s_hi, -W), bits)
-            alpha = _rhs_from_log(lnn, bits)
+            alpha = _rhs_from_log(s_lo, s_hi, bits)
             a_lo_n, a_lo_d = alpha.lo.as_num_den()
             a_hi_n, a_hi_d = alpha.hi.as_num_den()
             ratio = RealInterval(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 
 class EmptyFactorization(Exception):
@@ -52,10 +51,6 @@ class Factorization:
                 raise InvalidFactorization(f"duplicate base {p1}")
         object.__setattr__(self, "entries", ents)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Factorization":
-        return cls(tuple(pairs))
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -72,9 +67,6 @@ class Factorization:
         for p, k in self.entries:
             total += k * p.bit_length()
         return total
-
-    def sum_exponents(self) -> int:
-        return sum(k for _, k in self.entries)
 
     def with_exponent_bumped(self, index: int) -> "Factorization":
         """Copy with entries[index] exponent raised by one."""

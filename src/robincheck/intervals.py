@@ -15,15 +15,20 @@ The transcendental primitives are:
   * ``exp_gamma`` -- e**gamma, computed from the digit string by an
     exact Taylor series with the truncation remainder folded into the
     upper bound.
-  * ``ln_interval`` / ``ln_of_interval`` -- natural log of an exact
-    rational (or of an enclosure, via monotonicity), computed by
+  * ``ln_interval`` -- natural log of an exact rational, computed by
     argument reduction to [2/3, 4/3] plus the atanh series, again with
     a rigorous tail bound.
 
 Series are evaluated in fixed-point integer arithmetic at a working
 precision a few dozen bits beyond the requested precision; every
 intermediate floor/ceil keeps the lower/upper bound property, so the
-result interval is sound by construction.
+result interval is sound by construction.  The fixed-point kernels
+(``_ln_fp`` and friends) are what ``robin._rhs_from_log`` builds the
+right-hand side e^gamma * ln(ln n) from.
+
+``PrecisionConfig.ladder`` is the one precision-escalation schedule:
+start, 2*start, 4*start, ... up to the configured (and the digit
+string's) ceiling.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 
 class PrecisionUnsupported(Exception):
@@ -180,18 +185,6 @@ def dyadic_from_fraction(fr: Fraction, bits: int, round_up: bool) -> Dyadic:
     return dyadic_from_num_den(fr.numerator, fr.denominator, bits, round_up)
 
 
-def dyadic_round(d: Dyadic, bits: int, round_up: bool) -> Dyadic:
-    """Shorten a dyadic's mantissa to ~bits bits, rounding outward."""
-    if d.m == 0 or abs(d.m).bit_length() <= bits + 2:
-        return d
-    drop = abs(d.m).bit_length() - (bits + 2)
-    if round_up:
-        m = -((-d.m) >> drop)
-    else:
-        m = d.m >> drop
-    return Dyadic(m, d.e + drop)
-
-
 # ---------------------------------------------------------------------------
 # Intervals
 # ---------------------------------------------------------------------------
@@ -229,25 +222,6 @@ class RealInterval:
         return f"RealInterval[{float(self.lo):.17g}, {float(self.hi):.17g}]@{self.precision_bits}"
 
 
-def interval_from_fractions(lo: Fraction, hi: Fraction, bits: int) -> RealInterval:
-    return RealInterval(
-        dyadic_from_fraction(lo, bits + _GUARD, False),
-        dyadic_from_fraction(hi, bits + _GUARD, True),
-        bits,
-    )
-
-
-def iv_mul(x: RealInterval, y: RealInterval, bits: int) -> RealInterval:
-    cands = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
-    lo = min(cands)
-    hi = max(cands)
-    return RealInterval(
-        dyadic_round(lo, bits + _GUARD, False),
-        dyadic_round(hi, bits + _GUARD, True),
-        bits,
-    )
-
-
 class Comparison(enum.Enum):
     """Three-way verdict for exact-rational vs interval comparison."""
 
@@ -279,15 +253,21 @@ class PrecisionConfig:
 
     start_bits: int = 53
     max_bits: int = 4096
-    escalation_factor: int = 2
 
     def __post_init__(self):
         if self.start_bits <= 0 or self.max_bits <= 0:
             raise ValueError("precision bits must be positive")
         if self.start_bits > self.max_bits:
             raise ValueError("start_bits must not exceed max_bits")
-        if self.escalation_factor < 2:
-            raise ValueError("escalation_factor must be >= 2")
+
+    def ladder(self) -> Iterator[int]:
+        """start_bits, doubling, capped at min(max_bits, GAMMA_MAX_BITS)."""
+        top = min(self.max_bits, GAMMA_MAX_BITS)
+        bits = self.start_bits
+        yield bits
+        while bits < top:
+            bits = min(2 * bits, top)
+            yield bits
 
 
 DEFAULT_PRECISION = PrecisionConfig()
@@ -326,16 +306,9 @@ _GAMMA_DIGITS = (
 # Largest precision (bits) the digit string can serve with outward rounding.
 GAMMA_MAX_BITS = int(len(_GAMMA_DIGITS) * 3.3219280948) - 2 * _GUARD
 
+# True gamma lies in [D/10^k, (D+1)/10^k].
 _GAMMA_NUM = int(_GAMMA_DIGITS)
 _GAMMA_DEN = 10 ** len(_GAMMA_DIGITS)
-
-
-def _gamma_bounds(bits: int) -> tuple[Fraction, Fraction]:
-    # True gamma lies in [D/10^k, (D+1)/10^k].
-    return (
-        Fraction(_GAMMA_NUM, _GAMMA_DEN),
-        Fraction(_GAMMA_NUM + 1, _GAMMA_DEN),
-    )
 
 
 def euler_gamma(precision_bits: int) -> RealInterval:
@@ -346,8 +319,12 @@ def euler_gamma(precision_bits: int) -> RealInterval:
         raise PrecisionUnsupported(
             f"gamma digit string supports at most {GAMMA_MAX_BITS} bits"
         )
-    lo, hi = _gamma_bounds(precision_bits)
-    return interval_from_fractions(lo, hi, precision_bits)
+    W = precision_bits + _GUARD
+    return RealInterval(
+        dyadic_from_fraction(Fraction(_GAMMA_NUM, _GAMMA_DEN), W, False),
+        dyadic_from_fraction(Fraction(_GAMMA_NUM + 1, _GAMMA_DEN), W, True),
+        precision_bits,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +460,6 @@ def ln_interval(x: Union[Fraction, int], precision_bits: int) -> RealInterval:
     return RealInterval(Dyadic(L, -W), Dyadic(H, -W), precision_bits)
 
 
-def ln_of_interval(x: RealInterval, precision_bits: int) -> RealInterval:
-    """Enclosure of ln(t) for every t in x; requires x.lo > 0."""
-    if x.lo.m <= 0:
-        raise DomainError("interval must be certified positive for ln")
-    W = precision_bits + _GUARD
-    ln_num, ln_den = x.lo.as_num_den()
-    L, _ = _ln_fp(ln_num, ln_den, W)
-    hn, hd = x.hi.as_num_den()
-    _, H = _ln_fp(hn, hd, W)
-    return RealInterval(Dyadic(L, -W), Dyadic(H, -W), precision_bits)
-
-
 _EXP_GAMMA_CACHE: dict[int, RealInterval] = {}
 
 
@@ -510,9 +475,8 @@ def exp_gamma(precision_bits: int) -> RealInterval:
     if cached is not None:
         return cached
     W = precision_bits + _GUARD
-    g_lo, g_hi = _gamma_bounds(precision_bits)
-    L, _ = _exp_fp(g_lo.numerator, g_lo.denominator, W)
-    _, H = _exp_fp(g_hi.numerator, g_hi.denominator, W)
+    L, _ = _exp_fp(_GAMMA_NUM, _GAMMA_DEN, W)
+    _, H = _exp_fp(_GAMMA_NUM + 1, _GAMMA_DEN, W)
     result = RealInterval(Dyadic(L, -W), Dyadic(H, -W), precision_bits)
     if len(_EXP_GAMMA_CACHE) < 64:
         _EXP_GAMMA_CACHE[precision_bits] = result

@@ -6,8 +6,12 @@ factorization), the right side e^gamma * ln(ln n) is a certified
 enclosure with ln n evaluated as sum k_j ln p_j, so n itself is never
 materialized.  A verdict of Satisfied or Violated is only issued when
 the exact rational falls strictly outside the enclosure; otherwise the
-precision is escalated, and only when the escalation ladder is
-exhausted does the check report Indeterminate.
+precision is escalated along ``PrecisionConfig.ladder``, and only when
+the ladder is exhausted does the check report Indeterminate.
+
+``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed; the
+checker, the scanner's block filter and the primorial table all feed it
+integer bounds on ln n.
 
 For n = 2 the right side has no useful value (ln ln 2 < 0, so the
 inequality cannot hold for any n >= 2 whose sigma(n)/n >= 1); such
@@ -32,13 +36,14 @@ from .intervals import (
     _GUARD,
     Comparison,
     DEFAULT_PRECISION,
+    DomainError,
     Dyadic,
-    GAMMA_MAX_BITS,
     PrecisionConfig,
     RealInterval,
     _ln_fp,
     compare,
     dyadic_from_fraction,
+    dyadic_from_num_den,
     exp_gamma,
 )
 from . import primes as _primes
@@ -110,22 +115,39 @@ def log_n(f: Factorization, precision_bits: int) -> RealInterval:
     return RealInterval(Dyadic(lo, -W), Dyadic(hi, -W), precision_bits)
 
 
-def _rhs_from_log(lnn: RealInterval, precision_bits: int) -> RealInterval:
-    """e^gamma * ln(lnn) given a certified lnn with lnn.lo > 1."""
+def _log_n_fp(f: Factorization, precision_bits: int) -> tuple[int, int]:
+    """log_n(f, precision_bits) as integer bounds at scale 2**W, W = bits + _GUARD.
+
+    Unpacks log_n rather than repeating its sum, so log_n stays the one
+    evaluation of ln n (and one timed layer under perfbench's tracer).
+    """
     W = precision_bits + _GUARD
-    ln_num, ln_den = lnn.lo.as_num_den()
-    L, _ = _ln_fp(ln_num, ln_den, W)
-    hn, hd = lnn.hi.as_num_den()
-    _, H = _ln_fp(hn, hd, W)
-    eg = exp_gamma(precision_bits)
-    # all quantities positive: product bounds are the endpoint products
-    lo = dyadic_from_fraction(
-        eg.lo.as_fraction() * Fraction(L, 1 << W), W, False
+    lnn = log_n(f, precision_bits)
+    # log_n builds its endpoints at exponent -W; normalization only raises e
+    return lnn.lo.m << (lnn.lo.e + W), lnn.hi.m << (lnn.hi.e + W)
+
+
+def _rhs_from_log(lo: int, hi: int, precision_bits: int) -> RealInterval:
+    """Enclosure of e^gamma * ln(x) for every x in [lo, hi] * 2**-W.
+
+    W = precision_bits + _GUARD, and lo > 2**W (x > 1) is required: then
+    ln x and e^gamma are both positive, so the product bounds are the
+    endpoint products, rounded outward at W bits.
+    """
+    W = precision_bits + _GUARD
+    one = 1 << W
+    if lo <= one:
+        raise DomainError("e^gamma * ln(x) needs a certified x > 1")
+    L, _ = _ln_fp(lo, one, W)
+    _, H = _ln_fp(hi, one, W)
+    eg = exp_gamma(precision_bits)  # endpoints at exponent >= -W
+    g_lo = eg.lo.m << (eg.lo.e + W)
+    g_hi = eg.hi.m << (eg.hi.e + W)
+    return RealInterval(
+        dyadic_from_num_den(g_lo * L, one << W, W, False),
+        dyadic_from_num_den(g_hi * H, one << W, W, True),
+        precision_bits,
     )
-    hi = dyadic_from_fraction(
-        eg.hi.as_fraction() * Fraction(H, 1 << W), W, True
-    )
-    return RealInterval(lo, hi, precision_bits)
 
 
 def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
@@ -135,22 +157,14 @@ def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
     precision, which is what makes the outer log's value positive; n = 2
     always fails, n = 3 certifies at any reasonable precision.
     """
-    lnn = log_n(f, precision_bits)
-    one = Fraction(1)
-    if lnn.lo.cmp_fraction(one) <= 0:
+    lo, hi = _log_n_fp(f, precision_bits)
+    one = 1 << (precision_bits + _GUARD)
+    if lo <= one:
         raise RhsUndefined(
             "cannot certify ln n > 1"
-            + (" (n <= e, permanently undefined)" if lnn.hi.cmp_fraction(one) <= 0 else "")
+            + (" (n <= e, permanently undefined)" if hi <= one else "")
         )
-    return _rhs_from_log(lnn, precision_bits)
-
-
-def _next_bits(bits: int, cfg: PrecisionConfig) -> int:
-    return min(bits * cfg.escalation_factor, cfg.max_bits, GAMMA_MAX_BITS)
-
-
-def _effective_max(cfg: PrecisionConfig) -> int:
-    return min(cfg.max_bits, GAMMA_MAX_BITS)
+    return _rhs_from_log(lo, hi, precision_bits)
 
 
 def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
@@ -164,21 +178,18 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     if not f.entries:
         raise EmptyFactorization("check of the empty factorization")
     lhs = sigma_over_n_fraction(f)
-    bits = cfg.start_bits
-    one = Fraction(1)
-    while True:
-        lnn = log_n(f, bits)
-        if lnn.hi.cmp_fraction(one) <= 0:
+    rhs = None
+    for bits in cfg.ladder():
+        lo, hi = _log_n_fp(f, bits)
+        one = 1 << (bits + _GUARD)
+        if hi <= one:
             # certified n <= e: RHS undefined for good
             return CheckResult(f, lhs, None, Verdict.VIOLATED, bits, None,
                                reason=REASON_RHS_UNDEFINED)
-        if lnn.lo.cmp_fraction(one) <= 0:
-            if bits >= _effective_max(cfg):
-                return CheckResult(f, lhs, None, Verdict.INDETERMINATE, bits,
-                                   None, reason=REASON_ESCALATION_EXHAUSTED)
-            bits = _next_bits(bits, cfg)
+        if lo <= one:
+            rhs = None
             continue
-        rhs = _rhs_from_log(lnn, bits)
+        rhs = _rhs_from_log(lo, hi, bits)
         cmp_result = compare(lhs, rhs)
         if cmp_result is Comparison.LESS:
             margin = _round_down_margin(rhs.lo.as_fraction() - lhs, bits)
@@ -187,10 +198,8 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
             margin = _round_down_margin(lhs - rhs.hi.as_fraction(), bits)
             return CheckResult(f, lhs, rhs, Verdict.VIOLATED, bits, margin,
                                reason=REASON_LHS_EXCEEDS_RHS)
-        if bits >= _effective_max(cfg):
-            return CheckResult(f, lhs, rhs, Verdict.INDETERMINATE, bits, None,
-                               reason=REASON_ESCALATION_EXHAUSTED)
-        bits = _next_bits(bits, cfg)
+    return CheckResult(f, lhs, rhs, Verdict.INDETERMINATE, bits, None,
+                       reason=REASON_ESCALATION_EXHAUSTED)
 
 
 def _round_down_margin(fr: Fraction, bits: int) -> Dyadic:

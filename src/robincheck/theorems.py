@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .factorization import Factorization
 from .intervals import (
@@ -115,7 +116,7 @@ class SubstitutionReport:
     old_prime: int
     new_prime: int
     lhs_decreased: bool
-    rhs_increased: bool
+    rhs_increased: Optional[bool]  # None: undecided at the top of the ladder
 
 
 def substitution_report(
@@ -146,19 +147,20 @@ def substitution_report(
 
 def _certify_log_increase(
     f_before: Factorization, f_after: Factorization, cfg: PrecisionConfig
-) -> bool:
-    """True when ln(n_after) > ln(n_before) by interval separation."""
-    bits = cfg.start_bits
-    while True:
+) -> Optional[bool]:
+    """Whether ln(n_after) > ln(n_before), by interval separation.
+
+    True or False once the two enclosures separate; None when they still
+    overlap at the top of the precision ladder.
+    """
+    for bits in cfg.ladder():
         la = log_n(f_before, bits)
         lb = log_n(f_after, bits)
         if lb.lo > la.hi:
             return True
         if lb.hi < la.lo:
             return False
-        if bits >= cfg.max_bits:
-            return False
-        bits = min(bits * cfg.escalation_factor, cfg.max_bits)
+    return None
 
 
 @dataclass(frozen=True)

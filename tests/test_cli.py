@@ -1,8 +1,13 @@
 """CLI surface: exit codes, output schemas, decimal fidelity, stability."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+
+import pytest
 
 from robincheck import cli, robin, primes
 
@@ -302,3 +307,67 @@ class TestSubstituteCommand:
         assert doc["after"]["factorization"] == "2^4*3^2*5*11^2"
         assert doc["lhs_decreased"] is True
         assert doc["rhs_increased"] is True
+
+    def test_undecided_log_increase_exits_2(self, capsys):
+        # ln n of two adjacent 60-bit primes cannot be separated at 8 bits
+        argv = ["substitute", "1000000000000000003", "0",
+                "1000000000000000009"]
+        capped = argv + ["--precision-bits", "8", "--max-precision-bits", "8"]
+        code, out, _ = run_cli(capped, capsys)
+        assert code == 2
+        assert "rhs (log n) certified increased: undecided\n" in out
+        code, out, _ = run_cli(capped + ["--format", "csv"], capsys)
+        assert code == 2
+        assert out.split("\n")[1].endswith(",true,undecided")
+        code, out, _ = run_cli(capped + ["--format", "json"], capsys)
+        assert code == 2
+        assert json.loads(out)["rhs_increased"] is None
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "rhs (log n) certified increased: True\n" in out
+
+
+class TestOutputErrors:
+    def test_unwritable_output_path_exit_74(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.csv"
+        code, out, err = run_cli(["check", "5041", "--output", str(target)],
+                                 capsys)
+        assert code == cli.EXIT_IOERR == 74
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "cannot write output" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "5041"],  # fails on the final flush
+        ["prime-powers", "--limit", "20000", "--format", "csv"],  # mid-write
+    ])
+    def test_closed_pipe_exit_74_quietly(self, argv):
+        # the reader closes its end before the child writes a byte, so
+        # every write fails with EPIPE
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
+                                           "src"))
+        env = dict(os.environ, PYTHONPATH=src)
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "robincheck", *argv],
+                                  stdout=w, stderr=subprocess.PIPE, env=env,
+                                  timeout=300)
+        finally:
+            os.close(w)
+        assert proc.returncode == 74
+        assert proc.stderr == b""
+
+
+_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "cli_golden")
+with open(os.path.join(_GOLDEN_DIR, "manifest.json")) as _fh:
+    _GOLDEN_CASES = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[c["stdout"] for c in _GOLDEN_CASES])
+def test_golden_stdout_and_exit_code(case, capsys):
+    # every printed endpoint, margin and decimal is pinned byte for byte
+    code, out, _ = run_cli(case["argv"], capsys)
+    with open(os.path.join(_GOLDEN_DIR, case["stdout"]), newline="") as fh:
+        assert out == fh.read()
+    assert code == case["exit"]

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 from fractions import Fraction
 
 import mpmath
@@ -94,6 +95,26 @@ class TestScanOracleEquivalence:
         seg = explorer._sigma_segment(1000, 3001)
         for n in range(1000, 3001):
             assert int(seg[n - 1000]) == sig[n], n
+
+
+class TestScanRangeEnd:
+    def test_top_block_at_max_scan_hi(self):
+        # int64 headroom of the block filter at the end of the supported
+        # range: sigma << 16 and thr * n must both stay below 2^63
+        hi = explorer.MAX_SCAN_HI
+        lo = hi - 4095
+        rep = explorer.scan_range(lo, hi, segment_size=4096)
+        assert rep.violations == () and rep.indeterminates == ()
+        assert rep.checked_count == 4096
+        sig = explorer._sigma_segment(lo, hi + 1)
+        thr = explorer._rhs_floor_scaled(lo, 53)
+        assert int(sig.max()) << explorer._THR_SHIFT < 2**63
+        assert thr * hi < 2**63
+        rng = random.Random(20121)
+        for n in rng.sample(range(lo, hi + 1), 64):
+            f = primes.factorize(n)
+            assert int(sig[n - lo]) == robin.sigma(f), n
+            assert robin.check(f).verdict is Verdict.SATISFIED, n
 
 
 class TestPrecisionStability:

@@ -9,21 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robincheck.intervals import (
+    _GUARD,
     Comparison,
     DomainError,
     Dyadic,
     GAMMA_MAX_BITS,
+    PrecisionConfig,
     PrecisionUnsupported,
     RealInterval,
     compare,
     dyadic_from_fraction,
     euler_gamma,
     exp_gamma,
-    interval_from_fractions,
-    iv_mul,
     ln_interval,
-    ln_of_interval,
 )
+from robincheck.robin import _rhs_from_log
 
 import oracles
 
@@ -32,6 +32,16 @@ mpmath.mp.dps = 80
 
 def _contains_mp(iv, value):
     return oracles.interval_contains_mp(iv, value)
+
+
+_W53 = 53 + _GUARD
+_EXP_GAMMA_MP = mpmath.exp(mpmath.euler)
+
+
+def _rhs_of_enclosure(lo: Fraction, hi: Fraction) -> RealInterval:
+    """The RHS kernel on [lo, hi], rounded outward to its 53-bit scale."""
+    return _rhs_from_log((lo.numerator << _W53) // lo.denominator,
+                         -((-hi.numerator << _W53) // hi.denominator), 53)
 
 
 class TestDyadic:
@@ -167,40 +177,54 @@ class TestLn:
 
 
 class TestLnOfInterval:
+    # ln over an enclosure, as the RHS kernel robin._rhs_from_log computes
+    # it: e^gamma * ln(x) for every x in the enclosure
+
     def test_ln_of_e_contains_one(self):
-        e_hi = mpmath.mpf(mpmath.nstr(mpmath.e, 40))
-        enclosure = interval_from_fractions(
-            Fraction("2.71828182845904523"), Fraction("2.71828182845904524"), 53)
-        iv = ln_of_interval(enclosure, 53)
-        assert iv.contains_fraction(Fraction(1))
+        iv = _rhs_of_enclosure(Fraction("2.71828182845904523"),
+                               Fraction("2.71828182845904524"))
+        assert _contains_mp(iv, _EXP_GAMMA_MP)  # e^gamma * ln e
 
     def test_log_log_5040(self):
         inner = ln_interval(Fraction(5040), 53)
-        outer = ln_of_interval(inner, 53)
-        assert oracles.agrees_with_decimal(outer, "2.1430")
-        assert _contains_mp(outer, mpmath.log(mpmath.log(5040)))
+        outer = _rhs_of_enclosure(inner.lo.as_fraction(),
+                                  inner.hi.as_fraction())
+        assert oracles.agrees_with_decimal(outer, "3.8169")
+        assert _contains_mp(outer, _EXP_GAMMA_MP * mpmath.log(mpmath.log(5040)))
 
     def test_domain_error_on_nonpositive_lo(self):
-        bad = RealInterval(Dyadic(-1, -4), Dyadic(1, 0), 53)
-        with pytest.raises(DomainError):
-            ln_of_interval(bad, 53)
+        for lo in (-(1 << (_W53 - 4)), 0, 1 << _W53):  # x = -1/16, 0, 1
+            with pytest.raises(DomainError):
+                _rhs_from_log(lo, 1 << (_W53 + 1), 53)
 
     def test_monotone_endpoints(self):
-        x = interval_from_fractions(Fraction(2), Fraction(3), 53)
-        iv = ln_of_interval(x, 53)
-        assert _contains_mp(iv, mpmath.log(2))
-        assert _contains_mp(iv, mpmath.log(3))
+        iv = _rhs_of_enclosure(Fraction(2), Fraction(3))
+        assert _contains_mp(iv, _EXP_GAMMA_MP * mpmath.log(2))
+        assert _contains_mp(iv, _EXP_GAMMA_MP * mpmath.log(3))
+
+
+class TestPrecisionLadder:
+    def test_doubles_up_to_max_bits(self):
+        assert list(PrecisionConfig(53, 4096).ladder()) == [
+            53, 106, 212, 424, 848, 1696, 3392, 4096]
+
+    def test_capped_by_gamma_digits(self):
+        assert list(PrecisionConfig(1024, 10**6).ladder()) == [
+            1024, 2048, 4096, GAMMA_MAX_BITS]
+
+    def test_single_rung(self):
+        assert list(PrecisionConfig(8, 8).ladder()) == [8]
 
 
 class TestCompare:
     def test_trivial_cases(self):
-        rhs = interval_from_fractions(Fraction(1), Fraction(2), 53)
+        rhs = RealInterval(Dyadic(1, 0), Dyadic(2, 0), 53)
         assert compare(Fraction(1, 2), rhs) is Comparison.LESS
         assert compare(Fraction(3), rhs) is Comparison.GREATER
         assert compare(Fraction(3, 2), rhs) is Comparison.OVERLAPPING
 
     def test_endpoints_overlap(self):
-        rhs = interval_from_fractions(Fraction(1), Fraction(2), 53)
+        rhs = RealInterval(Dyadic(1, 0), Dyadic(2, 0), 53)
         assert compare(Fraction(1), rhs) is Comparison.OVERLAPPING
         assert compare(Fraction(2), rhs) is Comparison.OVERLAPPING
 
@@ -241,12 +265,13 @@ class TestExactRatioAlgebra:
         assert gcd(a.numerator, a.denominator) == 1
 
 
-def test_iv_mul_sound():
+def test_rhs_kernel_product_sound():
+    # e^gamma * ln x over random enclosures [a, a + 1/997] with a > 1:
+    # the outward-rounded product encloses both endpoint products
     rng = random.Random(3)
     for _ in range(200):
-        a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        ia = interval_from_fractions(a, a + Fraction(1, 997), 53)
-        ib = interval_from_fractions(b, b + Fraction(1, 991), 53)
-        prod = iv_mul(ia, ib, 53)
-        assert prod.lo.as_fraction() <= a * b <= prod.hi.as_fraction()
+        a = 1 + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        b = a + Fraction(1, 997)
+        iv = _rhs_of_enclosure(a, b)
+        assert _contains_mp(iv, _EXP_GAMMA_MP * mpmath.log(oracles.mp_of_fraction(a)))
+        assert _contains_mp(iv, _EXP_GAMMA_MP * mpmath.log(oracles.mp_of_fraction(b)))

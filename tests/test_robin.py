@@ -118,13 +118,14 @@ class TestRobinRhs:
         # e^g ln(sum k ln p) versus e^g ln(ln n) on the materialized n:
         # the same real, so the enclosures must overlap and both must
         # contain the oracle value
-        from robincheck.intervals import (exp_gamma, iv_mul, ln_interval,
-                                          ln_of_interval)
+        from robincheck.intervals import _GUARD, ln_interval
+        W = 53 + _GUARD
         for n in (5040, 5041, 30030, 720720, 2**31 - 1):
             f = primes.factorize(n)
             via_sum = robin.robin_rhs(f, 53)
-            outer = ln_of_interval(ln_interval(Fraction(n), 53), 53)
-            via_direct = iv_mul(exp_gamma(53), outer, 53)
+            lnn = ln_interval(Fraction(n), 53)
+            via_direct = robin._rhs_from_log(lnn.lo.m << (lnn.lo.e + W),
+                                             lnn.hi.m << (lnn.hi.e + W), 53)
             true = oracles.rhs_mp(n)
             assert oracles.interval_contains_mp(via_sum, true)
             assert oracles.interval_contains_mp(via_direct, true)

@@ -7,6 +7,7 @@ import pytest
 
 from robincheck import primes, robin, theorems
 from robincheck.factorization import Factorization
+from robincheck.intervals import PrecisionConfig
 from robincheck.robin import Verdict
 
 import oracles
@@ -136,6 +137,24 @@ class TestSubstitutionReport:
             assert rep.lhs_decreased
             assert rep.rhs_increased
             done += 1
+
+
+    def test_undecided_log_increase_is_none_not_false(self):
+        # adjacent 60-bit primes: ln n moves by ~6e-18, far inside an
+        # 8-bit enclosure, so a ladder capped at 8 bits cannot separate
+        f = Factorization(((1000000000000000003, 1),))
+        tight = PrecisionConfig(start_bits=8, max_bits=8)
+        rep = theorems.substitution_report(f, 0, 1000000000000000009, tight)
+        assert rep.rhs_increased is None
+        rep = theorems.substitution_report(f, 0, 1000000000000000009)
+        assert rep.rhs_increased is True
+
+    def test_certified_decrease_is_false(self):
+        small = Factorization(((1000000000000000003, 1),))
+        large = Factorization(((1000000000000000009, 1),))
+        cfg = PrecisionConfig()
+        assert theorems._certify_log_increase(large, small, cfg) is False
+        assert theorems._certify_log_increase(small, large, cfg) is True
 
 
 class TestPerPrimeMonotonicity:
