@@ -1,15 +1,17 @@
 """Range scanning and the two conjecture experiments.
 
 The scanner certifies a whole segment at a time.  sigma(n) for every n
-in the segment comes from a divisor-pair sieve (each divisor d <= sqrt
-contributes d + n/d to its multiples), vectorized with numpy; no per-n
-trial division happens.  Each block of consecutive n is then compared
-against a certified lower bound of the right-hand side at the block
-start (the RHS is increasing in n), using pure int64 arithmetic, and
-only the handful of near-extremal candidates that survive the block
-filter are routed through the fully certified per-n check.  Violations
-are therefore confirmed by the exact machinery, and everything filtered
-out is certified Satisfied by the block bound.
+in the segment comes from a multiplicative sieve over the primes
+p <= sqrt(segment end): strided numpy slices divide each p out of its
+multiples and multiply in 1 + p + ... + p^k, and the one prime cofactor
+left over contributes its own factor; no per-n trial division happens.
+Each block of consecutive n is then compared against a certified lower
+bound of the right-hand side at the block start (the RHS is increasing
+in n), using pure int64 arithmetic, and only the handful of
+near-extremal candidates that survive the block filter are routed
+through the fully certified per-n check.  Violations are therefore
+confirmed by the exact machinery, and everything filtered out is
+certified Satisfied by the block bound.
 
 Output is deterministic and independent of the worker count: the
 segment grid depends only on (lo, hi, segment size) and results are
@@ -64,22 +66,43 @@ class ScanReport:
 
 
 def _sigma_segment(a: int, b: int) -> np.ndarray:
-    """sigma(n) for n in [a, b) as int64, via the divisor-pair sieve."""
-    sig = np.zeros(b - a, dtype=np.int64)
-    root = isqrt(b - 1)
-    for d in range(1, root + 1):
-        start = ((a + d - 1) // d) * d
-        if start < d * d:
-            start = d * d
-        if start >= b:
+    """sigma(n) for n in [a, b) as int64, via a multiplicative prime sieve.
+
+    Every prime p <= sqrt(b - 1) is divided out of its multiples in the
+    segment, and each multiple's sigma picks up the factor
+    1 + p + ... + p^k for the exact power p^k it holds.  What is left of
+    n afterwards is 1 or a single prime above sqrt(b - 1), which
+    contributes its own factor rem + 1.
+
+    int64 headroom for b <= MAX_SCAN_HI + 1: each partial product in sig
+    is sigma of a unitary divisor of n, so it divides sigma(n) < 7n < 2^43,
+    and a per-prime factor stays below 2 * p^k <= 2 * 10^12.
+    """
+    width = b - a
+    rem = np.arange(a, b, dtype=np.int64)
+    sig = np.ones(width, dtype=np.int64)
+    for p in _primes.primes_up_to(isqrt(b - 1)):
+        s = -a % p
+        if s >= width:
             continue
-        ms = np.arange(start, b, d, dtype=np.int64)
-        sig[ms - a] += d + ms // d
-    # perfect squares got their square root counted twice
-    r0 = isqrt(a - 1) + 1 if a > 1 else 1
-    rs = np.arange(r0, root + 1, dtype=np.int64)
-    if rs.size:
-        sig[rs * rs - a] -= rs
+        view = rem[s::p]
+        view //= p
+        term = 1 + p
+        q = p * p
+        j = -a % q
+        if j < width:
+            # some multiple holds p^2: per-element factors from here on
+            term = np.full(view.size, 1 + p, dtype=np.int64)
+            while j < width:
+                # in the view, multiples of q = p^k are q // p apart
+                i, step = (j - s) // p, q // p
+                view[i::step] //= p
+                term[i::step] += q
+                q *= p
+                j = -a % q
+        sig[s::p] *= term
+    big = rem > 1
+    sig[big] *= rem[big] + 1
     return sig
 
 
@@ -386,23 +409,18 @@ def conjecture32_search(
     tasks = [(entries, cfg) for entries in bases]
     counterexamples: list[tuple[Factorization, int, CheckResult]] = []
     if worker_count <= 1 or len(tasks) < 4:
-        results = map(_probe_base_task, tasks)
+        results = list(map(_probe_base_task, tasks))
     else:
-        pool = multiprocessing.Pool(processes=worker_count)
-        results = pool.imap(_probe_base_task, tasks, chunksize=64)
-    probed = 0
+        with multiprocessing.Pool(processes=worker_count) as pool:
+            results = list(pool.imap(_probe_base_task, tasks, chunksize=64))
     for failures in results:
-        probed += 1
         for entries, j, r in failures:
             counterexamples.append((Factorization(entries), j, r))
-    if worker_count > 1 and len(tasks) >= 4:
-        pool.close()
-        pool.join()
     return SearchReport(
         prime_count_max=prime_count_max,
         exponent_max=exponent_max,
         log_n_max=log_n_max,
         candidates_enumerated=len(all_bases),
-        bases_probed=probed,
+        bases_probed=len(results),
         counterexamples=tuple(counterexamples),
     )

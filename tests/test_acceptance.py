@@ -130,9 +130,13 @@ def test_criterion_7_conjecture31_table():
     with criterion("7 conjecture 3.1 table to m = 10^4"):
         rows = explorer.conjecture31_table(10**4)
         assert len(rows) == 10**4
-        # q exactly increasing (exact cross-multiplied comparison)
+        # q exactly increasing: each step is q_{m+1} = q_m * (p+1)/p with
+        # p = p_{m+1}, checked by one exact division per row
         for a, b in zip(rows, rows[1:]):
-            assert a.q_num * b.q_den < b.q_num * a.q_den
+            p = b.p_m
+            k, r = divmod(a.q_num * (p + 1), b.q_num)
+            assert r == 0 and k > 0
+            assert a.q_den * p == k * b.q_den
         # alpha certified increasing for m >= 2
         assert rows[0].alpha is None
         for a, b in zip(rows[1:], rows[2:]):

@@ -1,12 +1,15 @@
 """Scanner vs brute-force oracle, the primorial table, conjecture probes."""
 
 import itertools
+import multiprocessing
 import os
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robincheck import explorer, primes, robin
 from robincheck.factorization import Factorization
@@ -95,6 +98,40 @@ class TestScanOracleEquivalence:
         seg = explorer._sigma_segment(1000, 3001)
         for n in range(1000, 3001):
             assert int(seg[n - 1000]) == sig[n], n
+
+
+def assert_sigma_segment_exact(a, b):
+    seg = explorer._sigma_segment(a, b)
+    assert seg.dtype == "int64" and seg.size == b - a
+    for n in range(a, b):
+        expect = 1 if n == 1 else robin.sigma(primes.factorize(n))
+        assert int(seg[n - a]) == expect, n
+
+
+class TestSigmaSegment:
+    def test_top_segment_ending_at_max_scan_hi(self):
+        hi = explorer.MAX_SCAN_HI
+        assert_sigma_segment_exact(hi - 4095, hi + 1)
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_segment_starting_at_1_and_2(self, a):
+        assert_sigma_segment_exact(a, a + 5000)
+
+    def test_segment_narrower_than_largest_sieving_prime(self):
+        # sieving primes reach ~10^6 here; most have no multiple inside
+        a = 10**12 - 10**6
+        assert_sigma_segment_exact(a, a + 97)
+
+    @pytest.mark.parametrize("pk", [2**39, 3**25, 5**17, 7**14, 997**4])
+    def test_segment_containing_high_prime_power(self, pk):
+        assert_sigma_segment_exact(pk - 300, pk + 300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**12),
+           st.integers(min_value=1, max_value=64))
+    def test_matches_factorize_on_random_windows(self, a, width):
+        b = min(a + width, explorer.MAX_SCAN_HI + 1)
+        assert_sigma_segment_exact(a, b)
 
 
 class TestScanRangeEnd:
@@ -236,6 +273,10 @@ def _naive_enumerate(prime_count, exp_max, ln_max_float, non_increasing):
     return found
 
 
+def _failing_probe_task(args):
+    raise RuntimeError("probe failed")
+
+
 class TestConjecture32Search:
     def test_enumeration_matches_naive(self):
         got = explorer._enumerate_bases(4, 3, Fraction("11.0"), True, 53)
@@ -269,6 +310,15 @@ class TestConjecture32Search:
         assert a.candidates_enumerated == b.candidates_enumerated
         assert a.bases_probed == b.bases_probed
         assert a.counterexamples == b.counterexamples
+
+    def test_worker_exception_propagates_without_leaking_pool(
+            self, monkeypatch):
+        # module level, so the pool's workers can unpickle it by name
+        monkeypatch.setattr(explorer, "_probe_base_task", _failing_probe_task)
+        with pytest.raises(RuntimeError, match="probe failed"):
+            explorer.conjecture32_search(6, 3, Fraction("12.5"),
+                                         worker_count=2)
+        assert multiprocessing.active_children() == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
