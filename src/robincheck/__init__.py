@@ -6,7 +6,12 @@ theorem suites, corollary bound calculators, and the primorial-table /
 exponent-increment conjecture experiments.
 """
 
-from .factorization import EmptyFactorization, Factorization
+from .factorization import (
+    EmptyFactorization,
+    Factorization,
+    sigma_int,
+    sigma_over_n_fraction,
+)
 from .intervals import (
     Comparison,
     DEFAULT_PRECISION,
@@ -26,15 +31,14 @@ from .primes import (
     LimitTooLarge,
     NotPrime,
     ParseError,
-    PrimeTable,
     ZeroExponent,
     factorize,
-    format_factor_string,
+    first_primes,
     is_prime,
     nth_prime,
     parse_factor_string,
+    primes_up_to,
     primorial_factorization,
-    sieve,
 )
 from .robin import (
     CheckResult,
@@ -44,15 +48,12 @@ from .robin import (
     check_n,
     log_n,
     robin_rhs,
-    sigma,
-    sigma_over_n,
 )
 from .theorems import (
     BoundReport,
     CollidingBase,
     NotAnIncrease,
     SubstitutionReport,
-    prime_power_lhs,
     squarefree_bound,
     substitute_prime,
     substitution_report,

@@ -3,9 +3,11 @@
 Commands: check, scan, conjecture1, conjecture2, bounds, prime-powers,
 substitute.  Exit codes: 0 satisfied/empty, 1 violated/counterexample
 found, 2 indeterminate (also a substitution whose log increase stays
-undecided), 64 usage error, 65 raw input too large to factor (use a
-factor string), 74 the output could not be opened or written (nothing
-is printed for a reader that closed the pipe early).
+undecided), 64 usage error (also a request for primes past the sieve
+budget, a scan end above 10^12 or a start precision above the gamma
+digits), 65 raw input too large to factor (use a factor string), 74 the
+output could not be opened or written (nothing is printed for a reader
+that closed the pipe early).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, TextIO
 
 from . import explorer, primes, robin, theorems
-from .factorization import Factorization
+from .factorization import Factorization, sigma_int
 from .intervals import _GUARD, PrecisionConfig, dyadic_from_fraction
 from .output import (
     interval_cell,
@@ -122,6 +124,15 @@ def _make_cfg(args) -> PrecisionConfig:
                            max_bits=args.max_precision_bits)
 
 
+def _parse_factors(text: str) -> Factorization:
+    """parse_factor_string, with every grammar refusal as a usage error."""
+    try:
+        return primes.parse_factor_string(text)
+    except (primes.ParseError, primes.NotPrime, primes.DuplicateBase,
+            primes.ZeroExponent) as exc:
+        raise _UsageError(str(exc))
+
+
 def _open_output(args) -> TextIO:
     if args.output == "-":
         return sys.stdout
@@ -156,28 +167,13 @@ def _log10_midpoint(f: Factorization) -> Fraction:
 def _cmd_check(args, out: TextIO) -> int:
     cfg = _make_cfg(args)
     value = args.value.strip()
-    too_large = False
     if re.fullmatch(r"\d+", value):
         n = int(value)
         if n < 2:
             raise _UsageError("n must be >= 2")
-        if n > primes.MAX_FACTOR_INPUT:
-            too_large = True
-            f = None
-        else:
-            f = primes.factorize(n)
+        f = primes.factorize(n)
     else:
-        try:
-            f = primes.parse_factor_string(value)
-        except (primes.ParseError, primes.NotPrime, primes.DuplicateBase,
-                primes.ZeroExponent) as exc:
-            raise _UsageError(str(exc))
-    if too_large:
-        print(f"{value} exceeds the raw-integer range; "
-              "supply its factorization as a factor string (p^k*q^j*...)",
-              file=sys.stderr)
-        return EXIT_TOO_LARGE
-
+        f = _parse_factors(value)
     result = robin.check(f, cfg)
     n_str, log10_str = _n_display(f)
     margin = (result.margin_lower_bound.decimal_str()
@@ -237,7 +233,7 @@ SCAN_CSV_HEADER = "n,sigma,sigma_over_n_num,sigma_over_n_den,rhs_lo,rhs_hi,reaso
 
 
 def scan_violation_row(n: int, result: robin.CheckResult) -> str:
-    sig = robin.sigma(result.factorization)
+    sig = sigma_int(result.factorization)
     rhs_lo = result.rhs.lo.decimal_str() if result.rhs is not None else ""
     rhs_hi = result.rhs.hi.decimal_str() if result.rhs is not None else ""
     return (f"{n},{sig},{result.lhs.numerator},{result.lhs.denominator},"
@@ -247,6 +243,9 @@ def scan_violation_row(n: int, result: robin.CheckResult) -> str:
 def _cmd_scan(args, out: TextIO) -> int:
     if args.start < 2 or args.start > args.end:
         raise _UsageError("need 2 <= start <= end")
+    if args.end > explorer.MAX_SCAN_HI:
+        raise _UsageError(
+            f"end exceeds the supported scan range {explorer.MAX_SCAN_HI}")
     cfg = _make_cfg(args)
     violations = 0
     indeterminates: list[int] = []
@@ -260,7 +259,7 @@ def _cmd_scan(args, out: TextIO) -> int:
             if args.format == "json":
                 rows_json.append({
                     "n": n,
-                    "sigma": str(robin.sigma(result.factorization)),
+                    "sigma": str(sigma_int(result.factorization)),
                     "sigma_over_n": {"num": str(result.lhs.numerator),
                                      "den": str(result.lhs.denominator)},
                     "rhs": interval_json(result.rhs),
@@ -557,11 +556,7 @@ def _cmd_prime_powers(args, out: TextIO) -> int:
 
 def _cmd_substitute(args, out: TextIO) -> int:
     cfg = _make_cfg(args)
-    try:
-        f = primes.parse_factor_string(args.factors)
-    except (primes.ParseError, primes.NotPrime, primes.DuplicateBase,
-            primes.ZeroExponent) as exc:
-        raise _UsageError(str(exc))
+    f = _parse_factors(args.factors)
     try:
         report = theorems.substitution_report(f, args.index, args.new_prime, cfg)
     except (theorems.NotAnIncrease, theorems.CollidingBase,
@@ -640,8 +635,12 @@ def _discard_stdout() -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    max_str_digits = sys.get_int_max_str_digits()
     try:
         args = parser.parse_args(argv)
+        # sigma(n)/n of a big factor string runs past the 4300 digits int
+        # <-> str converts by default; restored for in-process callers
+        sys.set_int_max_str_digits(0)
         if args.format == "svg" and args.command not in _SVG_COMMANDS:
             raise _UsageError(
                 f"--format svg is only valid for: {', '.join(sorted(_SVG_COMMANDS))}")
@@ -667,12 +666,14 @@ def main(argv=None) -> int:
                 print(f"robincheck: cannot write output: {exc}",
                       file=sys.stderr)
             return EXIT_IOERR
-    except _UsageError as exc:
+    except (_UsageError, primes.LimitTooLarge) as exc:
         print(f"robincheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except primes.InputTooLarge as exc:
         print(f"robincheck: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    finally:
+        sys.set_int_max_str_digits(max_str_digits)
 
 
 if __name__ == "__main__":

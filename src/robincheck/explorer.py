@@ -52,7 +52,6 @@ _BLOCK = 4096
 # tier-1 threshold fixed-point scale; 2^-16 of slack costs a few extra
 # candidates and keeps the comparison in exact int64 arithmetic
 _THR_SHIFT = 16
-_SMALL_CUTOFF = 16  # below this the RHS is too small for block filtering
 MAX_SCAN_HI = 10 ** 12  # keeps sigma * 2^16 and thr * n inside int64
 
 
@@ -107,10 +106,11 @@ def _sigma_segment(a: int, b: int) -> np.ndarray:
 
 
 def _rhs_floor_scaled(t: int, bits: int) -> Optional[int]:
-    """floor(rhs_lower_bound(t) * 2^_THR_SHIFT) for an integer t >= 3.
+    """floor(rhs_lower_bound(t) * 2^_THR_SHIFT) for an integer t >= 2.
 
-    None when ln t > 1 cannot be certified (cannot happen for t >= 16 at
-    any usable precision); callers must then treat every n as a candidate.
+    None when ln t > 1 cannot be certified, which is the case for t = 2
+    (ln 2 < 1) and for no t >= 3 at any usable precision; callers must
+    then treat every n of the block as a candidate.
     """
     W = bits + _GUARD
     L, H = _ln_fp(t, 1, W)
@@ -127,23 +127,22 @@ def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> tuple[list, list]:
     indeterminates: list[int] = []
 
     candidates: list[int] = []
-    small_end = min(b, _SMALL_CUTOFF)
-    candidates.extend(range(a, small_end))
-
-    if b > _SMALL_CUTOFF:
-        lo_f = max(a, _SMALL_CUTOFF)
-        sig = _sigma_segment(lo_f, b)
-        ns = np.arange(lo_f, b, dtype=np.int64)
-        for t in range(lo_f, b, _BLOCK):
-            t_end = min(t + _BLOCK, b)
-            thr = _rhs_floor_scaled(t, cfg.start_bits)
-            if thr is None:
-                candidates.extend(range(t, t_end))
-                continue
-            i0, i1 = t - lo_f, t_end - lo_f
+    sig = _sigma_segment(a, b)
+    ns = np.arange(a, b, dtype=np.int64)
+    t = a
+    while t < b:
+        # below _BLOCK, a block [t, 2t) keeps the bound at t close to the
+        # RHS of its last n, where the RHS still climbs steeply
+        t_end = min(t + _BLOCK, 2 * t, b)
+        thr = _rhs_floor_scaled(t, cfg.start_bits)
+        if thr is None:
+            candidates.extend(range(t, t_end))
+        else:
+            i0, i1 = t - a, t_end - a
             mask = (sig[i0:i1] << _THR_SHIFT) >= thr * ns[i0:i1]
             if mask.any():
                 candidates.extend(int(v) for v in ns[i0:i1][mask])
+        t = t_end
 
     for n in candidates:
         result = check(_primes.factorize(n), cfg)
@@ -229,9 +228,6 @@ class ConjectureRow:
     alpha: Optional[RealInterval]
     ratio: Optional[RealInterval]
     n_exceeds_5040: bool
-
-    def q_fraction(self) -> Fraction:
-        return Fraction(self.q_num, self.q_den)
 
 
 def conjecture31_table(

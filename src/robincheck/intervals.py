@@ -244,36 +244,6 @@ def compare(lhs: Fraction, rhs: RealInterval) -> Comparison:
 
 
 # ---------------------------------------------------------------------------
-# Precision configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Escalation ladder for interval precision."""
-
-    start_bits: int = 53
-    max_bits: int = 4096
-
-    def __post_init__(self):
-        if self.start_bits <= 0 or self.max_bits <= 0:
-            raise ValueError("precision bits must be positive")
-        if self.start_bits > self.max_bits:
-            raise ValueError("start_bits must not exceed max_bits")
-
-    def ladder(self) -> Iterator[int]:
-        """start_bits, doubling, capped at min(max_bits, GAMMA_MAX_BITS)."""
-        top = min(self.max_bits, GAMMA_MAX_BITS)
-        bits = self.start_bits
-        yield bits
-        while bits < top:
-            bits = min(2 * bits, top)
-            yield bits
-
-
-DEFAULT_PRECISION = PrecisionConfig()
-
-
-# ---------------------------------------------------------------------------
 # The Euler-Mascheroni constant
 # ---------------------------------------------------------------------------
 
@@ -325,6 +295,40 @@ def euler_gamma(precision_bits: int) -> RealInterval:
         dyadic_from_fraction(Fraction(_GAMMA_NUM + 1, _GAMMA_DEN), W, True),
         precision_bits,
     )
+
+
+# ---------------------------------------------------------------------------
+# Precision configuration
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PrecisionConfig:
+    """Escalation ladder for interval precision."""
+
+    start_bits: int = 53
+    max_bits: int = 4096
+
+    def __post_init__(self):
+        if self.start_bits <= 0 or self.max_bits <= 0:
+            raise ValueError("precision bits must be positive")
+        if self.start_bits > self.max_bits:
+            raise ValueError("start_bits must not exceed max_bits")
+        if self.start_bits > GAMMA_MAX_BITS:
+            raise ValueError(
+                f"start_bits exceeds the {GAMMA_MAX_BITS} bits the gamma "
+                "digits support")
+
+    def ladder(self) -> Iterator[int]:
+        """start_bits, doubling, capped at min(max_bits, GAMMA_MAX_BITS)."""
+        top = min(self.max_bits, GAMMA_MAX_BITS)
+        bits = self.start_bits
+        yield bits
+        while bits < top:
+            bits = min(2 * bits, top)
+            yield bits
+
+
+DEFAULT_PRECISION = PrecisionConfig()
 
 
 # ---------------------------------------------------------------------------

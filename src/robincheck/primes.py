@@ -1,12 +1,13 @@
 """Prime generation, deterministic primality, factorization, parsing.
 
-The sieve is segmented (numpy byte arrays, one segment at a time) so
-memory stays proportional to the segment, not the limit.  A single
-module-level prime source grows on demand behind a lock; readers only
-ever see fully built immutable snapshots.
+One module-level prime source, grown on demand behind a lock, is the
+only prime API (``primes_up_to``, ``first_primes``, ``nth_prime``).  It
+sieves segment by segment, so flag memory stays proportional to the
+segment, and readers only see fully built immutable snapshots.  It never
+sieves past 10^8: a larger request raises ``LimitTooLarge`` up front.
 
 Raw-integer factorization is supported up to 64-bit magnitude: trial
-division by sieved primes below 10^6, then Brent's variant of Pollard
+division by the primes below 10^3, then Brent's variant of Pollard
 rho with a deterministic Miller-Rabin primality test (the 12-witness
 set, valid far beyond 2^64).  Anything larger must arrive pre-factored
 as a factor string.
@@ -26,7 +27,7 @@ from .factorization import Factorization
 
 
 class LimitTooLarge(Exception):
-    """Sieve limit exceeds the configured memory budget."""
+    """A prime request would sieve past the fixed budget (primes up to 10^8)."""
 
 
 class InputTooLarge(Exception):
@@ -56,9 +57,8 @@ MAX_FACTOR_INPUT = 2 ** 64 - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
-_TRIAL_LIMIT = 10 ** 6
-_DEFAULT_SEGMENT = 1 << 20
-_DEFAULT_SIEVE_BUDGET = 10 ** 8
+_SEGMENT = 1 << 20
+_SIEVE_BUDGET = 10 ** 8  # its ~5.8 M primes already fill a few hundred MB
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -71,7 +71,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def _segmented_primes(limit: int, segment_size: int = _DEFAULT_SEGMENT):
+def _segmented_primes(limit: int):
     """Yield numpy arrays of primes covering [2, limit] segment by segment."""
     if limit < 2:
         return
@@ -80,7 +80,7 @@ def _segmented_primes(limit: int, segment_size: int = _DEFAULT_SEGMENT):
     yield base[base <= limit]
     lo = max(root + 1, 3)
     while lo <= limit:
-        hi = min(lo + segment_size - 1, limit)
+        hi = min(lo + _SEGMENT - 1, limit)
         flags = np.ones(hi - lo + 1, dtype=bool)
         for p in base:
             p = int(p)
@@ -93,37 +93,6 @@ def _segmented_primes(limit: int, segment_size: int = _DEFAULT_SEGMENT):
         lo = hi + 1
 
 
-class PrimeTable:
-    """Immutable ascending list of exactly the primes <= limit."""
-
-    __slots__ = ("limit", "primes")
-
-    def __init__(self, limit: int, primes: tuple[int, ...]):
-        self.limit = limit
-        self.primes = primes
-
-    def __len__(self):
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __getitem__(self, i):
-        return self.primes[i]
-
-
-def sieve(limit: int, *, segment_size: int = _DEFAULT_SEGMENT,
-          budget: int = _DEFAULT_SIEVE_BUDGET) -> PrimeTable:
-    """All primes <= limit, sieved segment by segment."""
-    if limit < 2:
-        raise ValueError("sieve limit must be >= 2")
-    if limit > budget:
-        raise LimitTooLarge(f"limit {limit} exceeds budget {budget}")
-    chunks = list(_segmented_primes(limit, segment_size))
-    primes = tuple(int(p) for chunk in chunks for p in chunk)
-    return PrimeTable(limit, primes)
-
-
 class _PrimeSource:
     """On-demand-growing shared prime list; growth is serialized."""
 
@@ -133,10 +102,14 @@ class _PrimeSource:
         self._primes: tuple[int, ...] = ()
 
     def _grow_to(self, limit: int):
+        if limit > _SIEVE_BUDGET:
+            raise LimitTooLarge(
+                f"primes up to {limit} exceed the sieve budget {_SIEVE_BUDGET}"
+            )
         with self._lock:
             if limit <= self._limit:
                 return
-            new_limit = max(limit, 2 * self._limit, 1 << 16)
+            new_limit = min(max(limit, 2 * self._limit, 1 << 16), _SIEVE_BUDGET)
             chunks = list(_segmented_primes(new_limit))
             self._primes = tuple(int(p) for chunk in chunks for p in chunk)
             self._limit = new_limit
@@ -149,13 +122,14 @@ class _PrimeSource:
         return primes[: bisect.bisect_right(primes, limit)]
 
     def first(self, m: int) -> tuple[int, ...]:
-        while len(self._primes) < m:
-            # p_m < m (ln m + ln ln m) for m >= 6; padded estimate
+        if len(self._primes) < m:
+            # p_m < m (ln m + ln ln m) for m >= 6 (Rosser-Schoenfeld);
+            # padded, and 16 > p_5 covers the rest
             if m < 6:
                 est = 16
             else:
                 est = int(m * (math.log(m) + math.log(math.log(m)))) + 16
-            self._grow_to(max(est, 2 * self._limit))
+            self._grow_to(est)
         return self._primes[:m]
 
 
@@ -252,8 +226,10 @@ def factorize(n: int) -> Factorization:
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > MAX_FACTOR_INPUT:
+        # n itself may have more digits than str() may convert
         raise InputTooLarge(
-            f"{n} exceeds the raw-input range; supply a factor string instead"
+            f"a {n.bit_length()}-bit n exceeds the 64-bit raw-input range; "
+            "supply a factor string instead"
         )
     factors: dict[int, int] = {}
     rem = n
@@ -296,8 +272,11 @@ def parse_factor_string(s: str) -> Factorization:
         m = _TERM_RE.match(term)
         if not m:
             raise ParseError(f"bad term {raw!r}")
-        base = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            base = int(m.group(1))
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError as exc:  # more digits than int() may convert
+            raise ParseError(str(exc)) from None
         if exp == 0:
             raise ZeroExponent(f"exponent of {base} is zero")
         if exp < 0:
@@ -312,8 +291,3 @@ def parse_factor_string(s: str) -> Factorization:
             raise DuplicateBase(f"base {base} repeated")
         seen[base] = exp
     return Factorization(tuple(seen.items()))
-
-
-def format_factor_string(f: Factorization) -> str:
-    """Canonical formatter; parse_factor_string is its left inverse."""
-    return f.as_string()

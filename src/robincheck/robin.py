@@ -29,7 +29,6 @@ from typing import Optional
 from .factorization import (
     EmptyFactorization,
     Factorization,
-    sigma_int,
     sigma_over_n_fraction,
 )
 from .intervals import (
@@ -73,16 +72,6 @@ class CheckResult:
     precision_used: int
     margin_lower_bound: Optional[Dyadic]
     reason: Optional[str] = None
-
-
-def sigma(f: Factorization) -> int:
-    """Exact sum of divisors of n, from the closed-form product."""
-    return sigma_int(f)
-
-
-def sigma_over_n(f: Factorization) -> Fraction:
-    """Exact sigma(n)/n in lowest terms, computed without forming n."""
-    return sigma_over_n_fraction(f)
 
 
 # ln(p) bounds cache keyed by (p, W); ln p is recomputed constantly during
@@ -209,6 +198,4 @@ def _round_down_margin(fr: Fraction, bits: int) -> Dyadic:
 
 def check_n(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
     """factorize(n) then check; n must fit the raw-input factoring range."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     return check(_primes.factorize(n), cfg)

@@ -37,14 +37,6 @@ class CollidingBase(Exception):
     """Substitution would merge two equal bases; the theorem needs m distinct primes."""
 
 
-def prime_power_lhs(p: int, k: int) -> Fraction:
-    """Exact (p^(k+1) - 1) / (p^k (p - 1)); always below p/(p-1) <= 2."""
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
-    pk = p ** k
-    return Fraction(pk * p - 1, pk * (p - 1))
-
-
 def threshold_5040(cfg: PrecisionConfig = DEFAULT_PRECISION) -> RealInterval:
     """Enclosure of e^gamma * ln ln 5040 ~ 3.817."""
     return robin_rhs(Factorization(((2, 4), (3, 2), (5, 1), (7, 1))),

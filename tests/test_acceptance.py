@@ -10,7 +10,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from robincheck import explorer, primes, robin, theorems
-from robincheck.factorization import Factorization
+from robincheck.factorization import (
+    Factorization,
+    sigma_int,
+    sigma_over_n_fraction,
+)
 from robincheck.intervals import PrecisionConfig
 from robincheck.output import sig_str_fraction
 from robincheck.robin import Verdict
@@ -87,17 +91,17 @@ def test_criterion_5_prime_power_sweep():
         assert len(ns) == len(set(ns))
         assert ns[0] == 5041 and ns[-1] <= 10**6
         rng = random.Random(1234)
-        plist = list(primes.sieve(10**5))
+        plist = list(primes.primes_up_to(10**5))
         for _ in range(10**4):
             p = rng.choice(plist)
             k = rng.randint(1, 40)
-            assert theorems.prime_power_lhs(p, k) < 2
+            assert sigma_over_n_fraction(Factorization(((p, k),))) < 2
 
 
 def test_criterion_6_substitution_suite():
     with criterion("6 substitution property suite"):
         rng = random.Random(987654321)
-        pool = list(primes.sieve(3000))
+        pool = list(primes.primes_up_to(3000))
         done = 0
         while done < 1000:
             ps = sorted(rng.sample(pool, rng.randint(1, 6)))
@@ -117,11 +121,11 @@ def test_criterion_6_substitution_suite():
             done += 1
         # exhaustive per-prime-factor monotonicity, primes <= 10^4, k <= 16:
         # consecutive-prime comparisons cover every pair by transitivity
-        plist = list(primes.sieve(10**4))
+        plist = list(primes.primes_up_to(10**4))
         for k in range(1, 17):
-            prev = theorems.prime_power_lhs(plist[0], k)
+            prev = sigma_over_n_fraction(Factorization(((plist[0], k),)))
             for p in plist[1:]:
-                cur = theorems.prime_power_lhs(p, k)
+                cur = sigma_over_n_fraction(Factorization(((p, k),)))
                 assert cur < prev
                 prev = cur
 
@@ -178,10 +182,10 @@ def test_criterion_10_sigma_oracles():
     with criterion("10 sigma oracle equivalence"):
         sig = oracles.sigma_sieve(10**5)
         for n in range(2, 10**5 + 1):
-            assert robin.sigma(primes.factorize(n)) == sig[n]
+            assert sigma_int(primes.factorize(n)) == sig[n]
         rng = random.Random(55555)
-        pool = list(primes.sieve(10**4))
+        pool = list(primes.primes_up_to(10**4))
         for _ in range(1000):
             ps = rng.sample(pool, rng.randint(1, 8))
             f = Factorization(tuple((p, rng.randint(1, 7)) for p in ps))
-            assert robin.sigma_over_n(f) * f.n() == robin.sigma(f)
+            assert sigma_over_n_fraction(f) * f.n() == sigma_int(f)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from robincheck import cli, robin, primes
+from robincheck import cli, primes
+from robincheck.factorization import sigma_over_n_fraction
 
 
 def run_cli(args, capsys):
@@ -63,6 +65,57 @@ class TestExitCodes:
         code, _, err = run_cli(["frobnicate"], capsys)
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["prime-powers", "--limit", "1000000000"],
+        ["conjecture1", "6000000"],  # p_m is about 1.04 * 10^8
+    ])
+    def test_primes_past_sieve_budget_exit_64(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64
+        assert out == ""
+        assert "sieve budget" in err
+
+    def test_scan_end_past_max_scan_hi_exit_64(self, capsys):
+        code, out, err = run_cli(
+            ["scan", "2", "10000000000000", "--format", "csv"], capsys)
+        assert code == 64
+        assert out == ""  # refused before the CSV header
+        assert "scan range" in err
+
+    def test_start_precision_past_gamma_digits_exit_64(self, capsys):
+        code, out, err = run_cli(
+            ["check", "5041", "--precision-bits", "4600",
+             "--max-precision-bits", "5000"], capsys)
+        assert code == 64
+        assert out == ""
+        assert "gamma" in err
+
+
+class TestPastIntStrDigitLimit:
+    """Values longer than the 4300 digits int <-> str converts by default."""
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_primorial_of_2000_primes(self, fmt, capsys):
+        limit = sys.get_int_max_str_digits()
+        f = primes.primorial_factorization(2000)
+        code, out, _ = run_cli(["check", f.as_string(), "--format", fmt],
+                               capsys)
+        assert code == 0
+        assert "satisfied" in out
+        # the sigma(n)/n numerator is printed in full
+        assert max(len(d) for d in re.findall(r"\d+", out)) > 4300
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_5000_digit_integer_exit_65(self, capsys):
+        code, _, err = run_cli(["check", "9" * 5000], capsys)
+        assert code == 65
+        assert "factor string" in err
+
+    def test_5000_digit_base_exit_64(self, capsys):
+        code, _, err = run_cli(["check", "9" * 5000 + "^2"], capsys)
+        assert code == 64
+        assert "primality range" in err
+
 
 class TestCheckCommand:
     def test_factor_string_matches_integer_report(self, capsys):
@@ -100,7 +153,7 @@ class TestCheckCommand:
         for line in out.splitlines():
             if line.startswith("sigma(n)/n"):
                 shown = Fraction(line.split("=")[-1].strip())
-                exact = robin.sigma_over_n(primes.factorize(5041))
+                exact = sigma_over_n_fraction(primes.factorize(5041))
                 assert abs(shown - exact) <= Fraction(1, 10**5)
 
     def test_output_file(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robincheck import explorer, primes, robin
-from robincheck.factorization import Factorization
+from robincheck.factorization import Factorization, sigma_int
 from robincheck.robin import Verdict
 
 import oracles
@@ -25,7 +25,7 @@ def scan_golden_projection(report: explorer.ScanReport) -> str:
     """Scanner violations rendered in the oracle-comparable column set."""
     lines = [oracles.GOLDEN_HEADER]
     for n, result in report.violations:
-        sig = robin.sigma(result.factorization)
+        sig = sigma_int(result.factorization)
         lines.append(f"{n},{sig},{result.lhs.numerator},"
                      f"{result.lhs.denominator},{result.reason}")
     return "\n".join(lines) + "\n"
@@ -55,6 +55,20 @@ class TestScanGolden:
         assert report.violations == ()
         assert report.indeterminates == ()
         assert report.checked_count == 1
+
+    def test_exact_path_stays_cold_from_2(self, monkeypatch):
+        checked = []
+
+        def counting_check(f, cfg):
+            checked.append(f)
+            return robin.check(f, cfg)
+
+        monkeypatch.setattr(explorer, "check", counting_check)
+        report = explorer.scan_range(2, 5040)
+        assert len(report.violations) == 27
+        # the 27 violators plus a few near misses; every other n is
+        # certified by the block filter
+        assert len(checked) <= 64
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -104,7 +118,7 @@ def assert_sigma_segment_exact(a, b):
     seg = explorer._sigma_segment(a, b)
     assert seg.dtype == "int64" and seg.size == b - a
     for n in range(a, b):
-        expect = 1 if n == 1 else robin.sigma(primes.factorize(n))
+        expect = 1 if n == 1 else sigma_int(primes.factorize(n))
         assert int(seg[n - a]) == expect, n
 
 
@@ -150,7 +164,7 @@ class TestScanRangeEnd:
         rng = random.Random(20121)
         for n in rng.sample(range(lo, hi + 1), 64):
             f = primes.factorize(n)
-            assert int(sig[n - lo]) == robin.sigma(f), n
+            assert int(sig[n - lo]) == sigma_int(f), n
             assert robin.check(f).verdict is Verdict.SATISFIED, n
 
 
@@ -173,7 +187,7 @@ class TestConjecture31Table:
         rows = explorer.conjecture31_table(10)
         assert len(rows) == 10
         assert rows[1].q_num == 2 and rows[1].q_den == 1
-        assert rows[8].q_fraction() == Fraction(3981312, 1062347)
+        assert Fraction(rows[8].q_num, rows[8].q_den) == Fraction(3981312, 1062347)
         assert [r.m for r in rows] == list(range(1, 11))
 
     def test_m1_alpha_undefined_marker(self):
@@ -200,20 +214,20 @@ class TestConjecture31Table:
         rows = explorer.conjecture31_table(200)
         for m in (1, 7, 50, 200):
             q = Fraction(1)
-            for p in primes.sieve(10**4)[:m]:
+            for p in primes.first_primes(m):
                 q *= Fraction(p + 1, p)
-            assert rows[m - 1].q_fraction() == q
+            assert Fraction(rows[m - 1].q_num, rows[m - 1].q_den) == q
 
     def test_alpha_and_ratio_contain_oracle(self):
         rows = explorer.conjecture31_table(500)
         mpmath.mp.dps = 60
-        plist = list(primes.sieve(10**4))
+        plist = list(primes.primes_up_to(10**4))
         for m in (2, 10, 100, 500):
             row = rows[m - 1]
             s = mpmath.fsum(mpmath.log(p) for p in plist[:m])
             alpha = mpmath.exp(mpmath.mp.euler) * mpmath.log(s)
             assert oracles.interval_contains_mp(row.alpha, alpha)
-            q = row.q_fraction()
+            q = Fraction(row.q_num, row.q_den)
             ratio = alpha / oracles.mp_of_fraction(q)
             assert oracles.interval_contains_mp(row.ratio, ratio)
 
@@ -259,7 +273,7 @@ class TestConjecture32Probe:
 def _naive_enumerate(prime_count, exp_max, ln_max_float, non_increasing):
     """Independent brute-force enumeration by itertools product."""
     import math
-    plist = list(primes.sieve(100))[:prime_count]
+    plist = list(primes.first_primes(prime_count))
     found = set()
     for m in range(1, prime_count + 1):
         for ks in itertools.product(range(0, exp_max + 1), repeat=m):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robincheck import primes
@@ -14,27 +14,43 @@ import oracles
 
 class TestSieve:
     def test_small(self):
-        assert list(primes.sieve(10)) == [2, 3, 5, 7]
+        assert primes.primes_up_to(10) == (2, 3, 5, 7)
 
     def test_first_nine_end_at_23(self):
-        table = primes.sieve(23)
+        table = primes.primes_up_to(23)
         assert len(table) == 9
         assert table[-1] == 23
 
     def test_count_to_million(self):
         # count frozen from an independent naive sieve run at build time
-        assert len(primes.sieve(10**6)) == 78498
+        assert len(primes.primes_up_to(10**6)) == 78498
 
     def test_matches_naive_trial_division(self):
-        assert list(primes.sieve(10**4)) == oracles.naive_prime_list(10**4)
+        assert (list(primes.primes_up_to(10**4))
+                == oracles.naive_prime_list(10**4))
 
     def test_limit_too_large(self):
+        # refused before the source sieves anything
+        before = primes._SOURCE._limit
         with pytest.raises(primes.LimitTooLarge):
-            primes.sieve(10**9, budget=10**8)
+            primes.primes_up_to(10**9)
+        with pytest.raises(primes.LimitTooLarge):
+            primes.first_primes(6_000_000)  # p_m is about 1.04 * 10^8
+        assert primes._SOURCE._limit == before
 
     def test_bad_limit(self):
-        with pytest.raises(ValueError):
-            primes.sieve(1)
+        assert primes.primes_up_to(1) == ()
+
+    def test_growth_capped_at_budget(self, monkeypatch):
+        monkeypatch.setattr(primes, "_SIEVE_BUDGET", 100_000)
+        source = primes._PrimeSource()
+        source._grow_to(70_000)
+        # doubling would sieve to 140000; the budget stops it at 10^5
+        assert len(source.primes_up_to(80_000)) == 7837
+        assert source._limit == 100_000
+        assert len(source.primes_up_to(100_000)) == 9592
+        with pytest.raises(primes.LimitTooLarge):
+            source.primes_up_to(100_001)
 
 
 class TestNthPrime:
@@ -148,13 +164,24 @@ class TestParseFactorString:
 
     def test_roundtrip_random_factorizations(self):
         rng = random.Random(77)
-        pool = list(primes.sieve(10**4))
+        pool = list(primes.primes_up_to(10**4))
         for _ in range(1000):
             chosen = rng.sample(pool, rng.randint(1, 8))
             ents = tuple(sorted((p, rng.randint(1, 9)) for p in chosen))
             f = Factorization(ents)
-            assert primes.parse_factor_string(
-                primes.format_factor_string(f)) == f
+            assert primes.parse_factor_string(f.as_string()) == f
+
+    @given(st.text(alphabet="0123456789^* \t", max_size=40))
+    @example("9" * 5000 + "^2")  # past the 4300 digits int() converts
+    @example("2^" + "9" * 5000)
+    @settings(max_examples=500, deadline=None)
+    def test_any_text_roundtrips_or_is_refused(self, s):
+        try:
+            f = primes.parse_factor_string(s)
+        except (primes.ParseError, primes.NotPrime, primes.DuplicateBase,
+                primes.ZeroExponent):
+            return
+        assert primes.parse_factor_string(f.as_string()) == f
 
 
 class TestFactorizationType:

@@ -7,7 +7,12 @@ import mpmath
 import pytest
 
 from robincheck import primes, robin
-from robincheck.factorization import EmptyFactorization, Factorization
+from robincheck.factorization import (
+    EmptyFactorization,
+    Factorization,
+    sigma_int,
+    sigma_over_n_fraction,
+)
 from robincheck.intervals import PrecisionConfig
 
 import oracles
@@ -21,7 +26,7 @@ class TestSigma:
     ])
     def test_examples(self, entries, expected):
         # 19344 cross-checked by enumerating all divisors of 5040
-        assert robin.sigma(Factorization(entries)) == expected
+        assert sigma_int(Factorization(entries)) == expected
 
     def test_5040_against_divisor_enumeration(self):
         assert oracles.sigma_by_divisors(5040) == 19344
@@ -29,21 +34,21 @@ class TestSigma:
     def test_exhaustive_against_divisor_sieve(self):
         sig = oracles.sigma_sieve(10**5)
         for n in range(2, 10**5 + 1):
-            assert robin.sigma(primes.factorize(n)) == sig[n], n
+            assert sigma_int(primes.factorize(n)) == sig[n], n
 
     def test_multiplicativity(self):
         rng = random.Random(11)
-        pool = list(primes.sieve(500))
+        pool = list(primes.primes_up_to(500))
         for _ in range(1000):
             ps = rng.sample(pool, 6)
             a = Factorization(tuple((p, rng.randint(1, 5)) for p in ps[:3]))
             b = Factorization(tuple((p, rng.randint(1, 5)) for p in ps[3:]))
             ab = Factorization(a.entries + b.entries)
-            assert robin.sigma(ab) == robin.sigma(a) * robin.sigma(b)
+            assert sigma_int(ab) == sigma_int(a) * sigma_int(b)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyFactorization):
-            robin.sigma(Factorization(()))
+            sigma_int(Factorization(()))
 
 
 class TestSigmaOverN:
@@ -53,18 +58,18 @@ class TestSigmaOverN:
         (((2, 4), (3, 2), (5, 1), (7, 1)), Fraction(403, 105)),
     ])
     def test_examples(self, entries, expected):
-        assert robin.sigma_over_n(Factorization(entries)) == expected
+        assert sigma_over_n_fraction(Factorization(entries)) == expected
 
     def test_times_n_equals_sigma(self):
         rng = random.Random(23)
-        pool = list(primes.sieve(5000))
+        pool = list(primes.primes_up_to(5000))
         for _ in range(1000):
             ps = rng.sample(pool, rng.randint(1, 7))
             f = Factorization(tuple((p, rng.randint(1, 6)) for p in ps))
-            assert robin.sigma_over_n(f) * f.n() == robin.sigma(f)
+            assert sigma_over_n_fraction(f) * f.n() == sigma_int(f)
 
     def test_lowest_terms(self):
-        fr = robin.sigma_over_n(primes.factorize(5040))
+        fr = sigma_over_n_fraction(primes.factorize(5040))
         assert fr.numerator == 403 and fr.denominator == 105
 
 
@@ -89,7 +94,7 @@ class TestLogN:
         f = primes.primorial_factorization(10**4)
         iv = robin.log_n(f, 53)
         # theta(p_10000) = sum of ln p; oracle at 50 digits
-        true = mpmath.fsum(mpmath.log(p) for p in primes.sieve(104729))
+        true = mpmath.fsum(mpmath.log(p) for p in primes.primes_up_to(104729))
         assert oracles.interval_contains_mp(iv, true)
 
 

@@ -6,11 +6,16 @@ from fractions import Fraction
 import pytest
 
 from robincheck import primes, robin, theorems
-from robincheck.factorization import Factorization
+from robincheck.factorization import Factorization, sigma_over_n_fraction
 from robincheck.intervals import PrecisionConfig
 from robincheck.robin import Verdict
 
 import oracles
+
+
+def pp_lhs(p, k):
+    """sigma(p^k)/p^k = (p^(k+1) - 1) / (p^k (p - 1)), exact."""
+    return sigma_over_n_fraction(Factorization(((p, k),)))
 
 
 class TestPrimePowerLhs:
@@ -20,22 +25,20 @@ class TestPrimePowerLhs:
         (2, 13, Fraction(16383, 8192)),
     ])
     def test_values(self, p, k, expected):
-        assert theorems.prime_power_lhs(p, k) == expected
+        assert pp_lhs(p, k) == expected
 
     def test_always_below_two(self):
         # 10^4-point grid over (p, k)
-        plist = list(primes.sieve(10**5))
+        plist = list(primes.primes_up_to(10**5))
         rng = random.Random(41)
         for _ in range(10**4):
             p = rng.choice(plist)
             k = rng.randint(1, 64)
-            v = theorems.prime_power_lhs(p, k)
+            v = pp_lhs(p, k)
             assert v < Fraction(p, p - 1) <= 2
 
     def test_monotone_decreasing_in_prime(self):
-        assert (theorems.prime_power_lhs(5, 3)
-                < theorems.prime_power_lhs(3, 3)
-                < theorems.prime_power_lhs(2, 3))
+        assert pp_lhs(5, 3) < pp_lhs(3, 3) < pp_lhs(2, 3)
 
 
 class TestVerifyPrimePowers:
@@ -53,7 +56,7 @@ class TestVerifyPrimePowers:
     def test_sampled_grid_to_1e9(self):
         # 10^4 sampled prime powers in (5040, 10^9]
         rng = random.Random(8)
-        plist = list(primes.sieve(31623))
+        plist = list(primes.primes_up_to(31623))
         count = 0
         while count < 10**4:
             k = rng.randint(1, 29)
@@ -118,7 +121,7 @@ class TestSubstitutionReport:
         # satisfied base > 5040, random index, random larger prime:
         # after stays satisfied, lhs strictly drops, ln n certified up
         rng = random.Random(424242)
-        pool = list(primes.sieve(2000))
+        pool = list(primes.primes_up_to(2000))
         done = 0
         while done < 1000:
             ps = sorted(rng.sample(pool, rng.randint(1, 6)))
@@ -161,22 +164,21 @@ class TestPerPrimeMonotonicity:
     def test_exhaustive_consecutive_primes_to_1e4(self):
         # lhs(P, k) < lhs(p, k) for consecutive primes p < P covers all
         # prime pairs below 10^4 by transitivity of <
-        plist = list(primes.sieve(10**4))
+        plist = list(primes.primes_up_to(10**4))
         for k in range(1, 17):
-            prev = theorems.prime_power_lhs(plist[0], k)
+            prev = pp_lhs(plist[0], k)
             for p in plist[1:]:
-                cur = theorems.prime_power_lhs(p, k)
+                cur = pp_lhs(p, k)
                 assert cur < prev
                 prev = cur
 
     def test_random_nonadjacent_pairs(self):
         rng = random.Random(6)
-        plist = list(primes.sieve(10**4))
+        plist = list(primes.primes_up_to(10**4))
         for _ in range(2000):
             p, bigp = sorted(rng.sample(plist, 2))
             k = rng.randint(1, 16)
-            assert (theorems.prime_power_lhs(bigp, k)
-                    < theorems.prime_power_lhs(p, k))
+            assert pp_lhs(bigp, k) < pp_lhs(p, k)
 
 
 class TestBounds:
