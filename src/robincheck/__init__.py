@@ -54,6 +54,7 @@ from .theorems import (
     CollidingBase,
     NotAnIncrease,
     SubstitutionReport,
+    bound_table,
     squarefree_bound,
     substitute_prime,
     substitution_report,

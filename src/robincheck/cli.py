@@ -25,7 +25,6 @@ from . import explorer, primes, robin, theorems
 from .factorization import Factorization, sigma_int
 from .intervals import _GUARD, PrecisionConfig, dyadic_from_fraction
 from .output import (
-    interval_cell,
     interval_json,
     interval_sig,
     sig_str_fraction,
@@ -119,11 +118,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _make_cfg(args) -> PrecisionConfig:
-    return PrecisionConfig(start_bits=args.precision_bits,
-                           max_bits=args.max_precision_bits)
-
-
 def _parse_factors(text: str) -> Factorization:
     """parse_factor_string, with every grammar refusal as a usage error."""
     try:
@@ -133,10 +127,46 @@ def _parse_factors(text: str) -> Factorization:
         raise _UsageError(str(exc))
 
 
-def _open_output(args) -> TextIO:
-    if args.output == "-":
-        return sys.stdout
-    return open(args.output, "w")
+def _write_json(doc, out: TextIO) -> None:
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+
+
+def _write_csv(out: TextIO, header: str, rows, none: str = "") -> int:
+    """Write the header and one line per record; return the record count.
+
+    The records are the dicts --format json prints.  Column ``c`` is
+    ``row[c]`` when the record has that key, else ``row[a][b]`` for
+    ``c = a_b`` split at the last underscore.  A None value, or a None
+    parent, prints as ``none``; a nested record prints as its first field
+    (substitute's ``before`` is ``before.factorization``).
+    """
+    out.write(header + "\n")
+    columns = header.split(",")
+    count = 0
+    for row in rows:
+        out.write(",".join(_csv_cell(row, c, none) for c in columns) + "\n")
+        count += 1
+    return count
+
+
+def _csv_cell(row: dict, column: str, none: str) -> str:
+    if column in row:
+        value = row[column]
+    else:
+        parent, _, field = column.rpartition("_")
+        value = None if row[parent] is None else row[parent][field]
+    if isinstance(value, dict):
+        value = next(iter(value.values()))
+    if value is None:
+        return none
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _num_den(fr: Fraction) -> dict:
+    return {"num": str(fr.numerator), "den": str(fr.denominator)}
 
 
 def _n_display(f: Factorization) -> tuple[Optional[str], Optional[str]]:
@@ -164,8 +194,7 @@ def _log10_midpoint(f: Factorization) -> Fraction:
 # check
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args, out: TextIO) -> int:
-    cfg = _make_cfg(args)
+def _cmd_check(args, cfg: PrecisionConfig, out: TextIO) -> int:
     value = args.value.strip()
     if re.fullmatch(r"\d+", value):
         n = int(value)
@@ -176,34 +205,26 @@ def _cmd_check(args, out: TextIO) -> int:
         f = _parse_factors(value)
     result = robin.check(f, cfg)
     n_str, log10_str = _n_display(f)
-    margin = (result.margin_lower_bound.decimal_str()
-              if result.margin_lower_bound is not None else "")
-    rhs_lo, rhs_hi = interval_cell(result.rhs)
-
-    if args.format == "csv":
-        out.write("n,log10_n,factorization,sigma_over_n_num,sigma_over_n_den,"
-                  "rhs_lo,rhs_hi,verdict,reason,margin_lower_bound,precision_bits\n")
-        out.write(",".join([
-            n_str or "", log10_str or "", f.as_string(),
-            str(result.lhs.numerator), str(result.lhs.denominator),
-            rhs_lo if result.rhs else "", rhs_hi if result.rhs else "",
-            result.verdict.value, result.reason or "", margin,
-            str(result.precision_used),
-        ]) + "\n")
-    elif args.format == "json":
-        json.dump({
+    if args.format != "human":
+        margin = result.margin_lower_bound
+        record = {
             "n": n_str,
             "log10_n": log10_str,
             "factorization": f.as_string(),
-            "sigma_over_n": {"num": str(result.lhs.numerator),
-                             "den": str(result.lhs.denominator)},
+            "sigma_over_n": _num_den(result.lhs),
             "rhs": interval_json(result.rhs),
             "verdict": result.verdict.value,
             "reason": result.reason,
-            "margin_lower_bound": margin or None,
+            "margin_lower_bound": (None if margin is None
+                                   else margin.decimal_str()),
             "precision_bits": result.precision_used,
-        }, out, indent=2)
-        out.write("\n")
+        }
+        if args.format == "json":
+            _write_json(record, out)
+        else:
+            _write_csv(out, "n,log10_n,factorization,sigma_over_n_num,"
+                       "sigma_over_n_den,rhs_lo,rhs_hi,verdict,reason,"
+                       "margin_lower_bound,precision_bits", [record])
     else:
         if n_str is not None:
             out.write(f"n = {n_str}\n")
@@ -232,63 +253,54 @@ def _cmd_check(args, out: TextIO) -> int:
 SCAN_CSV_HEADER = "n,sigma,sigma_over_n_num,sigma_over_n_den,rhs_lo,rhs_hi,reason"
 
 
-def scan_violation_row(n: int, result: robin.CheckResult) -> str:
-    sig = sigma_int(result.factorization)
-    rhs_lo = result.rhs.lo.decimal_str() if result.rhs is not None else ""
-    rhs_hi = result.rhs.hi.decimal_str() if result.rhs is not None else ""
-    return (f"{n},{sig},{result.lhs.numerator},{result.lhs.denominator},"
-            f"{rhs_lo},{rhs_hi},{result.reason or ''}")
-
-
-def _cmd_scan(args, out: TextIO) -> int:
+def _cmd_scan(args, cfg: PrecisionConfig, out: TextIO) -> int:
     if args.start < 2 or args.start > args.end:
         raise _UsageError("need 2 <= start <= end")
     if args.end > explorer.MAX_SCAN_HI:
         raise _UsageError(
             f"end exceeds the supported scan range {explorer.MAX_SCAN_HI}")
-    cfg = _make_cfg(args)
-    violations = 0
     indeterminates: list[int] = []
-    rows_json = []
-    if args.format == "csv":
-        out.write(SCAN_CSV_HEADER + "\n")
-    for viol, indet in explorer.iter_scan_results(
-            args.start, args.end, cfg, worker_count=args.jobs):
-        for n, result in viol:
-            violations += 1
-            if args.format == "json":
-                rows_json.append({
-                    "n": n,
-                    "sigma": str(sigma_int(result.factorization)),
-                    "sigma_over_n": {"num": str(result.lhs.numerator),
-                                     "den": str(result.lhs.denominator)},
-                    "rhs": interval_json(result.rhs),
-                    "reason": result.reason,
-                })
-            elif args.format == "csv":
-                out.write(scan_violation_row(n, result) + "\n")
-            else:
-                out.write(f"VIOLATED n={n} sigma/n="
-                          f"{result.lhs.numerator}/{result.lhs.denominator}"
-                          f" ({sig_str_fraction(result.lhs)})"
-                          + (f" rhs={interval_sig(result.rhs)}"
-                             if result.rhs else " rhs=undefined") + "\n")
-        indeterminates.extend(indet)
+
+    def violations():
+        for viol, indet in explorer.iter_scan_results(
+                args.start, args.end, cfg, worker_count=args.jobs):
+            yield from viol
+            indeterminates.extend(indet)
+
+    if args.format == "human":
+        found = 0
+        for n, result in violations():
+            found += 1
+            out.write(f"VIOLATED n={n} sigma/n="
+                      f"{result.lhs.numerator}/{result.lhs.denominator}"
+                      f" ({sig_str_fraction(result.lhs)})"
+                      + (f" rhs={interval_sig(result.rhs)}"
+                         if result.rhs else " rhs=undefined") + "\n")
+    else:
+        rows = ({"n": n,
+                 "sigma": str(sigma_int(result.factorization)),
+                 "sigma_over_n": _num_den(result.lhs),
+                 "rhs": interval_json(result.rhs),
+                 "reason": result.reason} for n, result in violations())
+        if args.format == "csv":
+            found = _write_csv(out, SCAN_CSV_HEADER, rows)
+        else:
+            rows = list(rows)
+            found = len(rows)
     checked = args.end - args.start + 1
-    summary = (f"checked={checked} violations={violations} "
+    summary = (f"checked={checked} violations={found} "
                f"indeterminates={len(indeterminates)}")
     if args.format == "json":
-        json.dump({
+        _write_json({
             "lo": args.start, "hi": args.end, "checked": checked,
-            "violations": rows_json,
+            "violations": rows,
             "indeterminates": indeterminates,
-        }, out, indent=2)
-        out.write("\n")
+        }, out)
     elif args.format == "csv":
         print(summary, file=sys.stderr)
     else:
         out.write(summary + "\n")
-    if violations:
+    if found:
         return EXIT_VIOLATED
     if indeterminates:
         return EXIT_INDETERMINATE
@@ -303,46 +315,31 @@ CONJ1_CSV_HEADER = ("m,p_m,q_m_num,q_m_den,q_m_dec,alpha_lo,alpha_hi,"
                     "ratio_lo,ratio_hi,n_exceeds_5040")
 
 
-def conjecture1_csv_row(row: explorer.ConjectureRow) -> str:
-    alpha_lo, alpha_hi = interval_cell(row.alpha)
-    ratio_lo, ratio_hi = interval_cell(row.ratio)
-    return (f"{row.m},{row.p_m},{row.q_num},{row.q_den},"
-            f"{sig_str_num_den(row.q_num, row.q_den)},"
-            f"{alpha_lo},{alpha_hi},{ratio_lo},{ratio_hi},"
-            f"{'true' if row.n_exceeds_5040 else 'false'}")
-
-
-def _cmd_conjecture1(args, out: TextIO) -> int:
+def _cmd_conjecture1(args, cfg: PrecisionConfig, out: TextIO) -> int:
     if args.m_max < 1:
         raise _UsageError("m_max must be >= 1")
-    cfg = _make_cfg(args)
-    rows = explorer.conjecture31_table(args.m_max, cfg)
+    table = explorer.conjecture31_table(args.m_max, cfg)
     if args.format == "svg":
-        out.write(_conjecture1_svg(rows))
+        out.write(_conjecture1_svg(table))
         return EXIT_SATISFIED
+    rows = ({"m": r.m, "p_m": r.p_m,
+             "q_m": {"num": str(r.q_num), "den": str(r.q_den)},
+             "q_m_dec": sig_str_num_den(r.q_num, r.q_den),
+             "alpha": interval_json(r.alpha),
+             "ratio": interval_json(r.ratio),
+             "n_exceeds_5040": r.n_exceeds_5040} for r in table)
     if args.format == "json":
-        json.dump({"rows": [{
-            "m": r.m, "p_m": r.p_m,
-            "q_m": {"num": str(r.q_num), "den": str(r.q_den)},
-            "q_m_dec": sig_str_num_den(r.q_num, r.q_den),
-            "alpha": interval_json(r.alpha),
-            "ratio": interval_json(r.ratio),
-            "n_exceeds_5040": r.n_exceeds_5040,
-        } for r in rows]}, out, indent=2)
-        out.write("\n")
-        return EXIT_SATISFIED
-    if args.format == "csv":
-        out.write(CONJ1_CSV_HEADER + "\n")
-        for r in rows:
-            out.write(conjecture1_csv_row(r) + "\n")
-        return EXIT_SATISFIED
-    for r in rows:
-        alpha = interval_sig(r.alpha) if r.alpha else "undefined"
-        ratio = interval_sig(r.ratio) if r.ratio else "undefined"
-        marker = "  [n > 5040]" if r.n_exceeds_5040 else ""
-        out.write(f"m={r.m} p={r.p_m} "
-                  f"q={sig_str_num_den(r.q_num, r.q_den)} "
-                  f"alpha={alpha} ratio={ratio}{marker}\n")
+        _write_json({"rows": list(rows)}, out)
+    elif args.format == "csv":
+        _write_csv(out, CONJ1_CSV_HEADER, rows, "undefined")
+    else:
+        for r in table:
+            alpha = interval_sig(r.alpha) if r.alpha else "undefined"
+            ratio = interval_sig(r.ratio) if r.ratio else "undefined"
+            marker = "  [n > 5040]" if r.n_exceeds_5040 else ""
+            out.write(f"m={r.m} p={r.p_m} "
+                      f"q={sig_str_num_den(r.q_num, r.q_den)} "
+                      f"alpha={alpha} ratio={ratio}{marker}\n")
     return EXIT_SATISFIED
 
 
@@ -399,7 +396,7 @@ def _conjecture1_svg(rows: list[explorer.ConjectureRow]) -> str:
 # conjecture2
 # ---------------------------------------------------------------------------
 
-def _cmd_conjecture2(args, out: TextIO) -> int:
+def _cmd_conjecture2(args, cfg: PrecisionConfig, out: TextIO) -> int:
     if args.prime_count < 1:
         raise _UsageError("--primes must be >= 1")
     if args.prime_count > 9 and not args.no_prune_justification:
@@ -414,7 +411,6 @@ def _cmd_conjecture2(args, out: TextIO) -> int:
         raise _UsageError(f"bad --max-log-n value {args.max_log_n!r}")
     if log_n_max <= 0:
         raise _UsageError("--max-log-n must be positive")
-    cfg = _make_cfg(args)
     report = explorer.conjecture32_search(
         args.prime_count, args.max_exp, log_n_max, cfg,
         worker_count=args.jobs,
@@ -424,19 +420,16 @@ def _cmd_conjecture2(args, out: TextIO) -> int:
         "base": f.as_string(), "index": j, "verdict": r.verdict.value,
     } for f, j, r in report.counterexamples]
     if args.format == "json":
-        json.dump({
+        _write_json({
             "prime_count_max": report.prime_count_max,
             "exponent_max": report.exponent_max,
             "log_n_max": str(report.log_n_max),
             "candidates_enumerated": report.candidates_enumerated,
             "bases_probed": report.bases_probed,
             "counterexamples": ce_rows,
-        }, out, indent=2)
-        out.write("\n")
+        }, out)
     elif args.format == "csv":
-        out.write("base,index,verdict\n")
-        for row in ce_rows:
-            out.write(f"{row['base']},{row['index']},{row['verdict']}\n")
+        _write_csv(out, "base,index,verdict", ce_rows)
         print(f"candidates={report.candidates_enumerated} "
               f"probed={report.bases_probed} "
               f"counterexamples={len(ce_rows)}", file=sys.stderr)
@@ -459,54 +452,33 @@ BOUNDS_CSV_HEADER = ("m,p_m,unbounded_num,unbounded_den,unbounded_dec,"
                      "squarefree_dec,squarefree_passes,threshold_lo,threshold_hi")
 
 
-def _cmd_bounds(args, out: TextIO) -> int:
+def _bound_json(report: theorems.BoundReport) -> dict:
+    return {**_num_den(report.bound_value),
+            "dec": sig_str_fraction(report.bound_value),
+            "passes": report.passes}
+
+
+def _cmd_bounds(args, cfg: PrecisionConfig, out: TextIO) -> int:
     if args.m_max < 1:
         raise _UsageError("m_max must be >= 1")
-    cfg = _make_cfg(args)
-    thr = theorems.threshold_5040(cfg)
-    rows = []
-    for m in range(1, args.m_max + 1):
-        u = theorems.unbounded_exponent_bound(m, cfg)
-        s = theorems.squarefree_bound(m, cfg)
-        rows.append((m, primes.nth_prime(m), u, s))
+    table = theorems.bound_table(args.m_max, cfg)
+    thr = table[0][1].threshold
+    rows = ({"m": u.m, "p_m": p,
+             "unbounded": _bound_json(u),
+             "squarefree": _bound_json(s)} for p, u, s in table)
     if args.format == "json":
-        json.dump({
-            "threshold": interval_json(thr),
-            "rows": [{
-                "m": m, "p_m": p,
-                "unbounded": {"num": str(u.bound_value.numerator),
-                              "den": str(u.bound_value.denominator),
-                              "dec": sig_str_fraction(u.bound_value),
-                              "passes": u.passes},
-                "squarefree": {"num": str(s.bound_value.numerator),
-                               "den": str(s.bound_value.denominator),
-                               "dec": sig_str_fraction(s.bound_value),
-                               "passes": s.passes},
-            } for m, p, u, s in rows],
-        }, out, indent=2)
-        out.write("\n")
-        return EXIT_SATISFIED
-    if args.format == "csv":
-        out.write(BOUNDS_CSV_HEADER + "\n")
-        for m, p, u, s in rows:
-            out.write(",".join([
-                str(m), str(p),
-                str(u.bound_value.numerator), str(u.bound_value.denominator),
-                sig_str_fraction(u.bound_value),
-                "true" if u.passes else "false",
-                str(s.bound_value.numerator), str(s.bound_value.denominator),
-                sig_str_fraction(s.bound_value),
-                "true" if s.passes else "false",
-                thr.lo.decimal_str(), thr.hi.decimal_str(),
-            ]) + "\n")
-        return EXIT_SATISFIED
-    out.write(f"threshold e^gamma*loglog(5040) = {interval_sig(thr)}\n")
-    for m, p, u, s in rows:
-        out.write(f"m={m} p={p} "
-                  f"unbounded={sig_str_fraction(u.bound_value)} "
-                  f"({'pass' if u.passes else 'FAIL'}) "
-                  f"squarefree={sig_str_fraction(s.bound_value)} "
-                  f"({'pass' if s.passes else 'FAIL'})\n")
+        _write_json({"threshold": interval_json(thr), "rows": list(rows)}, out)
+    elif args.format == "csv":
+        _write_csv(out, BOUNDS_CSV_HEADER,
+                   ({**row, "threshold": interval_json(thr)} for row in rows))
+    else:
+        out.write(f"threshold e^gamma*loglog(5040) = {interval_sig(thr)}\n")
+        for p, u, s in table:
+            out.write(f"m={u.m} p={p} "
+                      f"unbounded={sig_str_fraction(u.bound_value)} "
+                      f"({'pass' if u.passes else 'FAIL'}) "
+                      f"squarefree={sig_str_fraction(s.bound_value)} "
+                      f"({'pass' if s.passes else 'FAIL'})\n")
     return EXIT_SATISFIED
 
 
@@ -514,21 +486,20 @@ def _cmd_bounds(args, out: TextIO) -> int:
 # prime-powers
 # ---------------------------------------------------------------------------
 
-def _cmd_prime_powers(args, out: TextIO) -> int:
+def _cmd_prime_powers(args, cfg: PrecisionConfig, out: TextIO) -> int:
     if args.limit <= 5040:
         raise _UsageError("--limit must exceed 5040")
-    cfg = _make_cfg(args)
     results = theorems.verify_prime_powers(args.limit, cfg)
     not_satisfied = [r for r in results if r.verdict is not Verdict.SATISFIED]
     if args.format == "csv":
-        out.write("n,p,k,lhs_num,lhs_den,rhs_lo,rhs_hi,verdict\n")
-        for r in results:
-            p, k = r.factorization.entries[0]
-            rhs_lo, rhs_hi = interval_cell(r.rhs)
-            out.write(f"{p**k},{p},{k},{r.lhs.numerator},{r.lhs.denominator},"
-                      f"{rhs_lo},{rhs_hi},{r.verdict.value}\n")
+        # a prime power's factorization has exactly one entry
+        _write_csv(out, "n,p,k,lhs_num,lhs_den,rhs_lo,rhs_hi,verdict", (
+            {"n": p ** k, "p": p, "k": k, "lhs": _num_den(r.lhs),
+             "rhs": interval_json(r.rhs), "verdict": r.verdict.value}
+            for r in results for p, k in r.factorization.entries),
+            "undefined")
     elif args.format == "json":
-        json.dump({
+        _write_json({
             "limit": args.limit,
             "checked": len(results),
             "all_satisfied": not not_satisfied,
@@ -536,8 +507,7 @@ def _cmd_prime_powers(args, out: TextIO) -> int:
                 "factorization": r.factorization.as_string(),
                 "verdict": r.verdict.value,
             } for r in not_satisfied],
-        }, out, indent=2)
-        out.write("\n")
+        }, out)
     else:
         out.write(f"prime powers in (5040, {args.limit}]: {len(results)} checked\n")
         out.write(f"all satisfied: {'yes' if not not_satisfied else 'NO'}\n")
@@ -554,40 +524,30 @@ def _cmd_prime_powers(args, out: TextIO) -> int:
 # substitute
 # ---------------------------------------------------------------------------
 
-def _cmd_substitute(args, out: TextIO) -> int:
-    cfg = _make_cfg(args)
+def _cmd_substitute(args, cfg: PrecisionConfig, out: TextIO) -> int:
     f = _parse_factors(args.factors)
     try:
         report = theorems.substitution_report(f, args.index, args.new_prime, cfg)
     except (theorems.NotAnIncrease, theorems.CollidingBase,
             primes.NotPrime, IndexError) as exc:
         raise _UsageError(str(exc))
+    record = {
+        "before": {"factorization": report.before.factorization.as_string(),
+                   "verdict": report.before.verdict.value},
+        "after": {"factorization": report.after.factorization.as_string(),
+                  "verdict": report.after.verdict.value},
+        "index": report.index,
+        "old_prime": report.old_prime,
+        "new_prime": report.new_prime,
+        "lhs_decreased": report.lhs_decreased,
+        "rhs_increased": report.rhs_increased,
+    }
     if args.format == "json":
-        json.dump({
-            "before": {"factorization": report.before.factorization.as_string(),
-                       "verdict": report.before.verdict.value},
-            "after": {"factorization": report.after.factorization.as_string(),
-                      "verdict": report.after.verdict.value},
-            "index": report.index,
-            "old_prime": report.old_prime,
-            "new_prime": report.new_prime,
-            "lhs_decreased": report.lhs_decreased,
-            "rhs_increased": report.rhs_increased,
-        }, out, indent=2)
-        out.write("\n")
+        _write_json(record, out)
     elif args.format == "csv":
-        out.write("before,before_verdict,after,after_verdict,index,old_prime,"
-                  "new_prime,lhs_decreased,rhs_increased\n")
-        out.write(",".join([
-            report.before.factorization.as_string(),
-            report.before.verdict.value,
-            report.after.factorization.as_string(),
-            report.after.verdict.value,
-            str(report.index), str(report.old_prime), str(report.new_prime),
-            "true" if report.lhs_decreased else "false",
-            {True: "true", False: "false", None: "undecided"}[
-                report.rhs_increased],
-        ]) + "\n")
+        _write_csv(out, "before,before_verdict,after,after_verdict,index,"
+                   "old_prime,new_prime,lhs_decreased,rhs_increased",
+                   [record], "undecided")
     else:
         out.write(f"before: {report.before.factorization.as_string()} "
                   f"-> {report.before.verdict.value}\n")
@@ -615,8 +575,6 @@ _COMMANDS = {
     "substitute": _cmd_substitute,
 }
 
-_SVG_COMMANDS = {"conjecture1"}
-
 
 def _discard_stdout() -> None:
     """Point fd 1 at the null device after the reader closed the pipe.
@@ -641,19 +599,20 @@ def main(argv=None) -> int:
         # sigma(n)/n of a big factor string runs past the 4300 digits int
         # <-> str converts by default; restored for in-process callers
         sys.set_int_max_str_digits(0)
-        if args.format == "svg" and args.command not in _SVG_COMMANDS:
-            raise _UsageError(
-                f"--format svg is only valid for: {', '.join(sorted(_SVG_COMMANDS))}")
+        if args.format == "svg" and args.command != "conjecture1":
+            raise _UsageError("--format svg is only valid for: conjecture1")
         try:
-            _make_cfg(args)
+            cfg = PrecisionConfig(start_bits=args.precision_bits,
+                                  max_bits=args.max_precision_bits)
         except ValueError as exc:
             raise _UsageError(str(exc))
         if args.jobs < 1:
             raise _UsageError("--jobs must be >= 1")
         try:
-            out = _open_output(args)
+            out = (sys.stdout if args.output == "-"
+                   else open(args.output, "w"))
             try:
-                code = _COMMANDS[args.command](args, out)
+                code = _COMMANDS[args.command](args, cfg, out)
                 out.flush()
             finally:
                 if out is not sys.stdout:

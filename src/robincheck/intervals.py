@@ -339,19 +339,11 @@ DEFAULT_PRECISION = PrecisionConfig()
 # propagate by flooring/ceiling each step.
 # ---------------------------------------------------------------------------
 
-def _fp_floor(num: int, den: int, W: int) -> int:
-    return (num << W) // den
-
-
-def _fp_ceil(num: int, den: int, W: int) -> int:
-    return -(((-num) << W) // den)
-
-
 def _atanh_fp(num: int, den: int, W: int) -> tuple[int, int]:
     """Bounds [L, H] with L <= atanh(num/den) * 2**W <= H, 0 <= num/den <= 1/3."""
     S = 1 << W
-    t_lo = _fp_floor(num, den, W)
-    t_hi = _fp_ceil(num, den, W)
+    t_lo = _floor_div_shift(num, den, W)
+    t_hi = _ceil_div_shift(num, den, W)
     if t_hi == 0:
         return 0, 0
     t2_lo = (t_lo * t_lo) >> W
@@ -432,8 +424,8 @@ def _ln_fp(num: int, den: int, W: int) -> tuple[int, int]:
 def _exp_fp(xn: int, xd: int, W: int) -> tuple[int, int]:
     """Bounds [L, H] with L <= exp(xn/xd) * 2**W <= H, for 0 <= xn/xd <= 1."""
     S = 1 << W
-    x_lo = _fp_floor(xn, xd, W)
-    x_hi = _fp_ceil(xn, xd, W)
+    x_lo = _floor_div_shift(xn, xd, W)
+    x_hi = _ceil_div_shift(xn, xd, W)
     L = H = S
     t_lo = t_hi = S
     i = 1

@@ -59,13 +59,6 @@ def sig_str_dyadic(d: Dyadic, sig: int = 6) -> str:
     return sig_str_num_den(num, den, sig)
 
 
-def interval_cell(iv: Optional[RealInterval]) -> tuple[str, str]:
-    """Exact (untruncated) decimal endpoints, or undefined markers."""
-    if iv is None:
-        return "undefined", "undefined"
-    return iv.lo.decimal_str(), iv.hi.decimal_str()
-
-
 def interval_json(iv: Optional[RealInterval]):
     if iv is None:
         return None

@@ -163,14 +163,28 @@ class BoundReport:
     passes: bool
 
 
-def _bound_report(m: int, value: Fraction, cfg: PrecisionConfig) -> BoundReport:
+def bound_table(
+    m_max: int, cfg: PrecisionConfig = DEFAULT_PRECISION
+) -> list[tuple[int, BoundReport, BoundReport]]:
+    """(p_m, unbounded, squarefree) reports for m = 1..m_max, in one pass.
+
+    ``unbounded`` is prod p/(p-1) and ``squarefree`` prod (p+1)/p over the
+    first m primes, both against one enclosure of e^gamma ln ln 5040.
+    """
+    if m_max < 1:
+        raise ValueError("m must be >= 1")
     thr = threshold_5040(cfg)
-    return BoundReport(
-        m=m,
-        bound_value=value,
-        threshold=thr,
-        passes=thr.lo.cmp_fraction(value) > 0,
-    )
+    unbounded = squarefree = Fraction(1)
+    rows = []
+    for m, p in enumerate(_primes.first_primes(m_max), 1):
+        unbounded *= Fraction(p, p - 1)
+        squarefree *= Fraction(p + 1, p)
+        rows.append((p,
+                     BoundReport(m, unbounded, thr,
+                                 thr.lo.cmp_fraction(unbounded) > 0),
+                     BoundReport(m, squarefree, thr,
+                                 thr.lo.cmp_fraction(squarefree) > 0)))
+    return rows
 
 
 def unbounded_exponent_bound(
@@ -181,21 +195,11 @@ def unbounded_exponent_bound(
     The product bounds the divisor side for every exponent choice, so a
     pass certifies the inequality for all n > 5040 on those primes.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    value = Fraction(1)
-    for p in _primes.first_primes(m):
-        value *= Fraction(p, p - 1)
-    return _bound_report(m, value, cfg)
+    return bound_table(m, cfg)[-1][1]
 
 
 def squarefree_bound(
     m: int, cfg: PrecisionConfig = DEFAULT_PRECISION
 ) -> BoundReport:
     """prod (p+1)/p over the first m primes vs e^gamma ln ln 5040."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    value = Fraction(1)
-    for p in _primes.first_primes(m):
-        value *= Fraction(p + 1, p)
-    return _bound_report(m, value, cfg)
+    return bound_table(m, cfg)[-1][2]

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from robincheck import cli, primes
+from robincheck import cli, primes, theorems
 from robincheck.factorization import sigma_over_n_fraction
 
 
@@ -326,6 +326,24 @@ class TestBoundsCommand:
                 exact = Fraction(int(num), int(den))
                 assert abs(Fraction(dec) - exact) <= Fraction(1, 10**5)
 
+    def test_one_threshold_and_one_prime_list_per_table(self, capsys,
+                                                        monkeypatch):
+        calls = {"threshold_5040": 0, "first_primes": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(theorems, "threshold_5040")
+        counted(primes, "first_primes")
+        code, _, _ = run_cli(["bounds", "50", "--format", "csv"], capsys)
+        assert code == 0
+        assert calls == {"threshold_5040": 1, "first_primes": 1}
+
 
 class TestPrimePowersCommand:
     def test_small_sweep(self, capsys):
@@ -420,7 +438,10 @@ with open(os.path.join(_GOLDEN_DIR, "manifest.json")) as _fh:
 @pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[c["stdout"] for c in _GOLDEN_CASES])
 def test_golden_stdout_and_exit_code(case, capsys):
     # every printed endpoint, margin and decimal is pinned byte for byte
-    code, out, _ = run_cli(case["argv"], capsys)
+    code, out, err = run_cli(case["argv"], capsys)
     with open(os.path.join(_GOLDEN_DIR, case["stdout"]), newline="") as fh:
         assert out == fh.read()
+    if "stderr" in case:
+        with open(os.path.join(_GOLDEN_DIR, case["stderr"]), newline="") as fh:
+            assert err == fh.read()
     assert code == case["exit"]

@@ -1,10 +1,13 @@
 """sigma, the normalized inequality, and the escalating certified check."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robincheck import primes, robin
 from robincheck.factorization import (
@@ -16,6 +19,9 @@ from robincheck.factorization import (
 from robincheck.intervals import PrecisionConfig
 
 import oracles
+
+_PRIMES_BELOW_200 = [p for p in range(2, 200)
+                     if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
 class TestSigma:
@@ -223,3 +229,28 @@ class TestCheck:
         f = primes.primorial_factorization(2000)
         r = robin.check(f)
         assert r.verdict is robin.Verdict.SATISFIED
+
+    @given(st.dictionaries(st.sampled_from(_PRIMES_BELOW_200),
+                           st.integers(1, 300), min_size=1, max_size=6))
+    @example({2: 4, 3: 2, 5: 1, 7: 1})  # 5040, violated
+    @example({2: 300})                    # satisfied
+    @settings(max_examples=150, deadline=None)
+    def test_large_exponents_against_mpmath(self, exps):
+        f = Factorization(tuple(sorted(exps.items())))
+        r = robin.check(f)
+        assert r.lhs == Fraction(
+            math.prod(p ** (k + 1) - 1 for p, k in exps.items()),
+            math.prod(p ** k * (p - 1) for p, k in exps.items()))
+        if exps == {2: 1}:  # n = 2 <= e
+            assert r.rhs is None and r.verdict is robin.Verdict.VIOLATED
+            return
+        # an escalated enclosure is narrower than 50 digits can resolve
+        with mpmath.workdps(max(50, r.precision_used * 3 // 10 + 20)):
+            ln_n = mpmath.fsum(k * mpmath.log(p) for p, k in exps.items())
+            rhs = mpmath.exp(mpmath.euler) * mpmath.log(ln_n)
+            assert oracles.interval_contains_mp(r.rhs, rhs)
+            gap = oracles.mp_of_fraction(r.lhs) - rhs
+        if abs(gap) > oracles.ORACLE_MARGIN:
+            expected = (robin.Verdict.VIOLATED if gap > 0
+                        else robin.Verdict.SATISFIED)
+            assert r.verdict is expected

@@ -1,5 +1,6 @@
 """Prime-power sweep, substitution monotonicity, corollary bounds."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -214,6 +215,19 @@ class TestBounds:
                         theorems.squarefree_bound(m)):
                 expected = rep.threshold.lo.cmp_fraction(rep.bound_value) > 0
                 assert rep.passes == expected
+
+    def test_bound_table_rows_are_the_running_products(self):
+        plist = primes.first_primes(12)
+        table = theorems.bound_table(12)
+        assert [p for p, _, _ in table] == list(plist)
+        for m, (_, u, s) in enumerate(table, 1):
+            assert u.m == s.m == m
+            assert u.bound_value == math.prod(
+                Fraction(p, p - 1) for p in plist[:m])
+            assert s.bound_value == math.prod(
+                Fraction(p + 1, p) for p in plist[:m])
+        with pytest.raises(ValueError):
+            theorems.bound_table(0)
 
     def test_threshold_is_the_5040_constant(self):
         thr = theorems.threshold_5040()
