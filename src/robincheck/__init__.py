@@ -21,9 +21,7 @@ from .intervals import (
     PrecisionUnsupported,
     RealInterval,
     compare,
-    euler_gamma,
     exp_gamma,
-    ln_interval,
 )
 from .primes import (
     DuplicateBase,
@@ -31,6 +29,7 @@ from .primes import (
     LimitTooLarge,
     NotPrime,
     ParseError,
+    PrimalityUnknown,
     ZeroExponent,
     factorize,
     first_primes,

@@ -4,10 +4,11 @@ Commands: check, scan, conjecture1, conjecture2, bounds, prime-powers,
 substitute.  Exit codes: 0 satisfied/empty, 1 violated/counterexample
 found, 2 indeterminate (also a substitution whose log increase stays
 undecided), 64 usage error (also a request for primes past the sieve
-budget, a scan end above 10^12 or a start precision above the gamma
-digits), 65 raw input too large to factor (use a factor string), 74 the
-output could not be opened or written (nothing is printed for a reader
-that closed the pipe early).
+budget, a scan end above 10^12, a start precision above the gamma digits
+or a substituted prime past the Miller-Rabin range), 65 raw input too
+large to factor (use a factor string), 74 the output could not be opened
+or written (nothing is printed for a reader that closed the pipe early).
+Exact integers print through ``output.int_str``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import explorer, primes, robin, theorems
 from .factorization import Factorization, sigma_int
 from .intervals import _GUARD, PrecisionConfig, dyadic_from_fraction
 from .output import (
+    int_str,
     interval_json,
     interval_sig,
     sig_str_fraction,
@@ -166,7 +168,11 @@ def _csv_cell(row: dict, column: str, none: str) -> str:
 
 
 def _num_den(fr: Fraction) -> dict:
-    return {"num": str(fr.numerator), "den": str(fr.denominator)}
+    return {"num": int_str(fr.numerator), "den": int_str(fr.denominator)}
+
+
+def _ratio_str(fr: Fraction) -> str:
+    return f"{int_str(fr.numerator)}/{int_str(fr.denominator)}"
 
 
 def _n_display(f: Factorization) -> tuple[Optional[str], Optional[str]]:
@@ -231,7 +237,7 @@ def _cmd_check(args, cfg: PrecisionConfig, out: TextIO) -> int:
         else:
             out.write(f"log10(n) = {log10_str}\n")
         out.write(f"factorization = {f.as_string()}\n")
-        out.write(f"sigma(n)/n = {result.lhs.numerator}/{result.lhs.denominator}"
+        out.write(f"sigma(n)/n = {_ratio_str(result.lhs)}"
                   f" = {sig_str_fraction(result.lhs)}\n")
         if result.rhs is not None:
             out.write(f"rhs (e^gamma log log n) = {interval_sig(result.rhs)}\n")
@@ -271,14 +277,13 @@ def _cmd_scan(args, cfg: PrecisionConfig, out: TextIO) -> int:
         found = 0
         for n, result in violations():
             found += 1
-            out.write(f"VIOLATED n={n} sigma/n="
-                      f"{result.lhs.numerator}/{result.lhs.denominator}"
+            out.write(f"VIOLATED n={n} sigma/n={_ratio_str(result.lhs)}"
                       f" ({sig_str_fraction(result.lhs)})"
                       + (f" rhs={interval_sig(result.rhs)}"
                          if result.rhs else " rhs=undefined") + "\n")
     else:
         rows = ({"n": n,
-                 "sigma": str(sigma_int(result.factorization)),
+                 "sigma": int_str(sigma_int(result.factorization)),
                  "sigma_over_n": _num_den(result.lhs),
                  "rhs": interval_json(result.rhs),
                  "reason": result.reason} for n, result in violations())
@@ -323,7 +328,7 @@ def _cmd_conjecture1(args, cfg: PrecisionConfig, out: TextIO) -> int:
         out.write(_conjecture1_svg(table))
         return EXIT_SATISFIED
     rows = ({"m": r.m, "p_m": r.p_m,
-             "q_m": {"num": str(r.q_num), "den": str(r.q_den)},
+             "q_m": {"num": int_str(r.q_num), "den": int_str(r.q_den)},
              "q_m_dec": sig_str_num_den(r.q_num, r.q_den),
              "alpha": interval_json(r.alpha),
              "ratio": interval_json(r.ratio),
@@ -529,7 +534,7 @@ def _cmd_substitute(args, cfg: PrecisionConfig, out: TextIO) -> int:
     try:
         report = theorems.substitution_report(f, args.index, args.new_prime, cfg)
     except (theorems.NotAnIncrease, theorems.CollidingBase,
-            primes.NotPrime, IndexError) as exc:
+            primes.NotPrime, primes.PrimalityUnknown, IndexError) as exc:
         raise _UsageError(str(exc))
     record = {
         "before": {"factorization": report.before.factorization.as_string(),

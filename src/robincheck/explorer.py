@@ -35,7 +35,7 @@ from .intervals import (
     PrecisionConfig,
     RealInterval,
     _ln_fp,
-    dyadic_from_num_den,
+    outward_interval,
 )
 from .robin import (
     CheckResult,
@@ -268,13 +268,9 @@ def conjecture31_table(
             ratio = None
         else:
             alpha = _rhs_from_log(s_lo, s_hi, bits)
-            a_lo_n, a_lo_d = alpha.lo.as_num_den()
-            a_hi_n, a_hi_d = alpha.hi.as_num_den()
-            ratio = RealInterval(
-                dyadic_from_num_den(a_lo_n * qd, a_lo_d * qn, W, False),
-                dyadic_from_num_den(a_hi_n * qd, a_hi_d * qn, W, True),
-                bits,
-            )
+            # alpha / q; alpha's shared exponent is about -W, below 0
+            ratio = outward_interval(alpha.lo.m * qd, alpha.hi.m * qd,
+                                     qn << -alpha.lo.e, W, bits)
         rows.append(
             ConjectureRow(m, p, qn, qd, alpha, ratio, exceeded)
         )

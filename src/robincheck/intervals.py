@@ -1,30 +1,30 @@
 """Exact dyadic interval arithmetic with outward rounding.
 
 Every real quantity in this package that is not an exact rational is
-carried as a `RealInterval`: a pair of dyadic rationals [lo, hi] that is
-guaranteed to contain the true value.  All rounding is directed outward
-(floor for lo, ceiling for hi), so a comparison of an exact rational
-against an interval that comes out Less or Greater is a mathematical
-certainty, never a floating-point accident.
+carried as a `RealInterval`: two integers lo.m <= hi.m at one shared
+binary exponent e, guaranteed to contain the true value in
+[lo.m * 2**e, hi.m * 2**e].  All rounding is directed outward (floor
+for lo, ceiling for hi), so a comparison of an exact rational against
+an interval that comes out Less or Greater is a mathematical certainty,
+never a floating-point accident.  ``compare`` decides it by integer
+cross-multiplication at that exponent, and ``outward_interval`` is the
+one constructor that rounds two ratios outward onto a shared exponent.
+`Dyadic` is the plain value m * 2**e: it converts to a `Fraction`, a
+num/den pair or an exact decimal string, and does no arithmetic.
 
-The transcendental primitives are:
+The transcendental primitives are fixed-point kernels on integers at
+scale 2**W: ``_ln_fp`` (argument reduction to [2/3, 4/3] plus the atanh
+series, with a rigorous tail bound) and ``_exp_fp``.  ``exp_gamma``
+encloses e**gamma from an embedded digit string of the Euler-Mascheroni
+constant (1400 decimal digits, cross-verified against two independent
+arbitrary-precision libraries at build time) by an exact Taylor series
+with the truncation remainder folded into the upper bound.
+``robin.log_n`` and ``robin._rhs_from_log`` build ln n and the
+right-hand side e^gamma * ln(ln n) from these kernels.
 
-  * ``euler_gamma`` -- the Euler-Mascheroni constant, served from an
-    embedded digit string (1400 decimal digits, cross-verified against
-    two independent arbitrary-precision libraries at build time).
-  * ``exp_gamma`` -- e**gamma, computed from the digit string by an
-    exact Taylor series with the truncation remainder folded into the
-    upper bound.
-  * ``ln_interval`` -- natural log of an exact rational, computed by
-    argument reduction to [2/3, 4/3] plus the atanh series, again with
-    a rigorous tail bound.
-
-Series are evaluated in fixed-point integer arithmetic at a working
-precision a few dozen bits beyond the requested precision; every
-intermediate floor/ceil keeps the lower/upper bound property, so the
-result interval is sound by construction.  The fixed-point kernels
-(``_ln_fp`` and friends) are what ``robin._rhs_from_log`` builds the
-right-hand side e^gamma * ln(ln n) from.
+Series are evaluated at a working precision a few dozen bits beyond the
+requested precision; every intermediate floor/ceil keeps the lower/upper
+bound property, so the result interval is sound by construction.
 
 ``PrecisionConfig.ladder`` is the one precision-escalation schedule:
 start, 2*start, 4*start, ... up to the configured (and the digit
@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 
 class PrecisionUnsupported(Exception):
@@ -70,76 +70,18 @@ def _ceil_div_shift(num: int, den: int, shift: int) -> int:
 
 @dataclass(frozen=True)
 class Dyadic:
-    """An exact dyadic rational m * 2**e, normalized so m is odd or zero."""
+    """The exact dyadic rational m * 2**e, as stored (no normalization)."""
 
     m: int
     e: int
-
-    def __post_init__(self):
-        m, e = self.m, self.e
-        if m == 0:
-            e = 0
-        else:
-            while m % 2 == 0:
-                m //= 2
-                e += 1
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e", e)
-
-    def as_fraction(self) -> Fraction:
-        if self.e >= 0:
-            return Fraction(self.m << self.e, 1)
-        return Fraction(self.m, 1 << -self.e)
 
     def as_num_den(self) -> tuple[int, int]:
         if self.e >= 0:
             return self.m << self.e, 1
         return self.m, 1 << -self.e
 
-    # Exact arithmetic: dyadics are closed under +, -, *.
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        if self.e <= other.e:
-            return Dyadic(self.m + (other.m << (other.e - self.e)), self.e)
-        return Dyadic((self.m << (self.e - other.e)) + other.m, other.e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.m, self.e)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.m * other.m, self.e + other.e)
-
-    def _cmp(self, other: "Dyadic") -> int:
-        d = self - other
-        return (d.m > 0) - (d.m < 0)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def cmp_fraction(self, fr: Fraction) -> int:
-        """Exact sign of (self - fr)."""
-        num, den = self.as_num_den()
-        lhs = num * fr.denominator
-        rhs = fr.numerator * den
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __float__(self) -> float:
-        # Display convenience only; never used for verdicts.
-        try:
-            return self.m * 2.0 ** self.e
-        except OverflowError:
-            return float(self.as_fraction())
+    def as_fraction(self) -> Fraction:
+        return Fraction(*self.as_num_den())
 
     def decimal_str(self) -> str:
         """Exact finite decimal expansion (dyadics always have one)."""
@@ -154,12 +96,6 @@ class Dyadic:
         fp = fp.rstrip("0")
         return f"{sign}{ip}.{fp}" if fp else f"{sign}{ip}"
 
-    def __repr__(self):
-        return f"Dyadic({self.m}, {self.e})"
-
-
-DYADIC_ZERO = Dyadic(0, 0)
-
 
 def dyadic_from_num_den(num: int, den: int, bits: int, round_up: bool) -> Dyadic:
     """Round num/den (den > 0, not necessarily reduced) to ~bits bits, directed.
@@ -169,15 +105,10 @@ def dyadic_from_num_den(num: int, den: int, bits: int, round_up: bool) -> Dyadic
     otherwise floor.  Takes raw integers so callers with huge unreduced
     ratios can skip gcd normalization entirely.
     """
-    if num == 0:
-        return DYADIC_ZERO
-    e_est = num.bit_length() - den.bit_length()
-    shift = bits + 2 - e_est
+    shift = bits + 2 - (num.bit_length() - den.bit_length())
     if round_up:
-        m = _ceil_div_shift(num, den, shift)
-    else:
-        m = _floor_div_shift(num, den, shift)
-    return Dyadic(m, -shift)
+        return Dyadic(_ceil_div_shift(num, den, shift), -shift)
+    return Dyadic(_floor_div_shift(num, den, shift), -shift)
 
 
 def dyadic_from_fraction(fr: Fraction, bits: int, round_up: bool) -> Dyadic:
@@ -191,7 +122,7 @@ def dyadic_from_fraction(fr: Fraction, bits: int, round_up: bool) -> Dyadic:
 
 @dataclass(frozen=True)
 class RealInterval:
-    """Enclosure [lo, hi] of a real value, endpoints dyadic, lo <= hi.
+    """Enclosure [lo, hi] of a real value: lo.m <= hi.m at one exponent e.
 
     ``precision_bits`` records the precision the interval was requested
     at; the construction sites guarantee hi - lo <= 2**-precision_bits *
@@ -203,23 +134,26 @@ class RealInterval:
     precision_bits: int
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    def width(self) -> Dyadic:
-        return self.hi - self.lo
-
-    def contains_fraction(self, fr: Fraction) -> bool:
-        return self.lo.cmp_fraction(fr) <= 0 <= self.hi.cmp_fraction(fr)
-
-    def contains_interval(self, other: "RealInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        if self.lo.e != self.hi.e or self.lo.m > self.hi.m:
+            raise ValueError("interval endpoints at two exponents or out of order")
 
     def midpoint(self) -> Fraction:
         return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
 
-    def __repr__(self):
-        return f"RealInterval[{float(self.lo):.17g}, {float(self.hi):.17g}]@{self.precision_bits}"
+
+def outward_interval(lo_num: int, hi_num: int, den: int, bits: int,
+                     precision_bits: int) -> RealInterval:
+    """[lo_num/den rounded down, hi_num/den rounded up] at ~bits bits.
+
+    Each endpoint rounds as ``dyadic_from_num_den`` rounds it; the one at
+    the larger exponent is then shifted left onto the smaller, which is
+    exact, so the endpoints keep their values and share one exponent.
+    """
+    lo = dyadic_from_num_den(lo_num, den, bits, False)
+    hi = dyadic_from_num_den(hi_num, den, bits, True)
+    e = min(lo.e, hi.e)
+    return RealInterval(Dyadic(lo.m << (lo.e - e), e),
+                        Dyadic(hi.m << (hi.e - e), e), precision_bits)
 
 
 class Comparison(enum.Enum):
@@ -234,11 +168,17 @@ def compare(lhs: Fraction, rhs: RealInterval) -> Comparison:
     """Less iff lhs < rhs.lo, Greater iff lhs > rhs.hi, else Overlapping.
 
     Less/Greater are mathematically certain; Overlapping means the
-    interval is too wide to decide and the caller should escalate.
+    interval is too wide to decide and the caller should escalate.  Both
+    sides are scaled to integers at the endpoints' shared exponent.
     """
-    if rhs.lo.cmp_fraction(lhs) > 0:
+    num, den = lhs.numerator, lhs.denominator
+    if rhs.lo.e < 0:
+        num <<= -rhs.lo.e
+    else:
+        den <<= rhs.lo.e
+    if num < rhs.lo.m * den:
         return Comparison.LESS
-    if rhs.hi.cmp_fraction(lhs) < 0:
+    if num > rhs.hi.m * den:
         return Comparison.GREATER
     return Comparison.OVERLAPPING
 
@@ -279,22 +219,6 @@ GAMMA_MAX_BITS = int(len(_GAMMA_DIGITS) * 3.3219280948) - 2 * _GUARD
 # True gamma lies in [D/10^k, (D+1)/10^k].
 _GAMMA_NUM = int(_GAMMA_DIGITS)
 _GAMMA_DEN = 10 ** len(_GAMMA_DIGITS)
-
-
-def euler_gamma(precision_bits: int) -> RealInterval:
-    """Enclosure of the Euler-Mascheroni constant, width <= 2**-precision_bits."""
-    if precision_bits <= 0:
-        raise ValueError("precision_bits must be positive")
-    if precision_bits > GAMMA_MAX_BITS:
-        raise PrecisionUnsupported(
-            f"gamma digit string supports at most {GAMMA_MAX_BITS} bits"
-        )
-    W = precision_bits + _GUARD
-    return RealInterval(
-        dyadic_from_fraction(Fraction(_GAMMA_NUM, _GAMMA_DEN), W, False),
-        dyadic_from_fraction(Fraction(_GAMMA_NUM + 1, _GAMMA_DEN), W, True),
-        precision_bits,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +367,8 @@ def _exp_fp(xn: int, xd: int, W: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Public transcendental operations
+# e**gamma
 # ---------------------------------------------------------------------------
-
-def ln_interval(x: Union[Fraction, int], precision_bits: int) -> RealInterval:
-    """Enclosure of ln(x) for an exact rational x > 0."""
-    fr = Fraction(x)
-    if fr <= 0:
-        raise DomainError("ln requires a positive argument")
-    W = precision_bits + _GUARD
-    L, H = _ln_fp(fr.numerator, fr.denominator, W)
-    return RealInterval(Dyadic(L, -W), Dyadic(H, -W), precision_bits)
-
 
 _EXP_GAMMA_CACHE: dict[int, RealInterval] = {}
 

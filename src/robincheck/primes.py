@@ -42,6 +42,10 @@ class NotPrime(Exception):
     """A factor-string base (or substituted prime) failed the primality check."""
 
 
+class PrimalityUnknown(ValueError):
+    """n is past the deterministic Miller-Rabin range; is_prime cannot decide."""
+
+
 class DuplicateBase(Exception):
     """The same prime appears twice in a factor string."""
 
@@ -172,7 +176,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _MR_DETERMINISTIC_BOUND:
-        raise ValueError(f"{n} exceeds the deterministic primality range")
+        raise PrimalityUnknown(f"{n} exceeds the deterministic primality range")
     d = n - 1
     s = 0
     while d % 2 == 0:

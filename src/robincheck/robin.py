@@ -11,7 +11,9 @@ the ladder is exhausted does the check report Indeterminate.
 
 ``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed; the
 checker, the scanner's block filter and the primorial table all feed it
-integer bounds on ln n.
+integer bounds on ln n at scale 2**W: ``log_n``'s endpoints are such
+integers at the shared exponent -W, and ``intervals.compare`` decides
+the rational left side against the enclosure on integers too.
 
 For n = 2 the right side has no useful value (ln ln 2 < 0, so the
 inequality cannot hold for any n >= 2 whose sigma(n)/n >= 1); such
@@ -42,8 +44,8 @@ from .intervals import (
     _ln_fp,
     compare,
     dyadic_from_fraction,
-    dyadic_from_num_den,
     exp_gamma,
+    outward_interval,
 )
 from . import primes as _primes
 
@@ -91,7 +93,12 @@ def _ln_prime_fp(p: int, W: int) -> tuple[int, int]:
 
 
 def log_n(f: Factorization, precision_bits: int) -> RealInterval:
-    """Enclosure of ln(n) = sum k_j ln(p_j); n is never materialized."""
+    """Enclosure of ln(n) = sum k_j ln(p_j); n is never materialized.
+
+    The endpoints sit at exponent -W, W = precision_bits + _GUARD, so
+    ``.lo.m`` and ``.hi.m`` are the integer bounds on ln(n) * 2**W that
+    ``_rhs_from_log`` takes.
+    """
     if not f.entries:
         raise EmptyFactorization("log_n of the empty factorization")
     W = precision_bits + _GUARD
@@ -102,18 +109,6 @@ def log_n(f: Factorization, precision_bits: int) -> RealInterval:
         lo += k * L
         hi += k * H
     return RealInterval(Dyadic(lo, -W), Dyadic(hi, -W), precision_bits)
-
-
-def _log_n_fp(f: Factorization, precision_bits: int) -> tuple[int, int]:
-    """log_n(f, precision_bits) as integer bounds at scale 2**W, W = bits + _GUARD.
-
-    Unpacks log_n rather than repeating its sum, so log_n stays the one
-    evaluation of ln n (and one timed layer under perfbench's tracer).
-    """
-    W = precision_bits + _GUARD
-    lnn = log_n(f, precision_bits)
-    # log_n builds its endpoints at exponent -W; normalization only raises e
-    return lnn.lo.m << (lnn.lo.e + W), lnn.hi.m << (lnn.hi.e + W)
 
 
 def _rhs_from_log(lo: int, hi: int, precision_bits: int) -> RealInterval:
@@ -129,14 +124,9 @@ def _rhs_from_log(lo: int, hi: int, precision_bits: int) -> RealInterval:
         raise DomainError("e^gamma * ln(x) needs a certified x > 1")
     L, _ = _ln_fp(lo, one, W)
     _, H = _ln_fp(hi, one, W)
-    eg = exp_gamma(precision_bits)  # endpoints at exponent >= -W
-    g_lo = eg.lo.m << (eg.lo.e + W)
-    g_hi = eg.hi.m << (eg.hi.e + W)
-    return RealInterval(
-        dyadic_from_num_den(g_lo * L, one << W, W, False),
-        dyadic_from_num_den(g_hi * H, one << W, W, True),
-        precision_bits,
-    )
+    eg = exp_gamma(precision_bits)  # endpoints at exponent -W
+    return outward_interval(eg.lo.m * L, eg.hi.m * H, one << W, W,
+                            precision_bits)
 
 
 def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
@@ -146,14 +136,14 @@ def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
     precision, which is what makes the outer log's value positive; n = 2
     always fails, n = 3 certifies at any reasonable precision.
     """
-    lo, hi = _log_n_fp(f, precision_bits)
+    lnn = log_n(f, precision_bits)
     one = 1 << (precision_bits + _GUARD)
-    if lo <= one:
+    if lnn.lo.m <= one:
         raise RhsUndefined(
             "cannot certify ln n > 1"
-            + (" (n <= e, permanently undefined)" if hi <= one else "")
+            + (" (n <= e, permanently undefined)" if lnn.hi.m <= one else "")
         )
-    return _rhs_from_log(lo, hi, precision_bits)
+    return _rhs_from_log(lnn.lo.m, lnn.hi.m, precision_bits)
 
 
 def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
@@ -169,16 +159,16 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     lhs = sigma_over_n_fraction(f)
     rhs = None
     for bits in cfg.ladder():
-        lo, hi = _log_n_fp(f, bits)
+        lnn = log_n(f, bits)  # endpoints at exponent -(bits + _GUARD)
         one = 1 << (bits + _GUARD)
-        if hi <= one:
+        if lnn.hi.m <= one:
             # certified n <= e: RHS undefined for good
             return CheckResult(f, lhs, None, Verdict.VIOLATED, bits, None,
                                reason=REASON_RHS_UNDEFINED)
-        if lo <= one:
+        if lnn.lo.m <= one:
             rhs = None
             continue
-        rhs = _rhs_from_log(lo, hi, bits)
+        rhs = _rhs_from_log(lnn.lo.m, lnn.hi.m, bits)
         cmp_result = compare(lhs, rhs)
         if cmp_result is Comparison.LESS:
             margin = _round_down_margin(rhs.lo.as_fraction() - lhs, bits)

@@ -85,7 +85,10 @@ def verify_prime_powers(
 
 
 def substitute_prime(f: Factorization, index: int, new_prime: int) -> Factorization:
-    """Replace the base at ``index`` with a larger prime, re-canonicalized."""
+    """Replace the base at ``index`` with a larger prime, re-canonicalized.
+
+    A new prime at or above 3.317e24 raises ``primes.PrimalityUnknown``.
+    """
     if not 0 <= index < len(f.entries):
         raise IndexError("substitution index out of range")
     old_prime, k = f.entries[index]
@@ -146,11 +149,11 @@ def _certify_log_increase(
     overlap at the top of the precision ladder.
     """
     for bits in cfg.ladder():
-        la = log_n(f_before, bits)
+        la = log_n(f_before, bits)  # same bits, so one shared exponent
         lb = log_n(f_after, bits)
-        if lb.lo > la.hi:
+        if lb.lo.m > la.hi.m:
             return True
-        if lb.hi < la.lo:
+        if lb.hi.m < la.lo.m:
             return False
     return None
 
@@ -174,16 +177,15 @@ def bound_table(
     if m_max < 1:
         raise ValueError("m must be >= 1")
     thr = threshold_5040(cfg)
+    thr_lo = thr.lo.as_fraction()
     unbounded = squarefree = Fraction(1)
     rows = []
     for m, p in enumerate(_primes.first_primes(m_max), 1):
         unbounded *= Fraction(p, p - 1)
         squarefree *= Fraction(p + 1, p)
         rows.append((p,
-                     BoundReport(m, unbounded, thr,
-                                 thr.lo.cmp_fraction(unbounded) > 0),
-                     BoundReport(m, squarefree, thr,
-                                 thr.lo.cmp_fraction(squarefree) > 0)))
+                     BoundReport(m, unbounded, thr, unbounded < thr_lo),
+                     BoundReport(m, squarefree, thr, squarefree < thr_lo)))
     return rows
 
 

@@ -61,6 +61,25 @@ def interval_contains_mp(iv, value: mpmath.mpf) -> bool:
     return mp_of_fraction(lo) <= value <= mp_of_fraction(hi)
 
 
+def dyadic_fraction(d) -> Fraction:
+    """The value m * 2**e of a dyadic endpoint."""
+    return Fraction(d.m) * Fraction(2) ** d.e
+
+
+def compare_by_fractions(lhs: Fraction, iv) -> str:
+    """'less' / 'greater' / 'overlapping' of lhs against [lo, hi].
+
+    The reference for intervals.compare: each endpoint becomes a reduced
+    Fraction and is compared as a rational, as the package did before it
+    compared integers at the endpoints' shared exponent.
+    """
+    if lhs < dyadic_fraction(iv.lo):
+        return "less"
+    if lhs > dyadic_fraction(iv.hi):
+        return "greater"
+    return "overlapping"
+
+
 def agrees_with_decimal(iv, stated: str) -> bool:
     """Enclosure matches a stated decimal to one unit in its last place.
 

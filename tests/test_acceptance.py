@@ -144,7 +144,7 @@ def test_criterion_7_conjecture31_table():
         # alpha certified increasing for m >= 2
         assert rows[0].alpha is None
         for a, b in zip(rows[1:], rows[2:]):
-            assert b.alpha.lo > a.alpha.hi
+            assert b.alpha.lo.as_fraction() > a.alpha.hi.as_fraction()
         # first primorial beyond 5040 at m = 6
         flags = [r.n_exceeds_5040 for r in rows[:8]]
         assert flags == [False] * 5 + [True] * 3

@@ -1,16 +1,19 @@
 """CLI surface: exit codes, output schemas, decimal fidelity, stability."""
 
+import decimal
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
-from robincheck import cli, primes, theorems
+from robincheck import cli, output, primes, theorems
 from robincheck.factorization import sigma_over_n_fraction
 
 
@@ -106,6 +109,24 @@ class TestPastIntStrDigitLimit:
         assert max(len(d) for d in re.findall(r"\d+", out)) > 4300
         assert sys.get_int_max_str_digits() == limit
 
+    def test_huge_power_of_two_prints_fast(self, capsys):
+        # sigma(n)/n = (2^3000001 - 1) / 2^3000000: two 900k-digit integers,
+        # which Python 3.11's quadratic int-to-str takes about 30 s to print
+        start = time.perf_counter()
+        code, out, _ = run_cli(["check", "2^3000000", "--format", "json"],
+                               capsys)
+        assert time.perf_counter() - start < 15
+        assert code == 0
+        num, den = json.loads(out)["sigma_over_n"].values()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 25
+            top = decimal.Decimal(2) ** 3000001
+            lead = str(top.scaleb(-top.adjusted())).replace(".", "")
+        assert num[:20] == lead[:20]
+        assert len(num) == top.adjusted() + 1 == len(den) + 1
+        assert int(num[-30:]) == (pow(2, 3000001, 10**30) - 1) % 10**30
+        assert int(den[-30:]) == pow(2, 3000000, 10**30)
+
     def test_5000_digit_integer_exit_65(self, capsys):
         code, _, err = run_cli(["check", "9" * 5000], capsys)
         assert code == 65
@@ -115,6 +136,33 @@ class TestPastIntStrDigitLimit:
         code, _, err = run_cli(["check", "9" * 5000 + "^2"], capsys)
         assert code == 64
         assert "primality range" in err
+
+
+class TestIntStr:
+    """output.int_str against str() across its binary split points."""
+
+    @pytest.fixture(autouse=True)
+    def _no_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_powers_of_ten_around_the_splits(self):
+        leaf = int(output._INT_STR_LEAF_BITS * 0.30103)  # digits of 2**bits
+        values = [0, 1, -1, 9, 10, -10]
+        for k in (leaf, 2 * leaf, 4 * leaf + 1):
+            for j in range(k - 2, k + 3):
+                values += [10**j - 1, 10**j, 10**j + 1]
+        values += [-v for v in values]
+        for v in values:
+            assert output.int_str(v) == str(v), v
+
+    def test_random_up_to_300k_bits(self):
+        rng = random.Random(6)
+        for bits in [rng.randint(1, 300_000) for _ in range(12)] + [300_000]:
+            v = rng.getrandbits(bits) * rng.choice((1, -1))
+            assert output.int_str(v) == str(v), bits
 
 
 class TestCheckCommand:
@@ -369,6 +417,15 @@ class TestSubstituteCommand:
     def test_colliding(self, capsys):
         code, _, err = run_cli(["substitute", "2^4*3^2", "0", "3"], capsys)
         assert code == 64
+
+    def test_prime_past_primality_range_exit_64(self, capsys):
+        # 2^89 - 1: refused like a factor-string base of that size
+        code, out, err = run_cli(
+            ["substitute", "2*3", "0", str(2**89 - 1)], capsys)
+        assert code == 64
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "primality range" in err and "Traceback" not in err
 
     def test_json(self, capsys):
         code, out, _ = run_cli(

@@ -208,7 +208,7 @@ class TestConjecture31Table:
     def test_alpha_strictly_increasing_certified(self):
         rows = explorer.conjecture31_table(300)
         for a, b in zip(rows[1:], rows[2:]):
-            assert b.alpha.lo > a.alpha.hi
+            assert b.alpha.lo.as_fraction() > a.alpha.hi.as_fraction()
 
     def test_q_matches_independent_product(self):
         rows = explorer.conjecture31_table(200)

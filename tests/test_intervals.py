@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robincheck.intervals import (
+    _GAMMA_DEN,
+    _GAMMA_NUM,
     _GUARD,
     Comparison,
     DomainError,
@@ -17,12 +19,13 @@ from robincheck.intervals import (
     PrecisionConfig,
     PrecisionUnsupported,
     RealInterval,
+    _ln_fp,
     compare,
     dyadic_from_fraction,
-    euler_gamma,
     exp_gamma,
-    ln_interval,
+    outward_interval,
 )
+from robincheck import explorer, primes, robin
 from robincheck.robin import _rhs_from_log
 
 import oracles
@@ -38,6 +41,28 @@ _W53 = 53 + _GUARD
 _EXP_GAMMA_MP = mpmath.exp(mpmath.euler)
 
 
+def _width(iv: RealInterval) -> Fraction:
+    return iv.hi.as_fraction() - iv.lo.as_fraction()
+
+
+def _contains(outer: RealInterval, inner: RealInterval) -> bool:
+    return (outer.lo.as_fraction() <= inner.lo.as_fraction()
+            and inner.hi.as_fraction() <= outer.hi.as_fraction())
+
+
+def _ln_interval(x: Fraction, bits: int) -> RealInterval:
+    """The ln kernel on an exact rational x > 0, as an interval at 2**-W."""
+    W = bits + _GUARD
+    L, H = _ln_fp(x.numerator, x.denominator, W)
+    return RealInterval(Dyadic(L, -W), Dyadic(H, -W), bits)
+
+
+def _gamma_bracket(bits: int) -> RealInterval:
+    """The embedded gamma digits' bracket, rounded outward at bits + _GUARD."""
+    return outward_interval(_GAMMA_NUM, _GAMMA_NUM + 1, _GAMMA_DEN,
+                            bits + _GUARD, bits)
+
+
 def _rhs_of_enclosure(lo: Fraction, hi: Fraction) -> RealInterval:
     """The RHS kernel on [lo, hi], rounded outward to its 53-bit scale."""
     return _rhs_from_log((lo.numerator << _W53) // lo.denominator,
@@ -45,14 +70,13 @@ def _rhs_of_enclosure(lo: Fraction, hi: Fraction) -> RealInterval:
 
 
 class TestDyadic:
-    def test_normalization(self):
-        assert Dyadic(8, 0) == Dyadic(1, 3)
-        assert Dyadic(0, 5) == Dyadic(0, 0)
-
     def test_decimal_str_exact(self):
         assert Dyadic(3, -2).decimal_str() == "0.75"
         assert Dyadic(-5, -3).decimal_str() == "-0.625"
         assert Dyadic(7, 2).decimal_str() == "28"
+        # the printed value does not depend on how it is stored
+        assert Dyadic(12, -4).decimal_str() == "0.75"
+        assert Dyadic(0, -9).decimal_str() == Dyadic(0, 3).decimal_str() == "0"
 
     @given(st.integers(-2**80, 2**80), st.integers(-70, 20))
     def test_decimal_str_roundtrip(self, m, e):
@@ -69,31 +93,34 @@ class TestDyadic:
 
 
 class TestEulerGamma:
+    # the embedded digits: gamma lies in [_GAMMA_NUM, _GAMMA_NUM + 1] / _GAMMA_DEN
+
     def test_contains_published_value(self):
-        iv = euler_gamma(53)
+        iv = _gamma_bracket(53)
         assert oracles.agrees_with_decimal(iv, "0.5772156649")
         assert _contains_mp(iv, mpmath.mp.euler)
-        assert iv.width().as_fraction() <= Fraction(1, 2**53)
+        assert _width(iv) <= Fraction(1, 2**53)
 
     def test_coarse_precision_still_encloses(self):
-        iv = euler_gamma(8)
+        iv = _gamma_bracket(8)
         assert _contains_mp(iv, mpmath.mp.euler)
-        assert iv.width().as_fraction() <= Fraction(1, 2**8)
+        assert _width(iv) <= Fraction(1, 2**8)
 
     def test_midpoint_matches_published_digits(self):
         # first 60 published decimals, embedded independently of the
         # implementation's 1400-digit string
-        iv = euler_gamma(256)
-        mid = iv.midpoint()
+        mid = Fraction(2 * _GAMMA_NUM + 1, 2 * _GAMMA_DEN)
         published = Fraction(oracles.GAMMA_60_DIGITS)
         assert abs(mid - published) < Fraction(1, 10**59)
 
     def test_precision_unsupported(self):
+        # the digits serve GAMMA_MAX_BITS plus the guard bits, no more
+        assert Fraction(1, _GAMMA_DEN) <= Fraction(1, 2 ** (GAMMA_MAX_BITS + _GUARD))
         with pytest.raises(PrecisionUnsupported):
-            euler_gamma(GAMMA_MAX_BITS + 1)
+            exp_gamma(GAMMA_MAX_BITS + 1)
 
     def test_refinement_nesting(self):
-        assert euler_gamma(53).contains_interval(euler_gamma(106))
+        assert _contains(_gamma_bracket(53), _gamma_bracket(106))
 
 
 class TestExpGamma:
@@ -109,10 +136,10 @@ class TestExpGamma:
         iv = exp_gamma(bits)
         assert iv.lo.as_fraction() > 1
         assert iv.hi.as_fraction() < 2
-        assert iv.width().as_fraction() <= Fraction(4, 2**bits)
+        assert _width(iv) <= Fraction(4, 2**bits)
 
     def test_refinement_nesting(self):
-        assert exp_gamma(53).contains_interval(exp_gamma(128))
+        assert _contains(exp_gamma(53), exp_gamma(128))
 
     def test_precision_unsupported(self):
         with pytest.raises(PrecisionUnsupported):
@@ -121,30 +148,30 @@ class TestExpGamma:
 
 class TestLn:
     def test_ln_one_is_zero(self):
-        iv = ln_interval(Fraction(1), 53)
-        assert iv.contains_fraction(Fraction(0))
-        assert iv.width().as_fraction() <= Fraction(1, 2**53)
+        iv = _ln_interval(Fraction(1), 53)
+        assert iv.lo.as_fraction() <= 0 <= iv.hi.as_fraction()
+        assert _width(iv) <= Fraction(1, 2**53)
 
     def test_ln_two(self):
-        iv = ln_interval(Fraction(2), 53)
+        iv = _ln_interval(Fraction(2), 53)
         assert oracles.agrees_with_decimal(iv, "0.6931471805")
         assert _contains_mp(iv, mpmath.log(2))
 
     def test_ln_5040(self):
-        iv = ln_interval(Fraction(5040), 53)
+        iv = _ln_interval(Fraction(5040), 53)
         assert oracles.agrees_with_decimal(iv, "8.5252")
         assert _contains_mp(iv, mpmath.log(5040))
 
     def test_ln_cross_checked_at_two_precisions(self):
-        coarse = ln_interval(Fraction(5040), 53)
-        fine = ln_interval(Fraction(5040), 212)
-        assert coarse.contains_interval(fine)
+        coarse = _ln_interval(Fraction(5040), 53)
+        fine = _ln_interval(Fraction(5040), 212)
+        assert _contains(coarse, fine)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            ln_interval(Fraction(0), 53)
-        with pytest.raises(DomainError):
-            ln_interval(Fraction(-3, 7), 53)
+        # the RHS kernel is the ln entry point that takes outside bounds
+        for x in (Fraction(0), Fraction(-3, 7)):
+            with pytest.raises(DomainError):
+                _rhs_of_enclosure(x, Fraction(2))
 
     def test_soundness_random_rationals(self):
         # spec-scale randomized soundness run: oracle value always inside
@@ -153,7 +180,7 @@ class TestLn:
             num = rng.randint(1, 10**18)
             den = rng.randint(1, 10**18)
             bits = rng.choice([24, 53, 128])
-            iv = ln_interval(Fraction(num, den), bits)
+            iv = _ln_interval(Fraction(num, den), bits)
             true = mpmath.log(mpmath.mpf(num)) - mpmath.log(mpmath.mpf(den))
             assert _contains_mp(iv, true), (num, den, bits)
 
@@ -162,18 +189,17 @@ class TestLn:
         for _ in range(200):
             fr = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9))
             bits = rng.choice([16, 53, 100])
-            assert ln_interval(fr, bits).contains_interval(
-                ln_interval(fr, 2 * bits))
+            assert _contains(_ln_interval(fr, bits), _ln_interval(fr, 2 * bits))
 
     def test_width_invariant(self):
         rng = random.Random(5)
         for _ in range(200):
             fr = Fraction(rng.randint(1, 10**30), rng.randint(1, 10**6))
             bits = rng.choice([24, 53, 128])
-            iv = ln_interval(fr, bits)
+            iv = _ln_interval(fr, bits)
             bound = Fraction(1, 2**bits) * max(
                 Fraction(1), abs(iv.hi.as_fraction()))
-            assert iv.width().as_fraction() <= bound
+            assert _width(iv) <= bound
 
 
 class TestLnOfInterval:
@@ -186,7 +212,7 @@ class TestLnOfInterval:
         assert _contains_mp(iv, _EXP_GAMMA_MP)  # e^gamma * ln e
 
     def test_log_log_5040(self):
-        inner = ln_interval(Fraction(5040), 53)
+        inner = _ln_interval(Fraction(5040), 53)
         outer = _rhs_of_enclosure(inner.lo.as_fraction(),
                                   inner.hi.as_fraction())
         assert oracles.agrees_with_decimal(outer, "3.8169")
@@ -228,19 +254,62 @@ class TestCompare:
         assert compare(Fraction(1), rhs) is Comparison.OVERLAPPING
         assert compare(Fraction(2), rhs) is Comparison.OVERLAPPING
 
+    @given(st.fractions(), st.integers(-2**70, 2**70), st.integers(0, 2**40),
+           st.integers(-300, 300), st.sampled_from(["free", "lo", "hi"]))
+    @example(Fraction(1), 1, 1, 0, "lo")
+    @example(Fraction(-3, 8), -3, 0, -3, "hi")
+    @settings(max_examples=500)
+    def test_agrees_with_fraction_reference(self, fr, m, w, e, where):
+        rhs = RealInterval(Dyadic(m, e), Dyadic(m + w, e), 53)
+        if where != "free":  # lhs exactly on an endpoint
+            fr = oracles.dyadic_fraction(rhs.lo if where == "lo" else rhs.hi)
+        assert compare(fr, rhs).value == oracles.compare_by_fractions(fr, rhs)
+
     def test_never_flips_under_refinement(self):
         rng = random.Random(13)
         for _ in range(300):
             fr = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
             x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-            coarse = ln_interval(x, 16)
-            fine = ln_interval(x, 64)
+            coarse = _ln_interval(x, 16)
+            fine = _ln_interval(x, 64)
             a = compare(fr, coarse)
             b = compare(fr, fine)
             if a is Comparison.LESS:
                 assert b is not Comparison.GREATER
             if a is Comparison.GREATER:
                 assert b is not Comparison.LESS
+
+
+class TestSharedExponent:
+    """Every enclosure the package builds: lo.m <= hi.m at one exponent."""
+
+    @staticmethod
+    def _check(iv):
+        assert iv.lo.e == iv.hi.e and iv.lo.m <= iv.hi.m
+
+    @pytest.mark.parametrize("bits", [8, 53, 212, 1024])
+    def test_kernels(self, bits):
+        W = bits + _GUARD
+        for f in (primes.factorize(5041), primes.primorial_factorization(100),
+                  primes.factorize(2**40)):
+            self._check(robin.log_n(f, bits))
+            self._check(robin.robin_rhs(f, bits))
+        self._check(exp_gamma(bits))
+        self._check(_rhs_from_log(3 << W, (3 << W) + 1, bits))
+        self._check(_rhs_from_log(5 << (W - 2), 7 << (W + 100), bits))
+
+    def test_primorial_table(self):
+        rows = explorer.conjecture31_table(400)
+        assert rows[0].alpha is None and rows[0].ratio is None
+        for row in rows[1:]:
+            self._check(row.alpha)
+            self._check(row.ratio)
+
+    def test_constructor_refuses_other_shapes(self):
+        with pytest.raises(ValueError):
+            RealInterval(Dyadic(1, 0), Dyadic(2, -1), 53)  # 1 <= 1, two exponents
+        with pytest.raises(ValueError):
+            RealInterval(Dyadic(3, -2), Dyadic(2, -2), 53)
 
 
 class TestExactRatioAlgebra:

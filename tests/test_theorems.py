@@ -102,6 +102,12 @@ class TestSubstitutePrime:
         with pytest.raises(primes.NotPrime):
             theorems.substitute_prime(Factorization(((2, 1),)), 0, 9)
 
+    def test_prime_past_primality_range_refused(self):
+        # 2^89 - 1 is prime, but above the deterministic Miller-Rabin bound
+        with pytest.raises(primes.PrimalityUnknown, match="primality range"):
+            theorems.substitute_prime(Factorization(((2, 1), (3, 1))), 0,
+                                      2**89 - 1)
+
 
 class TestSubstitutionReport:
     def test_spec_case_35280(self):
@@ -213,7 +219,7 @@ class TestBounds:
         for m in (1, 3, 4, 9, 10):
             for rep in (theorems.unbounded_exponent_bound(m),
                         theorems.squarefree_bound(m)):
-                expected = rep.threshold.lo.cmp_fraction(rep.bound_value) > 0
+                expected = rep.bound_value < rep.threshold.lo.as_fraction()
                 assert rep.passes == expected
 
     def test_bound_table_rows_are_the_running_products(self):

@@ -1,0 +1,55 @@
+"""The benchmark's tracer still finds every layer it names in robincheck.
+
+perfbench/tracer.py wraps functions by module and attribute name, so a
+rename in the package would silently drop a layer from traced runs.  The
+file is run by path with runpy, which only reads it (no bytecode is
+written next to it).
+"""
+
+import importlib
+import json
+import os
+import runpy
+import subprocess
+import sys
+
+_ROOT = os.path.join(os.path.dirname(__file__), "..")
+_TRACER = os.path.abspath(os.path.join(_ROOT, "perfbench", "tracer.py"))
+
+
+def test_every_layer_attribute_resolves():
+    tracer = runpy.run_path(_TRACER)
+    for name in tracer["MODULES"]:
+        importlib.import_module(f"robincheck.{name}")
+    for layer, mod_name, attrs in tracer["LAYERS"]:
+        for attr in attrs:
+            holder = importlib.import_module(f"robincheck.{mod_name}")
+            for part in attr.split("."):
+                assert hasattr(holder, part), f"{layer}: {mod_name}.{attr}"
+                holder = getattr(holder, part)
+            assert callable(holder), f"{layer}: {mod_name}.{attr}"
+
+
+_TRACE_CHECK_5041 = """
+import json, runpy, sys
+t = runpy.run_path(sys.argv[1])["Tracer"]()
+t.install()
+import robincheck
+robincheck.check_n(5041)
+print(json.dumps({"missing": t.missing, "edges": sorted(t.edges)}))
+"""
+
+
+def test_traced_check_records_its_layers():
+    # installing the tracer rewrites module globals, so it runs apart
+    env = dict(os.environ,
+               PYTHONPATH=os.path.abspath(os.path.join(_ROOT, "src")))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_CHECK_5041, _TRACER],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["missing"] == []
+    edges = {tuple(e) for e in doc["edges"]}
+    for child in ("robin.log_n", "robin.rhs_from_log", "intervals.compare",
+                  "factorization.lhs"):
+        assert ("robin.check", child) in edges, child
