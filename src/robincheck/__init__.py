@@ -15,7 +15,6 @@ from .factorization import (
 from .intervals import (
     Comparison,
     DEFAULT_PRECISION,
-    DomainError,
     Dyadic,
     PrecisionConfig,
     PrecisionUnsupported,

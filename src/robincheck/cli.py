@@ -187,12 +187,11 @@ def _n_display(f: Factorization) -> tuple[Optional[str], Optional[str]]:
 
 def _log10_midpoint(f: Factorization) -> Fraction:
     """Midpoint of a 53-bit outward-rounded enclosure of log10(n)."""
-    lnn = robin.log_n(f, 53)
-    ln10 = robin.log_n(Factorization(((2, 1), (5, 1)),), 53)
-    lo = dyadic_from_fraction(
-        lnn.lo.as_fraction() / ln10.hi.as_fraction(), 53 + _GUARD, False)
-    hi = dyadic_from_fraction(
-        lnn.hi.as_fraction() / ln10.lo.as_fraction(), 53 + _GUARD, True)
+    # both bounds pairs sit at scale 2**(53 + _GUARD), which cancels
+    n_lo, n_hi = robin.log_n(f, 53)
+    t_lo, t_hi = robin.log_n(Factorization(((2, 1), (5, 1)),), 53)
+    lo = dyadic_from_fraction(Fraction(n_lo, t_hi), 53 + _GUARD, False)
+    hi = dyadic_from_fraction(Fraction(n_hi, t_lo), 53 + _GUARD, True)
     return (lo.as_fraction() + hi.as_fraction()) / 2
 
 

@@ -11,19 +11,24 @@ in n), using pure int64 arithmetic, and only the handful of
 near-extremal candidates that survive the block filter are routed
 through the fully certified per-n check.  Violations are therefore
 confirmed by the exact machinery, and everything filtered out is
-certified Satisfied by the block bound.
+certified Satisfied by the block bound.  Where the RHS kernel gives no
+bound (the block at 2, since ln 2 < 1) the threshold is 0 and every n
+of the block is a candidate.
 
 Output is deterministic and independent of the worker count: the
 segment grid depends only on (lo, hi, segment size) and results are
-merged in ascending order.
+merged in ascending order.  ``_pool_imap`` is the one worker pool, for
+the scanner and the conjecture-2 search; it never starts more processes
+than there are CPUs or tasks.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator, Optional
 
 import numpy as np
@@ -105,18 +110,17 @@ def _sigma_segment(a: int, b: int) -> np.ndarray:
     return sig
 
 
-def _rhs_floor_scaled(t: int, bits: int) -> Optional[int]:
+def _rhs_floor_scaled(t: int, bits: int) -> int:
     """floor(rhs_lower_bound(t) * 2^_THR_SHIFT) for an integer t >= 2.
 
-    None when ln t > 1 cannot be certified, which is the case for t = 2
-    (ln 2 < 1) and for no t >= 3 at any usable precision; callers must
-    then treat every n of the block as a candidate.
+    0 when the RHS kernel cannot certify ln t > 1, which is the case for
+    t = 2 (ln 2 < 1) and for no t >= 3 at any usable precision; a zero
+    threshold makes every n of the block a candidate.
     """
-    W = bits + _GUARD
-    L, H = _ln_fp(t, 1, W)
-    if L <= 1 << W:
-        return None
-    d = _rhs_from_log(L, H, bits).lo
+    rhs = _rhs_from_log(*_ln_fp(t, 1, bits + _GUARD), bits)
+    if rhs is None:
+        return 0
+    d = rhs.lo
     shift = d.e + _THR_SHIFT
     return d.m << shift if shift >= 0 else d.m >> -shift
 
@@ -135,13 +139,10 @@ def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> tuple[list, list]:
         # RHS of its last n, where the RHS still climbs steeply
         t_end = min(t + _BLOCK, 2 * t, b)
         thr = _rhs_floor_scaled(t, cfg.start_bits)
-        if thr is None:
-            candidates.extend(range(t, t_end))
-        else:
-            i0, i1 = t - a, t_end - a
-            mask = (sig[i0:i1] << _THR_SHIFT) >= thr * ns[i0:i1]
-            if mask.any():
-                candidates.extend(int(v) for v in ns[i0:i1][mask])
+        i0, i1 = t - a, t_end - a
+        mask = (sig[i0:i1] << _THR_SHIFT) >= thr * ns[i0:i1]
+        if mask.any():
+            candidates.extend(int(v) for v in ns[i0:i1][mask])
         t = t_end
 
     for n in candidates:
@@ -151,6 +152,20 @@ def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> tuple[list, list]:
         elif result.verdict is Verdict.INDETERMINATE:
             indeterminates.append(n)
     return violations, indeterminates
+
+
+def _pool_imap(fn, tasks: list, worker_count: int, chunksize: int = 1) -> Iterator:
+    """fn over tasks in order, on min(worker_count, CPUs, len(tasks)) processes.
+
+    A pool starts every worker when it is built, hence the clamp; a clamp
+    of 1 runs in this process.
+    """
+    processes = min(worker_count, os.cpu_count() or 1, len(tasks))
+    if processes <= 1:
+        yield from map(fn, tasks)
+        return
+    with multiprocessing.Pool(processes=processes) as pool:
+        yield from pool.imap(fn, tasks, chunksize)
 
 
 def _scan_segment_task(args):
@@ -176,12 +191,7 @@ def iter_scan_results(
         b = min(a + segment_size, hi + 1)
         tasks.append((a, b, cfg))
         a = b
-    if worker_count <= 1 or len(tasks) == 1:
-        for t in tasks:
-            yield _scan_segment_task(t)
-        return
-    with multiprocessing.Pool(processes=worker_count) as pool:
-        yield from pool.imap(_scan_segment_task, tasks)
+    yield from _pool_imap(_scan_segment_task, tasks, worker_count)
 
 
 def scan_range(
@@ -245,11 +255,9 @@ def conjecture31_table(
     plist = _primes.first_primes(m_max)
     rows: list[ConjectureRow] = []
     qn, qd = 1, 1
-    s_lo = 0  # fixed-point bounds on sum ln p_j
-    s_hi = 0
+    s_lo = s_hi = 0  # fixed-point bounds on sum ln p_j
     primorial = 1
     exceeded = False
-    one_fp = 1 << W
     for m, p in enumerate(plist, 1):
         # q *= (p+1)/p staying in lowest terms via small gcds only:
         # qd stays squarefree, so both gcds have single-word cofactors.
@@ -263,14 +271,10 @@ def conjecture31_table(
         if not exceeded:
             primorial *= p
             exceeded = primorial > 5040
-        if s_lo <= one_fp:
-            alpha = None
-            ratio = None
-        else:
-            alpha = _rhs_from_log(s_lo, s_hi, bits)
-            # alpha / q; alpha's shared exponent is about -W, below 0
-            ratio = outward_interval(alpha.lo.m * qd, alpha.hi.m * qd,
-                                     qn << -alpha.lo.e, W, bits)
+        alpha = _rhs_from_log(s_lo, s_hi, bits)
+        # alpha / q; alpha's shared exponent is about -W, below 0
+        ratio = None if alpha is None else outward_interval(
+            alpha.lo.m * qd, alpha.hi.m * qd, qn << -alpha.lo.e, W)
         rows.append(
             ConjectureRow(m, p, qn, qd, alpha, ratio, exceeded)
         )
@@ -391,20 +395,10 @@ def conjecture32_search(
         prime_count_max, exponent_max, log_n_max, non_increasing_only,
         cfg.start_bits,
     )
-    bases = []
-    for entries in all_bases:
-        n = 1
-        for p, k in entries:
-            n *= p ** k
-        if n > 5040:
-            bases.append(entries)
-    tasks = [(entries, cfg) for entries in bases]
+    tasks = [(entries, cfg) for entries in all_bases
+             if prod(p ** k for p, k in entries) > 5040]
     counterexamples: list[tuple[Factorization, int, CheckResult]] = []
-    if worker_count <= 1 or len(tasks) < 4:
-        results = list(map(_probe_base_task, tasks))
-    else:
-        with multiprocessing.Pool(processes=worker_count) as pool:
-            results = list(pool.imap(_probe_base_task, tasks, chunksize=64))
+    results = list(_pool_imap(_probe_base_task, tasks, worker_count, 64))
     for failures in results:
         for entries, j, r in failures:
             counterexamples.append((Factorization(entries), j, r))

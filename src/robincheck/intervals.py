@@ -1,9 +1,21 @@
 """Exact dyadic interval arithmetic with outward rounding.
 
 Every real quantity in this package that is not an exact rational is
-carried as a `RealInterval`: two integers lo.m <= hi.m at one shared
-binary exponent e, guaranteed to contain the true value in
-[lo.m * 2**e, hi.m * 2**e].  All rounding is directed outward (floor
+enclosed by integers.  The transcendental primitives are fixed-point
+kernels that return integer bounds (L, H) on x * 2**W: ``_ln_fp``
+(argument reduction to [2/3, 4/3) plus the atanh series, with a
+rigorous tail bound), ``_exp_fp``, and ``exp_gamma``, which encloses
+e**gamma from an embedded digit string of the Euler-Mascheroni constant
+(1400 decimal digits, cross-verified against two independent
+arbitrary-precision libraries at build time) by an exact Taylor series
+with the truncation remainder folded into the upper bound.
+``robin.log_n`` and ``robin._rhs_from_log`` build ln n and the
+right-hand side e^gamma * ln(ln n) from these kernels.
+
+An enclosure the package hands out (the right-hand side, the primorial
+table's alpha and ratio) is a `RealInterval`: two integers lo.m <= hi.m
+at one shared binary exponent e, guaranteed to contain the true value
+in [lo.m * 2**e, hi.m * 2**e].  All rounding is directed outward (floor
 for lo, ceiling for hi), so a comparison of an exact rational against
 an interval that comes out Less or Greater is a mathematical certainty,
 never a floating-point accident.  ``compare`` decides it by integer
@@ -11,16 +23,6 @@ cross-multiplication at that exponent, and ``outward_interval`` is the
 one constructor that rounds two ratios outward onto a shared exponent.
 `Dyadic` is the plain value m * 2**e: it converts to a `Fraction`, a
 num/den pair or an exact decimal string, and does no arithmetic.
-
-The transcendental primitives are fixed-point kernels on integers at
-scale 2**W: ``_ln_fp`` (argument reduction to [2/3, 4/3] plus the atanh
-series, with a rigorous tail bound) and ``_exp_fp``.  ``exp_gamma``
-encloses e**gamma from an embedded digit string of the Euler-Mascheroni
-constant (1400 decimal digits, cross-verified against two independent
-arbitrary-precision libraries at build time) by an exact Taylor series
-with the truncation remainder folded into the upper bound.
-``robin.log_n`` and ``robin._rhs_from_log`` build ln n and the
-right-hand side e^gamma * ln(ln n) from these kernels.
 
 Series are evaluated at a working precision a few dozen bits beyond the
 requested precision; every intermediate floor/ceil keeps the lower/upper
@@ -41,10 +43,6 @@ from typing import Iterator
 
 class PrecisionUnsupported(Exception):
     """Requested precision exceeds the stored-constant capacity."""
-
-
-class DomainError(Exception):
-    """Argument outside the mathematical domain of the operation."""
 
 
 # Guard bits added on top of the requested precision for internal series
@@ -122,16 +120,10 @@ def dyadic_from_fraction(fr: Fraction, bits: int, round_up: bool) -> Dyadic:
 
 @dataclass(frozen=True)
 class RealInterval:
-    """Enclosure [lo, hi] of a real value: lo.m <= hi.m at one exponent e.
-
-    ``precision_bits`` records the precision the interval was requested
-    at; the construction sites guarantee hi - lo <= 2**-precision_bits *
-    max(1, |hi|).
-    """
+    """Enclosure [lo, hi] of a real value: lo.m <= hi.m at one exponent e."""
 
     lo: Dyadic
     hi: Dyadic
-    precision_bits: int
 
     def __post_init__(self):
         if self.lo.e != self.hi.e or self.lo.m > self.hi.m:
@@ -141,8 +133,8 @@ class RealInterval:
         return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
 
 
-def outward_interval(lo_num: int, hi_num: int, den: int, bits: int,
-                     precision_bits: int) -> RealInterval:
+def outward_interval(lo_num: int, hi_num: int, den: int,
+                     bits: int) -> RealInterval:
     """[lo_num/den rounded down, hi_num/den rounded up] at ~bits bits.
 
     Each endpoint rounds as ``dyadic_from_num_den`` rounds it; the one at
@@ -153,7 +145,7 @@ def outward_interval(lo_num: int, hi_num: int, den: int, bits: int,
     hi = dyadic_from_num_den(hi_num, den, bits, True)
     e = min(lo.e, hi.e)
     return RealInterval(Dyadic(lo.m << (lo.e - e), e),
-                        Dyadic(hi.m << (hi.e - e), e), precision_bits)
+                        Dyadic(hi.m << (hi.e - e), e))
 
 
 class Comparison(enum.Enum):
@@ -312,26 +304,12 @@ def _ln_fp(num: int, den: int, W: int) -> tuple[int, int]:
     """
     if num == den:
         return 0, 0
-    s = num.bit_length() - den.bit_length()
-    # ensure y = x / 2^s in [1, 2)
-    if s >= 0:
-        if num < (den << s):
-            s -= 1
-    else:
-        if (num << -s) < den:
-            s -= 1
-    # fold into [2/3, 4/3): if y >= 4/3 use y/2
-    if s >= 0:
-        if 3 * num >= (den << (s + 2)):
-            s += 1
-        a, b = num, den << s
-    else:
-        if (3 * num) << -s >= den << 2:
-            s += 1
-        if s >= 0:
-            a, b = num, den << s
-        else:
-            a, b = num << -s, den
+    # s = floor(log2(3*num / (2*den))), which puts y = a / b in [2/3, 4/3)
+    n3, d2 = 3 * num, 2 * den
+    s = n3.bit_length() - d2.bit_length()
+    if n3 << max(-s, 0) < d2 << max(s, 0):
+        s -= 1
+    a, b = num << max(-s, 0), den << max(s, 0)
     tn, td = a - b, a + b
     if tn >= 0:
         aL, aH = _atanh_fp(tn, td, W)
@@ -370,11 +348,14 @@ def _exp_fp(xn: int, xd: int, W: int) -> tuple[int, int]:
 # e**gamma
 # ---------------------------------------------------------------------------
 
-_EXP_GAMMA_CACHE: dict[int, RealInterval] = {}
+_EXP_GAMMA_CACHE: dict[int, tuple[int, int]] = {}
 
 
-def exp_gamma(precision_bits: int) -> RealInterval:
-    """Enclosure of e**gamma ~ 1.7810724, width <= 2**(-precision_bits+2)."""
+def exp_gamma(precision_bits: int) -> tuple[int, int]:
+    """Bounds (L, H) on e**gamma * 2**W, W = precision_bits + _GUARD.
+
+    e**gamma ~ 1.7810724, and H - L <= 2**(W - precision_bits + 2).
+    """
     if precision_bits <= 0:
         raise ValueError("precision_bits must be positive")
     if precision_bits > GAMMA_MAX_BITS:
@@ -385,9 +366,8 @@ def exp_gamma(precision_bits: int) -> RealInterval:
     if cached is not None:
         return cached
     W = precision_bits + _GUARD
-    L, _ = _exp_fp(_GAMMA_NUM, _GAMMA_DEN, W)
-    _, H = _exp_fp(_GAMMA_NUM + 1, _GAMMA_DEN, W)
-    result = RealInterval(Dyadic(L, -W), Dyadic(H, -W), precision_bits)
+    result = (_exp_fp(_GAMMA_NUM, _GAMMA_DEN, W)[0],
+              _exp_fp(_GAMMA_NUM + 1, _GAMMA_DEN, W)[1])
     if len(_EXP_GAMMA_CACHE) < 64:
         _EXP_GAMMA_CACHE[precision_bits] = result
     return result

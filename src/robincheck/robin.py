@@ -9,16 +9,17 @@ the exact rational falls strictly outside the enclosure; otherwise the
 precision is escalated along ``PrecisionConfig.ladder``, and only when
 the ladder is exhausted does the check report Indeterminate.
 
-``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed; the
-checker, the scanner's block filter and the primorial table all feed it
-integer bounds on ln n at scale 2**W: ``log_n``'s endpoints are such
-integers at the shared exponent -W, and ``intervals.compare`` decides
-the rational left side against the enclosure on integers too.
+``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed, and the
+one place that decides whether x > 1 is certified; the checker, the
+scanner's block filter and the primorial table all feed it integer
+bounds on ln n at scale 2**W, which is what ``log_n`` returns, and
+``intervals.compare`` decides the rational left side against the
+enclosure on integers too.
 
 For n = 2 the right side has no useful value (ln ln 2 < 0, so the
-inequality cannot hold for any n >= 2 whose sigma(n)/n >= 1); such
-inputs are reported Violated with an explicit ``rhs_undefined`` reason
-rather than erroring, so range scanners get a total verdict.
+inequality cannot hold for any n >= 2 whose sigma(n)/n >= 1); it is
+reported Violated with an explicit ``rhs_undefined`` reason rather than
+erroring, so range scanners get a total verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .intervals import (
     _GUARD,
     Comparison,
     DEFAULT_PRECISION,
-    DomainError,
     Dyadic,
     PrecisionConfig,
     RealInterval,
@@ -92,41 +92,40 @@ def _ln_prime_fp(p: int, W: int) -> tuple[int, int]:
     return got
 
 
-def log_n(f: Factorization, precision_bits: int) -> RealInterval:
-    """Enclosure of ln(n) = sum k_j ln(p_j); n is never materialized.
+def log_n(f: Factorization, precision_bits: int) -> tuple[int, int]:
+    """Bounds (lo, hi) on ln(n) * 2**W, W = precision_bits + _GUARD.
 
-    The endpoints sit at exponent -W, W = precision_bits + _GUARD, so
-    ``.lo.m`` and ``.hi.m`` are the integer bounds on ln(n) * 2**W that
-    ``_rhs_from_log`` takes.
+    ln(n) = sum k_j ln(p_j), so n is never materialized; the bounds are
+    what ``_rhs_from_log`` takes.
     """
     if not f.entries:
         raise EmptyFactorization("log_n of the empty factorization")
     W = precision_bits + _GUARD
-    lo = 0
-    hi = 0
+    lo = hi = 0
     for p, k in f.entries:
         L, H = _ln_prime_fp(p, W)
         lo += k * L
         hi += k * H
-    return RealInterval(Dyadic(lo, -W), Dyadic(hi, -W), precision_bits)
+    return lo, hi
 
 
-def _rhs_from_log(lo: int, hi: int, precision_bits: int) -> RealInterval:
+def _rhs_from_log(lo: int, hi: int,
+                  precision_bits: int) -> Optional[RealInterval]:
     """Enclosure of e^gamma * ln(x) for every x in [lo, hi] * 2**-W.
 
-    W = precision_bits + _GUARD, and lo > 2**W (x > 1) is required: then
-    ln x and e^gamma are both positive, so the product bounds are the
-    endpoint products, rounded outward at W bits.
+    W = precision_bits + _GUARD.  None unless lo > 2**W: this is the one
+    test of x > 1 that the right side needs.  Past it, ln x and e^gamma
+    are both positive, so the product bounds are the endpoint products,
+    rounded outward at W bits.
     """
     W = precision_bits + _GUARD
     one = 1 << W
     if lo <= one:
-        raise DomainError("e^gamma * ln(x) needs a certified x > 1")
+        return None
     L, _ = _ln_fp(lo, one, W)
     _, H = _ln_fp(hi, one, W)
-    eg = exp_gamma(precision_bits)  # endpoints at exponent -W
-    return outward_interval(eg.lo.m * L, eg.hi.m * H, one << W, W,
-                            precision_bits)
+    eg_lo, eg_hi = exp_gamma(precision_bits)
+    return outward_interval(eg_lo * L, eg_hi * H, one << W, W)
 
 
 def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
@@ -136,54 +135,44 @@ def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
     precision, which is what makes the outer log's value positive; n = 2
     always fails, n = 3 certifies at any reasonable precision.
     """
-    lnn = log_n(f, precision_bits)
-    one = 1 << (precision_bits + _GUARD)
-    if lnn.lo.m <= one:
-        raise RhsUndefined(
-            "cannot certify ln n > 1"
-            + (" (n <= e, permanently undefined)" if lnn.hi.m <= one else "")
-        )
-    return _rhs_from_log(lnn.lo.m, lnn.hi.m, precision_bits)
+    rhs = _rhs_from_log(*log_n(f, precision_bits), precision_bits)
+    if rhs is None:
+        raise RhsUndefined("cannot certify ln n > 1")
+    return rhs
 
 
 def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
     """Certified verdict on sigma(n)/n < e^gamma ln ln n, escalating precision.
 
-    Satisfied and Violated are interval-separated certainties.  A
-    permanently undefined RHS (n <= e) maps to Violated with the
-    ``rhs_undefined`` reason, since sigma(n)/n >= 1 exceeds any
-    negative/undefined right side for n >= 2.
+    Satisfied and Violated are interval-separated certainties.  n = 2,
+    the one n >= 2 with n <= e, has no right side and maps to Violated
+    with the ``rhs_undefined`` reason, since sigma(n)/n >= 1 exceeds any
+    negative/undefined right side.  A rung whose ln n > 1 is not yet
+    certified escalates like an overlap does.
     """
     if not f.entries:
         raise EmptyFactorization("check of the empty factorization")
     lhs = sigma_over_n_fraction(f)
-    rhs = None
+    if f.entries == ((2, 1),):
+        return CheckResult(f, lhs, None, Verdict.VIOLATED, cfg.start_bits,
+                           None, reason=REASON_RHS_UNDEFINED)
     for bits in cfg.ladder():
-        lnn = log_n(f, bits)  # endpoints at exponent -(bits + _GUARD)
-        one = 1 << (bits + _GUARD)
-        if lnn.hi.m <= one:
-            # certified n <= e: RHS undefined for good
-            return CheckResult(f, lhs, None, Verdict.VIOLATED, bits, None,
-                               reason=REASON_RHS_UNDEFINED)
-        if lnn.lo.m <= one:
-            rhs = None
+        rhs = _rhs_from_log(*log_n(f, bits), bits)
+        if rhs is None:
             continue
-        rhs = _rhs_from_log(lnn.lo.m, lnn.hi.m, bits)
         cmp_result = compare(lhs, rhs)
+        # margins are rounded down: tables never overstate the separation
         if cmp_result is Comparison.LESS:
-            margin = _round_down_margin(rhs.lo.as_fraction() - lhs, bits)
+            margin = dyadic_from_fraction(rhs.lo.as_fraction() - lhs, bits,
+                                          False)
             return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits, margin)
         if cmp_result is Comparison.GREATER:
-            margin = _round_down_margin(lhs - rhs.hi.as_fraction(), bits)
+            margin = dyadic_from_fraction(lhs - rhs.hi.as_fraction(), bits,
+                                          False)
             return CheckResult(f, lhs, rhs, Verdict.VIOLATED, bits, margin,
                                reason=REASON_LHS_EXCEEDS_RHS)
     return CheckResult(f, lhs, rhs, Verdict.INDETERMINATE, bits, None,
                        reason=REASON_ESCALATION_EXHAUSTED)
-
-
-def _round_down_margin(fr: Fraction, bits: int) -> Dyadic:
-    # understate the separation so downstream tables never overstate it
-    return dyadic_from_fraction(fr, bits, False)
 
 
 def check_n(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:

@@ -47,29 +47,14 @@ def _prime_powers_in(lo_exclusive: int, hi_inclusive: int):
     """All (p, k, p^k) with lo < p^k <= hi, ascending by value."""
     out = []
     for p in _primes.primes_up_to(hi_inclusive):
-        if p > lo_exclusive:
-            out.append((p, 1, p))
-    k = 2
-    while 2 ** k <= hi_inclusive:
-        for p in _primes.primes_up_to(_nth_root(hi_inclusive, k)):
-            v = p ** k
+        v, k = p, 1
+        while v <= hi_inclusive:
             if v > lo_exclusive:
                 out.append((p, k, v))
-        k += 1
+            v *= p
+            k += 1
     out.sort(key=lambda t: t[2])
     return out
-
-
-def _nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)), exact."""
-    if n < 1:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 def verify_prime_powers(
@@ -149,11 +134,11 @@ def _certify_log_increase(
     overlap at the top of the precision ladder.
     """
     for bits in cfg.ladder():
-        la = log_n(f_before, bits)  # same bits, so one shared exponent
-        lb = log_n(f_after, bits)
-        if lb.lo.m > la.hi.m:
+        a_lo, a_hi = log_n(f_before, bits)  # same bits, so one scale
+        b_lo, b_hi = log_n(f_after, bits)
+        if b_lo > a_hi:
             return True
-        if lb.hi.m < la.lo.m:
+        if b_hi < a_lo:
             return False
     return None
 

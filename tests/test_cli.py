@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from robincheck import cli, output, primes, theorems
+from robincheck import cli, output, primes, robin, theorems
+from robincheck.intervals import Comparison
 from robincheck.factorization import sigma_over_n_fraction
 
 
@@ -163,6 +164,54 @@ class TestIntStr:
         for bits in [rng.randint(1, 300_000) for _ in range(12)] + [300_000]:
             v = rng.getrandbits(bits) * rng.choice((1, -1))
             assert output.int_str(v) == str(v), bits
+
+
+class TestSigStr:
+    @pytest.mark.parametrize("num,den,expected", [
+        (9999995, 10**6, "10.0000"),      # rounding carries into a new digit
+        (-9999995, 10**6, "-10.0000"),
+        (9999985, 10**6, "9.99998"),      # half-even keeps the even digit
+        (999999500, 1, "1000000000"),     # >= 10^6: trailing zeros, carry
+        (123456789, 1, "123457000"),
+    ])
+    def test_carry_and_large_values(self, num, den, expected):
+        assert output.sig_str_num_den(num, den) == expected
+
+
+class TestUndecided:
+    """Every command that reports "could not decide" exits 2.
+
+    No real input stays undecided at the top of the precision ladder, so
+    the comparison is forced to overlap on every rung.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _never_separates(self, monkeypatch):
+        monkeypatch.setattr(robin, "compare",
+                            lambda lhs, rhs: Comparison.OVERLAPPING)
+
+    def test_check(self, capsys):
+        code, out, _ = run_cli(["check", "5041"], capsys)
+        assert code == 2
+        assert "verdict = indeterminate" in out
+        assert "reason = escalation_exhausted" in out
+
+    def test_scan_json(self, capsys):
+        code, out, _ = run_cli(["scan", "5000", "5100", "--format", "json"],
+                               capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["violations"] == []
+        assert report["indeterminates"] == [5040]
+
+    def test_prime_powers(self, capsys):
+        # a short ladder: 110 prime powers each climb every rung
+        code, out, _ = run_cli(["prime-powers", "--limit", "6000",
+                                "--max-precision-bits", "212"], capsys)
+        assert code == 2
+        assert "all satisfied: NO" in out
+        assert "  71^2 -> indeterminate\n" in out
+        assert "  5987 -> indeterminate\n" in out
 
 
 class TestCheckCommand:

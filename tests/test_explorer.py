@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 import os
 import random
+import types
 from fractions import Fraction
 
 import mpmath
@@ -69,6 +70,11 @@ class TestScanGolden:
         # the 27 violators plus a few near misses; every other n is
         # certified by the block filter
         assert len(checked) <= 64
+
+    def test_block_threshold_zero_below_e(self):
+        # ln 2 < 1: no RHS bound at t = 2, so its whole block is checked
+        assert explorer._rhs_floor_scaled(2, 53) == 0
+        assert explorer._rhs_floor_scaled(3, 53) > 0
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -339,3 +345,59 @@ class TestConjecture32Search:
             explorer.conjecture32_search(0, 1, Fraction(10))
         with pytest.raises(ValueError):
             explorer.conjecture32_search(2, 1, Fraction(-1))
+
+
+class TestPoolSize:
+    """Both pooled paths start min(worker_count, CPUs, tasks) processes."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # a stand-in Pool that records its size, starts nothing and maps
+        # in this process
+        built = []
+
+        class FakePool:
+            def __init__(self, processes):
+                built.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(explorer, "multiprocessing",
+                            types.SimpleNamespace(Pool=FakePool))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        return built
+
+    def test_scan_clamped_to_cpus_and_segments(self, pools):
+        want = explorer.scan_range(2, 20_000)
+        got = explorer.scan_range(2, 20_000, worker_count=100_000,
+                                  segment_size=4096)  # 5 segments
+        assert pools == [3]
+        assert scan_golden_projection(got) == scan_golden_projection(want)
+        explorer.scan_range(2, 8000, worker_count=100_000, segment_size=4096)
+        assert pools == [3, 2]  # 2 segments
+
+    def test_one_process_runs_in_process(self, pools, monkeypatch):
+        explorer.scan_range(2, 20_000, worker_count=1, segment_size=4096)
+        explorer.scan_range(2, 20_000, worker_count=8)  # one segment
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        explorer.scan_range(2, 20_000, worker_count=8, segment_size=4096)
+        explorer.conjecture32_search(6, 3, Fraction("12.5"), worker_count=8)
+        assert pools == []
+
+    def test_conjecture32_clamped_to_cpus_and_bases(self, pools):
+        want = explorer.conjecture32_search(6, 3, Fraction("12.5"))
+        got = explorer.conjecture32_search(6, 3, Fraction("12.5"),
+                                           worker_count=100_000)
+        assert pools == [3]
+        assert got == want
+        few = explorer.conjecture32_search(1, 14, Fraction(10),
+                                           worker_count=100_000)
+        assert few.bases_probed == 2  # 2^13 and 2^14
+        assert pools == [3, 2]

@@ -13,7 +13,6 @@ from robincheck.intervals import (
     _GAMMA_NUM,
     _GUARD,
     Comparison,
-    DomainError,
     Dyadic,
     GAMMA_MAX_BITS,
     PrecisionConfig,
@@ -50,17 +49,21 @@ def _contains(outer: RealInterval, inner: RealInterval) -> bool:
             and inner.hi.as_fraction() <= outer.hi.as_fraction())
 
 
+def _scaled(bounds: tuple[int, int], bits: int) -> RealInterval:
+    """A kernel's bounds (L, H) at scale 2**W, as [L / 2**W, H / 2**W]."""
+    W = bits + _GUARD
+    return RealInterval(Dyadic(bounds[0], -W), Dyadic(bounds[1], -W))
+
+
 def _ln_interval(x: Fraction, bits: int) -> RealInterval:
     """The ln kernel on an exact rational x > 0, as an interval at 2**-W."""
-    W = bits + _GUARD
-    L, H = _ln_fp(x.numerator, x.denominator, W)
-    return RealInterval(Dyadic(L, -W), Dyadic(H, -W), bits)
+    return _scaled(_ln_fp(x.numerator, x.denominator, bits + _GUARD), bits)
 
 
 def _gamma_bracket(bits: int) -> RealInterval:
     """The embedded gamma digits' bracket, rounded outward at bits + _GUARD."""
     return outward_interval(_GAMMA_NUM, _GAMMA_NUM + 1, _GAMMA_DEN,
-                            bits + _GUARD, bits)
+                            bits + _GUARD)
 
 
 def _rhs_of_enclosure(lo: Fraction, hi: Fraction) -> RealInterval:
@@ -125,7 +128,7 @@ class TestEulerGamma:
 
 class TestExpGamma:
     def test_contains_value(self):
-        iv = exp_gamma(53)
+        iv = _scaled(exp_gamma(53), 53)
         # oracle: exponentiate the published gamma digits at high precision
         target = mpmath.exp(mpmath.mpf(oracles.GAMMA_60_DIGITS))
         assert _contains_mp(iv, target)
@@ -133,13 +136,13 @@ class TestExpGamma:
 
     @pytest.mark.parametrize("bits", [8, 24, 53, 200, 1024])
     def test_bounds_between_1_and_2(self, bits):
-        iv = exp_gamma(bits)
+        iv = _scaled(exp_gamma(bits), bits)
         assert iv.lo.as_fraction() > 1
         assert iv.hi.as_fraction() < 2
         assert _width(iv) <= Fraction(4, 2**bits)
 
     def test_refinement_nesting(self):
-        assert _contains(exp_gamma(53), exp_gamma(128))
+        assert _contains(_scaled(exp_gamma(53), 53), _scaled(exp_gamma(128), 128))
 
     def test_precision_unsupported(self):
         with pytest.raises(PrecisionUnsupported):
@@ -170,8 +173,25 @@ class TestLn:
     def test_domain_error(self):
         # the RHS kernel is the ln entry point that takes outside bounds
         for x in (Fraction(0), Fraction(-3, 7)):
-            with pytest.raises(DomainError):
-                _rhs_of_enclosure(x, Fraction(2))
+            assert _rhs_of_enclosure(x, Fraction(2)) is None
+
+    def test_reduction_boundaries(self):
+        # num/den exactly at 2/3 * 2^k and 4/3 * 2^k, where the argument
+        # reduction's power of two changes, and their +-1 neighbours, both
+        # in lowest terms and at a large common scale (not reduced)
+        W = 53 + _GUARD
+        for k in range(-70, 71):
+            for c in (2, 4):
+                for scale in (1, 10**25):
+                    num = c * scale << max(k, 0)
+                    den = 3 * scale << max(-k, 0)
+                    for a, b in ((num, den), (num - 1, den), (num + 1, den),
+                                 (num, den - 1), (num, den + 1)):
+                        iv = _scaled(_ln_fp(a, b, W), 53)
+                        true = mpmath.log(a) - mpmath.log(b)
+                        assert _contains_mp(iv, true), (k, c, scale, a, b)
+                        assert _width(iv) <= Fraction(1, 2**53) * max(
+                            1, abs(iv.hi.as_fraction()))
 
     def test_soundness_random_rationals(self):
         # spec-scale randomized soundness run: oracle value always inside
@@ -220,8 +240,7 @@ class TestLnOfInterval:
 
     def test_domain_error_on_nonpositive_lo(self):
         for lo in (-(1 << (_W53 - 4)), 0, 1 << _W53):  # x = -1/16, 0, 1
-            with pytest.raises(DomainError):
-                _rhs_from_log(lo, 1 << (_W53 + 1), 53)
+            assert _rhs_from_log(lo, 1 << (_W53 + 1), 53) is None
 
     def test_monotone_endpoints(self):
         iv = _rhs_of_enclosure(Fraction(2), Fraction(3))
@@ -244,13 +263,13 @@ class TestPrecisionLadder:
 
 class TestCompare:
     def test_trivial_cases(self):
-        rhs = RealInterval(Dyadic(1, 0), Dyadic(2, 0), 53)
+        rhs = RealInterval(Dyadic(1, 0), Dyadic(2, 0))
         assert compare(Fraction(1, 2), rhs) is Comparison.LESS
         assert compare(Fraction(3), rhs) is Comparison.GREATER
         assert compare(Fraction(3, 2), rhs) is Comparison.OVERLAPPING
 
     def test_endpoints_overlap(self):
-        rhs = RealInterval(Dyadic(1, 0), Dyadic(2, 0), 53)
+        rhs = RealInterval(Dyadic(1, 0), Dyadic(2, 0))
         assert compare(Fraction(1), rhs) is Comparison.OVERLAPPING
         assert compare(Fraction(2), rhs) is Comparison.OVERLAPPING
 
@@ -260,7 +279,7 @@ class TestCompare:
     @example(Fraction(-3, 8), -3, 0, -3, "hi")
     @settings(max_examples=500)
     def test_agrees_with_fraction_reference(self, fr, m, w, e, where):
-        rhs = RealInterval(Dyadic(m, e), Dyadic(m + w, e), 53)
+        rhs = RealInterval(Dyadic(m, e), Dyadic(m + w, e))
         if where != "free":  # lhs exactly on an endpoint
             fr = oracles.dyadic_fraction(rhs.lo if where == "lo" else rhs.hi)
         assert compare(fr, rhs).value == oracles.compare_by_fractions(fr, rhs)
@@ -281,7 +300,10 @@ class TestCompare:
 
 
 class TestSharedExponent:
-    """Every enclosure the package builds: lo.m <= hi.m at one exponent."""
+    """Every enclosure the package builds: lo.m <= hi.m at one exponent.
+
+    The integer kernels' bounds share their scale 2**W by construction.
+    """
 
     @staticmethod
     def _check(iv):
@@ -292,9 +314,11 @@ class TestSharedExponent:
         W = bits + _GUARD
         for f in (primes.factorize(5041), primes.primorial_factorization(100),
                   primes.factorize(2**40)):
-            self._check(robin.log_n(f, bits))
+            lo, hi = robin.log_n(f, bits)
+            assert lo <= hi
             self._check(robin.robin_rhs(f, bits))
-        self._check(exp_gamma(bits))
+        lo, hi = exp_gamma(bits)
+        assert lo <= hi
         self._check(_rhs_from_log(3 << W, (3 << W) + 1, bits))
         self._check(_rhs_from_log(5 << (W - 2), 7 << (W + 100), bits))
 
@@ -307,9 +331,9 @@ class TestSharedExponent:
 
     def test_constructor_refuses_other_shapes(self):
         with pytest.raises(ValueError):
-            RealInterval(Dyadic(1, 0), Dyadic(2, -1), 53)  # 1 <= 1, two exponents
+            RealInterval(Dyadic(1, 0), Dyadic(2, -1))  # 1 <= 1, two exponents
         with pytest.raises(ValueError):
-            RealInterval(Dyadic(3, -2), Dyadic(2, -2), 53)
+            RealInterval(Dyadic(3, -2), Dyadic(2, -2))
 
 
 class TestExactRatioAlgebra:

@@ -16,7 +16,14 @@ from robincheck.factorization import (
     sigma_int,
     sigma_over_n_fraction,
 )
-from robincheck.intervals import PrecisionConfig
+from robincheck.intervals import (
+    _GUARD,
+    Comparison,
+    DEFAULT_PRECISION,
+    Dyadic,
+    PrecisionConfig,
+    RealInterval,
+)
 
 import oracles
 
@@ -79,26 +86,35 @@ class TestSigmaOverN:
         assert fr.numerator == 403 and fr.denominator == 105
 
 
+def _log_n_interval(f, bits):
+    """log_n's bounds on ln(n) * 2**W, as [Fraction(lo, 2**W), Fraction(hi, 2**W)]."""
+    W = bits + _GUARD
+    lo, hi = robin.log_n(f, bits)
+    return RealInterval(Dyadic(lo, -W), Dyadic(hi, -W))
+
+
 class TestLogN:
     def test_ln2(self):
-        iv = robin.log_n(Factorization(((2, 1),)), 53)
+        iv = _log_n_interval(Factorization(((2, 1),)), 53)
         assert oracles.agrees_with_decimal(iv, "0.6931")
         assert oracles.interval_contains_mp(iv, mpmath.log(2))
 
     def test_5040(self):
-        iv = robin.log_n(primes.factorize(5040), 53)
+        iv = _log_n_interval(primes.factorize(5040), 53)
         assert oracles.agrees_with_decimal(iv, "8.5252")
         assert oracles.interval_contains_mp(iv, mpmath.log(5040))
 
     def test_width_halves_when_precision_doubles(self):
         f = primes.factorize(720720)
-        w53, w106 = (iv.hi.as_fraction() - iv.lo.as_fraction()
-                     for iv in (robin.log_n(f, 53), robin.log_n(f, 106)))
-        assert w106 <= w53 / 2
+
+        def width(bits):
+            lo, hi = robin.log_n(f, bits)
+            return Fraction(hi - lo, 1 << (bits + _GUARD))
+        assert width(106) <= width(53) / 2
 
     def test_huge_primorial_without_materializing(self):
         f = primes.primorial_factorization(10**4)
-        iv = robin.log_n(f, 53)
+        iv = _log_n_interval(f, 53)
         # theta(p_10000) = sum of ln p; oracle at 50 digits
         true = mpmath.fsum(mpmath.log(p) for p in primes.primes_up_to(104729))
         assert oracles.interval_contains_mp(iv, true)
@@ -130,7 +146,7 @@ class TestRobinRhs:
         # e^g ln(sum k ln p) versus e^g ln(ln n) on the materialized n:
         # the same real, so the enclosures must overlap and both must
         # contain the oracle value
-        from robincheck.intervals import _GUARD, _ln_fp
+        from robincheck.intervals import _ln_fp
         W = 53 + _GUARD
         for n in (5040, 5041, 30030, 720720, 2**31 - 1):
             f = primes.factorize(n)
@@ -163,6 +179,31 @@ class TestCheck:
         assert r.verdict is robin.Verdict.VIOLATED
         assert r.reason == robin.REASON_RHS_UNDEFINED
         assert r.rhs is None
+
+    def test_n2_at_any_start_bits(self):
+        for bits in (1, 24, 53, 128):
+            r = robin.check(Factorization(((2, 1),)),
+                            PrecisionConfig(start_bits=bits))
+            assert r.verdict is robin.Verdict.VIOLATED
+            assert r.reason == robin.REASON_RHS_UNDEFINED
+            assert r.precision_used == bits
+            assert r.rhs is None and r.margin_lower_bound is None
+
+    def test_ladder_exhausted_is_indeterminate(self, monkeypatch):
+        # no real input stays undecided at 4096 bits; force every rung
+        # to overlap so the end of the ladder is reached
+        monkeypatch.setattr(robin, "compare",
+                            lambda lhs, rhs: Comparison.OVERLAPPING)
+        r = robin.check(primes.factorize(5041))
+        assert r.verdict is robin.Verdict.INDETERMINATE
+        assert r.reason == robin.REASON_ESCALATION_EXHAUSTED
+        assert r.precision_used == list(DEFAULT_PRECISION.ladder())[-1]
+        assert r.margin_lower_bound is None
+        with mpmath.workdps(1300):  # the 4096-bit rung is 1233 digits wide
+            assert oracles.interval_contains_mp(r.rhs, oracles.rhs_mp(5041))
+        # n = 2 is decided before any comparison
+        r2 = robin.check(Factorization(((2, 1),)))
+        assert r2.verdict is robin.Verdict.VIOLATED
 
     def test_check_n(self):
         assert robin.check_n(5040).verdict is robin.Verdict.VIOLATED
