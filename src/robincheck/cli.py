@@ -8,24 +8,27 @@ budget, a scan end above 10^12, a start precision above the gamma digits
 or a substituted prime past the Miller-Rabin range), 65 raw input too
 large to factor (use a factor string), 74 the output could not be opened
 or written (nothing is printed for a reader that closed the pipe early).
-Exact integers print through ``output.int_str``.
+Exact integers print through ``output.int_str``, except q_m in
+conjecture1, whose digits carry from row to row as exact Decimals.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import errno
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 from . import explorer, primes, robin, theorems
 from .factorization import Factorization, sigma_int
 from .intervals import _GUARD, PrecisionConfig, dyadic_from_fraction
 from .output import (
+    exact_context,
     int_str,
     interval_json,
     interval_sig,
@@ -300,10 +303,12 @@ def _cmd_scan(args, cfg: PrecisionConfig, out: TextIO) -> int:
             "violations": rows,
             "indeterminates": indeterminates,
         }, out)
-    elif args.format == "csv":
-        print(summary, file=sys.stderr)
     else:
-        out.write(summary + "\n")
+        # CSV keeps its rows on stdout and reports the rest on stderr
+        report = sys.stderr if args.format == "csv" else out
+        for n in indeterminates:
+            report.write(f"INDETERMINATE n={n}\n")
+        report.write(summary + "\n")
     if found:
         return EXIT_VIOLATED
     if indeterminates:
@@ -319,6 +324,25 @@ CONJ1_CSV_HEADER = ("m,p_m,q_m_num,q_m_den,q_m_dec,alpha_lo,alpha_hi,"
                     "ratio_lo,ratio_hi,n_exceeds_5040")
 
 
+def _q_digits(m_max: int) -> Iterator[tuple[str, str]]:
+    """The digits of q_m's numerator and denominator, for m = 1..m_max.
+
+    Exact Decimals carried from row to row along ``explorer.q_steps``
+    convert in linear time, where each row's int would cost a
+    superlinear ``int_str`` from scratch.
+    """
+    ctx = exact_context()
+    qn = qd = decimal.Decimal(1)
+    for p, g1, g2 in explorer.q_steps(m_max):
+        if g1 != 1:
+            qn = ctx.divide_int(qn, g1)
+        if g2 != 1:
+            qd = ctx.divide_int(qd, g2)
+        qn = ctx.multiply(qn, (p + 1) // g2)
+        qd = ctx.multiply(qd, p // g1)
+        yield str(qn), str(qd)
+
+
 def _cmd_conjecture1(args, cfg: PrecisionConfig, out: TextIO) -> int:
     if args.m_max < 1:
         raise _UsageError("m_max must be >= 1")
@@ -327,11 +351,12 @@ def _cmd_conjecture1(args, cfg: PrecisionConfig, out: TextIO) -> int:
         out.write(_conjecture1_svg(table))
         return EXIT_SATISFIED
     rows = ({"m": r.m, "p_m": r.p_m,
-             "q_m": {"num": int_str(r.q_num), "den": int_str(r.q_den)},
+             "q_m": {"num": num, "den": den},
              "q_m_dec": sig_str_num_den(r.q_num, r.q_den),
              "alpha": interval_json(r.alpha),
              "ratio": interval_json(r.ratio),
-             "n_exceeds_5040": r.n_exceeds_5040} for r in table)
+             "n_exceeds_5040": r.n_exceeds_5040}
+            for r, (num, den) in zip(table, _q_digits(args.m_max)))
     if args.format == "json":
         _write_json({"rows": list(rows)}, out)
     elif args.format == "csv":

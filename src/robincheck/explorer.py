@@ -28,7 +28,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 from typing import Iterator, Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ from .intervals import (
     PrecisionConfig,
     RealInterval,
     _ln_fp,
-    outward_interval,
+    outward_ratio,
 )
 from .robin import (
     CheckResult,
@@ -240,31 +240,64 @@ class ConjectureRow:
     n_exceeds_5040: bool
 
 
+def q_steps(m_max: int) -> Iterator[tuple[int, int, int]]:
+    """(p, g1, g2) for the first m_max primes p, ascending.
+
+    q = qn/qd = prod (p_j + 1)/p_j stays in lowest terms when each p
+    updates it to (qn // g1 * ((p + 1) // g2)) / (qd // g2 * (p // g1)),
+    with g1 = gcd(qn, p) and g2 = gcd(qd, p + 1).  Both gcds come from
+    bookkeeping instead of from the big qn and qd: the exponents of the
+    primes of qn, the squarefree set of primes of qd, and p + 1 trial
+    divided by the earlier primes.
+    """
+    plist = _primes.first_primes(m_max)
+    num_exp: dict[int, int] = {}  # prime -> exponent in qn
+    den_primes: set[int] = set()  # the primes of qd, each to the first power
+    for p in plist:
+        powers, _ = _primes.factor_small(p + 1, plist)
+        g2 = 1
+        for r, e in powers:
+            if r in den_primes:
+                den_primes.remove(r)
+                g2 *= r
+                e -= 1
+            if e:
+                num_exp[r] = num_exp.get(r, 0) + e
+        if num_exp.get(p):
+            num_exp[p] -= 1
+            g1 = p
+        else:
+            den_primes.add(p)
+            g1 = 1
+        yield p, g1, g2
+
+
 def conjecture31_table(
     m_max: int, cfg: PrecisionConfig = DEFAULT_PRECISION
 ) -> list[ConjectureRow]:
     """Rows m = 1..m_max; q exact, alpha/ratio certified enclosures.
 
     ln(primorial) is accumulated as sum ln p_j in fixed point, so the
-    primorial itself is never materialized.
+    primorial itself is never materialized, and q is updated along
+    ``q_steps``, so no row takes a gcd of its exact q.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     bits = cfg.start_bits
     W = bits + _GUARD
-    plist = _primes.first_primes(m_max)
     rows: list[ConjectureRow] = []
     qn, qd = 1, 1
     s_lo = s_hi = 0  # fixed-point bounds on sum ln p_j
     primorial = 1
     exceeded = False
-    for m, p in enumerate(plist, 1):
-        # q *= (p+1)/p staying in lowest terms via small gcds only:
-        # qd stays squarefree, so both gcds have single-word cofactors.
-        g1 = gcd(qn, p)
-        g2 = gcd(qd, p + 1)
-        qn = (qn // g1) * ((p + 1) // g2)
-        qd = (qd // g2) * (p // g1)
+    for m, (p, g1, g2) in enumerate(q_steps(m_max), 1):
+        # a big int divided by 1 still costs a full pass: skip it
+        if g1 != 1:
+            qn //= g1
+        if g2 != 1:
+            qd //= g2
+        qn *= (p + 1) // g2
+        qd *= p // g1
         L, H = _ln_prime_fp(p, W)
         s_lo += L
         s_hi += H
@@ -273,8 +306,8 @@ def conjecture31_table(
             exceeded = primorial > 5040
         alpha = _rhs_from_log(s_lo, s_hi, bits)
         # alpha / q; alpha's shared exponent is about -W, below 0
-        ratio = None if alpha is None else outward_interval(
-            alpha.lo.m * qd, alpha.hi.m * qd, qn << -alpha.lo.e, W)
+        ratio = None if alpha is None else outward_ratio(
+            alpha.lo.m, alpha.hi.m, qd, qn, -alpha.lo.e, W)
         rows.append(
             ConjectureRow(m, p, qn, qd, alpha, ratio, exceeded)
         )

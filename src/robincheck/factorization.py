@@ -4,6 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+
+# Below this many entries Fraction's one gcd of the unreduced terms is
+# cheaper than cancelling prime by prime (measured on primorials).
+_CANCEL_MIN_ENTRIES = 1200
+# sigma(p) = p + 1 is factored over the primes up to this bound, which
+# factors it completely for every p below about 4 * 10^6
+_SMALL_PRIME_BOUND = 1 << 11
+
+# Fraction(num, den) from coprime num, den > 0 without Fraction's gcd:
+# Python 3.12 names it _from_coprime_ints, 3.10 and 3.11 _normalize=False
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
+    lambda num, den: Fraction(num, den, _normalize=False))
 
 
 class EmptyFactorization(Exception):
@@ -87,21 +100,60 @@ class Factorization:
 
 
 def sigma_over_n_fraction(f: Factorization) -> Fraction:
-    """Exact sigma(n)/n = prod (p^(k+1) - 1) / (p^k (p - 1)), lowest terms.
+    """Exact sigma(n)/n = prod sigma(p^k) / prod p^k, in lowest terms.
 
-    Numerators and denominators are accumulated unreduced through a
-    balanced product and reduced once at the end, which keeps the gcd
-    work linear-ish even for factorizations with 10^5 primes.
+    A factorization of fewer than ``_CANCEL_MIN_ENTRIES`` entries builds
+    the unreduced fraction and lets ``Fraction`` reduce it.  That one gcd
+    is quadratic in the size of n in CPython, so a larger factorization
+    is reduced prime by prime instead: each sigma(p) = p + 1 is factored
+    over the primes up to ``_SMALL_PRIME_BOUND`` and its primes cancel
+    against the denominator's exponents, since only n's primes can
+    divide the reduced denominator.  The rest of the numerator (every
+    sigma(p^k) with k > 1, and any part of a p + 1 that trial division
+    could not factor) meets the denominator in one gcd whose smaller
+    side is only that rest.
     """
     if not f.entries:
         raise EmptyFactorization("sigma(1) has no factored form here")
-    nums = []
-    dens = []
+    if len(f.entries) < _CANCEL_MIN_ENTRIES:
+        nums = []
+        dens = []
+        for p, k in f.entries:
+            pk = p ** k
+            nums.append(pk * p - 1)
+            dens.append(pk * (p - 1))
+        return Fraction(_tree_product(nums), _tree_product(dens))
+    from .primes import factor_small, primes_up_to  # primes imports this module
+    small = primes_up_to(_SMALL_PRIME_BOUND)
+    left = dict(f.entries)  # each prime's exponent still in the denominator
+    kept = []  # numerator terms coprime to the reduced denominator
+    rest = []  # numerator terms still to meet the denominator
     for p, k in f.entries:
-        pk = p ** k
-        nums.append(pk * p - 1)
-        dens.append(pk * (p - 1))
-    return Fraction(_tree_product(nums), _tree_product(dens))
+        if k > 1:
+            rest.append((p ** (k + 1) - 1) // (p - 1))
+            continue
+        powers, unfactored = factor_small(p + 1, small)
+        if unfactored > 1:
+            rest.append(unfactored)
+        term = 1
+        for r, e in powers:
+            d = left.get(r, 0)
+            if d:
+                cut = min(d, e)
+                left[r] = d - cut
+                e -= cut
+            if e:
+                term *= r ** e
+        kept.append(term)
+    num = _tree_product(kept)
+    den = _tree_product([p ** d for p, d in left.items() if d])
+    if rest:
+        tail = _tree_product(rest)
+        g = gcd(tail, den)
+        num *= tail // g
+        if g != 1:
+            den //= g
+    return _coprime_fraction(num, den)
 
 
 def sigma_int(f: Factorization) -> int:

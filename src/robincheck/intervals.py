@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 
 class PrecisionUnsupported(Exception):
@@ -141,11 +141,76 @@ def outward_interval(lo_num: int, hi_num: int, den: int,
     the larger exponent is then shifted left onto the smaller, which is
     exact, so the endpoints keep their values and share one exponent.
     """
-    lo = dyadic_from_num_den(lo_num, den, bits, False)
-    hi = dyadic_from_num_den(hi_num, den, bits, True)
+    return _shared_exponent(dyadic_from_num_den(lo_num, den, bits, False),
+                            dyadic_from_num_den(hi_num, den, bits, True))
+
+
+def _shared_exponent(lo: Dyadic, hi: Dyadic) -> RealInterval:
+    """[lo, hi] with the endpoint at the larger exponent shifted, exactly."""
     e = min(lo.e, hi.e)
     return RealInterval(Dyadic(lo.m << (lo.e - e), e),
                         Dyadic(hi.m << (hi.e - e), e))
+
+
+# outward_ratio keeps this many bits of x and y beyond the requested ones
+_TOP_SLACK_BITS = 64
+
+
+def outward_ratio(lo_m: int, hi_m: int, x: int, y: int, e: int,
+                  bits: int) -> RealInterval:
+    """The interval outward_interval(lo_m * x, hi_m * x, y << e, bits) returns.
+
+    For lo_m > 0, huge x, y > 0 and e >= 0 its endpoints are usually
+    decided by the top ``bits + _TOP_SLACK_BITS`` bits of x and y, which
+    spares the full-size products and divisions (Ziv's rounding test).
+    Where the truncation leaves an endpoint undecided, or lo_m <= 0, the
+    exact ``outward_interval`` computes both.
+    """
+    keep = max(bits + _TOP_SLACK_BITS, 1)
+    t = max(x.bit_length() - keep, 0)
+    u = max(y.bit_length() - keep, 0)
+    # x lies in [x0, x1] * 2**t and y in [y0, y1] * 2**u
+    x0, y0 = x >> t, y >> u
+    x1, y1 = x0 + (t > 0), y0 + (u > 0)
+    den_size = y.bit_length() + e
+    ends = []
+    for a, round_up in ((lo_m, False), (hi_m, True)):
+        end = _top_quotient(a * x0, a * x1, y0, y1, t - u - e, t - den_size,
+                            bits, round_up)
+        if end is None:
+            return outward_interval(lo_m * x, hi_m * x, y << e, bits)
+        ends.append(end)
+    return _shared_exponent(*ends)
+
+
+def _top_quotient(n0: int, n1: int, d0: int, d1: int, scale: int, size: int,
+                  bits: int, round_up: bool) -> Optional[Dyadic]:
+    """``dyadic_from_num_den`` of a num/den bracketed by its truncations.
+
+    num lies in [n0, n1] * 2**t and den in [d0, d1] * 2**u (d0 > 0),
+    scale = t - u and size = t - den.bit_length().  The rounding shift
+    needs num's bit length, the mantissa the directed quotient; each is
+    taken only when both ends of the brackets agree on it, else None.
+    """
+    num_size = n0.bit_length()
+    if n0 <= 0 or n1.bit_length() != num_size:
+        return None
+    shift = bits + 2 - (num_size + size)
+    s = shift + scale
+    # num * 2**shift / den lies in [n0 / d1, n1 / d0] * 2**s
+    if s >= 0:
+        lo_n, lo_d, hi_n, hi_d = n0 << s, d1, n1 << s, d0
+    else:
+        lo_n, lo_d, hi_n, hi_d = n0, d1 << -s, n1, d0 << -s
+    if round_up:
+        m = -(-lo_n // lo_d)
+        if m != -(-hi_n // hi_d):
+            return None
+    else:
+        m = lo_n // lo_d
+        if m != hi_n // hi_d:
+            return None
+    return Dyadic(m, -shift)
 
 
 class Comparison(enum.Enum):

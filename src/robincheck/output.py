@@ -42,12 +42,21 @@ def int_str(n: int) -> str:
         hi = v >> k
         return to_decimal(hi, bits - k) * pow2[k] + to_decimal(v - (hi << k), k)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(exact_context()):
         digits = str(to_decimal(abs(n), n.bit_length()))
     return "-" + digits if n < 0 else digits
+
+
+def exact_context() -> decimal.Context:
+    """A decimal context in which integer arithmetic is exact.
+
+    Its precision is the largest there is, and a result that would need
+    rounding raises ``decimal.Inexact`` instead.  An integral Decimal
+    converts to its digits by str() in linear time.
+    """
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = True
+    return ctx
 
 
 def sig_str_num_den(num: int, den: int, sig: int = 6) -> str:

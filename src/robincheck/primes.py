@@ -161,6 +161,32 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return _SOURCE.primes_up_to(limit)
 
 
+def factor_small(c: int, small: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
+    """Trial division of c >= 1 by ``small``, every prime up to small[-1].
+
+    Returns the prime powers (r, e) found, ascending, and the part of c
+    they leave: 1 when c factored completely.  Otherwise the primes ran
+    out below the square root of that part, which then has no prime
+    factor in ``small`` and is at least small[-1]**2.
+    """
+    powers = []
+    for r in small:
+        if r * r > c:
+            break
+        if c % r == 0:
+            c //= r
+            e = 1
+            while c % r == 0:
+                c //= r
+                e += 1
+            powers.append((r, e))
+    if c >= small[-1] ** 2:
+        return powers, c
+    if c > 1:
+        powers.append((c, 1))
+    return powers, 1
+
+
 def primorial_factorization(m: int) -> Factorization:
     """Product of the first m primes, every exponent 1."""
     if m < 1:

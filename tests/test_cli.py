@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from robincheck import cli, output, primes, robin, theorems
+from robincheck import cli, explorer, output, primes, robin, theorems
 from robincheck.intervals import Comparison
 from robincheck.factorization import sigma_over_n_fraction
 
@@ -204,6 +204,20 @@ class TestUndecided:
         assert report["violations"] == []
         assert report["indeterminates"] == [5040]
 
+    def test_scan_human_names_the_undecided_n(self, capsys):
+        code, out, _ = run_cli(["scan", "5000", "5100"], capsys)
+        assert code == 2
+        assert out == ("INDETERMINATE n=5040\n"
+                       "checked=101 violations=0 indeterminates=1\n")
+
+    def test_scan_csv_names_the_undecided_n_on_stderr(self, capsys):
+        code, out, err = run_cli(["scan", "5000", "5100", "--format", "csv"],
+                                 capsys)
+        assert code == 2
+        assert out == cli.SCAN_CSV_HEADER + "\n"
+        assert err == ("INDETERMINATE n=5040\n"
+                       "checked=101 violations=0 indeterminates=1\n")
+
     def test_prime_powers(self, capsys):
         # a short ladder: 110 prime powers each climb every rung
         code, out, _ = run_cli(["prime-powers", "--limit", "6000",
@@ -364,6 +378,21 @@ class TestConjecture1Command:
         assert [r["m"] for r in doc["rows"]] == [1, 2, 3]
         assert doc["rows"][1]["q_m"] == {"num": "2", "den": "1"}
         assert doc["rows"][0]["alpha"] is None
+
+    def test_csv_and_json_q_digits_equal_the_rows(self, capsys):
+        # q's digits carry from row to row as Decimals; each must equal
+        # the row's exact int
+        rows = explorer.conjecture31_table(1000)
+        _, out, _ = run_cli(["conjecture1", "1000", "--format", "csv"], capsys)
+        lines = out.strip().split("\n")[1:]
+        assert len(lines) == len(rows)
+        for row, line in zip(rows, lines):
+            cells = line.split(",")
+            assert cells[2:4] == [str(row.q_num), str(row.q_den)], row.m
+        _, out, _ = run_cli(["conjecture1", "1000", "--format", "json"],
+                            capsys)
+        assert [r["q_m"] for r in json.loads(out)["rows"]] == [
+            {"num": str(r.q_num), "den": str(r.q_den)} for r in rows]
 
     def test_csv_q_dec_within_one_ulp_of_exact(self, capsys):
         code, out, _ = run_cli(["conjecture1", "12", "--format", "csv"],

@@ -6,14 +6,16 @@ import os
 import random
 import types
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robincheck import explorer, primes, robin
+from robincheck import explorer, intervals, primes, robin
 from robincheck.factorization import Factorization, sigma_int
+from robincheck.intervals import _GUARD, DEFAULT_PRECISION
 from robincheck.robin import Verdict
 
 import oracles
@@ -242,6 +244,69 @@ class TestConjecture31Table:
         mids = [r.ratio.midpoint() for r in rows if r.ratio is not None][9:]
         for a, b in zip(mids, mids[1:]):
             assert b >= a
+
+
+def _reference_table(m_max):
+    """The primorial table with q reduced by exact gcds and ratio divided exactly."""
+    bits = DEFAULT_PRECISION.start_bits
+    W = bits + _GUARD
+    rows, steps = [], []
+    qn = qd = 1
+    s_lo = s_hi = 0
+    primorial = 1
+    for m, p in enumerate(primes.first_primes(m_max), 1):
+        g1, g2 = gcd(qn, p), gcd(qd, p + 1)
+        steps.append((p, g1, g2))
+        qn = (qn // g1) * ((p + 1) // g2)
+        qd = (qd // g2) * (p // g1)
+        L, H = robin._ln_prime_fp(p, W)
+        s_lo += L
+        s_hi += H
+        primorial *= p
+        alpha = robin._rhs_from_log(s_lo, s_hi, bits)
+        ratio = None if alpha is None else intervals.outward_interval(
+            alpha.lo.m * qd, alpha.hi.m * qd, qn << -alpha.lo.e, W)
+        rows.append(explorer.ConjectureRow(m, p, qn, qd, alpha, ratio,
+                                           primorial > 5040))
+    return rows, steps
+
+
+class TestTableWithoutBigGcds:
+    """q from bookkeeping and ratio from q's top bits equal the exact table."""
+
+    M = 3000
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _reference_table(self.M)
+
+    @staticmethod
+    def _count_exact_ratios(monkeypatch):
+        calls = []
+        exact = intervals.outward_interval
+
+        def counting(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(intervals, "outward_interval", counting)
+        return calls
+
+    def test_q_steps_equal_the_gcds(self, reference):
+        assert list(explorer.q_steps(self.M)) == reference[1]
+
+    def test_rows_equal_and_top_bits_decide_every_ratio(self, reference,
+                                                         monkeypatch):
+        exact_calls = self._count_exact_ratios(monkeypatch)
+        assert explorer.conjecture31_table(self.M) == reference[0]
+        assert exact_calls == []
+
+    def test_rows_equal_when_every_ratio_falls_back(self, reference,
+                                                    monkeypatch):
+        monkeypatch.setattr(intervals, "_TOP_SLACK_BITS", -10 ** 6)
+        exact_calls = self._count_exact_ratios(monkeypatch)
+        assert explorer.conjecture31_table(self.M) == reference[0]
+        assert len(exact_calls) == self.M - 1  # every row but m = 1
 
 
 class TestConjecture32Probe:

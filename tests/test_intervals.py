@@ -23,8 +23,9 @@ from robincheck.intervals import (
     dyadic_from_fraction,
     exp_gamma,
     outward_interval,
+    outward_ratio,
 )
-from robincheck import explorer, primes, robin
+from robincheck import explorer, intervals, primes, robin
 from robincheck.robin import _rhs_from_log
 
 import oracles
@@ -334,6 +335,27 @@ class TestSharedExponent:
             RealInterval(Dyadic(1, 0), Dyadic(2, -1))  # 1 <= 1, two exponents
         with pytest.raises(ValueError):
             RealInterval(Dyadic(3, -2), Dyadic(2, -2))
+
+
+class TestOutwardRatio:
+    """outward_ratio returns what the exact outward_interval returns."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lo=st.integers(-3, 2 ** 150), width=st.integers(0, 2 ** 90),
+           x=st.integers(1, 2 ** 700), y=st.integers(1, 2 ** 700),
+           e=st.integers(0, 120), bits=st.integers(1, 160),
+           slack=st.sampled_from([-10 ** 6, 0, 4, 8, 64]))
+    # 3x is just past 2**300 while its truncation is below: the shift
+    # must come from both ends
+    @example(lo=3, width=0, x=(2 ** 300 + 2) // 3, y=3, e=0, bits=53,
+             slack=64)
+    def test_equals_exact(self, lo, width, x, y, e, bits, slack):
+        # slack 4 or 8 leaves many endpoints undecided; -10**6 keeps one
+        # bit, so the exact path decides nearly every case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "_TOP_SLACK_BITS", slack)
+            got = outward_ratio(lo, lo + width, x, y, e, bits)
+        assert got == outward_interval(lo * x, (lo + width) * x, y << e, bits)
 
 
 class TestExactRatioAlgebra:

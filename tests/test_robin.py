@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robincheck import primes, robin
+from robincheck import factorization, primes, robin
 from robincheck.factorization import (
     EmptyFactorization,
     Factorization,
@@ -84,6 +84,90 @@ class TestSigmaOverN:
     def test_lowest_terms(self):
         fr = sigma_over_n_fraction(primes.factorize(5040))
         assert fr.numerator == 403 and fr.denominator == 105
+
+
+def _both_paths(f):
+    """(num, den) of sigma_over_n_fraction(f) by Fraction's gcd and by
+    prime cancellation; lowest terms make the pairs unique."""
+    out = []
+    for entries_needed in (10 ** 9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(factorization, "_CANCEL_MIN_ENTRIES", entries_needed)
+            fr = sigma_over_n_fraction(f)
+        out.append((fr.numerator, fr.denominator))
+    return out
+
+
+def _lowest_terms(num, den):
+    fr = Fraction(num, den)
+    return fr.numerator, fr.denominator
+
+
+def _next_prime(n):
+    while not primes.is_prime(n):
+        n += 1
+    return n
+
+
+def _colossally_abundant(k):
+    """The CA number whose largest prime is the k-th (Alaoglu-Erdos exponents)."""
+    plist = primes.first_primes(k + 1)
+    bound = [math.log1p(1 / p) / math.log(p) for p in plist[k - 1:k + 1]]
+    eps = (bound[0] + bound[1]) / 2
+    entries = []
+    for p in plist[:k]:
+        lp = math.log(p)
+        xm1 = math.expm1(eps * lp)
+        entries.append((p, math.floor(
+            (math.log(p * xm1 + p - 1) - math.log(xm1)) / lp) - 1))
+    return Factorization(tuple(entries))
+
+
+_SMALL_BOUND_SQ = factorization._SMALL_PRIME_BOUND ** 2
+
+
+class TestSigmaOverNCancellation:
+    """The per-prime cancellation gives Fraction(sigma(n), n) exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small=st.lists(st.tuples(st.sampled_from(_PRIMES_BELOW_200),
+                                 st.integers(1, 40)),
+                       min_size=0, max_size=6, unique_by=lambda e: e[0]),
+        big=st.integers(_SMALL_BOUND_SQ, 10 ** 13).map(_next_prime),
+        partners=st.lists(st.integers(1, 40), min_size=4, max_size=4),
+    )
+    @example(small=[(2, 3)], big=2 * 2063 * 2087 - 1, partners=[1, 3, 2, 1])
+    def test_equals_sigma_over_n(self, small, big, partners):
+        # big + 1 is past trial division, so it joins the gcd'd rest; the
+        # partners put some of its prime factors into n as well
+        assert primes.is_prime(big)
+        entries = dict(small)
+        entries[big] = 1
+        for (r, _), k in zip(primes.factorize(big + 1).entries, partners):
+            entries.setdefault(r, k)
+        entries = list(entries.items())[:8]
+        f = Factorization(tuple(entries))
+        want = _lowest_terms(sigma_int(f), f.n())
+        assert _both_paths(f) == [want, want]
+        den = want[1]
+        for p, _ in f.entries:
+            while den % p == 0:
+                den //= p
+        assert den == 1  # the denominator's primes are n's
+
+    @pytest.mark.parametrize("m", [1, 2, 3000, 10 ** 4])
+    def test_primorials(self, m):
+        f = primes.primorial_factorization(m)
+        want = _lowest_terms(sigma_int(f), f.n())
+        assert _both_paths(f) == [want, want]
+
+    @pytest.mark.parametrize("k", [50, 1500, 3000, 4500])
+    def test_colossally_abundant(self, k):
+        f = _colossally_abundant(k)
+        assert any(e > 1 for _, e in f.entries)
+        want = _lowest_terms(sigma_int(f), f.n())
+        assert _both_paths(f) == [want, want]
 
 
 def _log_n_interval(f, bits):
