@@ -16,6 +16,7 @@ from .intervals import (
     Comparison,
     DEFAULT_PRECISION,
     Dyadic,
+    InvalidInput,
     PrecisionConfig,
     PrecisionUnsupported,
     RealInterval,

@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Commands: check, scan, conjecture1, conjecture2, bounds, prime-powers,
-substitute.  Exit codes: 0 satisfied/empty, 1 violated/counterexample
-found, 2 indeterminate (also a substitution whose log increase stays
-undecided), 64 usage error (also a request for primes past the sieve
-budget, a scan end above 10^12, a start precision above the gamma digits
-or a substituted prime past the Miller-Rabin range), 65 raw input too
-large to factor (use a factor string), 74 the output could not be opened
-or written (nothing is printed for a reader that closed the pipe early).
-Exact integers print through ``output.int_str``, except q_m in
-conjecture1, whose digits carry from row to row as exact Decimals.
+substitute.  This module parses arguments, renders output and maps
+outcomes to exit codes; the rules behind them live in the library.
+``_exit_code`` maps a command's verdicts to 1 if any is violated, else 2
+if any is indeterminate, else 0.  64 is any ``InvalidInput`` (a usage
+error, primes past the sieve budget, a scan end above 10^12, ...), 65
+raw input too large to factor (use a factor string), 74 output that
+could not be opened or written (nothing is printed for a reader that
+closed the pipe early); a plain ValueError is a bug and ends in a
+traceback.  Exact integers print through ``output.int_str``, except q_m
+in conjecture1, whose digits carry from row to row as exact Decimals.
 """
 
 from __future__ import annotations
@@ -22,11 +23,16 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from . import explorer, primes, robin, theorems
 from .factorization import Factorization, sigma_int
-from .intervals import _GUARD, PrecisionConfig, dyadic_from_fraction
+from .intervals import (
+    _GUARD,
+    InvalidInput,
+    PrecisionConfig,
+    dyadic_from_fraction,
+)
 from .output import (
     exact_context,
     int_str,
@@ -45,24 +51,14 @@ EXIT_USAGE = 64
 EXIT_TOO_LARGE = 65
 EXIT_IOERR = 74
 
-_VERDICT_EXIT = {
-    Verdict.SATISFIED: EXIT_SATISFIED,
-    Verdict.VIOLATED: EXIT_VIOLATED,
-    Verdict.INDETERMINATE: EXIT_INDETERMINATE,
-}
-
 _N_PRINT_DIGITS = 50  # larger n are reported as log10(n)
 
 _DEFAULT_LOG_N_MAX = "27.631021"  # ln(10^12)
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidInput(message)
 
 
 def _build_parser() -> _Parser:
@@ -123,13 +119,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_factors(text: str) -> Factorization:
-    """parse_factor_string, with every grammar refusal as a usage error."""
-    try:
-        return primes.parse_factor_string(text)
-    except (primes.ParseError, primes.NotPrime, primes.DuplicateBase,
-            primes.ZeroExponent) as exc:
-        raise _UsageError(str(exc))
+def _exit_code(verdicts: Iterable[Verdict]) -> int:
+    """1 if any verdict is violated, else 2 if any is undecided, else 0."""
+    seen = set(verdicts)
+    if Verdict.VIOLATED in seen:
+        return EXIT_VIOLATED
+    if Verdict.INDETERMINATE in seen:
+        return EXIT_INDETERMINATE
+    return EXIT_SATISFIED
 
 
 def _write_json(doc, out: TextIO) -> None:
@@ -205,12 +202,9 @@ def _log10_midpoint(f: Factorization) -> Fraction:
 def _cmd_check(args, cfg: PrecisionConfig, out: TextIO) -> int:
     value = args.value.strip()
     if re.fullmatch(r"\d+", value):
-        n = int(value)
-        if n < 2:
-            raise _UsageError("n must be >= 2")
-        f = primes.factorize(n)
+        f = primes.factorize(int(value))
     else:
-        f = _parse_factors(value)
+        f = primes.parse_factor_string(value)
     result = robin.check(f, cfg)
     n_str, log10_str = _n_display(f)
     if args.format != "human":
@@ -251,7 +245,7 @@ def _cmd_check(args, cfg: PrecisionConfig, out: TextIO) -> int:
         if result.margin_lower_bound is not None:
             out.write(f"margin >= {sig_str_dyadic(result.margin_lower_bound)}\n")
         out.write(f"precision = {result.precision_used} bits\n")
-    return _VERDICT_EXIT[result.verdict]
+    return _exit_code([result.verdict])
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +256,12 @@ SCAN_CSV_HEADER = "n,sigma,sigma_over_n_num,sigma_over_n_den,rhs_lo,rhs_hi,reaso
 
 
 def _cmd_scan(args, cfg: PrecisionConfig, out: TextIO) -> int:
-    if args.start < 2 or args.start > args.end:
-        raise _UsageError("need 2 <= start <= end")
-    if args.end > explorer.MAX_SCAN_HI:
-        raise _UsageError(
-            f"end exceeds the supported scan range {explorer.MAX_SCAN_HI}")
+    segments = explorer.iter_scan_results(args.start, args.end, cfg,
+                                          worker_count=args.jobs)
     indeterminates: list[int] = []
 
     def violations():
-        for viol, indet in explorer.iter_scan_results(
-                args.start, args.end, cfg, worker_count=args.jobs):
+        for viol, indet in segments:
             yield from viol
             indeterminates.extend(indet)
 
@@ -309,11 +299,8 @@ def _cmd_scan(args, cfg: PrecisionConfig, out: TextIO) -> int:
         for n in indeterminates:
             report.write(f"INDETERMINATE n={n}\n")
         report.write(summary + "\n")
-    if found:
-        return EXIT_VIOLATED
-    if indeterminates:
-        return EXIT_INDETERMINATE
-    return EXIT_SATISFIED
+    return _exit_code([Verdict.VIOLATED] * found
+                      + [Verdict.INDETERMINATE] * len(indeterminates))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +331,6 @@ def _q_digits(m_max: int) -> Iterator[tuple[str, str]]:
 
 
 def _cmd_conjecture1(args, cfg: PrecisionConfig, out: TextIO) -> int:
-    if args.m_max < 1:
-        raise _UsageError("m_max must be >= 1")
     table = explorer.conjecture31_table(args.m_max, cfg)
     if args.format == "svg":
         out.write(_conjecture1_svg(table))
@@ -426,20 +411,15 @@ def _conjecture1_svg(rows: list[explorer.ConjectureRow]) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_conjecture2(args, cfg: PrecisionConfig, out: TextIO) -> int:
-    if args.prime_count < 1:
-        raise _UsageError("--primes must be >= 1")
     if args.prime_count > 9 and not args.no_prune_justification:
-        raise _UsageError(
+        raise InvalidInput(
             "--primes beyond 9 leaves the corollary-backed range; "
             "pass --no-prune-justification to proceed anyway")
-    if args.max_exp < 1:
-        raise _UsageError("--max-exp must be >= 1")
     try:
         log_n_max = Fraction(args.max_log_n)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"bad --max-log-n value {args.max_log_n!r}")
-    if log_n_max <= 0:
-        raise _UsageError("--max-log-n must be positive")
+        raise InvalidInput(
+            f"bad --max-log-n value {args.max_log_n!r}") from None
     report = explorer.conjecture32_search(
         args.prime_count, args.max_exp, log_n_max, cfg,
         worker_count=args.jobs,
@@ -467,9 +447,9 @@ def _cmd_conjecture2(args, cfg: PrecisionConfig, out: TextIO) -> int:
         out.write(f"bases probed (satisfied, n > 5040) = {report.bases_probed}\n")
         out.write(f"counterexamples = {len(ce_rows)}\n")
         for row in ce_rows:
-            out.write(f"  base {row['base']} index {row['index']} "
-                      f"-> {row['verdict']}\n")
-    return EXIT_VIOLATED if ce_rows else EXIT_SATISFIED
+            at = "" if row["index"] is None else f" index {row['index']}"
+            out.write(f"  base {row['base']}{at} -> {row['verdict']}\n")
+    return _exit_code(r.verdict for _, _, r in report.counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +468,6 @@ def _bound_json(report: theorems.BoundReport) -> dict:
 
 
 def _cmd_bounds(args, cfg: PrecisionConfig, out: TextIO) -> int:
-    if args.m_max < 1:
-        raise _UsageError("m_max must be >= 1")
     table = theorems.bound_table(args.m_max, cfg)
     thr = table[0][1].threshold
     rows = ({"m": u.m, "p_m": p,
@@ -516,8 +494,6 @@ def _cmd_bounds(args, cfg: PrecisionConfig, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_prime_powers(args, cfg: PrecisionConfig, out: TextIO) -> int:
-    if args.limit <= 5040:
-        raise _UsageError("--limit must exceed 5040")
     results = theorems.verify_prime_powers(args.limit, cfg)
     not_satisfied = [r for r in results if r.verdict is not Verdict.SATISFIED]
     if args.format == "csv":
@@ -542,11 +518,7 @@ def _cmd_prime_powers(args, cfg: PrecisionConfig, out: TextIO) -> int:
         out.write(f"all satisfied: {'yes' if not not_satisfied else 'NO'}\n")
         for r in not_satisfied:
             out.write(f"  {r.factorization.as_string()} -> {r.verdict.value}\n")
-    if not not_satisfied:
-        return EXIT_SATISFIED
-    if any(r.verdict is Verdict.VIOLATED for r in not_satisfied):
-        return EXIT_VIOLATED
-    return EXIT_INDETERMINATE
+    return _exit_code(r.verdict for r in not_satisfied)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +526,8 @@ def _cmd_prime_powers(args, cfg: PrecisionConfig, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_substitute(args, cfg: PrecisionConfig, out: TextIO) -> int:
-    f = _parse_factors(args.factors)
-    try:
-        report = theorems.substitution_report(f, args.index, args.new_prime, cfg)
-    except (theorems.NotAnIncrease, theorems.CollidingBase,
-            primes.NotPrime, primes.PrimalityUnknown, IndexError) as exc:
-        raise _UsageError(str(exc))
+    f = primes.parse_factor_string(args.factors)
+    report = theorems.substitution_report(f, args.index, args.new_prime, cfg)
     record = {
         "before": {"factorization": report.before.factorization.as_string(),
                    "verdict": report.before.verdict.value},
@@ -588,10 +556,11 @@ def _cmd_substitute(args, cfg: PrecisionConfig, out: TextIO) -> int:
         increased = ("undecided" if report.rhs_increased is None
                      else report.rhs_increased)
         out.write(f"rhs (log n) certified increased: {increased}\n")
-    code = _VERDICT_EXIT[report.after.verdict]
-    if code == EXIT_SATISFIED and report.rhs_increased is None:
-        return EXIT_INDETERMINATE
-    return code
+    verdicts = [report.after.verdict]
+    if (report.rhs_increased is None
+            or report.before.verdict is Verdict.INDETERMINATE):
+        verdicts.append(Verdict.INDETERMINATE)
+    return _exit_code(verdicts)
 
 
 _COMMANDS = {
@@ -629,14 +598,11 @@ def main(argv=None) -> int:
         # <-> str converts by default; restored for in-process callers
         sys.set_int_max_str_digits(0)
         if args.format == "svg" and args.command != "conjecture1":
-            raise _UsageError("--format svg is only valid for: conjecture1")
-        try:
-            cfg = PrecisionConfig(start_bits=args.precision_bits,
-                                  max_bits=args.max_precision_bits)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+            raise InvalidInput("--format svg is only valid for: conjecture1")
+        cfg = PrecisionConfig(start_bits=args.precision_bits,
+                              max_bits=args.max_precision_bits)
         if args.jobs < 1:
-            raise _UsageError("--jobs must be >= 1")
+            raise InvalidInput("--jobs must be >= 1")
         try:
             out = (sys.stdout if args.output == "-"
                    else open(args.output, "w"))
@@ -654,7 +620,7 @@ def main(argv=None) -> int:
                 print(f"robincheck: cannot write output: {exc}",
                       file=sys.stderr)
             return EXIT_IOERR
-    except (_UsageError, primes.LimitTooLarge) as exc:
+    except InvalidInput as exc:
         print(f"robincheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except primes.InputTooLarge as exc:

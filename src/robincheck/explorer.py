@@ -37,6 +37,7 @@ from .factorization import Factorization
 from .intervals import (
     _GUARD,
     DEFAULT_PRECISION,
+    InvalidInput,
     PrecisionConfig,
     RealInterval,
     _ln_fp,
@@ -180,18 +181,21 @@ def iter_scan_results(
     worker_count: int = 1,
     segment_size: int = SEGMENT_SIZE,
 ) -> Iterator[tuple[list, list]]:
-    """Per-segment (violations, indeterminates), ascending, streamed."""
+    """Per-segment (violations, indeterminates), ascending, streamed.
+
+    The range is refused here, before the first segment is asked for.
+    """
     if lo < 2 or lo > hi:
-        raise ValueError("need 2 <= lo <= hi")
+        raise InvalidInput("need 2 <= lo <= hi")
     if hi > MAX_SCAN_HI:
-        raise ValueError(f"hi exceeds the supported scan range {MAX_SCAN_HI}")
+        raise InvalidInput(f"hi exceeds the supported scan range {MAX_SCAN_HI}")
     tasks = []
     a = lo
     while a <= hi:
         b = min(a + segment_size, hi + 1)
         tasks.append((a, b, cfg))
         a = b
-    yield from _pool_imap(_scan_segment_task, tasks, worker_count)
+    return _pool_imap(_scan_segment_task, tasks, worker_count)
 
 
 def scan_range(
@@ -282,7 +286,7 @@ def conjecture31_table(
     ``q_steps``, so no row takes a gcd of its exact q.
     """
     if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+        raise InvalidInput("m_max must be >= 1")
     bits = cfg.start_bits
     W = bits + _GUARD
     rows: list[ConjectureRow] = []
@@ -319,7 +323,18 @@ def conjecture31_table(
 # ---------------------------------------------------------------------------
 
 class BaseNotSatisfied(Exception):
-    """The probe base must itself satisfy the inequality."""
+    """The probe base must itself satisfy the inequality.
+
+    ``result`` is the base's check, so a search can report it as a row.
+    """
+
+    def __init__(self, result: CheckResult):
+        super().__init__(result)  # the one argument, so it pickles
+        self.result = result
+
+    def __str__(self) -> str:
+        return (f"base {self.result.factorization.as_string()} is "
+                f"{self.result.verdict.value}")
 
 
 @dataclass(frozen=True)
@@ -341,12 +356,12 @@ def conjecture32_probe(
 ) -> ProbeReport:
     """Check every single-exponent increment of a satisfied base > 5040."""
     if not f.entries:
-        raise ValueError("base factorization is empty")
+        raise InvalidInput("base factorization is empty")
     base_result = check(f, cfg)
     if base_result.verdict is not Verdict.SATISFIED:
-        raise BaseNotSatisfied(f"base {f} is {base_result.verdict.value}")
+        raise BaseNotSatisfied(base_result)
     if f.log2_magnitude() <= 64 and f.n() <= 5040:
-        raise ValueError("base must exceed 5040")
+        raise InvalidInput("base must exceed 5040")
     increments = tuple(
         (j, check(f.with_exponent_bumped(j), cfg)) for j in range(len(f))
     )
@@ -360,7 +375,9 @@ class SearchReport:
     log_n_max: Fraction
     candidates_enumerated: int
     bases_probed: int
-    counterexamples: tuple[tuple[Factorization, int, CheckResult], ...]
+    # (base, index, result) per increment that is not satisfied; a base
+    # that is not satisfied itself is one row with index None
+    counterexamples: tuple[tuple[Factorization, Optional[int], CheckResult], ...]
 
 
 def _enumerate_bases(
@@ -405,8 +422,10 @@ def _enumerate_bases(
 
 def _probe_base_task(args):
     entries, cfg = args
-    f = Factorization(entries)
-    report = conjecture32_probe(f, cfg)
+    try:
+        report = conjecture32_probe(Factorization(entries), cfg)
+    except BaseNotSatisfied as exc:
+        return [(entries, None, exc.result)]
     return [(entries, j, r) for j, r in report.failures()]
 
 
@@ -418,28 +437,31 @@ def conjecture32_search(
     worker_count: int = 1,
     non_increasing_only: bool = True,
 ) -> SearchReport:
-    """Probe every enumerated satisfied base > 5040; counterexamples expected empty."""
+    """Probe every enumerated base > 5040; counterexamples expected empty.
+
+    A base that is not certified satisfied is reported as a
+    counterexample row of its own, with index None, and not probed.
+    """
     if prime_count_max < 1 or exponent_max < 1:
-        raise ValueError("prime_count_max and exponent_max must be >= 1")
+        raise InvalidInput("prime_count_max and exponent_max must be >= 1")
     log_n_max = Fraction(log_n_max)
     if log_n_max <= 0:
-        raise ValueError("log_n_max must be positive")
+        raise InvalidInput("log_n_max must be positive")
     all_bases = _enumerate_bases(
         prime_count_max, exponent_max, log_n_max, non_increasing_only,
         cfg.start_bits,
     )
     tasks = [(entries, cfg) for entries in all_bases
              if prod(p ** k for p, k in entries) > 5040]
-    counterexamples: list[tuple[Factorization, int, CheckResult]] = []
-    results = list(_pool_imap(_probe_base_task, tasks, worker_count, 64))
-    for failures in results:
-        for entries, j, r in failures:
-            counterexamples.append((Factorization(entries), j, r))
+    counterexamples = [
+        (Factorization(entries), j, r)
+        for failures in _pool_imap(_probe_base_task, tasks, worker_count, 64)
+        for entries, j, r in failures]
     return SearchReport(
         prime_count_max=prime_count_max,
         exponent_max=exponent_max,
         log_n_max=log_n_max,
         candidates_enumerated=len(all_bases),
-        bases_probed=len(results),
+        bases_probed=len(tasks) - sum(j is None for _, j, _ in counterexamples),
         counterexamples=tuple(counterexamples),
     )

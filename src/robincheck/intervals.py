@@ -282,6 +282,14 @@ _GAMMA_DEN = 10 ** len(_GAMMA_DIGITS)
 # Precision configuration
 # ---------------------------------------------------------------------------
 
+class InvalidInput(ValueError):
+    """An argument outside what the package supports (the CLI's exit 64).
+
+    Every argument check raises it or a subclass; a broken internal
+    invariant stays a plain ValueError.
+    """
+
+
 @dataclass(frozen=True)
 class PrecisionConfig:
     """Escalation ladder for interval precision."""
@@ -291,11 +299,11 @@ class PrecisionConfig:
 
     def __post_init__(self):
         if self.start_bits <= 0 or self.max_bits <= 0:
-            raise ValueError("precision bits must be positive")
+            raise InvalidInput("precision bits must be positive")
         if self.start_bits > self.max_bits:
-            raise ValueError("start_bits must not exceed max_bits")
+            raise InvalidInput("start_bits must not exceed max_bits")
         if self.start_bits > GAMMA_MAX_BITS:
-            raise ValueError(
+            raise InvalidInput(
                 f"start_bits exceeds the {GAMMA_MAX_BITS} bits the gamma "
                 "digits support")
 
@@ -422,7 +430,7 @@ def exp_gamma(precision_bits: int) -> tuple[int, int]:
     e**gamma ~ 1.7810724, and H - L <= 2**(W - precision_bits + 2).
     """
     if precision_bits <= 0:
-        raise ValueError("precision_bits must be positive")
+        raise InvalidInput("precision_bits must be positive")
     if precision_bits > GAMMA_MAX_BITS:
         raise PrecisionUnsupported(
             f"gamma digit string supports at most {GAMMA_MAX_BITS} bits"

@@ -24,9 +24,10 @@ from math import gcd, isqrt
 import numpy as np
 
 from .factorization import Factorization
+from .intervals import InvalidInput
 
 
-class LimitTooLarge(Exception):
+class LimitTooLarge(InvalidInput):
     """A prime request would sieve past the fixed budget (primes up to 10^8)."""
 
 
@@ -34,23 +35,23 @@ class InputTooLarge(Exception):
     """Raw integer outside the supported factoring range; pass a factor string."""
 
 
-class ParseError(Exception):
+class ParseError(InvalidInput):
     """Factor string does not match the grammar."""
 
 
-class NotPrime(Exception):
+class NotPrime(InvalidInput):
     """A factor-string base (or substituted prime) failed the primality check."""
 
 
-class PrimalityUnknown(ValueError):
+class PrimalityUnknown(InvalidInput):
     """n is past the deterministic Miller-Rabin range; is_prime cannot decide."""
 
 
-class DuplicateBase(Exception):
+class DuplicateBase(InvalidInput):
     """The same prime appears twice in a factor string."""
 
 
-class ZeroExponent(Exception):
+class ZeroExponent(InvalidInput):
     """Exponents in factor strings must be >= 1."""
 
 
@@ -143,14 +144,14 @@ _SOURCE = _PrimeSource()
 def nth_prime(m: int) -> int:
     """The m-th prime, 1-indexed: nth_prime(1) == 2."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidInput("m must be >= 1")
     return _SOURCE.first(m)[m - 1]
 
 
 def first_primes(m: int) -> tuple[int, ...]:
     """The first m primes as an ascending tuple."""
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise InvalidInput("m must be >= 0")
     return _SOURCE.first(m)
 
 
@@ -190,7 +191,7 @@ def factor_small(c: int, small: tuple[int, ...]) -> tuple[list[tuple[int, int]],
 def primorial_factorization(m: int) -> Factorization:
     """Product of the first m primes, every exponent 1."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidInput("m must be >= 1")
     return Factorization(tuple((p, 1) for p in _SOURCE.first(m)))
 
 
@@ -254,23 +255,17 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Canonical factorization of 2 <= n <= 2^64 - 1; never wrong, may refuse."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidInput("n must be >= 2")
     if n > MAX_FACTOR_INPUT:
         # n itself may have more digits than str() may convert
         raise InputTooLarge(
             f"a {n.bit_length()}-bit n exceeds the 64-bit raw-input range; "
             "supply a factor string instead"
         )
-    factors: dict[int, int] = {}
-    rem = n
     # strip the dense small factors by trial division; everything past
     # 10^3 is cheaper to find with rho (~sqrt(p) steps) than by trial
-    for p in _SOURCE.primes_up_to(min(isqrt(rem), 1000)):
-        if p * p > rem:
-            break
-        while rem % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rem //= p
+    powers, rem = factor_small(n, primes_up_to(1000))
+    factors = dict(powers)
     stack = [rem] if rem > 1 else []
     while stack:
         v = stack.pop()

@@ -22,18 +22,19 @@ from typing import Optional
 from .factorization import Factorization
 from .intervals import (
     DEFAULT_PRECISION,
+    InvalidInput,
     PrecisionConfig,
     RealInterval,
 )
-from .robin import CheckResult, Verdict, check, log_n, robin_rhs
+from .robin import CheckResult, check, log_n, robin_rhs
 from . import primes as _primes
 
 
-class NotAnIncrease(Exception):
+class NotAnIncrease(InvalidInput):
     """Substitution requires new_prime > the prime being replaced."""
 
 
-class CollidingBase(Exception):
+class CollidingBase(InvalidInput):
     """Substitution would merge two equal bases; the theorem needs m distinct primes."""
 
 
@@ -62,7 +63,7 @@ def verify_prime_powers(
 ) -> list[CheckResult]:
     """Check every prime power in (5040, limit]; all are predicted Satisfied."""
     if limit <= 5040:
-        raise ValueError("limit must exceed 5040")
+        raise InvalidInput("limit must exceed 5040")
     results = []
     for p, k, _ in _prime_powers_in(5040, limit):
         results.append(check(Factorization(((p, k),)), cfg))
@@ -75,7 +76,7 @@ def substitute_prime(f: Factorization, index: int, new_prime: int) -> Factorizat
     A new prime at or above 3.317e24 raises ``primes.PrimalityUnknown``.
     """
     if not 0 <= index < len(f.entries):
-        raise IndexError("substitution index out of range")
+        raise InvalidInput("substitution index out of range")
     old_prime, k = f.entries[index]
     if not _primes.is_prime(new_prime):
         raise _primes.NotPrime(f"{new_prime} is not prime")
@@ -105,12 +106,13 @@ def substitution_report(
     new_prime: int,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
 ) -> SubstitutionReport:
-    """Certify both monotonicity claims for one prime substitution."""
+    """Certify both monotonicity claims for one prime substitution.
+
+    Either verdict may be indeterminate; the report carries it as it is.
+    """
     after_f = substitute_prime(f, index, new_prime)
     old_prime = f.entries[index][0]
     before = check(f, cfg)
-    if before.verdict is Verdict.INDETERMINATE:
-        raise ValueError("base verdict is indeterminate; cannot report")
     after = check(after_f, cfg)
     lhs_decreased = after.lhs < before.lhs
     rhs_increased = _certify_log_increase(f, after_f, cfg)
@@ -160,7 +162,7 @@ def bound_table(
     first m primes, both against one enclosure of e^gamma ln ln 5040.
     """
     if m_max < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidInput("m must be >= 1")
     thr = threshold_5040(cfg)
     thr_lo = thr.lo.as_fraction()
     unbounded = squarefree = Fraction(1)

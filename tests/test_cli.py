@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output schemas, decimal fidelity, stability."""
 
+import dataclasses
 import decimal
 import json
 import os
@@ -13,7 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from robincheck import cli, explorer, output, primes, robin, theorems
+from robincheck import (
+    cli,
+    explorer,
+    intervals,
+    output,
+    primes,
+    robin,
+    theorems,
+)
 from robincheck.intervals import Comparison
 from robincheck.factorization import sigma_over_n_fraction
 
@@ -93,6 +102,47 @@ class TestExitCodes:
         assert code == 64
         assert out == ""
         assert "gamma" in err
+
+    # each of these rules lives in the library only; the CLI passes the
+    # argument through and maps the refusal to 64
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "1"], "n must be >= 2"),
+        (["scan", "10", "2", "--format", "csv"], "need 2 <= lo <= hi"),
+        (["scan", "2", "1000000000001", "--format", "csv"], "scan range"),
+        (["conjecture1", "0", "--format", "csv"], "m_max must be >= 1"),
+        (["bounds", "0", "--format", "csv"], "m must be >= 1"),
+        (["conjecture2", "--primes", "0"], "prime_count_max"),
+        (["conjecture2", "--max-exp", "0"], "exponent_max"),
+        (["conjecture2", "--max-log-n", "-1"], "log_n_max must be positive"),
+        (["prime-powers", "--limit", "5040", "--format", "csv"],
+         "limit must exceed 5040"),
+    ])
+    def test_library_refusal_exit_64_before_output(self, argv, message,
+                                                   capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("robincheck: error: ")
+        assert err.count("\n") == 1
+        assert message in err
+
+    def test_internal_value_error_is_not_a_refusal(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr(theorems, "bound_table", broken)
+        with pytest.raises(ValueError, match="broken invariant") as info:
+            cli.main(["bounds", "3"])
+        assert not isinstance(info.value, intervals.InvalidInput)
+
+    @pytest.mark.parametrize("code, verdicts", [
+        (0, []),
+        (0, [robin.Verdict.SATISFIED]),
+        (1, [robin.Verdict.INDETERMINATE, robin.Verdict.VIOLATED]),
+        (2, [robin.Verdict.SATISFIED, robin.Verdict.INDETERMINATE]),
+    ])
+    def test_exit_code_rule(self, code, verdicts):
+        assert cli._exit_code(verdicts) == code
 
 
 class TestPastIntStrDigitLimit:
@@ -226,6 +276,51 @@ class TestUndecided:
         assert "all satisfied: NO" in out
         assert "  71^2 -> indeterminate\n" in out
         assert "  5987 -> indeterminate\n" in out
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_conjecture2_undecided_bases(self, fmt, capsys):
+        # every base stays undecided, so none is probed
+        code, out, err = run_cli(
+            ["conjecture2", "--primes", "4", "--max-exp", "3",
+             "--max-precision-bits", "212", "--format", fmt], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        if fmt == "human":
+            assert "bases probed (satisfied, n > 5040) = 0\n" in out
+            assert "  base 2^3*3^3*5^2 -> indeterminate\n" in out
+        elif fmt == "csv":
+            assert "\n2^3*3^3*5^2,,indeterminate\n" in out
+        else:
+            rows = json.loads(out)["counterexamples"]
+            assert rows and all(r["index"] is None for r in rows)
+            assert {r["verdict"] for r in rows} == {"indeterminate"}
+
+    def test_conjecture2_undecided_increments(self, monkeypatch, capsys):
+        monkeypatch.setattr(robin, "compare", intervals.compare)
+        check = explorer.check
+
+        def undecided_at_2_to_the_4(f, cfg):
+            result = check(f, cfg)
+            if f.entries[0] != (2, 4):
+                return result
+            return dataclasses.replace(
+                result, verdict=robin.Verdict.INDETERMINATE,
+                margin_lower_bound=None,
+                reason=robin.REASON_ESCALATION_EXHAUSTED)
+
+        monkeypatch.setattr(explorer, "check", undecided_at_2_to_the_4)
+        code, out, err = run_cli(
+            ["conjecture2", "--primes", "4", "--max-exp", "3"], capsys)
+        assert code == 2
+        assert out.count(" index 0 -> indeterminate\n") == 10
+        assert "Traceback" not in err
+
+    def test_substitute_undecided_base(self, capsys):
+        code, out, err = run_cli(["substitute", "2^4*3^2*5*7*11", "4", "13"],
+                                 capsys)
+        assert code == 2
+        assert "before: 2^4*3^2*5*7*11 -> indeterminate\n" in out
+        assert "Traceback" not in err
 
 
 class TestCheckCommand:

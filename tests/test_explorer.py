@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 import os
+import pickle
 import random
 import types
 from fractions import Fraction
@@ -386,6 +387,24 @@ class TestConjecture32Search:
         import math
         rep = explorer.conjecture32_search(4, 1, Fraction("13.8"))
         assert rep.counterexamples == ()
+
+    def test_undecided_base_is_a_row_without_index(self, monkeypatch):
+        monkeypatch.setattr(robin, "compare",
+                            lambda lhs, rhs: intervals.Comparison.OVERLAPPING)
+        cfg = intervals.PrecisionConfig(53, 106)
+        rep = explorer.conjecture32_search(1, 20, Fraction("20.7"), cfg)
+        assert rep.bases_probed == 0
+        assert rep.counterexamples
+        for f, j, r in rep.counterexamples:
+            assert j is None and r.factorization == f
+            assert r.verdict is Verdict.INDETERMINATE
+
+    def test_base_not_satisfied_pickles_with_its_result(self):
+        with pytest.raises(explorer.BaseNotSatisfied) as info:
+            explorer.conjecture32_probe(primes.factorize(5040))
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert copy.result == info.value.result
+        assert str(copy) == "base 2^4*3^2*5*7 is violated"
 
     def test_worker_counts_agree(self):
         a = explorer.conjecture32_search(6, 3, Fraction("12.5"),

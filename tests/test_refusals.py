@@ -1,0 +1,87 @@
+"""One refusal type: every argument check raises ``InvalidInput``."""
+
+import ast
+import os
+
+import pytest
+
+from robincheck import explorer, intervals, primes, theorems
+from robincheck.factorization import Factorization
+from robincheck.intervals import InvalidInput
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "src", "robincheck")
+
+# Internal invariants: a broken one is a bug, not a refused argument, so
+# it stays a plain ValueError and ends in a traceback.
+_INVARIANTS = {
+    ("intervals.py", "RealInterval.__post_init__"),
+}
+
+
+def _value_error_raises(tree: ast.AST):
+    """The enclosing qualname of every ``raise ValueError`` in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_value_errors_are_only_the_named_invariants():
+    found = set()
+    for name in sorted(os.listdir(_SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(_SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found.update((name, where) for where in _value_error_raises(tree))
+    assert found == _INVARIANTS
+
+
+@pytest.mark.parametrize("cls", [
+    primes.LimitTooLarge, primes.ParseError, primes.NotPrime,
+    primes.PrimalityUnknown, primes.DuplicateBase, primes.ZeroExponent,
+    theorems.NotAnIncrease, theorems.CollidingBase,
+])
+def test_refusal_classes_are_invalid_input(cls):
+    assert issubclass(cls, InvalidInput)
+    assert issubclass(cls, ValueError)
+
+
+def test_raw_input_past_64_bits_is_not_a_refusal():
+    # the CLI gives it its own exit code, 65
+    assert not issubclass(primes.InputTooLarge, InvalidInput)
+    with pytest.raises(primes.InputTooLarge):
+        primes.factorize(2 ** 64)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (primes.factorize, (1,)),
+    (primes.nth_prime, (0,)),
+    (intervals.PrecisionConfig, (0,)),
+    (intervals.exp_gamma, (0,)),
+    (explorer.iter_scan_results, (10, 2)),
+    (explorer.conjecture31_table, (0,)),
+    (explorer.conjecture32_search, (1, 0, 10)),
+    (theorems.bound_table, (0,)),
+    (theorems.verify_prime_powers, (5040,)),
+    (theorems.substitute_prime, (Factorization(((2, 1),)), 1, 3)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_argument_checks_raise_invalid_input(fn, args):
+    with pytest.raises(InvalidInput):
+        fn(*args)
+
+
+def test_scan_range_is_refused_before_the_first_segment():
+    # no next() needed: the range check is not deferred into a generator
+    with pytest.raises(InvalidInput, match="scan range"):
+        explorer.iter_scan_results(2, explorer.MAX_SCAN_HI + 1)
