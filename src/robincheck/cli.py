@@ -9,8 +9,10 @@ error, primes past the sieve budget, a scan end above 10^12, ...), 65
 raw input too large to factor (use a factor string), 74 output that
 could not be opened or written (nothing is printed for a reader that
 closed the pipe early); a plain ValueError is a bug and ends in a
-traceback.  Exact integers print through ``output.int_str``, except q_m
-in conjecture1, whose digits carry from row to row as exact Decimals.
+traceback.  ``--output PATH`` is opened at the command's first write, so
+a refused command leaves it as it was.  Exact integers print through
+``output.int_str``, except q_m in conjecture1, whose digits carry from
+row to row as exact Decimals.
 """
 
 from __future__ import annotations
@@ -428,6 +430,9 @@ def _cmd_conjecture2(args, cfg: PrecisionConfig, out: TextIO) -> int:
     ce_rows = [{
         "base": f.as_string(), "index": j, "verdict": r.verdict.value,
     } for f, j, r in report.counterexamples]
+    found = sum(r.verdict is Verdict.VIOLATED
+                for _, _, r in report.counterexamples)
+    undecided = len(ce_rows) - found
     if args.format == "json":
         _write_json({
             "prime_count_max": report.prime_count_max,
@@ -441,11 +446,15 @@ def _cmd_conjecture2(args, cfg: PrecisionConfig, out: TextIO) -> int:
         _write_csv(out, "base,index,verdict", ce_rows)
         print(f"candidates={report.candidates_enumerated} "
               f"probed={report.bases_probed} "
-              f"counterexamples={len(ce_rows)}", file=sys.stderr)
+              f"counterexamples={found}"
+              + (f" undecided={undecided}" if undecided else ""),
+              file=sys.stderr)
     else:
         out.write(f"candidates enumerated = {report.candidates_enumerated}\n")
         out.write(f"bases probed (satisfied, n > 5040) = {report.bases_probed}\n")
-        out.write(f"counterexamples = {len(ce_rows)}\n")
+        out.write(f"counterexamples = {found}\n")
+        if undecided:
+            out.write(f"undecided = {undecided}\n")
         for row in ce_rows:
             at = "" if row["index"] is None else f" index {row['index']}"
             out.write(f"  base {row['base']}{at} -> {row['verdict']}\n")
@@ -574,6 +583,34 @@ _COMMANDS = {
 }
 
 
+class _OutputFile:
+    """``--output PATH``, opened (and so truncated) by its first write.
+
+    A command that refuses its input before writing leaves PATH as it
+    was; ``flush``, which ``main`` calls once the command has returned,
+    creates the file for a command that wrote nothing.
+    """
+
+    def __init__(self, path: str):
+        self._path = path
+        self._file: Optional[TextIO] = None
+
+    def _opened(self) -> TextIO:
+        if self._file is None:
+            self._file = open(self._path, "w")
+        return self._file
+
+    def write(self, text: str) -> int:
+        return self._opened().write(text)
+
+    def flush(self) -> None:
+        self._opened().flush()
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+
+
 def _discard_stdout() -> None:
     """Point fd 1 at the null device after the reader closed the pipe.
 
@@ -605,7 +642,7 @@ def main(argv=None) -> int:
             raise InvalidInput("--jobs must be >= 1")
         try:
             out = (sys.stdout if args.output == "-"
-                   else open(args.output, "w"))
+                   else _OutputFile(args.output))
             try:
                 code = _COMMANDS[args.command](args, cfg, out)
                 out.flush()

@@ -118,7 +118,7 @@ def _rhs_floor_scaled(t: int, bits: int) -> int:
     t = 2 (ln 2 < 1) and for no t >= 3 at any usable precision; a zero
     threshold makes every n of the block a candidate.
     """
-    rhs = _rhs_from_log(*_ln_fp(t, 1, bits + _GUARD), bits)
+    rhs = _rhs_from_log(*_ln_fp(t, t, 1, bits + _GUARD), bits)
     if rhs is None:
         return 0
     d = rhs.lo

@@ -2,9 +2,12 @@
 
 Every real quantity in this package that is not an exact rational is
 enclosed by integers.  The transcendental primitives are fixed-point
-kernels that return integer bounds (L, H) on x * 2**W: ``_ln_fp``
-(argument reduction to [2/3, 4/3) plus the atanh series, with a
-rigorous tail bound), ``_exp_fp``, and ``exp_gamma``, which encloses
+kernels that return integer bounds (L, H) on x * 2**W: ``_ln_fp``, which
+encloses ln over an interval [lo/den, hi/den] (argument reduction to
+[2/3, 4/3) plus the atanh series, with a rigorous tail bound) and runs
+only the one-sided series chain each bound needs (``_atanh_bound``: a
+floor chain for a lower bound, a ceiling chain with its tail for an
+upper one), ``_exp_fp``, and ``exp_gamma``, which encloses
 e**gamma from an embedded digit string of the Euler-Mascheroni constant
 (1400 decimal digits, cross-verified against two independent
 arbitrary-precision libraries at build time) by an exact Taylor series
@@ -328,31 +331,49 @@ DEFAULT_PRECISION = PrecisionConfig()
 # propagate by flooring/ceiling each step.
 # ---------------------------------------------------------------------------
 
-def _atanh_fp(num: int, den: int, W: int) -> tuple[int, int]:
-    """Bounds [L, H] with L <= atanh(num/den) * 2**W <= H, 0 <= num/den <= 1/3."""
+def _atanh_bound(num: int, den: int, W: int, upper: bool) -> int:
+    """Upper (H) or lower (L) bound on atanh(num/den) * 2**W.
+
+    0 <= num/den <= 1/3.  Both chains sum t^(2k+1)/(2k+1), k = 0, 1, ...,
+    on powers p of t = num/den at scale 2**W.  The upper chain rounds
+    every step up, stops at the first k with p <= 2k+1 and adds a tail
+    bound.  The lower chain rounds every step down and stops at its first
+    zero term, which gives the L of a fused chain that runs until the
+    upper powers reach that stop: the lower powers never increase
+    (t^2 < 1) while the divisors grow, so a zero term is followed by zero
+    terms only, and past the upper stop K the next lower power is at most
+    (2K+1) t^2 < 2K+3, a zero term.  Each caller runs only the side it
+    keeps.
+    """
     S = 1 << W
-    t_lo = _floor_div_shift(num, den, W)
-    t_hi = _ceil_div_shift(num, den, W)
-    if t_hi == 0:
-        return 0, 0
-    t2_lo = (t_lo * t_lo) >> W
-    t2_hi = ((t_hi * t_hi) + S - 1) >> W
-    L, H = t_lo, t_hi
-    p_lo, p_hi = t_lo, t_hi
-    k = 1
+    if upper:
+        t = _ceil_div_shift(num, den, W)
+        if t == 0:
+            return 0
+        t2 = ((t * t) + S - 1) >> W
+        H = p = t
+        k = 1
+        while True:
+            p = ((p * t2) + S - 1) >> W
+            d = 2 * k + 1
+            H += (p + d - 1) // d
+            if p <= d:
+                # Tail: sum_{j>k} t^(2j+1)/(2j+1) <= p_next / (2k+3) / (1 - t^2)
+                # with t^2 <= 1/4 the geometric factor is < 2.
+                p_next = ((p * t2) + S - 1) >> W
+                return H + (2 * p_next) // (2 * k + 3) + 2
+            k += 1
+    t = _floor_div_shift(num, den, W)
+    t2 = (t * t) >> W
+    L = p = t
+    d = 3
     while True:
-        p_lo = (p_lo * t2_lo) >> W
-        p_hi = ((p_hi * t2_hi) + S - 1) >> W
-        d = 2 * k + 1
-        L += p_lo // d
-        H += (p_hi + d - 1) // d
-        if p_hi <= d:
-            # Tail: sum_{j>k} t^(2j+1)/(2j+1) <= p_next / (2k+3) / (1 - t^2)
-            # with t^2 <= 1/4 the geometric factor is < 2.
-            p_next = ((p_hi * t2_hi) + S - 1) >> W
-            H += (2 * p_next) // (2 * k + 3) + 2
-            return L, H
-        k += 1
+        p = (p * t2) >> W
+        term = p // d
+        if term == 0:
+            return L
+        L += term
+        d += 2
 
 
 _LN2_CACHE: dict[int, tuple[int, int]] = {}
@@ -362,38 +383,53 @@ def _ln2_fp(W: int) -> tuple[int, int]:
     """Bounds on ln(2) * 2**W; ln 2 = 2*atanh(1/3) exactly."""
     cached = _LN2_CACHE.get(W)
     if cached is None:
-        L, H = _atanh_fp(1, 3, W)
-        cached = (2 * L, 2 * H)
+        cached = (2 * _atanh_bound(1, 3, W, False),
+                  2 * _atanh_bound(1, 3, W, True))
         if len(_LN2_CACHE) < 64:
             _LN2_CACHE[W] = cached
     return cached
 
 
-def _ln_fp(num: int, den: int, W: int) -> tuple[int, int]:
-    """Bounds [L, H] with L <= ln(num/den) * 2**W <= H, num, den > 0.
+def _ln_reduced(num: int, den: int) -> tuple[int, int, int]:
+    """(s, tn, td): num/den = y * 2**s with y in [2/3, 4/3), tn/td = (y-1)/(y+1).
 
-    Argument reduction: x = y * 2**s with y in [2/3, 4/3), then
-    ln y = 2*atanh((y-1)/(y+1)) with |(y-1)/(y+1)| <= 1/5.
+    So ln(num/den) = s ln 2 + 2 atanh(tn/td), with |tn/td| <= 1/5.
     """
-    if num == den:
-        return 0, 0
     # s = floor(log2(3*num / (2*den))), which puts y = a / b in [2/3, 4/3)
     n3, d2 = 3 * num, 2 * den
     s = n3.bit_length() - d2.bit_length()
     if n3 << max(-s, 0) < d2 << max(s, 0):
         s -= 1
     a, b = num << max(-s, 0), den << max(s, 0)
-    tn, td = a - b, a + b
+    return s, a - b, a + b
+
+
+def _ln_bound(reduced: tuple[int, int, int], W: int, upper: bool) -> int:
+    """Upper (H) or lower (L) bound on ln(num/den) * 2**W.
+
+    ``reduced`` is ``_ln_reduced(num, den)``.  For y < 1 the bound on
+    ln y is the negated opposite bound on atanh((1-y)/(1+y)).
+    """
+    s, tn, td = reduced
     if tn >= 0:
-        aL, aH = _atanh_fp(tn, td, W)
-        L, H = 2 * aL, 2 * aH
+        ln_y = 2 * _atanh_bound(tn, td, W, upper)
     else:
-        aL, aH = _atanh_fp(-tn, td, W)
-        L, H = -2 * aH, -2 * aL
+        ln_y = -2 * _atanh_bound(-tn, td, W, not upper)
     l2L, l2H = _ln2_fp(W)
-    if s >= 0:
-        return L + s * l2L, H + s * l2H
-    return L + s * l2H, H + s * l2L
+    return ln_y + s * (l2H if upper == (s >= 0) else l2L)
+
+
+def _ln_fp(lo_num: int, hi_num: int, den: int, W: int) -> tuple[int, int]:
+    """Bounds [L, H] on ln(x) * 2**W for every x in [lo_num/den, hi_num/den].
+
+    0 < lo_num <= hi_num, den > 0.  L is the lower bound on ln(lo_num/den)
+    and H the upper bound on ln(hi_num/den); each endpoint runs only the
+    one-sided series its bound needs.  Pass lo_num == hi_num for the
+    enclosure of a single ln, which reduces the argument once.
+    """
+    lo = _ln_reduced(lo_num, den)
+    hi = lo if hi_num == lo_num else _ln_reduced(hi_num, den)
+    return _ln_bound(lo, W, False), _ln_bound(hi, W, True)
 
 
 def _exp_fp(xn: int, xd: int, W: int) -> tuple[int, int]:

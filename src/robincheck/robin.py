@@ -25,6 +25,7 @@ erroring, so range scanners get a total verdict.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -67,13 +68,34 @@ REASON_ESCALATION_EXHAUSTED = "escalation_exhausted"
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verdict with what decided it.
+
+    ``margin_lower_bound`` is derived on first read: no verdict needs it,
+    so ``check`` does not build it.
+    """
+
     factorization: Factorization
     lhs: Fraction
     rhs: Optional[RealInterval]
     verdict: Verdict
     precision_used: int
-    margin_lower_bound: Optional[Dyadic]
     reason: Optional[str] = None
+
+    @functools.cached_property
+    def margin_lower_bound(self) -> Optional[Dyadic]:
+        """How far lhs lies outside the enclosure, at ``precision_used`` bits.
+
+        rhs.lo - lhs when satisfied, lhs - rhs.hi when violated, rounded
+        down so that tables never overstate the separation; None when no
+        enclosure decided the verdict (n = 2, indeterminate).
+        """
+        if self.verdict is Verdict.SATISFIED:
+            gap = self.rhs.lo.as_fraction() - self.lhs
+        elif self.verdict is Verdict.VIOLATED and self.rhs is not None:
+            gap = self.lhs - self.rhs.hi.as_fraction()
+        else:
+            return None
+        return dyadic_from_fraction(gap, self.precision_used, False)
 
 
 # ln(p) bounds cache keyed by (p, W); ln p is recomputed constantly during
@@ -86,7 +108,7 @@ def _ln_prime_fp(p: int, W: int) -> tuple[int, int]:
     key = (p, W)
     got = _LN_PRIME_CACHE.get(key)
     if got is None:
-        got = _ln_fp(p, 1, W)
+        got = _ln_fp(p, p, 1, W)
         if len(_LN_PRIME_CACHE) < _LN_PRIME_CACHE_MAX:
             _LN_PRIME_CACHE[key] = got
     return got
@@ -122,8 +144,7 @@ def _rhs_from_log(lo: int, hi: int,
     one = 1 << W
     if lo <= one:
         return None
-    L, _ = _ln_fp(lo, one, W)
-    _, H = _ln_fp(hi, one, W)
+    L, H = _ln_fp(lo, hi, one, W)
     eg_lo, eg_hi = exp_gamma(precision_bits)
     return outward_interval(eg_lo * L, eg_hi * H, one << W, W)
 
@@ -155,23 +176,18 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     lhs = sigma_over_n_fraction(f)
     if f.entries == ((2, 1),):
         return CheckResult(f, lhs, None, Verdict.VIOLATED, cfg.start_bits,
-                           None, reason=REASON_RHS_UNDEFINED)
+                           reason=REASON_RHS_UNDEFINED)
     for bits in cfg.ladder():
         rhs = _rhs_from_log(*log_n(f, bits), bits)
         if rhs is None:
             continue
         cmp_result = compare(lhs, rhs)
-        # margins are rounded down: tables never overstate the separation
         if cmp_result is Comparison.LESS:
-            margin = dyadic_from_fraction(rhs.lo.as_fraction() - lhs, bits,
-                                          False)
-            return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits, margin)
+            return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits)
         if cmp_result is Comparison.GREATER:
-            margin = dyadic_from_fraction(lhs - rhs.hi.as_fraction(), bits,
-                                          False)
-            return CheckResult(f, lhs, rhs, Verdict.VIOLATED, bits, margin,
+            return CheckResult(f, lhs, rhs, Verdict.VIOLATED, bits,
                                reason=REASON_LHS_EXCEEDS_RHS)
-    return CheckResult(f, lhs, rhs, Verdict.INDETERMINATE, bits, None,
+    return CheckResult(f, lhs, rhs, Verdict.INDETERMINATE, bits,
                        reason=REASON_ESCALATION_EXHAUSTED)
 
 

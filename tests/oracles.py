@@ -4,7 +4,9 @@ Nothing here shares code with the package under test: sigma comes from
 plain divisor enumeration (or a naive pure-python divisor sieve), the
 right-hand side from mpmath at 50 significant digits.  Verdicts with an
 oracle margin below 1e-6 are not decided here; callers re-check those
-through the certified path.
+through the certified path.  ``fused_ln_fp`` is the package's earlier
+two-sided ln kernel, copied as the bit-exact reference for its
+one-sided successor.
 """
 
 from __future__ import annotations
@@ -78,6 +80,71 @@ def compare_by_fractions(lhs: Fraction, iv) -> str:
     if lhs > dyadic_fraction(iv.hi):
         return "greater"
     return "overlapping"
+
+
+def _floor_div_shift(num: int, den: int, shift: int) -> int:
+    if shift >= 0:
+        return (num << shift) // den
+    return num // (den << -shift)
+
+
+def fused_atanh_fp(num: int, den: int, W: int) -> tuple[int, int]:
+    """[L, H] on atanh(num/den) * 2**W, 0 <= num/den <= 1/3, both chains fused.
+
+    The package's earlier kernel, kept verbatim as the reference for the
+    one-sided ``intervals._atanh_bound``: one loop carries the floor and
+    the ceiling chain and stops when the ceiling chain's power reaches
+    its divisor.
+    """
+    S = 1 << W
+    t_lo = _floor_div_shift(num, den, W)
+    t_hi = -_floor_div_shift(-num, den, W)
+    if t_hi == 0:
+        return 0, 0
+    t2_lo = (t_lo * t_lo) >> W
+    t2_hi = ((t_hi * t_hi) + S - 1) >> W
+    L, H = t_lo, t_hi
+    p_lo, p_hi = t_lo, t_hi
+    k = 1
+    while True:
+        p_lo = (p_lo * t2_lo) >> W
+        p_hi = ((p_hi * t2_hi) + S - 1) >> W
+        d = 2 * k + 1
+        L += p_lo // d
+        H += (p_hi + d - 1) // d
+        if p_hi <= d:
+            p_next = ((p_hi * t2_hi) + S - 1) >> W
+            H += (2 * p_next) // (2 * k + 3) + 2
+            return L, H
+        k += 1
+
+
+def fused_ln_fp(num: int, den: int, W: int) -> tuple[int, int]:
+    """[L, H] on ln(num/den) * 2**W from ``fused_atanh_fp``, num, den > 0.
+
+    The package's earlier two-sided ln kernel, verbatim but uncached:
+    reduction to y in [2/3, 4/3) by a power of two, ln y = 2 atanh
+    ((y-1)/(y+1)) and ln 2 = 2 atanh(1/3).
+    """
+    if num == den:
+        return 0, 0
+    n3, d2 = 3 * num, 2 * den
+    s = n3.bit_length() - d2.bit_length()
+    if n3 << max(-s, 0) < d2 << max(s, 0):
+        s -= 1
+    a, b = num << max(-s, 0), den << max(s, 0)
+    tn, td = a - b, a + b
+    if tn >= 0:
+        aL, aH = fused_atanh_fp(tn, td, W)
+        L, H = 2 * aL, 2 * aH
+    else:
+        aL, aH = fused_atanh_fp(-tn, td, W)
+        L, H = -2 * aH, -2 * aL
+    l2L, l2H = fused_atanh_fp(1, 3, W)
+    l2L, l2H = 2 * l2L, 2 * l2H
+    if s >= 0:
+        return L + s * l2L, H + s * l2H
+    return L + s * l2H, H + s * l2L
 
 
 def agrees_with_decimal(iv, stated: str) -> bool:

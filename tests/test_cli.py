@@ -305,7 +305,6 @@ class TestUndecided:
                 return result
             return dataclasses.replace(
                 result, verdict=robin.Verdict.INDETERMINATE,
-                margin_lower_bound=None,
                 reason=robin.REASON_ESCALATION_EXHAUSTED)
 
         monkeypatch.setattr(explorer, "check", undecided_at_2_to_the_4)
@@ -313,6 +312,7 @@ class TestUndecided:
             ["conjecture2", "--primes", "4", "--max-exp", "3"], capsys)
         assert code == 2
         assert out.count(" index 0 -> indeterminate\n") == 10
+        assert "\ncounterexamples = 0\nundecided = 10\n" in out
         assert "Traceback" not in err
 
     def test_substitute_undecided_base(self, capsys):
@@ -637,6 +637,17 @@ class TestOutputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "cannot write output" in err
+
+    def test_refused_command_keeps_output_file(self, tmp_path, capsys):
+        target = tmp_path / "report.txt"
+        target.write_text("kept me\n")  # 8 bytes
+        code, out, err = run_cli(["bounds", "0", "--output", str(target)],
+                                 capsys)
+        assert code == cli.EXIT_USAGE == 64
+        assert target.read_bytes() == b"kept me\n"
+        code, _, _ = run_cli(["bounds", "1", "--output", str(target)], capsys)
+        assert code == 0
+        assert target.read_text().startswith("threshold e^gamma")
 
     @pytest.mark.parametrize("argv", [
         ["check", "5041"],  # fails on the final flush

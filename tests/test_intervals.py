@@ -58,7 +58,8 @@ def _scaled(bounds: tuple[int, int], bits: int) -> RealInterval:
 
 def _ln_interval(x: Fraction, bits: int) -> RealInterval:
     """The ln kernel on an exact rational x > 0, as an interval at 2**-W."""
-    return _scaled(_ln_fp(x.numerator, x.denominator, bits + _GUARD), bits)
+    return _scaled(_ln_fp(x.numerator, x.numerator, x.denominator,
+                          bits + _GUARD), bits)
 
 
 def _gamma_bracket(bits: int) -> RealInterval:
@@ -188,7 +189,7 @@ class TestLn:
                     den = 3 * scale << max(-k, 0)
                     for a, b in ((num, den), (num - 1, den), (num + 1, den),
                                  (num, den - 1), (num, den + 1)):
-                        iv = _scaled(_ln_fp(a, b, W), 53)
+                        iv = _scaled(_ln_fp(a, a, b, W), 53)
                         true = mpmath.log(a) - mpmath.log(b)
                         assert _contains_mp(iv, true), (k, c, scale, a, b)
                         assert _width(iv) <= Fraction(1, 2**53) * max(
@@ -247,6 +248,41 @@ class TestLnOfInterval:
         iv = _rhs_of_enclosure(Fraction(2), Fraction(3))
         assert _contains_mp(iv, _EXP_GAMMA_MP * mpmath.log(2))
         assert _contains_mp(iv, _EXP_GAMMA_MP * mpmath.log(3))
+
+
+# working precisions W = bits + _GUARD up to the ladder's top, 4618
+_LADDER_W = [bits + _GUARD for bits in (1, 53, 106, 212, 1024, GAMMA_MAX_BITS)]
+
+
+class TestOneSidedLn:
+    """The one-sided kernels equal the fused two-sided kernel, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(W=st.sampled_from(_LADDER_W), lo=st.integers(1, 2 ** 160),
+           width=st.integers(0, 2 ** 100), den=st.integers(1, 2 ** 160))
+    @example(W=33, lo=7, width=0, den=7)            # num == den
+    @example(W=85, lo=1, width=1, den=2)            # tn = 0 at s = -1 and 0
+    @example(W=138, lo=2 ** 90 - 1, width=2, den=2 ** 90)  # tn < 0, tn > 0
+    @example(W=244, lo=4, width=2, den=5)           # [4/5, 6/5]: the same
+    @example(W=244, lo=2, width=1, den=3)           # y = 2/3 and x = 1
+    @example(W=1056, lo=4, width=0, den=3)          # 4/3 is y = 2/3, s = 1
+    @example(W=4618, lo=1, width=0, den=3)          # s = -1 at the top W
+    def test_ln_fp_matches_fused_reference(self, W, lo, width, den):
+        hi = lo + width
+        assert _ln_fp(lo, hi, den, W) == (oracles.fused_ln_fp(lo, den, W)[0],
+                                          oracles.fused_ln_fp(hi, den, W)[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(W=st.sampled_from(_LADDER_W), num=st.integers(0, 2 ** 120),
+           den=st.integers(1, 2 ** 120))
+    @example(W=4618, num=1, den=3)      # the ln 2 argument at the top W
+    @example(W=33, num=0, den=1)
+    @example(W=33, num=1, den=2 ** 40)  # floor is 0, ceiling is 1
+    def test_atanh_bound_matches_fused_reference(self, W, num, den):
+        num = min(num, den // 3)  # the kernel's domain 0 <= num/den <= 1/3
+        assert (intervals._atanh_bound(num, den, W, False),
+                intervals._atanh_bound(num, den, W, True)) == \
+            oracles.fused_atanh_fp(num, den, W)
 
 
 class TestPrecisionLadder:

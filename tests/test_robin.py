@@ -23,6 +23,7 @@ from robincheck.intervals import (
     Dyadic,
     PrecisionConfig,
     RealInterval,
+    dyadic_from_fraction,
 )
 
 import oracles
@@ -235,7 +236,7 @@ class TestRobinRhs:
         for n in (5040, 5041, 30030, 720720, 2**31 - 1):
             f = primes.factorize(n)
             via_sum = robin.robin_rhs(f, 53)
-            via_direct = robin._rhs_from_log(*_ln_fp(n, 1, W), 53)
+            via_direct = robin._rhs_from_log(*_ln_fp(n, n, 1, W), 53)
             true = oracles.rhs_mp(n)
             assert oracles.interval_contains_mp(via_sum, true)
             assert oracles.interval_contains_mp(via_direct, true)
@@ -288,6 +289,38 @@ class TestCheck:
         # n = 2 is decided before any comparison
         r2 = robin.check(Factorization(((2, 1),)))
         assert r2.verdict is robin.Verdict.VIOLATED
+
+    @staticmethod
+    def _eager_margin(r):
+        """The margin as check() built it before it became derived."""
+        if r.verdict is robin.Verdict.SATISFIED:
+            return dyadic_from_fraction(r.rhs.lo.as_fraction() - r.lhs,
+                                        r.precision_used, False)
+        if r.verdict is robin.Verdict.VIOLATED and r.rhs is not None:
+            return dyadic_from_fraction(r.lhs - r.rhs.hi.as_fraction(),
+                                        r.precision_used, False)
+        return None
+
+    def test_derived_margin_matches_eager_formula(self, monkeypatch):
+        decided = [robin.check_n(n) for n in (5041, 720720, 5040, 12, 13)]
+        decided.append(robin.check(primes.primorial_factorization(200),
+                                   PrecisionConfig(start_bits=212)))
+        n2 = robin.check(Factorization(((2, 1),)))
+        monkeypatch.setattr(robin, "compare",
+                            lambda lhs, rhs: Comparison.OVERLAPPING)
+        undecided = robin.check_n(5041, PrecisionConfig(max_bits=212))
+        verdicts = [r.verdict for r in decided]
+        assert robin.Verdict.SATISFIED in verdicts
+        assert robin.Verdict.VIOLATED in verdicts
+        assert undecided.verdict is robin.Verdict.INDETERMINATE
+        assert n2.reason == robin.REASON_RHS_UNDEFINED
+        for r in decided:
+            assert r.margin_lower_bound is not None
+            assert r.margin_lower_bound == self._eager_margin(r)
+            assert "margin_lower_bound" in vars(r)  # computed once, kept
+        for r in (n2, undecided):
+            assert r.margin_lower_bound is None
+            assert self._eager_margin(r) is None
 
     def test_check_n(self):
         assert robin.check_n(5040).verdict is robin.Verdict.VIOLATED

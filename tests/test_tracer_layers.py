@@ -53,3 +53,6 @@ def test_traced_check_records_its_layers():
     for child in ("robin.log_n", "robin.rhs_from_log", "intervals.compare",
                   "factorization.lhs"):
         assert ("robin.check", child) in edges, child
+    # the RHS kernel's one ln call and a cold ln p both run the ln kernel
+    assert ("robin.rhs_from_log", "intervals.ln_fp") in edges
+    assert ("robin.ln_prime", "intervals.ln_fp") in edges
