@@ -24,6 +24,7 @@ than there are CPUs or tasks.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .robin import (
     _ln_prime_fp,
     _rhs_from_log,
     check,
+    log_n,
 )
 from . import primes as _primes
 
@@ -118,7 +120,8 @@ def _rhs_floor_scaled(t: int, bits: int) -> int:
     t = 2 (ln 2 < 1) and for no t >= 3 at any usable precision; a zero
     threshold makes every n of the block a candidate.
     """
-    rhs = _rhs_from_log(*_ln_fp(t, t, 1, bits + _GUARD), bits)
+    rhs = _rhs_from_log(*_ln_fp(t, t, 1, bits + _GUARD), bits,
+                        lambda b: _ln_fp(t, t, 1, b + _GUARD))
     if rhs is None:
         return 0
     d = rhs.lo
@@ -276,6 +279,11 @@ def q_steps(m_max: int) -> Iterator[tuple[int, int, int]]:
         yield p, g1, g2
 
 
+def _primorial_log(m: int, bits: int) -> tuple[int, int]:
+    """``log_n`` of the product of the first m primes."""
+    return log_n(_primes.primorial_factorization(m), bits)
+
+
 def conjecture31_table(
     m_max: int, cfg: PrecisionConfig = DEFAULT_PRECISION
 ) -> list[ConjectureRow]:
@@ -308,10 +316,15 @@ def conjecture31_table(
         if not exceeded:
             primorial *= p
             exceeded = primorial > 5040
-        alpha = _rhs_from_log(s_lo, s_hi, bits)
-        # alpha / q; alpha's shared exponent is about -W, below 0
-        ratio = None if alpha is None else outward_ratio(
-            alpha.lo.m, alpha.hi.m, qd, qn, -alpha.lo.e, W)
+        alpha = _rhs_from_log(s_lo, s_hi, bits, functools.partial(
+            _primorial_log, m))
+        ratio = None
+        if alpha is not None:
+            # alpha / q; alpha's exponent is below 0 unless bits is tiny
+            e = alpha.lo.e
+            ratio = outward_ratio(alpha.lo.m << max(e, 0),
+                                  alpha.hi.m << max(e, 0), qd, qn,
+                                  max(-e, 0), W)
         rows.append(
             ConjectureRow(m, p, qn, qd, alpha, ratio, exceeded)
         )

@@ -64,6 +64,20 @@ class Factorization:
                 raise InvalidFactorization(f"duplicate base {p1}")
         object.__setattr__(self, "entries", ents)
 
+    @classmethod
+    def from_canonical(cls, entries: tuple[tuple[int, int], ...]
+                       ) -> "Factorization":
+        """The factorization of entries already in canonical form.
+
+        For producers that emit int (prime, exponent) pairs with strictly
+        ascending primes and exponents >= 1: it skips the sort and the
+        checks that ``__post_init__`` makes, and the result equals the
+        validated constructor's.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "entries", entries)
+        return f
+
     def __len__(self) -> int:
         return len(self.entries)
 

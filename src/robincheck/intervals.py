@@ -3,17 +3,31 @@
 Every real quantity in this package that is not an exact rational is
 enclosed by integers.  The transcendental primitives are fixed-point
 kernels that return integer bounds (L, H) on x * 2**W: ``_ln_fp``, which
-encloses ln over an interval [lo/den, hi/den] (argument reduction to
-[2/3, 4/3) plus the atanh series, with a rigorous tail bound) and runs
-only the one-sided series chain each bound needs (``_atanh_bound``: a
-floor chain for a lower bound, a ceiling chain with its tail for an
-upper one), ``_exp_fp``, and ``exp_gamma``, which encloses
-e**gamma from an embedded digit string of the Euler-Mascheroni constant
-(1400 decimal digits, cross-verified against two independent
-arbitrary-precision libraries at build time) by an exact Taylor series
-with the truncation remainder folded into the upper bound.
+encloses ln over an interval [lo/den, hi/den], ``_exp_fp``, and
+``exp_gamma``, which encloses e**gamma from an embedded digit string of
+the Euler-Mascheroni constant (1400 decimal digits, cross-verified
+against two independent arbitrary-precision libraries at build time) by
+an exact Taylor series with the truncation remainder folded into the
+upper bound.
+
+``_ln_fp`` is table-driven (Tang, ACM TOMS 16, 1990).  One division
+writes the argument as y * 2**s with y in about [2/3, 4/3) and finds the
+breakpoint c = i / 2**_TABLE_K <= y below it; then
+ln x = s ln 2 + ln c + 2 atanh((y-c)/(y+c)), where the atanh argument
+lies in [0, 1/(2i+1)), under 2**-7.4 at K = 7, so its series needs about
+a third of the terms the old (y-1)/(y+1) reduction needed.  ln c comes
+from a bounded cache filled once per (i, W) by that full series, and
+s ln 2 from ln 2 at a few extra bits.  Each bound runs only its own
+one-sided chain (``_atanh_bound``: a floor chain for a lower bound, a
+ceiling chain with its tail for an upper one), and stays within 2W ulp
+of ln x for every W the ladder uses.
+
 ``robin.log_n`` and ``robin._rhs_from_log`` build ln n and the
-right-hand side e^gamma * ln(ln n) from these kernels.
+right-hand side e^gamma * ln(ln n) from these kernels.  The right side is
+printed on the ``precision_bits`` grid: its endpoints are the true
+value rounded down and up to that many significant bits, proved by
+Ziv's rounding test (Ziv, ACM TOMS 17, 1991) with reruns at more guard
+bits, so they do not depend on which sound kernel computed them.
 
 An enclosure the package hands out (the right-hand side, the primorial
 table's alpha and ratio) is a `RealInterval`: two integers lo.m <= hi.m
@@ -390,33 +404,83 @@ def _ln2_fp(W: int) -> tuple[int, int]:
     return cached
 
 
-def _ln_reduced(num: int, den: int) -> tuple[int, int, int]:
-    """(s, tn, td): num/den = y * 2**s with y in [2/3, 4/3), tn/td = (y-1)/(y+1).
+# The table-driven reduction's breakpoints are c = i / 2**_TABLE_K for i
+# in [_I_LO, 2 * _I_LO), from just below 2/3 to just below 4/3.
+_TABLE_K = 7
+_I_LO = (2 << _TABLE_K) // 3
+_LN_C_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
+# room for the tables of 64 working precisions, as _LN2_CACHE holds 64
+_LN_C_CACHE_MAX = 64 * _I_LO
+# s ln 2 is taken from ln 2 at this many extra bits, so for |s| < 2**10
+# it adds about one ulp at W, not |s| times ln 2's own error
+_LN2_EXTRA = 16
 
-    So ln(num/den) = s ln 2 + 2 atanh(tn/td), with |tn/td| <= 1/5.
+
+def _ln_c_fp(i: int, W: int) -> tuple[int, int]:
+    """Bounds on ln(i / 2**_TABLE_K) * 2**W for a table breakpoint.
+
+    Filled once per (i, W) by the full series: c = y * 2**s with y = a/b
+    in [2/3, 4/3) and s in {-1, 0}, ln y = 2 atanh((y-1)/(y+1)) with
+    |(y-1)/(y+1)| <= 1/5.
     """
-    # s = floor(log2(3*num / (2*den))), which puts y = a / b in [2/3, 4/3)
-    n3, d2 = 3 * num, 2 * den
-    s = n3.bit_length() - d2.bit_length()
-    if n3 << max(-s, 0) < d2 << max(s, 0):
+    key = (i, W)
+    cached = _LN_C_CACHE.get(key)
+    if cached is None:
+        s = -1 if 3 * i < 2 << _TABLE_K else 0
+        a, b = i << -s, 1 << _TABLE_K
+        tn, td = abs(a - b), a + b
+        L = 2 * _atanh_bound(tn, td, W, False)
+        H = 2 * _atanh_bound(tn, td, W, True)
+        if a < b:
+            L, H = -H, -L
+        l2L, l2H = _ln2_fp(W)
+        cached = (L + s * (l2L if s >= 0 else l2H),
+                  H + s * (l2H if s >= 0 else l2L))
+        if len(_LN_C_CACHE) < _LN_C_CACHE_MAX:
+            _LN_C_CACHE[key] = cached
+    return cached
+
+
+def _ln_reduced(num: int, den: int) -> tuple[int, int, int, int]:
+    """(s, i, tn, td) with ln(num/den) = s ln 2 + ln c + 2 atanh(tn/td).
+
+    num/den = y * 2**s, and c = i / 2**_TABLE_K is the breakpoint with
+    c <= y < c + 2**-_TABLE_K, i in [_I_LO, 2 * _I_LO); so y lies in
+    about [2/3, 4/3), and tn/td = (y-c)/(y+c) in [0, 1/(2i+1)), below
+    2**-7.4 at K = 7.  One division finds both s and i.
+    """
+    s = num.bit_length() - den.bit_length()
+    # num/den = y0 * 2**s with y0 in (1/2, 2); j = floor(y0 * 2**(K+1))
+    k = _TABLE_K + 1 - s
+    j = (num << k) // den if k >= 0 else num // (den << -k)
+    if j < 2 * _I_LO:
         s -= 1
-    a, b = num << max(-s, 0), den << max(s, 0)
-    return s, a - b, a + b
+        i = j
+    elif j < 4 * _I_LO:
+        i = j >> 1
+    else:
+        s += 1
+        i = j >> 2
+    # a / b = y * 2**K
+    k = _TABLE_K - s
+    a, b = (num << k, den) if k >= 0 else (num, den << -k)
+    return s, i, a - i * b, a + i * b
 
 
-def _ln_bound(reduced: tuple[int, int, int], W: int, upper: bool) -> int:
+def _ln_bound(reduced: tuple[int, int, int, int], W: int, upper: bool) -> int:
     """Upper (H) or lower (L) bound on ln(num/den) * 2**W.
 
-    ``reduced`` is ``_ln_reduced(num, den)``.  For y < 1 the bound on
-    ln y is the negated opposite bound on atanh((1-y)/(1+y)).
+    ``reduced`` is ``_ln_reduced(num, den)``; the atanh argument is never
+    negative, so each bound runs only its own one-sided chain.
     """
-    s, tn, td = reduced
-    if tn >= 0:
-        ln_y = 2 * _atanh_bound(tn, td, W, upper)
+    s, i, tn, td = reduced
+    # s ln 2 from ln 2 at _LN2_EXTRA more bits, rounded once
+    l2L, l2H = _ln2_fp(W + _LN2_EXTRA)
+    if upper:
+        s_ln2 = -((-s * (l2H if s >= 0 else l2L)) >> _LN2_EXTRA)
     else:
-        ln_y = -2 * _atanh_bound(-tn, td, W, not upper)
-    l2L, l2H = _ln2_fp(W)
-    return ln_y + s * (l2H if upper == (s >= 0) else l2L)
+        s_ln2 = (s * (l2L if s >= 0 else l2H)) >> _LN2_EXTRA
+    return _ln_c_fp(i, W)[upper] + 2 * _atanh_bound(tn, td, W, upper) + s_ln2
 
 
 def _ln_fp(lo_num: int, hi_num: int, den: int, W: int) -> tuple[int, int]:

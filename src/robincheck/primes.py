@@ -192,7 +192,8 @@ def primorial_factorization(m: int) -> Factorization:
     """Product of the first m primes, every exponent 1."""
     if m < 1:
         raise InvalidInput("m must be >= 1")
-    return Factorization(tuple((p, 1) for p in _SOURCE.first(m)))
+    return Factorization.from_canonical(
+        tuple((p, 1) for p in _SOURCE.first(m)))
 
 
 def is_prime(n: int) -> bool:

@@ -28,7 +28,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .factorization import (
     EmptyFactorization,
@@ -40,13 +40,14 @@ from .intervals import (
     Comparison,
     DEFAULT_PRECISION,
     Dyadic,
+    GAMMA_MAX_BITS,
     PrecisionConfig,
     RealInterval,
     _ln_fp,
+    _shared_exponent,
     compare,
     dyadic_from_fraction,
     exp_gamma,
-    outward_interval,
 )
 from . import primes as _primes
 
@@ -131,22 +132,63 @@ def log_n(f: Factorization, precision_bits: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _rhs_from_log(lo: int, hi: int,
-                  precision_bits: int) -> Optional[RealInterval]:
+# Ziv's test reruns ln x with _GUARD more bits at most this many times
+_ZIV_RERUNS = 2
+
+
+def _rhs_from_log(lo: int, hi: int, precision_bits: int,
+                  ln_x: Optional[Callable[[int], tuple[int, int]]] = None,
+                  ) -> Optional[RealInterval]:
     """Enclosure of e^gamma * ln(x) for every x in [lo, hi] * 2**-W.
 
     W = precision_bits + _GUARD.  None unless lo > 2**W: this is the one
     test of x > 1 that the right side needs.  Past it, ln x and e^gamma
-    are both positive, so the product bounds are the endpoint products,
-    rounded outward at W bits.
+    are both positive, so the product enclosure [A, B] * 2**(-2W) is the
+    pair of endpoint products, and each end is rounded outward to
+    ``precision_bits`` significant bits, at the exponent its own
+    magnitude gives, by shifts alone.
+
+    When [lo, hi] encloses one x up to kernel error, ``ln_x(b)`` gives
+    the bounds again at b precision bits (scale 2**(b + _GUARD)).  If A
+    and B round to the same two grid points, those are the true value's
+    RD and RU (Ziv's test), so the result does not depend on the kernel;
+    otherwise ln x is recomputed with _GUARD more bits, at most
+    _ZIV_RERUNS times and within the gamma digits.  After that, or with
+    no ``ln_x`` (an input interval wide by itself), the result is the
+    outward rounding of [A, B], sound and at most one step wider.
     """
-    W = precision_bits + _GUARD
-    one = 1 << W
-    if lo <= one:
+    b = precision_bits
+    W = b + _GUARD
+    if lo <= 1 << W:
         return None
-    L, H = _ln_fp(lo, hi, one, W)
-    eg_lo, eg_hi = exp_gamma(precision_bits)
-    return outward_interval(eg_lo * L, eg_hi * H, one << W, W)
+    fallback = None
+    for _ in range(_ZIV_RERUNS + 1):
+        L, H = _ln_fp(lo, hi, 1 << W, W)
+        eg_lo, eg_hi = exp_gamma(b)
+        A, B = eg_lo * L, eg_hi * H  # at scale 2**(2W), 0 <= A <= B
+        # X's grid step is 2**(nX - precision_bits) at scale 2**(2W), nX
+        # its bit length, so floor(X / step) = (X << bits) >> nX (A = 0
+        # takes B's step)
+        nb = B.bit_length()
+        na = A.bit_length() or nb
+        lo_m = (A << precision_bits) >> na
+        hi_m = -((-B << precision_bits) >> nb)
+        if (na == nb and lo_m == (B << precision_bits) >> na
+                and hi_m == -((-A << precision_bits) >> na)):
+            e = na - precision_bits - 2 * W
+            return RealInterval(Dyadic(lo_m, e), Dyadic(hi_m, e))
+        if fallback is None:
+            fallback = _shared_exponent(
+                Dyadic(lo_m, na - precision_bits - 2 * W),
+                Dyadic(hi_m, nb - precision_bits - 2 * W))
+        if ln_x is None or b + _GUARD > GAMMA_MAX_BITS:
+            break
+        b += _GUARD
+        W = b + _GUARD
+        lo, hi = ln_x(b)
+        if lo <= 1 << W:
+            break
+    return fallback
 
 
 def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
@@ -156,7 +198,8 @@ def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
     precision, which is what makes the outer log's value positive; n = 2
     always fails, n = 3 certifies at any reasonable precision.
     """
-    rhs = _rhs_from_log(*log_n(f, precision_bits), precision_bits)
+    rhs = _rhs_from_log(*log_n(f, precision_bits), precision_bits,
+                        functools.partial(log_n, f))
     if rhs is None:
         raise RhsUndefined("cannot certify ln n > 1")
     return rhs
@@ -178,7 +221,8 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
         return CheckResult(f, lhs, None, Verdict.VIOLATED, cfg.start_bits,
                            reason=REASON_RHS_UNDEFINED)
     for bits in cfg.ladder():
-        rhs = _rhs_from_log(*log_n(f, bits), bits)
+        rhs = _rhs_from_log(*log_n(f, bits), bits,
+                            functools.partial(log_n, f))
         if rhs is None:
             continue
         cmp_result = compare(lhs, rhs)

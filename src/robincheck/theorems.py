@@ -66,7 +66,7 @@ def verify_prime_powers(
         raise InvalidInput("limit must exceed 5040")
     results = []
     for p, k, _ in _prime_powers_in(5040, limit):
-        results.append(check(Factorization(((p, k),)), cfg))
+        results.append(check(Factorization.from_canonical(((p, k),)), cfg))
     return results
 
 

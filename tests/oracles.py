@@ -4,9 +4,10 @@ Nothing here shares code with the package under test: sigma comes from
 plain divisor enumeration (or a naive pure-python divisor sieve), the
 right-hand side from mpmath at 50 significant digits.  Verdicts with an
 oracle margin below 1e-6 are not decided here; callers re-check those
-through the certified path.  ``fused_ln_fp`` is the package's earlier
-two-sided ln kernel, copied as the bit-exact reference for its
-one-sided successor.
+through the certified path.  ``fused_atanh_fp`` is the package's
+earlier two-sided atanh chain, copied as the bit-exact reference for its
+one-sided successor, and ``rhs_rd_ru`` gives the correctly rounded
+right-hand side that every printed enclosure must equal.
 """
 
 from __future__ import annotations
@@ -119,32 +120,22 @@ def fused_atanh_fp(num: int, den: int, W: int) -> tuple[int, int]:
         k += 1
 
 
-def fused_ln_fp(num: int, den: int, W: int) -> tuple[int, int]:
-    """[L, H] on ln(num/den) * 2**W from ``fused_atanh_fp``, num, den > 0.
+def rhs_rd_ru(ln_n_terms, bits: int) -> tuple[Fraction, Fraction]:
+    """e^gamma * ln(ln n) rounded down and up to ``bits`` significant bits.
 
-    The package's earlier two-sided ln kernel, verbatim but uncached:
-    reduction to y in [2/3, 4/3) by a power of two, ln y = 2 atanh
-    ((y-1)/(y+1)) and ln 2 = 2 atanh(1/3).
+    ``ln_n_terms`` is a list of (p, k) with n = prod p^k, so huge n are
+    never formed.  The value is taken from mpmath at 3 * bits + 64 bits
+    of precision; the grid's exponent comes from the value's magnitude
+    (2**(e-1) <= v < 2**e gives steps of 2**(e - bits)).
     """
-    if num == den:
-        return 0, 0
-    n3, d2 = 3 * num, 2 * den
-    s = n3.bit_length() - d2.bit_length()
-    if n3 << max(-s, 0) < d2 << max(s, 0):
-        s -= 1
-    a, b = num << max(-s, 0), den << max(s, 0)
-    tn, td = a - b, a + b
-    if tn >= 0:
-        aL, aH = fused_atanh_fp(tn, td, W)
-        L, H = 2 * aL, 2 * aH
-    else:
-        aL, aH = fused_atanh_fp(-tn, td, W)
-        L, H = -2 * aH, -2 * aL
-    l2L, l2H = fused_atanh_fp(1, 3, W)
-    l2L, l2H = 2 * l2L, 2 * l2H
-    if s >= 0:
-        return L + s * l2L, H + s * l2H
-    return L + s * l2H, H + s * l2L
+    with mpmath.workprec(3 * bits + 64):
+        ln_n = mpmath.fsum(k * mpmath.log(p) for p, k in ln_n_terms)
+        v = mpmath.exp(mpmath.euler) * mpmath.log(ln_n)
+        _, e = mpmath.frexp(v)
+        scaled = mpmath.ldexp(v, bits - e)
+        lo, hi = int(mpmath.floor(scaled)), int(mpmath.ceil(scaled))
+    step = Fraction(2) ** (e - bits)
+    return lo * step, hi * step
 
 
 def agrees_with_decimal(iv, stated: str) -> bool:

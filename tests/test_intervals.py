@@ -255,22 +255,29 @@ _LADDER_W = [bits + _GUARD for bits in (1, 53, 106, 212, 1024, GAMMA_MAX_BITS)]
 
 
 class TestOneSidedLn:
-    """The one-sided kernels equal the fused two-sided kernel, bit for bit."""
+    """The ln kernel's tight enclosure, and its chain against the fused one."""
 
     @settings(max_examples=150, deadline=None)
     @given(W=st.sampled_from(_LADDER_W), lo=st.integers(1, 2 ** 160),
            width=st.integers(0, 2 ** 100), den=st.integers(1, 2 ** 160))
     @example(W=33, lo=7, width=0, den=7)            # num == den
     @example(W=85, lo=1, width=1, den=2)            # tn = 0 at s = -1 and 0
-    @example(W=138, lo=2 ** 90 - 1, width=2, den=2 ** 90)  # tn < 0, tn > 0
+    @example(W=138, lo=2 ** 90 - 1, width=2, den=2 ** 90)  # either side of 1
     @example(W=244, lo=4, width=2, den=5)           # [4/5, 6/5]: the same
     @example(W=244, lo=2, width=1, den=3)           # y = 2/3 and x = 1
     @example(W=1056, lo=4, width=0, den=3)          # 4/3 is y = 2/3, s = 1
     @example(W=4618, lo=1, width=0, den=3)          # s = -1 at the top W
-    def test_ln_fp_matches_fused_reference(self, W, lo, width, den):
+    @example(W=85, lo=85, width=1, den=128)         # breakpoints 85/128, 86/128
+    @example(W=85, lo=2 ** 160, width=0, den=1)     # s = 160
+    def test_ln_fp_encloses_mpmath_within_2W_ulp(self, W, lo, width, den):
         hi = lo + width
-        assert _ln_fp(lo, hi, den, W) == (oracles.fused_ln_fp(lo, den, W)[0],
-                                          oracles.fused_ln_fp(hi, den, W)[1])
+        L, H = _ln_fp(lo, hi, den, W)
+        with mpmath.workprec(W + 64):
+            scale = mpmath.mpf(2) ** W
+            ln_lo = (mpmath.log(lo) - mpmath.log(den)) * scale
+            ln_hi = (mpmath.log(hi) - mpmath.log(den)) * scale
+            assert ln_lo - 2 * W <= L <= ln_lo
+            assert ln_hi <= H <= ln_hi + 2 * W
 
     @settings(max_examples=100, deadline=None)
     @given(W=st.sampled_from(_LADDER_W), num=st.integers(0, 2 ** 120),
@@ -283,6 +290,33 @@ class TestOneSidedLn:
         assert (intervals._atanh_bound(num, den, W, False),
                 intervals._atanh_bound(num, den, W, True)) == \
             oracles.fused_atanh_fp(num, den, W)
+
+
+class TestLnTableCache:
+    def test_ladder_walk_to_4096_bits_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_LN_C_CACHE", {})
+        rungs = list(PrecisionConfig(53, 4096).ladder())
+        for bits in rungs:
+            robin.check(primes.primorial_factorization(30),
+                        PrecisionConfig(bits, bits))
+            for t in (5041, 10**6 + 3, 2**40 - 87):
+                explorer._rhs_floor_scaled(t, bits)
+        cache = intervals._LN_C_CACHE
+        assert 0 < len(cache) <= intervals._LN_C_CACHE_MAX
+        # keys are breakpoints c = i/2**K in [85/128, 170/128] at the
+        # rungs' W, or at the W of a Ziv rerun above one
+        ws = {b + j * _GUARD for b in rungs
+              for j in range(1, robin._ZIV_RERUNS + 2)}
+        assert {W for _, W in cache} <= ws
+        assert all(85 <= i <= 170 for i, _ in cache)
+
+    def test_full_cache_still_gives_the_same_bounds(self, monkeypatch):
+        want = [_ln_fp(x, x, 7, W) for x in (5, 50, 5000) for W in (85, 138)]
+        monkeypatch.setattr(intervals, "_LN_C_CACHE", {})
+        monkeypatch.setattr(intervals, "_LN_C_CACHE_MAX", 2)
+        got = [_ln_fp(x, x, 7, W) for x in (5, 50, 5000) for W in (85, 138)]
+        assert got == want
+        assert len(intervals._LN_C_CACHE) == 2
 
 
 class TestPrecisionLadder:

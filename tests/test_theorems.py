@@ -78,6 +78,19 @@ class TestVerifyPrimePowers:
         with pytest.raises(ValueError):
             theorems.verify_prime_powers(5040)
 
+    def test_trusted_factorizations_equal_validated_ones(self):
+        # verify_prime_powers and primorial_factorization skip validation
+        results = theorems.verify_prime_powers(10**5)
+        assert len(results) == len(theorems._prime_powers_in(5040, 10**5))
+        for r in results:
+            f = r.factorization
+            assert f == Factorization(f.entries)
+            assert hash(f) == hash(Factorization(f.entries))
+            assert all(type(x) is int for pk in f.entries for x in pk)
+        f = primes.primorial_factorization(1000)
+        assert f == Factorization(tuple(f.entries))
+        assert f.entries == tuple((p, 1) for p in primes.first_primes(1000))
+
 
 class TestSubstitutePrime:
     def test_basic(self):
