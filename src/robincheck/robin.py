@@ -155,7 +155,7 @@ def _rhs_from_log(lo: int, hi: int, precision_bits: int,
     otherwise ln x is recomputed with _GUARD more bits, at most
     _ZIV_RERUNS times and within the gamma digits.  After that, or with
     no ``ln_x`` (an input interval wide by itself), the result is the
-    outward rounding of [A, B], sound and at most one step wider.
+    outward rounding of the first attempt's [A, B], which is sound.
     """
     b = precision_bits
     W = b + _GUARD

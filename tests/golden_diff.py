@@ -123,10 +123,11 @@ def main(old_dir: str, record: bool) -> int:
                 print(f"  unchanged  {name}")
                 continue
             # a JSON row field is checked by its name inside the row
-            bad = sorted(c for c in moved if c.rsplit("[].", 1)[-1] not in ROUNDED)
+            bad = [c for c in moved if c.rsplit("[].", 1)[-1] not in ROUNDED]
             ok = ok and not bad
             cols = ", ".join(f"{c} ({n})" for c, n in sorted(moved.items()))
-            print(f"  {'NOT ALLOWED' if bad else 'rounded':10s} {name}: {cols}")
+            label = "NOT ALLOWED" if bad else "rounded"
+            print(f"  {label:10s} {name}: {cols}")
             outputs.append((name, new))
     print("verdicts, precision_bits, exit codes, stderr and every other byte "
           + ("unchanged" if ok else "CHANGED"))

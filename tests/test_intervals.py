@@ -267,7 +267,7 @@ class TestOneSidedLn:
     @example(W=244, lo=2, width=1, den=3)           # y = 2/3 and x = 1
     @example(W=1056, lo=4, width=0, den=3)          # 4/3 is y = 2/3, s = 1
     @example(W=4618, lo=1, width=0, den=3)          # s = -1 at the top W
-    @example(W=85, lo=85, width=1, den=128)         # breakpoints 85/128, 86/128
+    @example(W=85, lo=85, width=1, den=128)         # breakpoints 85, 86 / 128
     @example(W=85, lo=2 ** 160, width=0, den=1)     # s = 160
     def test_ln_fp_encloses_mpmath_within_2W_ulp(self, W, lo, width, den):
         hi = lo + width
@@ -303,12 +303,12 @@ class TestLnTableCache:
                 explorer._rhs_floor_scaled(t, bits)
         cache = intervals._LN_C_CACHE
         assert 0 < len(cache) <= intervals._LN_C_CACHE_MAX
-        # keys are breakpoints c = i/2**K in [85/128, 170/128] at the
+        # keys are breakpoints c = i/2**K in [85/128, 170/128) at the
         # rungs' W, or at the W of a Ziv rerun above one
         ws = {b + j * _GUARD for b in rungs
               for j in range(1, robin._ZIV_RERUNS + 2)}
         assert {W for _, W in cache} <= ws
-        assert all(85 <= i <= 170 for i, _ in cache)
+        assert all(85 <= i < 170 for i, _ in cache)
 
     def test_full_cache_still_gives_the_same_bounds(self, monkeypatch):
         want = [_ln_fp(x, x, 7, W) for x in (5, 50, 5000) for W in (85, 138)]

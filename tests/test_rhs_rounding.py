@@ -65,7 +65,7 @@ def _row_terms(row: dict, field: str):
 
 
 def _golden_endpoints():
-    """(file, terms, bits, lo, hi) for every enclosure a golden prints in full."""
+    """(file, terms, bits, lo, hi) of each enclosure a golden prints in full."""
     with open(os.path.join(_GOLDEN_DIR, "manifest.json")) as fh:
         cases = json.load(fh)
     for case in cases:
