@@ -2,9 +2,12 @@
 
 The scanner certifies a whole segment at a time.  sigma(n) for every n
 in the segment comes from a multiplicative sieve over the primes
-p <= sqrt(segment end): strided numpy slices divide each p out of its
-multiples and multiply in 1 + p + ... + p^k, and the one prime cofactor
-left over contributes its own factor; no per-n trial division happens.
+p <= sqrt(segment end), with no division until the end: each multiple
+of p multiplies in 1 + p + ... + p^k and records p^k, by strided numpy
+slices for the primes up to sqrt(segment width) and by batched
+``np.multiply.at`` index lists for the rest.  One division of n by what
+was recorded leaves a prime cofactor or 1, and the prime contributes its
+own factor; no per-n trial division happens.
 Each block of consecutive n is then compared against a certified lower
 bound of the right-hand side at the block start (the RHS is increasing
 in n), using pure int64 arithmetic, and only the handful of
@@ -24,6 +27,7 @@ than there are CPUs or tasks.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import multiprocessing
 import os
@@ -61,6 +65,9 @@ _BLOCK = 4096
 # candidates and keeps the comparison in exact int64 arithmetic
 _THR_SHIFT = 16
 MAX_SCAN_HI = 10 ** 12  # keeps sigma * 2^16 and thr * n inside int64
+# index entries per batch of big sieving primes: keeps the sieve's
+# temporaries a few hundred KiB at every height
+_SIEVE_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,25 +82,33 @@ class ScanReport:
 def _sigma_segment(a: int, b: int) -> np.ndarray:
     """sigma(n) for n in [a, b) as int64, via a multiplicative prime sieve.
 
-    Every prime p <= sqrt(b - 1) is divided out of its multiples in the
-    segment, and each multiple's sigma picks up the factor
-    1 + p + ... + p^k for the exact power p^k it holds.  What is left of
-    n afterwards is 1 or a single prime above sqrt(b - 1), which
-    contributes its own factor rem + 1.
+    For every prime p <= sqrt(b - 1), each multiple's sigma picks up the
+    factor 1 + p + ... + p^k for the exact power p^k it holds, and
+    ``found`` (the product of the prime powers taken out of n so far)
+    picks up p^k.  One division at the end leaves n // found, which is 1
+    or a single prime above sqrt(b - 1) that contributes its own factor.
 
-    int64 headroom for b <= MAX_SCAN_HI + 1: each partial product in sig
-    is sigma of a unitary divisor of n, so it divides sigma(n) < 7n < 2^43,
-    and a per-prime factor stays below 2 * p^k <= 2 * 10^12.
+    A prime with p^2 <= width strides over the window once per power.
+    The primes above isqrt(width) have at most one multiple of p^2 in
+    the window; their multiples are indexed all at once, _SIEVE_BATCH
+    entries at a time, multiplied in as 1 + p and p, and the few
+    multiples of p^2 are fixed up one by one.
+
+    int64 headroom for b <= MAX_SCAN_HI + 1: found divides n <= 10^12.
+    Each partial product in sig is sigma of a unitary divisor of n, or,
+    before a p^2 fix-up, such a product with 1 + p <= sigma(p^k) in place
+    of sigma(p^k), so it stays <= sigma(n) < 7n < 2^43, and a per-prime
+    factor stays below 2 * p^k <= 2 * 10^12.
     """
     width = b - a
-    rem = np.arange(a, b, dtype=np.int64)
     sig = np.ones(width, dtype=np.int64)
-    for p in _primes.primes_up_to(isqrt(b - 1)):
+    found = np.ones(width, dtype=np.int64)
+    plist = _primes.primes_up_to(isqrt(b - 1))
+    n_small = bisect.bisect_right(plist, isqrt(width))
+    for p in plist[:n_small]:
         s = -a % p
-        if s >= width:
-            continue
-        view = rem[s::p]
-        view //= p
+        view = found[s::p]
+        view *= p
         term = 1 + p
         q = p * p
         j = -a % q
@@ -103,13 +118,47 @@ def _sigma_segment(a: int, b: int) -> np.ndarray:
             while j < width:
                 # in the view, multiples of q = p^k are q // p apart
                 i, step = (j - s) // p, q // p
-                view[i::step] //= p
+                view[i::step] *= p
                 term[i::step] += q
                 q *= p
                 j = -a % q
         sig[s::p] *= term
-    big = rem > 1
-    sig[big] *= rem[big] + 1
+
+    big = np.array(plist[n_small:], dtype=np.int64)
+    first = -a % big
+    count = (width - 1 - first) // big + 1  # 0 when first >= width
+    ends = np.cumsum(count)
+    start = 0
+    while start < big.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, base + _SIEVE_BATCH, "right")),
+                   start + 1)
+        cnt = count[start:stop]
+        step = np.repeat(big[start:stop], cnt)
+        # entry t of prime g's run is first_g + (t - run start_g) * p_g
+        idx = np.repeat(first[start:stop]
+                        - (ends[start:stop] - cnt - base) * big[start:stop],
+                        cnt)
+        idx += np.arange(step.size, dtype=np.int64) * step
+        # two big primes can divide one n: unbuffered products
+        np.multiply.at(found, idx, step)
+        step += 1
+        np.multiply.at(sig, idx, step)
+        start = stop
+    square = -a % (big * big)
+    for p, j in zip(big[square < width].tolist(),
+                    square[square < width].tolist()):
+        # n = a + j holds p^k, k >= 2: swap 1 + p for sigma(p^k)
+        n, q, term = a + j, p * p, 1 + p + p * p
+        while n % (q * p) == 0:
+            q *= p
+            term += q
+        sig[j] = sig[j] // (1 + p) * term
+        found[j] *= q // p
+
+    np.floor_divide(np.arange(a, b, dtype=np.int64), found, out=found)
+    found += found > 1
+    sig *= found
     return sig
 
 

@@ -39,7 +39,7 @@ def _tree_product(values: list[int]) -> int:
     return values[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """Ordered (prime, exponent) pairs, primes strictly ascending.
 

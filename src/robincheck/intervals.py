@@ -83,7 +83,7 @@ def _ceil_div_shift(num: int, den: int, shift: int) -> int:
     return -_floor_div_shift(-num, den, shift)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dyadic:
     """The exact dyadic rational m * 2**e, as stored (no normalization)."""
 
@@ -135,7 +135,7 @@ def dyadic_from_fraction(fr: Fraction, bits: int, round_up: bool) -> Dyadic:
 # Intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealInterval:
     """Enclosure [lo, hi] of a real value: lo.m <= hi.m at one exponent e."""
 

@@ -5,11 +5,13 @@ import multiprocessing
 import os
 import pickle
 import random
+import tracemalloc
 import types
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,10 +151,51 @@ class TestSigmaSegment:
     def test_segment_containing_high_prime_power(self, pk):
         assert_sigma_segment_exact(pk - 300, pk + 300)
 
+    @pytest.mark.parametrize("p, k", [(1031, 3), (9973, 3), (999983, 2)])
+    def test_full_window_with_big_prime_power(self, p, k):
+        # p > isqrt(2^20) = 1024: p^k goes through the batched path and
+        # its p^2 fix-up
+        pk = p ** k
+        rng = random.Random(pk)
+        a = pk - rng.randrange(explorer.SEGMENT_SIZE)
+        b = a + explorer.SEGMENT_SIZE
+        seg = explorer._sigma_segment(a, b)
+        expect = (pk * p - 1) // (p - 1)
+        assert int(seg[pk - a]) == expect == sigma_int(primes.factorize(pk))
+        for n in rng.sample(range(a, b), 256):
+            assert int(seg[n - a]) == sigma_int(primes.factorize(n)), n
+
+    @pytest.mark.parametrize("a, b", [
+        (10**9 + 777, 10**9 + 777 + 2**20),
+        (10**12 - 4096, 10**12 + 1),
+    ])
+    def test_batch_size_does_not_change_the_array(self, a, b, monkeypatch):
+        arrays = []
+        for batch in (1, 2**30):
+            monkeypatch.setattr(explorer, "_SIEVE_BATCH", batch)
+            arrays.append(explorer._sigma_segment(a, b))
+        monkeypatch.undo()
+        arrays.append(explorer._sigma_segment(a, b))
+        assert all(np.array_equal(arrays[0], s) for s in arrays[1:])
+
+    def test_peak_memory_of_a_window_at_1e11(self):
+        a, b = 10**11, 10**11 + 2**20
+        primes.primes_up_to(isqrt(b - 1))  # the shared prime source, grown
+        tracemalloc.start()
+        try:
+            explorer._sigma_segment(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # four window-sized int64 arrays
+        assert peak <= 4 * 8 * (b - a)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=10**12),
-           st.integers(min_value=1, max_value=64))
+           st.integers(min_value=1, max_value=4096))
     def test_matches_factorize_on_random_windows(self, a, width):
+        # widths above 4 sieve small primes by strides and big ones in
+        # batches
         b = min(a + width, explorer.MAX_SCAN_HI + 1)
         assert_sigma_segment_exact(a, b)
 
