@@ -65,8 +65,9 @@ _BLOCK = 4096
 # candidates and keeps the comparison in exact int64 arithmetic
 _THR_SHIFT = 16
 MAX_SCAN_HI = 10 ** 12  # keeps sigma * 2^16 and thr * n inside int64
-# index entries per batch of big sieving primes: keeps the sieve's
-# temporaries a few hundred KiB at every height
+# index entries per batch of the sieving primes above isqrt(width): the
+# batch temporaries stay near 2 MiB at every height, where indexing all
+# of a 2^20 window's entries at once would add tens of MiB
 _SIEVE_BATCH = 1 << 16
 
 
@@ -127,27 +128,27 @@ def _sigma_segment(a: int, b: int) -> np.ndarray:
     big = np.array(plist[n_small:], dtype=np.int64)
     first = -a % big
     count = (width - 1 - first) // big + 1  # 0 when first >= width
+    # the multiples of big[g] are entries ends[g] - count[g] to
+    # ends[g] - 1 of one list over all big primes; entry t is the index
+    # origin[g] + t * big[g]
     ends = np.cumsum(count)
+    origin = first - (ends - count) * big
     start = 0
     while start < big.size:
-        base = int(ends[start - 1]) if start else 0
+        base = int(ends[start] - count[start])
         stop = max(int(np.searchsorted(ends, base + _SIEVE_BATCH, "right")),
                    start + 1)
-        cnt = count[start:stop]
-        step = np.repeat(big[start:stop], cnt)
-        # entry t of prime g's run is first_g + (t - run start_g) * p_g
-        idx = np.repeat(first[start:stop]
-                        - (ends[start:stop] - cnt - base) * big[start:stop],
-                        cnt)
-        idx += np.arange(step.size, dtype=np.int64) * step
+        step = np.repeat(big[start:stop], count[start:stop])
+        idx = np.repeat(origin[start:stop], count[start:stop])
+        idx += np.arange(base, base + step.size, dtype=np.int64) * step
         # two big primes can divide one n: unbuffered products
         np.multiply.at(found, idx, step)
         step += 1
         np.multiply.at(sig, idx, step)
         start = stop
     square = -a % (big * big)
-    for p, j in zip(big[square < width].tolist(),
-                    square[square < width].tolist()):
+    hit = square < width
+    for p, j in zip(big[hit].tolist(), square[hit].tolist()):
         # n = a + j holds p^k, k >= 2: swap 1 + p for sigma(p^k)
         n, q, term = a + j, p * p, 1 + p + p * p
         while n % (q * p) == 0:
