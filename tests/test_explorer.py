@@ -180,7 +180,8 @@ class TestSigmaSegment:
 
     def test_peak_memory_of_a_window_at_1e11(self):
         a, b = 10**11, 10**11 + 2**20
-        primes.primes_up_to(isqrt(b - 1))  # the shared prime source, grown
+        # grow the shared prime source first: the peak is the sieve's own
+        primes.primes_up_to(isqrt(b - 1))
         tracemalloc.start()
         try:
             explorer._sigma_segment(a, b)
