@@ -11,8 +11,9 @@ could not be opened or written (nothing is printed for a reader that
 closed the pipe early); a plain ValueError is a bug and ends in a
 traceback.  ``--output PATH`` is opened at the command's first write, so
 a refused command leaves it as it was.  Exact integers print through
-``output.int_str``, except q_m in conjecture1, whose digits carry from
-row to row as exact Decimals.
+``output.int_str``, except the running products of conjecture1 and
+bounds, whose digits carry from row to row as exact Decimals along
+``explorer.q_steps``.
 """
 
 from __future__ import annotations
@@ -263,9 +264,12 @@ def _cmd_scan(args, cfg: PrecisionConfig, out: TextIO) -> int:
     indeterminates: list[int] = []
 
     def violations():
-        for viol, indet in segments:
-            yield from viol
-            indeterminates.extend(indet)
+        for segment in segments:
+            for n, result in segment:
+                if result.verdict is Verdict.VIOLATED:
+                    yield n, result
+                else:
+                    indeterminates.append(n)
 
     if args.format == "human":
         found = 0
@@ -313,22 +317,15 @@ CONJ1_CSV_HEADER = ("m,p_m,q_m_num,q_m_den,q_m_dec,alpha_lo,alpha_hi,"
                     "ratio_lo,ratio_hi,n_exceeds_5040")
 
 
-def _q_digits(m_max: int) -> Iterator[tuple[str, str]]:
-    """The digits of q_m's numerator and denominator, for m = 1..m_max.
+def _q_digits(plist, d: int = 1) -> Iterator[tuple[str, str]]:
+    """The digits of qn and qd along ``explorer.q_steps(plist, d)``.
 
-    Exact Decimals carried from row to row along ``explorer.q_steps``
-    convert in linear time, where each row's int would cost a
-    superlinear ``int_str`` from scratch.
+    Exact Decimals carried from row to row convert in linear time, where
+    each row's int would cost a superlinear ``int_str`` from scratch.
     """
     ctx = exact_context()
-    qn = qd = decimal.Decimal(1)
-    for p, g1, g2 in explorer.q_steps(m_max):
-        if g1 != 1:
-            qn = ctx.divide_int(qn, g1)
-        if g2 != 1:
-            qd = ctx.divide_int(qd, g2)
-        qn = ctx.multiply(qn, (p + 1) // g2)
-        qd = ctx.multiply(qd, p // g1)
+    for _, qn, qd in explorer.q_steps(plist, d, decimal.Decimal(1),
+                                      ctx.divide_int, ctx.multiply):
         yield str(qn), str(qd)
 
 
@@ -343,7 +340,7 @@ def _cmd_conjecture1(args, cfg: PrecisionConfig, out: TextIO) -> int:
              "alpha": interval_json(r.alpha),
              "ratio": interval_json(r.ratio),
              "n_exceeds_5040": r.n_exceeds_5040}
-            for r, (num, den) in zip(table, _q_digits(args.m_max)))
+            for r, (num, den) in zip(table, _q_digits([r.p_m for r in table])))
     if args.format == "json":
         _write_json({"rows": list(rows)}, out)
     elif args.format == "csv":
@@ -470,8 +467,8 @@ BOUNDS_CSV_HEADER = ("m,p_m,unbounded_num,unbounded_den,unbounded_dec,"
                      "squarefree_dec,squarefree_passes,threshold_lo,threshold_hi")
 
 
-def _bound_json(report: theorems.BoundReport) -> dict:
-    return {**_num_den(report.bound_value),
+def _bound_json(report: theorems.BoundReport, num: str, den: str) -> dict:
+    return {"num": num, "den": den,
             "dec": sig_str_fraction(report.bound_value),
             "passes": report.passes}
 
@@ -479,9 +476,13 @@ def _bound_json(report: theorems.BoundReport) -> dict:
 def _cmd_bounds(args, cfg: PrecisionConfig, out: TextIO) -> int:
     table = theorems.bound_table(args.m_max, cfg)
     thr = table[0][1].threshold
+    plist = [p for p, _, _ in table]
+    # unbounded = prod p/(p-1) is the d = -1 walk's qd/qn
     rows = ({"m": u.m, "p_m": p,
-             "unbounded": _bound_json(u),
-             "squarefree": _bound_json(s)} for p, u, s in table)
+             "unbounded": _bound_json(u, u_den, u_num),
+             "squarefree": _bound_json(s, s_num, s_den)}
+            for (p, u, s), (u_num, u_den), (s_num, s_den)
+            in zip(table, _q_digits(plist, -1), _q_digits(plist)))
     if args.format == "json":
         _write_json({"threshold": interval_json(thr), "rows": list(rows)}, out)
     elif args.format == "csv":

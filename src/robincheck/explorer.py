@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import functools
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,11 +180,8 @@ def _rhs_floor_scaled(t: int, bits: int) -> int:
     return d.m << shift if shift >= 0 else d.m >> -shift
 
 
-def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> tuple[list, list]:
-    """Violations and indeterminates among n in [a, b)."""
-    violations: list[tuple[int, CheckResult]] = []
-    indeterminates: list[int] = []
-
+def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> list:
+    """(n, CheckResult) of each n in [a, b) not certified satisfied, by n."""
     candidates: list[int] = []
     sig = _sigma_segment(a, b)
     ns = np.arange(a, b, dtype=np.int64)
@@ -199,13 +197,8 @@ def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> tuple[list, list]:
             candidates.extend(int(v) for v in ns[i0:i1][mask])
         t = t_end
 
-    for n in candidates:
-        result = check(_primes.factorize(n), cfg)
-        if result.verdict is Verdict.VIOLATED:
-            violations.append((n, result))
-        elif result.verdict is Verdict.INDETERMINATE:
-            indeterminates.append(n)
-    return violations, indeterminates
+    results = ((n, check(_primes.factorize(n), cfg)) for n in candidates)
+    return [(n, r) for n, r in results if r.verdict is not Verdict.SATISFIED]
 
 
 def _pool_imap(fn, tasks: list, worker_count: int, chunksize: int = 1) -> Iterator:
@@ -233,8 +226,8 @@ def iter_scan_results(
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     worker_count: int = 1,
     segment_size: int = SEGMENT_SIZE,
-) -> Iterator[tuple[list, list]]:
-    """Per-segment (violations, indeterminates), ascending, streamed.
+) -> Iterator[list]:
+    """Per segment, ascending and streamed: ``_scan_segment``'s flagged pairs.
 
     The range is refused here, before the first segment is asked for.
     """
@@ -259,16 +252,15 @@ def scan_range(
     segment_size: int = SEGMENT_SIZE,
 ) -> ScanReport:
     """Certified verdict for every n in [lo, hi]; violations ascending."""
-    violations: list[tuple[int, CheckResult]] = []
-    indeterminates: list[int] = []
-    for viol, indet in iter_scan_results(lo, hi, cfg, worker_count, segment_size):
-        violations.extend(viol)
-        indeterminates.extend(indet)
+    flagged = [pair for segment in iter_scan_results(
+        lo, hi, cfg, worker_count, segment_size) for pair in segment]
     return ScanReport(
         lo=lo,
         hi=hi,
-        violations=tuple(violations),
-        indeterminates=tuple(indeterminates),
+        violations=tuple((n, r) for n, r in flagged
+                         if r.verdict is Verdict.VIOLATED),
+        indeterminates=tuple(n for n, r in flagged
+                             if r.verdict is not Verdict.VIOLATED),
         checked_count=hi - lo + 1,
     )
 
@@ -297,21 +289,23 @@ class ConjectureRow:
     n_exceeds_5040: bool
 
 
-def q_steps(m_max: int) -> Iterator[tuple[int, int, int]]:
-    """(p, g1, g2) for the first m_max primes p, ascending.
+def q_steps(plist, d: int = 1, one=1, div=operator.floordiv,
+            mul=operator.mul) -> Iterator[tuple]:
+    """(p, qn, qd) for each p of ``plist``, the first primes in order.
 
-    q = qn/qd = prod (p_j + 1)/p_j stays in lowest terms when each p
-    updates it to (qn // g1 * ((p + 1) // g2)) / (qd // g2 * (p // g1)),
-    with g1 = gcd(qn, p) and g2 = gcd(qd, p + 1).  Both gcds come from
-    bookkeeping instead of from the big qn and qd: the exponents of the
-    primes of qn, the squarefree set of primes of qd, and p + 1 trial
-    divided by the earlier primes.
+    qn/qd = prod (p_j + d)/p_j over the primes so far, d = 1 or -1, in
+    lowest terms: each p divides qn by g1 = gcd(qn, p) and qd by
+    g2 = gcd(qd, p + d), then multiplies them by (p + d) // g2 and p // g1.
+    Both gcds come from bookkeeping, not from the big qn and qd.  The
+    update runs through ``div`` and ``mul`` from ``one``: ints by default,
+    or an exact decimal context's ``divide_int`` and ``multiply``, passed
+    in because a generator cannot keep a context switch to itself.
     """
-    plist = _primes.first_primes(m_max)
     num_exp: dict[int, int] = {}  # prime -> exponent in qn
     den_primes: set[int] = set()  # the primes of qd, each to the first power
+    qn = qd = one
     for p in plist:
-        powers, _ = _primes.factor_small(p + 1, plist)
+        powers, _ = _primes.factor_small(p + d, plist)
         g2 = 1
         for r, e in powers:
             if r in den_primes:
@@ -326,7 +320,14 @@ def q_steps(m_max: int) -> Iterator[tuple[int, int, int]]:
         else:
             den_primes.add(p)
             g1 = 1
-        yield p, g1, g2
+        # a big number divided by 1 still costs a full pass: skip it
+        if g1 != 1:
+            qn = div(qn, g1)
+        if g2 != 1:
+            qd = div(qd, g2)
+        qn = mul(qn, (p + d) // g2)
+        qd = mul(qd, p // g1)
+        yield p, qn, qd
 
 
 def _primorial_log(m: int, bits: int) -> tuple[int, int]:
@@ -340,7 +341,7 @@ def conjecture31_table(
     """Rows m = 1..m_max; q exact, alpha/ratio certified enclosures.
 
     ln(primorial) is accumulated as sum ln p_j in fixed point, so the
-    primorial itself is never materialized, and q is updated along
+    primorial itself is never materialized, and q comes from
     ``q_steps``, so no row takes a gcd of its exact q.
     """
     if m_max < 1:
@@ -348,18 +349,10 @@ def conjecture31_table(
     bits = cfg.start_bits
     W = bits + _GUARD
     rows: list[ConjectureRow] = []
-    qn, qd = 1, 1
     s_lo = s_hi = 0  # fixed-point bounds on sum ln p_j
     primorial = 1
     exceeded = False
-    for m, (p, g1, g2) in enumerate(q_steps(m_max), 1):
-        # a big int divided by 1 still costs a full pass: skip it
-        if g1 != 1:
-            qn //= g1
-        if g2 != 1:
-            qd //= g2
-        qn *= (p + 1) // g2
-        qd *= p // g1
+    for m, (p, qn, qd) in enumerate(q_steps(_primes.first_primes(m_max)), 1):
         L, H = _ln_prime_fp(p, W)
         s_lo += L
         s_hi += H

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .factorization import Factorization
+from .explorer import q_steps
+from .factorization import Factorization, _coprime_fraction
 from .intervals import (
     DEFAULT_PRECISION,
     InvalidInput,
@@ -158,18 +159,20 @@ def bound_table(
 ) -> list[tuple[int, BoundReport, BoundReport]]:
     """(p_m, unbounded, squarefree) reports for m = 1..m_max, in one pass.
 
-    ``unbounded`` is prod p/(p-1) and ``squarefree`` prod (p+1)/p over the
-    first m primes, both against one enclosure of e^gamma ln ln 5040.
+    ``unbounded`` is prod p/(p-1), the inverted d = -1 walk of
+    ``explorer.q_steps``, and ``squarefree`` prod (p+1)/p, its d = 1 walk,
+    over the first m primes, both against one enclosure of e^gamma ln ln 5040.
     """
     if m_max < 1:
         raise InvalidInput("m must be >= 1")
+    plist = _primes.first_primes(m_max)
     thr = threshold_5040(cfg)
     thr_lo = thr.lo.as_fraction()
-    unbounded = squarefree = Fraction(1)
     rows = []
-    for m, p in enumerate(_primes.first_primes(m_max), 1):
-        unbounded *= Fraction(p, p - 1)
-        squarefree *= Fraction(p + 1, p)
+    for m, ((p, un, ud), (_, sn, sd)) in enumerate(
+            zip(q_steps(plist, -1), q_steps(plist)), 1):
+        unbounded = _coprime_fraction(ud, un)
+        squarefree = _coprime_fraction(sn, sd)
         rows.append((p,
                      BoundReport(m, unbounded, thr, unbounded < thr_lo),
                      BoundReport(m, squarefree, thr, squarefree < thr_lo)))

@@ -566,6 +566,19 @@ class TestBoundsCommand:
         assert calls == {"threshold_5040": 1, "first_primes": 1}
 
 
+    def test_csv_digits_equal_the_table_fractions(self, capsys):
+        table = theorems.bound_table(300)
+        code, out, _ = run_cli(["bounds", "300", "--format", "csv"], capsys)
+        lines = out.strip().split("\n")[1:]
+        assert len(lines) == len(table)
+        for (_, u, s), line in zip(table, lines):
+            cells = line.split(",")
+            for value, num_den in ((u.bound_value, cells[2:4]),
+                                   (s.bound_value, cells[6:8])):
+                assert num_den == [output.int_str(value.numerator),
+                                   output.int_str(value.denominator)], u.m
+
+
 class TestPrimePowersCommand:
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(["prime-powers", "--limit", "6000"], capsys)

@@ -1,5 +1,6 @@
 """Scanner vs brute-force oracle, the primorial table, conjecture probes."""
 
+import decimal
 import itertools
 import multiprocessing
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robincheck import explorer, intervals, primes, robin
+from robincheck import explorer, intervals, output, primes, robin
 from robincheck.factorization import Factorization, sigma_int
 from robincheck.intervals import _GUARD, DEFAULT_PRECISION
 from robincheck.robin import Verdict
@@ -75,6 +76,22 @@ class TestScanGolden:
         # the 27 violators plus a few near misses; every other n is
         # certified by the block filter
         assert len(checked) <= 64
+
+    def test_segment_returns_the_unsatisfied_pairs_ascending(self,
+                                                             monkeypatch):
+        flagged = explorer._scan_segment(2, 5041, DEFAULT_PRECISION)
+        assert flagged == list(explorer.scan_range(2, 5040).violations)
+        # forced overlaps leave n = 2 violated and every other candidate
+        # undecided: one list, ascending, with both verdicts
+        monkeypatch.setattr(robin, "compare",
+                            lambda lhs, rhs: intervals.Comparison.OVERLAPPING)
+        flagged = explorer._scan_segment(2, 5041, DEFAULT_PRECISION)
+        ns = [n for n, _ in flagged]
+        assert ns == sorted(set(ns)) and ns[0] == 2 and 5040 in ns
+        assert {r.verdict for _, r in flagged} == {Verdict.VIOLATED,
+                                                   Verdict.INDETERMINATE}
+        assert [(n, r.verdict) for n, r in flagged if n > 2] == [
+            (n, Verdict.INDETERMINATE) for n in ns[1:]]
 
     def test_block_threshold_zero_below_e(self):
         # ln 2 < 1: no RHS bound at t = 2, so its whole block is checked
@@ -291,19 +308,29 @@ class TestConjecture31Table:
             assert b >= a
 
 
+def _reference_walk(plist, d):
+    """(p, qn, qd) of prod (p + d)/p in lowest terms, by exact gcds."""
+    steps = []
+    qn = qd = 1
+    for p in plist:
+        g1, g2 = gcd(qn, p), gcd(qd, p + d)
+        qn = (qn // g1) * ((p + d) // g2)
+        qd = (qd // g2) * (p // g1)
+        steps.append((p, qn, qd))
+    return steps
+
+
 def _reference_table(m_max):
-    """The primorial table with q reduced by exact gcds and ratio divided exactly."""
+    """The primorial table with q reduced by exact gcds and ratio divided
+    exactly, and the d = 1 and d = -1 walks."""
     bits = DEFAULT_PRECISION.start_bits
     W = bits + _GUARD
-    rows, steps = [], []
-    qn = qd = 1
+    plist = primes.first_primes(m_max)
+    walks = {d: _reference_walk(plist, d) for d in (1, -1)}
+    rows = []
     s_lo = s_hi = 0
     primorial = 1
-    for m, p in enumerate(primes.first_primes(m_max), 1):
-        g1, g2 = gcd(qn, p), gcd(qd, p + 1)
-        steps.append((p, g1, g2))
-        qn = (qn // g1) * ((p + 1) // g2)
-        qd = (qd // g2) * (p // g1)
+    for m, (p, qn, qd) in enumerate(walks[1], 1):
         L, H = robin._ln_prime_fp(p, W)
         s_lo += L
         s_hi += H
@@ -313,7 +340,7 @@ def _reference_table(m_max):
             alpha.lo.m * qd, alpha.hi.m * qd, qn << -alpha.lo.e, W)
         rows.append(explorer.ConjectureRow(m, p, qn, qd, alpha, ratio,
                                            primorial > 5040))
-    return rows, steps
+    return rows, walks
 
 
 class TestTableWithoutBigGcds:
@@ -338,7 +365,27 @@ class TestTableWithoutBigGcds:
         return calls
 
     def test_q_steps_equal_the_gcds(self, reference):
-        assert list(explorer.q_steps(self.M)) == reference[1]
+        plist = primes.first_primes(self.M)
+        for d in (1, -1):
+            assert list(explorer.q_steps(plist, d)) == reference[1][d], d
+        # the exact walk is the running product
+        q = Fraction(1)
+        for p, qn, qd in reference[1][-1][:50]:
+            q *= Fraction(p - 1, p)
+            assert (q.numerator, q.denominator) == (qn, qd)
+
+    def test_q_steps_on_exact_decimals_give_the_same_values(self, reference):
+        ctx = output.exact_context()
+        plist = primes.first_primes(self.M)
+        for d in (1, -1):
+            walk = list(explorer.q_steps(plist, d, decimal.Decimal(1),
+                                         ctx.divide_int, ctx.multiply))
+            assert len(walk) == self.M
+            # each row is the next one's input; the rest of the rows cost
+            # a quadratic int(Decimal) each
+            for m in [*range(1, 30), *range(100, self.M + 1, 100)]:
+                p, qn, qd = walk[m - 1]
+                assert (p, int(qn), int(qd)) == reference[1][d][m - 1], (d, m)
 
     def test_rows_equal_and_top_bits_decide_every_ratio(self, reference,
                                                          monkeypatch):
