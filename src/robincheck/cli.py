@@ -210,8 +210,8 @@ def _cmd_check(args, cfg: PrecisionConfig, out: TextIO) -> int:
         f = primes.parse_factor_string(value)
     result = robin.check(f, cfg)
     n_str, log10_str = _n_display(f)
+    margin = result.margin_lower_bound  # derived on each read
     if args.format != "human":
-        margin = result.margin_lower_bound
         record = {
             "n": n_str,
             "log10_n": log10_str,
@@ -245,8 +245,8 @@ def _cmd_check(args, cfg: PrecisionConfig, out: TextIO) -> int:
         out.write(f"verdict = {result.verdict.value}\n")
         if result.reason:
             out.write(f"reason = {result.reason}\n")
-        if result.margin_lower_bound is not None:
-            out.write(f"margin >= {sig_str_dyadic(result.margin_lower_bound)}\n")
+        if margin is not None:
+            out.write(f"margin >= {sig_str_dyadic(margin)}\n")
         out.write(f"precision = {result.precision_used} bits\n")
     return _exit_code([result.verdict])
 
@@ -467,6 +467,9 @@ BOUNDS_CSV_HEADER = ("m,p_m,unbounded_num,unbounded_den,unbounded_dec,"
                      "squarefree_dec,squarefree_passes,threshold_lo,threshold_hi")
 
 
+_PASSES = {True: "pass", False: "FAIL", None: "undecided"}
+
+
 def _bound_json(report: theorems.BoundReport, num: str, den: str) -> dict:
     return {"num": num, "den": den,
             "dec": sig_str_fraction(report.bound_value),
@@ -493,10 +496,11 @@ def _cmd_bounds(args, cfg: PrecisionConfig, out: TextIO) -> int:
         for p, u, s in table:
             out.write(f"m={u.m} p={p} "
                       f"unbounded={sig_str_fraction(u.bound_value)} "
-                      f"({'pass' if u.passes else 'FAIL'}) "
+                      f"({_PASSES[u.passes]}) "
                       f"squarefree={sig_str_fraction(s.bound_value)} "
-                      f"({'pass' if s.passes else 'FAIL'})\n")
-    return EXIT_SATISFIED
+                      f"({_PASSES[s.passes]})\n")
+    return _exit_code(Verdict.INDETERMINATE for _, u, s in table
+                      for r in (u, s) if r.passes is None)
 
 
 # ---------------------------------------------------------------------------

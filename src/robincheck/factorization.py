@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .intervals import InvalidInput
+
 # Below this many entries Fraction's one gcd of the unreduced terms is
 # cheaper than cancelling prime by prime (measured on primorials).
 _CANCEL_MIN_ENTRIES = 1200
@@ -19,11 +21,11 @@ _coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
     lambda num, den: Fraction(num, den, _normalize=False))
 
 
-class EmptyFactorization(Exception):
+class EmptyFactorization(InvalidInput):
     """The operation needs at least one prime factor (n >= 2)."""
 
 
-class InvalidFactorization(Exception):
+class InvalidFactorization(InvalidInput):
     """Structural invariant violated (duplicate base, exponent < 1, ...)."""
 
 

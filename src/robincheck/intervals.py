@@ -58,7 +58,15 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 
-class PrecisionUnsupported(Exception):
+class InvalidInput(ValueError):
+    """An argument outside what the package supports (the CLI's exit 64).
+
+    Every argument check raises it or a subclass; a broken internal
+    invariant stays a plain ValueError.
+    """
+
+
+class PrecisionUnsupported(InvalidInput):
     """Requested precision exceeds the stored-constant capacity."""
 
 
@@ -298,14 +306,6 @@ _GAMMA_DEN = 10 ** len(_GAMMA_DIGITS)
 # ---------------------------------------------------------------------------
 # Precision configuration
 # ---------------------------------------------------------------------------
-
-class InvalidInput(ValueError):
-    """An argument outside what the package supports (the CLI's exit 64).
-
-    Every argument check raises it or a subclass; a broken internal
-    invariant stays a plain ValueError.
-    """
-
 
 @dataclass(frozen=True)
 class PrecisionConfig:

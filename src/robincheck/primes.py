@@ -58,6 +58,14 @@ class ZeroExponent(InvalidInput):
 # Raw n must fit in 64 bits; larger inputs arrive pre-factored.
 MAX_FACTOR_INPUT = 2 ** 64 - 1
 
+# A factored n may have at most this many bits (log2 n).  Memory and time
+# grow with it: on a 2-vCPU x86-64 machine under Python 3.11, `check
+# 2^33554432` took 14.7 s at a 103 MB peak and `check 3^21000000` 38 s
+# at 106 MB, while `check 2^40000000000` would ask for gigabytes.  The
+# primorial of the first 10^6 primes has about 2.23e7 bits.
+MAX_FACTOR_BITS = 1 << 25
+_PAST_BUDGET = f"n exceeds the {MAX_FACTOR_BITS}-bit budget for factored input"
+
 # Deterministic Miller-Rabin witness set, valid for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -284,11 +292,23 @@ def factorize(n: int) -> Factorization:
 _TERM_RE = re.compile(r"^(\d+)(?:\^(-?\d+))?$")
 
 
+def within_bit_budget(f: Factorization) -> Factorization:
+    """f itself, or ``ParseError`` if n has more than MAX_FACTOR_BITS bits.
+
+    It reads only the exponents and log2 of the bases: no power is built.
+    """
+    if sum(k * math.log2(p) for p, k in f.entries) > MAX_FACTOR_BITS:
+        raise ParseError(_PAST_BUDGET)
+    return f
+
+
 def parse_factor_string(s: str) -> Factorization:
     """Parse 'p^k*q^j*...' into a canonical Factorization.
 
     Grammar: term ('*' term)*, term = integer ('^' integer)?, whitespace
-    allowed around tokens.  Bases must be distinct primes, exponents >= 1.
+    allowed around tokens.  Bases must be distinct primes, exponents >= 1,
+    and n at most MAX_FACTOR_BITS bits (``within_bit_budget``); an
+    exponent with more digits than that bound is refused unconverted.
     """
     if not s or not s.strip():
         raise ParseError("empty factor string")
@@ -298,9 +318,13 @@ def parse_factor_string(s: str) -> Factorization:
         m = _TERM_RE.match(term)
         if not m:
             raise ParseError(f"bad term {raw!r}")
+        exp_str = m.group(2) or "1"
+        if (exp_str[0] != "-"
+                and len(exp_str.lstrip("0")) > len(str(MAX_FACTOR_BITS))):
+            raise ParseError(_PAST_BUDGET)
         try:
             base = int(m.group(1))
-            exp = int(m.group(2)) if m.group(2) is not None else 1
+            exp = int(exp_str)
         except ValueError as exc:  # more digits than int() may convert
             raise ParseError(str(exc)) from None
         if exp == 0:
@@ -316,4 +340,4 @@ def parse_factor_string(s: str) -> Factorization:
         if base in seen:
             raise DuplicateBase(f"base {base} repeated")
         seen[base] = exp
-    return Factorization(tuple(seen.items()))
+    return within_bit_budget(Factorization(tuple(seen.items())))

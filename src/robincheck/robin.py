@@ -67,12 +67,12 @@ REASON_LHS_EXCEEDS_RHS = "lhs_exceeds_rhs"
 REASON_ESCALATION_EXHAUSTED = "escalation_exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """One verdict with what decided it.
 
-    ``margin_lower_bound`` is derived on first read: no verdict needs it,
-    so ``check`` does not build it.
+    ``margin_lower_bound`` is derived on each read: no verdict needs it,
+    so ``check`` does not build it, and a caller reads it once.
     """
 
     factorization: Factorization
@@ -82,7 +82,7 @@ class CheckResult:
     precision_used: int
     reason: Optional[str] = None
 
-    @functools.cached_property
+    @property
     def margin_lower_bound(self) -> Optional[Dyadic]:
         """How far lhs lies outside the enclosure, at ``precision_used`` bits.
 
@@ -205,6 +205,26 @@ def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
     return rhs
 
 
+def decide(lhs: Fraction,
+           rhs_at: Callable[[int], Optional[RealInterval]],
+           cfg: PrecisionConfig) -> tuple[Comparison, Optional[RealInterval], int]:
+    """``compare(lhs, rhs_at(bits))`` up ``cfg.ladder()`` until it decides.
+
+    The one precision-escalation loop: returns the first Less or Greater
+    with the enclosure and bits that gave it, else Overlapping with the
+    top rung's.  A rung where ``rhs_at`` gives None escalates like an
+    overlap does.
+    """
+    for bits in cfg.ladder():
+        rhs = rhs_at(bits)
+        if rhs is None:
+            continue
+        cmp_result = compare(lhs, rhs)
+        if cmp_result is not Comparison.OVERLAPPING:
+            return cmp_result, rhs, bits
+    return Comparison.OVERLAPPING, rhs, bits
+
+
 def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
     """Certified verdict on sigma(n)/n < e^gamma ln ln n, escalating precision.
 
@@ -220,17 +240,14 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     if f.entries == ((2, 1),):
         return CheckResult(f, lhs, None, Verdict.VIOLATED, cfg.start_bits,
                            reason=REASON_RHS_UNDEFINED)
-    for bits in cfg.ladder():
-        rhs = _rhs_from_log(*log_n(f, bits), bits,
-                            functools.partial(log_n, f))
-        if rhs is None:
-            continue
-        cmp_result = compare(lhs, rhs)
-        if cmp_result is Comparison.LESS:
-            return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits)
-        if cmp_result is Comparison.GREATER:
-            return CheckResult(f, lhs, rhs, Verdict.VIOLATED, bits,
-                               reason=REASON_LHS_EXCEEDS_RHS)
+    cmp_result, rhs, bits = decide(
+        lhs, lambda b: _rhs_from_log(*log_n(f, b), b,
+                                     functools.partial(log_n, f)), cfg)
+    if cmp_result is Comparison.LESS:
+        return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits)
+    if cmp_result is Comparison.GREATER:
+        return CheckResult(f, lhs, rhs, Verdict.VIOLATED, bits,
+                           reason=REASON_LHS_EXCEEDS_RHS)
     return CheckResult(f, lhs, rhs, Verdict.INDETERMINATE, bits,
                        reason=REASON_ESCALATION_EXHAUSTED)
 

@@ -22,12 +22,13 @@ from typing import Optional
 from .explorer import q_steps
 from .factorization import Factorization, _coprime_fraction
 from .intervals import (
+    Comparison,
     DEFAULT_PRECISION,
     InvalidInput,
     PrecisionConfig,
     RealInterval,
 )
-from .robin import CheckResult, check, log_n, robin_rhs
+from .robin import CheckResult, check, decide, log_n, robin_rhs
 from . import primes as _primes
 
 
@@ -39,10 +40,12 @@ class CollidingBase(InvalidInput):
     """Substitution would merge two equal bases; the theorem needs m distinct primes."""
 
 
+_F5040 = Factorization(((2, 4), (3, 2), (5, 1), (7, 1)))
+
+
 def threshold_5040(cfg: PrecisionConfig = DEFAULT_PRECISION) -> RealInterval:
     """Enclosure of e^gamma * ln ln 5040 ~ 3.817."""
-    return robin_rhs(Factorization(((2, 4), (3, 2), (5, 1), (7, 1))),
-                     cfg.start_bits)
+    return robin_rhs(_F5040, cfg.start_bits)
 
 
 def _prime_powers_in(lo_exclusive: int, hi_inclusive: int):
@@ -74,7 +77,8 @@ def verify_prime_powers(
 def substitute_prime(f: Factorization, index: int, new_prime: int) -> Factorization:
     """Replace the base at ``index`` with a larger prime, re-canonicalized.
 
-    A new prime at or above 3.317e24 raises ``primes.PrimalityUnknown``.
+    A new prime at or above 3.317e24 raises ``primes.PrimalityUnknown``,
+    and a result past ``primes.MAX_FACTOR_BITS`` bits ``primes.ParseError``.
     """
     if not 0 <= index < len(f.entries):
         raise InvalidInput("substitution index out of range")
@@ -87,7 +91,7 @@ def substitute_prime(f: Factorization, index: int, new_prime: int) -> Factorizat
         raise CollidingBase(f"{new_prime} already a base")
     ents = list(f.entries)
     ents[index] = (new_prime, k)
-    return Factorization(tuple(ents))
+    return _primes.within_bit_budget(Factorization(tuple(ents)))
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ class BoundReport:
     m: int
     bound_value: Fraction
     threshold: RealInterval
-    passes: bool
+    passes: Optional[bool]  # None: undecided at the top of the ladder
 
 
 def bound_table(
@@ -161,22 +165,30 @@ def bound_table(
 
     ``unbounded`` is prod p/(p-1), the inverted d = -1 walk of
     ``explorer.q_steps``, and ``squarefree`` prod (p+1)/p, its d = 1 walk,
-    over the first m primes, both against one enclosure of e^gamma ln ln 5040.
+    over the first m primes.  Each is compared with e^gamma ln ln 5040 up
+    the precision ladder (``robin.decide``); ``passes`` is None when the
+    two still overlap at the top.  The threshold every report carries is
+    the start rung's enclosure.
     """
     if m_max < 1:
         raise InvalidInput("m must be >= 1")
     plist = _primes.first_primes(m_max)
     thr = threshold_5040(cfg)
-    thr_lo = thr.lo.as_fraction()
-    rows = []
-    for m, ((p, un, ud), (_, sn, sd)) in enumerate(
-            zip(q_steps(plist, -1), q_steps(plist)), 1):
-        unbounded = _coprime_fraction(ud, un)
-        squarefree = _coprime_fraction(sn, sd)
-        rows.append((p,
-                     BoundReport(m, unbounded, thr, unbounded < thr_lo),
-                     BoundReport(m, squarefree, thr, squarefree < thr_lo)))
-    return rows
+
+    def thr_at(bits: int) -> RealInterval:
+        # a rung above the start serves the few rows near the threshold
+        return thr if bits == cfg.start_bits else robin_rhs(_F5040, bits)
+
+    def report(m: int, value: Fraction) -> BoundReport:
+        verdict = decide(value, thr_at, cfg)[0]
+        return BoundReport(m, value, thr,
+                           None if verdict is Comparison.OVERLAPPING
+                           else verdict is Comparison.LESS)
+
+    return [(p, report(m, _coprime_fraction(ud, un)),
+             report(m, _coprime_fraction(sn, sd)))
+            for m, ((p, un, ud), (_, sn, sd)) in enumerate(
+                zip(q_steps(plist, -1), q_steps(plist)), 1)]
 
 
 def unbounded_exponent_bound(

@@ -183,6 +183,23 @@ class TestPastIntStrDigitLimit:
         assert code == 65
         assert "factor string" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", f"2^{primes.MAX_FACTOR_BITS + 1}"],
+        ["check", f"3*2^{primes.MAX_FACTOR_BITS - 1}"],
+        ["check", "2^40000000000"],
+        ["check", "2^" + "9" * 10**6],
+        ["substitute", f"2^{primes.MAX_FACTOR_BITS + 1}", "0", "3"],
+        # the substituted n is past the budget
+        ["substitute", f"2^{primes.MAX_FACTOR_BITS // 2}*3", "0", "5"],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_past_the_bit_budget_exit_64(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 64
+        assert out == ""
+        assert err.count("\n") == 1 and "bit budget" in err
+
     def test_5000_digit_base_exit_64(self, capsys):
         code, _, err = run_cli(["check", "9" * 5000 + "^2"], capsys)
         assert code == 64
@@ -577,6 +594,38 @@ class TestBoundsCommand:
                                    (s.bound_value, cells[6:8])):
                 assert num_den == [output.int_str(value.numerator),
                                    output.int_str(value.denominator)], u.m
+
+    def test_overlap_at_the_start_rung_escalates(self, capsys):
+        # at 3 bits the threshold reads [3.5, 4]: 3.75, 3.59 and 3.75 lie
+        # inside it and below e^gamma ln ln 5040 ~ 3.8169
+        code, out, _ = run_cli(["bounds", "12", "--precision-bits", "3"],
+                               capsys)
+        assert code == 0
+        assert "m=3 p=5 unbounded=3.75000 (pass)" in out
+        assert "squarefree=3.59150 (pass)\n" in out
+        assert "squarefree=3.74766 (pass)\n" in out
+        assert "squarefree=3.87689 (FAIL)\n" in out
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_overlap_at_the_top_rung_is_undecided(self, fmt, capsys):
+        code, out, _ = run_cli(["bounds", "12", "--precision-bits", "3",
+                                "--max-precision-bits", "3",
+                                "--format", fmt], capsys)
+        assert code == 2
+        if fmt == "human":
+            assert "m=3 p=5 unbounded=3.75000 (undecided)" in out
+            assert out.count("(undecided)") == 4
+            assert "squarefree=3.74766 (undecided)\n" in out
+        elif fmt == "csv":
+            rows = [line.split(",") for line in out.split("\n")[1:-1]]
+            assert rows[2][5] == "" and rows[8][9] == ""
+            assert [r[0] for r in rows if "" in (r[5], r[9])] == [
+                "3", "8", "9", "10"]
+        else:
+            rows = json.loads(out)["rows"]
+            assert rows[2]["unbounded"]["passes"] is None
+            assert [r["m"] for r in rows if r["squarefree"]["passes"] is None
+                    ] == [8, 9, 10]
 
 
 class TestPrimePowersCommand:

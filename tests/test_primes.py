@@ -171,6 +171,23 @@ class TestParseFactorString:
             f = Factorization(ents)
             assert primes.parse_factor_string(f.as_string()) == f
 
+    def test_bit_budget_edge(self):
+        top = primes.MAX_FACTOR_BITS
+        assert primes.parse_factor_string(f"2^{top}").entries == ((2, top),)
+        assert primes.parse_factor_string(f"2^{top - 2}*3") is not None
+        for s in (f"2^{top + 1}", f"2^{top - 1}*3", "2^40000000000",
+                  "2^" + "9" * 10**6):
+            with pytest.raises(primes.ParseError, match="budget"):
+                primes.parse_factor_string(s)
+
+    def test_bit_budget_admits_the_documented_inputs(self):
+        # check "2^10000000" in the README, the CLI's 2^3000000 test and
+        # the primorial of the first 10^6 primes (about 2.23e7 bits)
+        assert primes.parse_factor_string("2^10000000")
+        f = primes.Factorization.from_canonical(
+            tuple((p, 1) for p in primes.first_primes(10**6)))
+        assert primes.within_bit_budget(f) is f
+
     @given(st.text(alphabet="0123456789^* \t", max_size=40))
     @example("9" * 5000 + "^2")  # past the 4300 digits int() converts
     @example("2^" + "9" * 5000)

@@ -317,7 +317,7 @@ class TestCheck:
         for r in decided:
             assert r.margin_lower_bound is not None
             assert r.margin_lower_bound == self._eager_margin(r)
-            assert "margin_lower_bound" in vars(r)  # computed once, kept
+            assert not hasattr(r, "__dict__")  # slotted: derived per read
         for r in (n2, undecided):
             assert r.margin_lower_bound is None
             assert self._eager_margin(r) is None
