@@ -7,7 +7,6 @@ exponent-increment conjecture experiments.
 """
 
 from .factorization import (
-    EmptyFactorization,
     Factorization,
     sigma_int,
     sigma_over_n_fraction,
@@ -18,19 +17,12 @@ from .intervals import (
     Dyadic,
     InvalidInput,
     PrecisionConfig,
-    PrecisionUnsupported,
     RealInterval,
     compare,
     exp_gamma,
 )
 from .primes import (
-    DuplicateBase,
     InputTooLarge,
-    LimitTooLarge,
-    NotPrime,
-    ParseError,
-    PrimalityUnknown,
-    ZeroExponent,
     factorize,
     first_primes,
     is_prime,
@@ -41,7 +33,6 @@ from .primes import (
 )
 from .robin import (
     CheckResult,
-    RhsUndefined,
     Verdict,
     check,
     check_n,
@@ -50,8 +41,6 @@ from .robin import (
 )
 from .theorems import (
     BoundReport,
-    CollidingBase,
-    NotAnIncrease,
     SubstitutionReport,
     bound_table,
     squarefree_bound,
@@ -62,7 +51,6 @@ from .theorems import (
     verify_prime_powers,
 )
 from .explorer import (
-    BaseNotSatisfied,
     ConjectureRow,
     ProbeReport,
     ScanReport,

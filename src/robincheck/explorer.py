@@ -378,28 +378,22 @@ def conjecture31_table(
 # Exponent-increment probing: satisfied bases should stay satisfied
 # ---------------------------------------------------------------------------
 
-class BaseNotSatisfied(Exception):
-    """The probe base must itself satisfy the inequality.
-
-    ``result`` is the base's check, so a search can report it as a row.
-    """
-
-    def __init__(self, result: CheckResult):
-        super().__init__(result)  # the one argument, so it pickles
-        self.result = result
-
-    def __str__(self) -> str:
-        return (f"base {self.result.factorization.as_string()} is "
-                f"{self.result.verdict.value}")
-
-
 @dataclass(frozen=True)
 class ProbeReport:
+    """A base's check and, if it is satisfied, each increment's check."""
+
     base: Factorization
     base_result: CheckResult
     increments: tuple[tuple[int, CheckResult], ...]
 
-    def failures(self) -> tuple[tuple[int, CheckResult], ...]:
+    def failures(self) -> tuple[tuple[Optional[int], CheckResult], ...]:
+        """Each increment's (index, result) that is not satisfied.
+
+        A base that is not satisfied is itself the one row, with index
+        None.
+        """
+        if self.base_result.verdict is not Verdict.SATISFIED:
+            return ((None, self.base_result),)
         return tuple(
             (j, r)
             for j, r in self.increments
@@ -410,12 +404,13 @@ class ProbeReport:
 def conjecture32_probe(
     f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION
 ) -> ProbeReport:
-    """Check every single-exponent increment of a satisfied base > 5040."""
-    if not f.entries:
-        raise InvalidInput("base factorization is empty")
+    """Check every single-exponent increment of a satisfied base > 5040.
+
+    A base that is not satisfied is reported with no increments.
+    """
     base_result = check(f, cfg)
     if base_result.verdict is not Verdict.SATISFIED:
-        raise BaseNotSatisfied(base_result)
+        return ProbeReport(f, base_result, ())
     if f.log2_magnitude() <= 64 and f.n() <= 5040:
         raise InvalidInput("base must exceed 5040")
     increments = tuple(
@@ -478,10 +473,7 @@ def _enumerate_bases(
 
 def _probe_base_task(args):
     entries, cfg = args
-    try:
-        report = conjecture32_probe(Factorization(entries), cfg)
-    except BaseNotSatisfied as exc:
-        return [(entries, None, exc.result)]
+    report = conjecture32_probe(Factorization(entries), cfg)
     return [(entries, j, r) for j, r in report.failures()]
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 from .intervals import InvalidInput
 
@@ -19,14 +19,6 @@ _SMALL_PRIME_BOUND = 1 << 11
 # Python 3.12 names it _from_coprime_ints, 3.10 and 3.11 _normalize=False
 _coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
     lambda num, den: Fraction(num, den, _normalize=False))
-
-
-class EmptyFactorization(InvalidInput):
-    """The operation needs at least one prime factor (n >= 2)."""
-
-
-class InvalidFactorization(InvalidInput):
-    """Structural invariant violated (duplicate base, exponent < 1, ...)."""
 
 
 def _tree_product(values: list[int]) -> int:
@@ -45,9 +37,9 @@ def _tree_product(values: list[int]) -> int:
 class Factorization:
     """Ordered (prime, exponent) pairs, primes strictly ascending.
 
-    The empty factorization represents n = 1 and is rejected by every
-    checking operation.  Construction canonicalizes (sorts by prime) and
-    validates structure; primality of the bases is the producer's
+    Construction canonicalizes (sorts by prime) and validates structure,
+    refusing the empty factorization (n = 1) here, so no operation on a
+    factorization meets it; primality of the bases is the producer's
     responsibility and is enforced at the parsing/substitution
     boundaries.
     """
@@ -56,14 +48,16 @@ class Factorization:
 
     def __post_init__(self):
         ents = tuple(sorted((int(p), int(k)) for p, k in self.entries))
+        if not ents:
+            raise InvalidInput("n = 1 has no prime factor; n must be >= 2")
         for p, k in ents:
             if p < 2:
-                raise InvalidFactorization(f"base {p} is not a prime")
+                raise InvalidInput(f"base {p} is not a prime")
             if k < 1:
-                raise InvalidFactorization(f"exponent {k} must be >= 1")
+                raise InvalidInput(f"exponent {k} must be >= 1")
         for (p1, _), (p2, _) in zip(ents, ents[1:]):
             if p1 == p2:
-                raise InvalidFactorization(f"duplicate base {p1}")
+                raise InvalidInput(f"duplicate base {p1}")
         object.__setattr__(self, "entries", ents)
 
     @classmethod
@@ -71,10 +65,10 @@ class Factorization:
                        ) -> "Factorization":
         """The factorization of entries already in canonical form.
 
-        For producers that emit int (prime, exponent) pairs with strictly
-        ascending primes and exponents >= 1: it skips the sort and the
-        checks that ``__post_init__`` makes, and the result equals the
-        validated constructor's.
+        For producers that emit at least one int (prime, exponent) pair,
+        with strictly ascending primes and exponents >= 1: it skips the
+        sort and the checks that ``__post_init__`` makes, and the result
+        equals the validated constructor's.
         """
         f = object.__new__(cls)
         object.__setattr__(f, "entries", entries)
@@ -91,11 +85,8 @@ class Factorization:
         return _tree_product([p ** k for p, k in self.entries])
 
     def log2_magnitude(self) -> float:
-        """Cheap upper-ish estimate of log2(n), for display decisions only."""
-        total = 0.0
-        for p, k in self.entries:
-            total += k * p.bit_length()
-        return total
+        """log2(n) as the float sum of k * log2(p); no power is built."""
+        return sum(k * log2(p) for p, k in self.entries)
 
     def with_exponent_bumped(self, index: int) -> "Factorization":
         """Copy with entries[index] exponent raised by one."""
@@ -111,8 +102,7 @@ class Factorization:
             parts.append(f"{p}^{k}" if k > 1 else str(p))
         return "*".join(parts)
 
-    def __str__(self):
-        return self.as_string() if self.entries else "1"
+    __str__ = as_string
 
 
 def sigma_over_n_fraction(f: Factorization) -> Fraction:
@@ -129,8 +119,6 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
     could not factor) meets the denominator in one gcd whose smaller
     side is only that rest.
     """
-    if not f.entries:
-        raise EmptyFactorization("sigma(1) has no factored form here")
     if len(f.entries) < _CANCEL_MIN_ENTRIES:
         nums = []
         dens = []
@@ -174,8 +162,6 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
 
 def sigma_int(f: Factorization) -> int:
     """Exact sum of divisors via the geometric-series closed form."""
-    if not f.entries:
-        raise EmptyFactorization("sigma(1) has no factored form here")
     terms = []
     for p, k in f.entries:
         terms.append((p ** (k + 1) - 1) // (p - 1))

@@ -61,13 +61,9 @@ from typing import Iterator, Optional
 class InvalidInput(ValueError):
     """An argument outside what the package supports (the CLI's exit 64).
 
-    Every argument check raises it or a subclass; a broken internal
-    invariant stays a plain ValueError.
+    Every argument check raises it; a broken internal invariant stays a
+    plain ValueError.
     """
-
-
-class PrecisionUnsupported(InvalidInput):
-    """Requested precision exceeds the stored-constant capacity."""
 
 
 # Guard bits added on top of the requested precision for internal series
@@ -532,7 +528,7 @@ def exp_gamma(precision_bits: int) -> tuple[int, int]:
     if precision_bits <= 0:
         raise InvalidInput("precision_bits must be positive")
     if precision_bits > GAMMA_MAX_BITS:
-        raise PrecisionUnsupported(
+        raise InvalidInput(
             f"gamma digit string supports at most {GAMMA_MAX_BITS} bits"
         )
     cached = _EXP_GAMMA_CACHE.get(precision_bits)

@@ -4,7 +4,7 @@ One module-level prime source, grown on demand behind a lock, is the
 only prime API (``primes_up_to``, ``first_primes``, ``nth_prime``).  It
 sieves segment by segment, so flag memory stays proportional to the
 segment, and readers only see fully built immutable snapshots.  It never
-sieves past 10^8: a larger request raises ``LimitTooLarge`` up front.
+sieves past 10^8: a larger request raises ``InvalidInput`` up front.
 
 Raw-integer factorization is supported up to 64-bit magnitude: trial
 division by the primes below 10^3, then Brent's variant of Pollard
@@ -27,32 +27,8 @@ from .factorization import Factorization
 from .intervals import InvalidInput
 
 
-class LimitTooLarge(InvalidInput):
-    """A prime request would sieve past the fixed budget (primes up to 10^8)."""
-
-
 class InputTooLarge(Exception):
     """Raw integer outside the supported factoring range; pass a factor string."""
-
-
-class ParseError(InvalidInput):
-    """Factor string does not match the grammar."""
-
-
-class NotPrime(InvalidInput):
-    """A factor-string base (or substituted prime) failed the primality check."""
-
-
-class PrimalityUnknown(InvalidInput):
-    """n is past the deterministic Miller-Rabin range; is_prime cannot decide."""
-
-
-class DuplicateBase(InvalidInput):
-    """The same prime appears twice in a factor string."""
-
-
-class ZeroExponent(InvalidInput):
-    """Exponents in factor strings must be >= 1."""
 
 
 # Raw n must fit in 64 bits; larger inputs arrive pre-factored.
@@ -116,15 +92,15 @@ class _PrimeSource:
 
     def _grow_to(self, limit: int):
         if limit > _SIEVE_BUDGET:
-            raise LimitTooLarge(
+            raise InvalidInput(
                 f"primes up to {limit} exceed the sieve budget {_SIEVE_BUDGET}"
             )
         with self._lock:
             if limit <= self._limit:
                 return
             new_limit = min(max(limit, 2 * self._limit, 1 << 16), _SIEVE_BUDGET)
-            chunks = list(_segmented_primes(new_limit))
-            self._primes = tuple(int(p) for chunk in chunks for p in chunk)
+            self._primes = tuple(np.concatenate(
+                list(_segmented_primes(new_limit))).tolist())
             self._limit = new_limit
 
     def primes_up_to(self, limit: int) -> tuple[int, ...]:
@@ -212,7 +188,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _MR_DETERMINISTIC_BOUND:
-        raise PrimalityUnknown(f"{n} exceeds the deterministic primality range")
+        raise InvalidInput(f"{n} exceeds the deterministic primality range")
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -293,12 +269,12 @@ _TERM_RE = re.compile(r"^(\d+)(?:\^(-?\d+))?$")
 
 
 def within_bit_budget(f: Factorization) -> Factorization:
-    """f itself, or ``ParseError`` if n has more than MAX_FACTOR_BITS bits.
+    """f itself, refused if n has more than MAX_FACTOR_BITS bits.
 
-    It reads only the exponents and log2 of the bases: no power is built.
+    It reads only ``f.log2_magnitude()``: no power is built.
     """
-    if sum(k * math.log2(p) for p, k in f.entries) > MAX_FACTOR_BITS:
-        raise ParseError(_PAST_BUDGET)
+    if f.log2_magnitude() > MAX_FACTOR_BITS:
+        raise InvalidInput(_PAST_BUDGET)
     return f
 
 
@@ -311,33 +287,33 @@ def parse_factor_string(s: str) -> Factorization:
     exponent with more digits than that bound is refused unconverted.
     """
     if not s or not s.strip():
-        raise ParseError("empty factor string")
+        raise InvalidInput("empty factor string")
     seen: dict[int, int] = {}
     for raw in s.split("*"):
         term = "".join(raw.split())
         m = _TERM_RE.match(term)
         if not m:
-            raise ParseError(f"bad term {raw!r}")
+            raise InvalidInput(f"bad term {raw!r}")
         exp_str = m.group(2) or "1"
         if (exp_str[0] != "-"
                 and len(exp_str.lstrip("0")) > len(str(MAX_FACTOR_BITS))):
-            raise ParseError(_PAST_BUDGET)
+            raise InvalidInput(_PAST_BUDGET)
         try:
             base = int(m.group(1))
             exp = int(exp_str)
         except ValueError as exc:  # more digits than int() may convert
-            raise ParseError(str(exc)) from None
+            raise InvalidInput(str(exc)) from None
         if exp == 0:
-            raise ZeroExponent(f"exponent of {base} is zero")
+            raise InvalidInput(f"exponent of {base} is zero")
         if exp < 0:
-            raise ParseError(f"negative exponent on {base}")
+            raise InvalidInput(f"negative exponent on {base}")
         if base >= _MR_DETERMINISTIC_BOUND:
-            raise ParseError(
+            raise InvalidInput(
                 f"base {base} exceeds the deterministic primality range"
             )
         if not is_prime(base):
-            raise NotPrime(f"{base} is not prime")
+            raise InvalidInput(f"{base} is not prime")
         if base in seen:
-            raise DuplicateBase(f"base {base} repeated")
+            raise InvalidInput(f"base {base} repeated")
         seen[base] = exp
     return within_bit_budget(Factorization(tuple(seen.items())))

@@ -10,8 +10,10 @@ precision is escalated along ``PrecisionConfig.ladder``, and only when
 the ladder is exhausted does the check report Indeterminate.
 
 ``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed, and the
-one place that decides whether x > 1 is certified; the checker, the
-scanner's block filter and the primorial table all feed it integer
+one place that decides whether x > 1 is certified; the checker (through
+``robin_rhs``, a factorization's right side, None where ln n > 1 is not
+certified), the scanner's block filter and the primorial table all feed
+it integer
 bounds on ln n at scale 2**W, which is what ``log_n`` returns, and
 ``intervals.compare`` decides the rational left side against the
 enclosure on integers too.
@@ -30,11 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .factorization import (
-    EmptyFactorization,
-    Factorization,
-    sigma_over_n_fraction,
-)
+from .factorization import Factorization, sigma_over_n_fraction
 from .intervals import (
     _GUARD,
     Comparison,
@@ -50,10 +48,6 @@ from .intervals import (
     exp_gamma,
 )
 from . import primes as _primes
-
-
-class RhsUndefined(Exception):
-    """ln(ln n) is not certifiably positive; the RHS has no usable value."""
 
 
 class Verdict(enum.Enum):
@@ -121,8 +115,6 @@ def log_n(f: Factorization, precision_bits: int) -> tuple[int, int]:
     ln(n) = sum k_j ln(p_j), so n is never materialized; the bounds are
     what ``_rhs_from_log`` takes.
     """
-    if not f.entries:
-        raise EmptyFactorization("log_n of the empty factorization")
     W = precision_bits + _GUARD
     lo = hi = 0
     for p, k in f.entries:
@@ -191,18 +183,15 @@ def _rhs_from_log(lo: int, hi: int, precision_bits: int,
     return fallback
 
 
-def robin_rhs(f: Factorization, precision_bits: int) -> RealInterval:
+def robin_rhs(f: Factorization, precision_bits: int) -> Optional[RealInterval]:
     """Enclosure of e^gamma * ln(ln n).
 
-    Raises RhsUndefined unless ln n > 1 (n > e) is certifiable at this
-    precision, which is what makes the outer log's value positive; n = 2
-    always fails, n = 3 certifies at any reasonable precision.
+    None unless ln n > 1 (n > e) is certifiable at this precision, which
+    is what makes the outer log's value positive; n = 2 always gives
+    None, n = 3 certifies at any reasonable precision.
     """
-    rhs = _rhs_from_log(*log_n(f, precision_bits), precision_bits,
-                        functools.partial(log_n, f))
-    if rhs is None:
-        raise RhsUndefined("cannot certify ln n > 1")
-    return rhs
+    return _rhs_from_log(*log_n(f, precision_bits), precision_bits,
+                         functools.partial(log_n, f))
 
 
 def decide(lhs: Fraction,
@@ -234,15 +223,11 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     negative/undefined right side.  A rung whose ln n > 1 is not yet
     certified escalates like an overlap does.
     """
-    if not f.entries:
-        raise EmptyFactorization("check of the empty factorization")
     lhs = sigma_over_n_fraction(f)
     if f.entries == ((2, 1),):
         return CheckResult(f, lhs, None, Verdict.VIOLATED, cfg.start_bits,
                            reason=REASON_RHS_UNDEFINED)
-    cmp_result, rhs, bits = decide(
-        lhs, lambda b: _rhs_from_log(*log_n(f, b), b,
-                                     functools.partial(log_n, f)), cfg)
+    cmp_result, rhs, bits = decide(lhs, functools.partial(robin_rhs, f), cfg)
     if cmp_result is Comparison.LESS:
         return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits)
     if cmp_result is Comparison.GREATER:

@@ -22,22 +22,16 @@ from typing import Optional
 from .explorer import q_steps
 from .factorization import Factorization, _coprime_fraction
 from .intervals import (
+    _GUARD,
     Comparison,
     DEFAULT_PRECISION,
+    Dyadic,
     InvalidInput,
     PrecisionConfig,
     RealInterval,
 )
 from .robin import CheckResult, check, decide, log_n, robin_rhs
 from . import primes as _primes
-
-
-class NotAnIncrease(InvalidInput):
-    """Substitution requires new_prime > the prime being replaced."""
-
-
-class CollidingBase(InvalidInput):
-    """Substitution would merge two equal bases; the theorem needs m distinct primes."""
 
 
 _F5040 = Factorization(((2, 4), (3, 2), (5, 1), (7, 1)))
@@ -77,18 +71,20 @@ def verify_prime_powers(
 def substitute_prime(f: Factorization, index: int, new_prime: int) -> Factorization:
     """Replace the base at ``index`` with a larger prime, re-canonicalized.
 
-    A new prime at or above 3.317e24 raises ``primes.PrimalityUnknown``,
-    and a result past ``primes.MAX_FACTOR_BITS`` bits ``primes.ParseError``.
+    Refused unless ``new_prime`` is a prime below 3.317e24 (the
+    deterministic primality range), above the prime it replaces and not
+    already a base, and the result has at most ``primes.MAX_FACTOR_BITS``
+    bits.
     """
     if not 0 <= index < len(f.entries):
         raise InvalidInput("substitution index out of range")
     old_prime, k = f.entries[index]
     if not _primes.is_prime(new_prime):
-        raise _primes.NotPrime(f"{new_prime} is not prime")
+        raise InvalidInput(f"{new_prime} is not prime")
     if new_prime <= old_prime:
-        raise NotAnIncrease(f"{new_prime} <= {old_prime}")
+        raise InvalidInput(f"{new_prime} <= {old_prime}")
     if any(p == new_prime for p, _ in f.entries):
-        raise CollidingBase(f"{new_prime} already a base")
+        raise InvalidInput(f"{new_prime} already a base")
     ents = list(f.entries)
     ents[index] = (new_prime, k)
     return _primes.within_bit_budget(Factorization(tuple(ents)))
@@ -137,17 +133,19 @@ def _certify_log_increase(
 ) -> Optional[bool]:
     """Whether ln(n_after) > ln(n_before), by interval separation.
 
-    True or False once the two enclosures separate; None when they still
-    overlap at the top of the precision ladder.
+    The difference of the two enclosures is decided against 0 up the
+    precision ladder (``robin.decide``): True or False once it excludes
+    0, None when it still holds 0 at the top.
     """
-    for bits in cfg.ladder():
+    def gap_at(bits: int) -> RealInterval:
         a_lo, a_hi = log_n(f_before, bits)  # same bits, so one scale
         b_lo, b_hi = log_n(f_after, bits)
-        if b_lo > a_hi:
-            return True
-        if b_hi < a_lo:
-            return False
-    return None
+        e = -(bits + _GUARD)
+        return RealInterval(Dyadic(b_lo - a_hi, e), Dyadic(b_hi - a_lo, e))
+
+    verdict = decide(Fraction(0), gap_at, cfg)[0]
+    return (None if verdict is Comparison.OVERLAPPING
+            else verdict is Comparison.LESS)
 
 
 @dataclass(frozen=True)

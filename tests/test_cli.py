@@ -371,6 +371,20 @@ class TestCheckCommand:
         assert code == 0
         assert "log10(n)" in out
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("k, n, log10_n", [
+        (166, str(2 ** 166), None),
+        (167, None, "50.2720"),
+    ], ids=["50-digits", "51-digits"])
+    def test_n_printed_up_to_50_digits(self, k, n, log10_n, fmt, capsys):
+        _, out, _ = run_cli(["check", f"2^{k}", "--format", fmt], capsys)
+        if fmt == "json":
+            doc = json.loads(out)
+            assert (doc["n"], doc["log10_n"]) == (n, log10_n)
+        else:
+            first = f"n = {n}" if n else f"log10(n) = {log10_n}"
+            assert out.splitlines()[0] == first
+
     def test_human_decimals_within_one_ulp(self, capsys):
         _, out, _ = run_cli(["check", "5041"], capsys)
         for line in out.splitlines():

@@ -416,8 +416,11 @@ class TestConjecture32Probe:
         assert r.verdict is Verdict.SATISFIED
 
     def test_base_5040_not_satisfied(self):
-        with pytest.raises(explorer.BaseNotSatisfied):
-            explorer.conjecture32_probe(primes.factorize(5040))
+        # a result, not a refusal: the base's check with no increments
+        rep = explorer.conjecture32_probe(primes.factorize(5040))
+        assert rep.base_result.verdict is Verdict.VIOLATED
+        assert rep.increments == ()
+        assert rep.failures() == ((None, rep.base_result),)
 
     def test_base_below_5041_rejected(self):
         with pytest.raises(ValueError):
@@ -483,19 +486,22 @@ class TestConjecture32Search:
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: intervals.Comparison.OVERLAPPING)
         cfg = intervals.PrecisionConfig(53, 106)
-        rep = explorer.conjecture32_search(1, 20, Fraction("20.7"), cfg)
-        assert rep.bases_probed == 0
-        assert rep.counterexamples
-        for f, j, r in rep.counterexamples:
-            assert j is None and r.factorization == f
-            assert r.verdict is Verdict.INDETERMINATE
+        # two workers send each row back through a pickle (forked workers
+        # keep the patched compare)
+        for workers in (1, 2):
+            rep = explorer.conjecture32_search(1, 20, Fraction("20.7"), cfg,
+                                               worker_count=workers)
+            assert rep.bases_probed == 0
+            assert rep.counterexamples
+            for f, j, r in rep.counterexamples:
+                assert j is None and r.factorization == f
+                assert r.verdict is Verdict.INDETERMINATE
 
     def test_base_not_satisfied_pickles_with_its_result(self):
-        with pytest.raises(explorer.BaseNotSatisfied) as info:
-            explorer.conjecture32_probe(primes.factorize(5040))
-        copy = pickle.loads(pickle.dumps(info.value))
-        assert copy.result == info.value.result
-        assert str(copy) == "base 2^4*3^2*5*7 is violated"
+        rep = explorer.conjecture32_probe(primes.factorize(5040))
+        copy = pickle.loads(pickle.dumps(rep))
+        assert copy == rep
+        assert copy.failures() == ((None, rep.base_result),)
 
     def test_worker_counts_agree(self):
         a = explorer.conjecture32_search(6, 3, Fraction("12.5"),

@@ -8,8 +8,7 @@ import pkgutil
 import pytest
 
 import robincheck
-from robincheck import (
-    explorer, factorization, intervals, primes, robin, theorems)
+from robincheck import explorer, intervals, primes, theorems
 from robincheck.factorization import Factorization
 from robincheck.intervals import InvalidInput
 
@@ -51,27 +50,9 @@ def test_value_errors_are_only_the_named_invariants():
     assert found == _INVARIANTS
 
 
-@pytest.mark.parametrize("cls", [
-    primes.LimitTooLarge, primes.ParseError, primes.NotPrime,
-    primes.PrimalityUnknown, primes.DuplicateBase, primes.ZeroExponent,
-    theorems.NotAnIncrease, theorems.CollidingBase,
-    factorization.EmptyFactorization, factorization.InvalidFactorization,
-    intervals.PrecisionUnsupported,
-])
-def test_refusal_classes_are_invalid_input(cls):
-    assert issubclass(cls, InvalidInput)
-    assert issubclass(cls, ValueError)
-
-
-# The exception classes that are not argument refusals, each with why.
-_NON_REFUSALS = {
-    primes.InputTooLarge: "raw input past 64 bits, the CLI's exit 65",
-    robin.RhsUndefined: "ln ln n is not certifiably positive: a fact about n",
-    explorer.BaseNotSatisfied: "a search result that carries the base's check",
-}
-
-
 def test_every_exception_class_is_a_refusal_or_named():
+    # one refusal type (exit 64) and raw input past 64 bits (exit 65); a
+    # result that could not be decided is returned, never raised
     defined = set()
     for info in pkgutil.iter_modules(robincheck.__path__):
         if info.name == "__main__":  # runs the CLI on import
@@ -81,9 +62,7 @@ def test_every_exception_class_is_a_refusal_or_named():
             obj for obj in vars(mod).values()
             if isinstance(obj, type) and issubclass(obj, BaseException)
             and obj.__module__ == mod.__name__)
-    assert set(_NON_REFUSALS) <= defined
-    for cls in defined:
-        assert issubclass(cls, InvalidInput) != (cls in _NON_REFUSALS), cls
+    assert defined == {InvalidInput, primes.InputTooLarge}
 
 
 def test_raw_input_past_64_bits_is_not_a_refusal():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from robincheck import factorization, primes, robin
 from robincheck.factorization import (
-    EmptyFactorization,
     Factorization,
     sigma_int,
     sigma_over_n_fraction,
@@ -21,6 +20,7 @@ from robincheck.intervals import (
     Comparison,
     DEFAULT_PRECISION,
     Dyadic,
+    InvalidInput,
     PrecisionConfig,
     RealInterval,
     dyadic_from_fraction,
@@ -61,8 +61,9 @@ class TestSigma:
             assert sigma_int(ab) == sigma_int(a) * sigma_int(b)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyFactorization):
-            sigma_int(Factorization(()))
+        # n = 1 is refused where it enters, so sigma_int never meets it
+        with pytest.raises(InvalidInput, match="n = 1"):
+            Factorization(())
 
 
 class TestSigmaOverN:
@@ -212,8 +213,7 @@ class TestRobinRhs:
         assert oracles.interval_contains_mp(iv, oracles.rhs_mp(5040))
 
     def test_n2_undefined(self):
-        with pytest.raises(robin.RhsUndefined):
-            robin.robin_rhs(Factorization(((2, 1),)), 53)
+        assert robin.robin_rhs(Factorization(((2, 1),)), 53) is None
 
     def test_n3_defined(self):
         iv = robin.robin_rhs(Factorization(((3, 1),)), 53)
@@ -352,8 +352,7 @@ class TestCheck:
 
     def test_primorial_rhs_defined_exactly_above_m1(self):
         # pinned behavior at 53 bits: m = 1 (n = 2) undefined, m >= 2 defined
-        with pytest.raises(robin.RhsUndefined):
-            robin.robin_rhs(primes.primorial_factorization(1), 53)
+        assert robin.robin_rhs(primes.primorial_factorization(1), 53) is None
         for m in range(2, 30):
             iv = robin.robin_rhs(primes.primorial_factorization(m), 53)
             assert iv.lo.as_fraction() > 0

@@ -8,7 +8,7 @@ import pytest
 
 from robincheck import primes, robin, theorems
 from robincheck.factorization import Factorization, sigma_over_n_fraction
-from robincheck.intervals import PrecisionConfig
+from robincheck.intervals import InvalidInput, PrecisionConfig
 from robincheck.robin import Verdict
 
 import oracles
@@ -104,20 +104,20 @@ class TestSubstitutePrime:
         assert g.entries == ((3, 2), (5, 4))
 
     def test_colliding_base(self):
-        with pytest.raises(theorems.CollidingBase):
+        with pytest.raises(InvalidInput, match="^3 already a base$"):
             theorems.substitute_prime(Factorization(((2, 4), (3, 2))), 0, 3)
 
     def test_not_an_increase(self):
-        with pytest.raises(theorems.NotAnIncrease):
+        with pytest.raises(InvalidInput, match="^2 <= 2$"):
             theorems.substitute_prime(Factorization(((2, 1), (3, 2))), 0, 2)
 
     def test_not_prime(self):
-        with pytest.raises(primes.NotPrime):
+        with pytest.raises(InvalidInput, match="^9 is not prime$"):
             theorems.substitute_prime(Factorization(((2, 1),)), 0, 9)
 
     def test_prime_past_primality_range_refused(self):
         # 2^89 - 1 is prime, but above the deterministic Miller-Rabin bound
-        with pytest.raises(primes.PrimalityUnknown, match="primality range"):
+        with pytest.raises(InvalidInput, match="primality range"):
             theorems.substitute_prime(Factorization(((2, 1), (3, 1))), 0,
                                       2**89 - 1)
 
@@ -178,6 +178,29 @@ class TestSubstitutionReport:
         cfg = PrecisionConfig()
         assert theorems._certify_log_increase(large, small, cfg) is False
         assert theorems._certify_log_increase(small, large, cfg) is True
+
+    def test_log_increase_is_the_separation_of_the_enclosures(self):
+        # reference: True or False at the first rung whose ln n enclosures
+        # are disjoint, None when none is
+        def separated(f_before, f_after, cfg):
+            for bits in cfg.ladder():
+                a_lo, a_hi = robin.log_n(f_before, bits)
+                b_lo, b_hi = robin.log_n(f_after, bits)
+                if b_lo > a_hi or b_hi < a_lo:
+                    return b_lo > a_hi
+            return None
+
+        # adjacent primes near 10^18: ln n moves by ~2^-57, which rungs
+        # from 8 to 128 bits separate or not
+        ps = [p for p in range(10**18, 10**18 + 200) if primes.is_prime(p)]
+        for top in (8, 24, 40, 48, 56, 64, 128):
+            cfg = PrecisionConfig(start_bits=8, max_bits=top)
+            for p, q in zip(ps, ps[1:]):
+                a = Factorization(((p, 1),))
+                b = Factorization(((q, 1),))
+                for x, y in ((a, b), (b, a), (a, a)):
+                    assert (theorems._certify_log_increase(x, y, cfg)
+                            == separated(x, y, cfg)), (x, y, top)
 
 
 class TestPerPrimeMonotonicity:
