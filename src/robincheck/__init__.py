@@ -52,11 +52,9 @@ from .theorems import (
 )
 from .explorer import (
     ConjectureRow,
-    ProbeReport,
     ScanReport,
     SearchReport,
     conjecture31_table,
-    conjecture32_probe,
     conjecture32_search,
     scan_range,
 )

@@ -375,49 +375,8 @@ def conjecture31_table(
 
 
 # ---------------------------------------------------------------------------
-# Exponent-increment probing: satisfied bases should stay satisfied
+# Exponent increments: satisfied bases should stay satisfied
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """A base's check and, if it is satisfied, each increment's check."""
-
-    base: Factorization
-    base_result: CheckResult
-    increments: tuple[tuple[int, CheckResult], ...]
-
-    def failures(self) -> tuple[tuple[Optional[int], CheckResult], ...]:
-        """Each increment's (index, result) that is not satisfied.
-
-        A base that is not satisfied is itself the one row, with index
-        None.
-        """
-        if self.base_result.verdict is not Verdict.SATISFIED:
-            return ((None, self.base_result),)
-        return tuple(
-            (j, r)
-            for j, r in self.increments
-            if r.verdict is not Verdict.SATISFIED
-        )
-
-
-def conjecture32_probe(
-    f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION
-) -> ProbeReport:
-    """Check every single-exponent increment of a satisfied base > 5040.
-
-    A base that is not satisfied is reported with no increments.
-    """
-    base_result = check(f, cfg)
-    if base_result.verdict is not Verdict.SATISFIED:
-        return ProbeReport(f, base_result, ())
-    if f.log2_magnitude() <= 64 and f.n() <= 5040:
-        raise InvalidInput("base must exceed 5040")
-    increments = tuple(
-        (j, check(f.with_exponent_bumped(j), cfg)) for j in range(len(f))
-    )
-    return ProbeReport(f, base_result, increments)
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -471,10 +430,42 @@ def _enumerate_bases(
     return out
 
 
-def _probe_base_task(args):
-    entries, cfg = args
-    report = conjecture32_probe(Factorization(entries), cfg)
-    return [(entries, j, r) for j, r in report.failures()]
+def _bumped(entries: tuple[tuple[int, int], ...], j: int, d: int = 1
+            ) -> tuple[tuple[int, int], ...]:
+    """entries with entry j's exponent moved by d; a raise stays canonical."""
+    p, k = entries[j]
+    return entries[:j] + ((p, k + d),) + entries[j + 1:]
+
+
+def _decided_increments(base: tuple[tuple[int, int], ...],
+                        bases: set) -> Iterator[int]:
+    """Each entry j at which n = base + e_j is decided as this increment.
+
+    It is not when n is itself a base, or when lowering an earlier entry
+    i of n gives a base (n is then that base's increment at i).  Every n
+    is so decided exactly once, and no increment is kept in memory.
+    """
+    raised = []  # the entries before j whose exponent can be lowered
+    for j, (_, k) in enumerate(base):
+        n = _bumped(base, j)
+        if n not in bases and not any(_bumped(n, i, -1) in bases
+                                      for i in raised):
+            yield j
+        if k > 1:
+            raised.append(j)
+
+
+def _unsatisfied_task(cfg: PrecisionConfig, task: tuple
+                      ) -> Optional[CheckResult]:
+    """None if n is certified satisfied, else its ``CheckResult``.
+
+    task = (base, j): n is the base for j None, else its increment at
+    entry j.
+    """
+    base, j = task
+    entries = base if j is None else _bumped(base, j)
+    r = check(Factorization.from_canonical(entries), cfg)
+    return None if r.verdict is Verdict.SATISFIED else r
 
 
 def conjecture32_search(
@@ -485,10 +476,12 @@ def conjecture32_search(
     worker_count: int = 1,
     non_increasing_only: bool = True,
 ) -> SearchReport:
-    """Probe every enumerated base > 5040; counterexamples expected empty.
+    """Check every enumerated base > 5040 and each of its increments.
 
-    A base that is not certified satisfied is reported as a
-    counterexample row of its own, with index None, and not probed.
+    Each distinct n among the bases and their single-exponent increments
+    is checked once.  A base that is not certified satisfied is reported
+    as a counterexample row of its own, with index None, and its
+    increments are not reported.
     """
     if prime_count_max < 1 or exponent_max < 1:
         raise InvalidInput("prime_count_max and exponent_max must be >= 1")
@@ -499,17 +492,30 @@ def conjecture32_search(
         prime_count_max, exponent_max, log_n_max, non_increasing_only,
         cfg.start_bits,
     )
-    tasks = [(entries, cfg) for entries in all_bases
-             if prod(p ** k for p, k in entries) > 5040]
-    counterexamples = [
-        (Factorization(entries), j, r)
-        for failures in _pool_imap(_probe_base_task, tasks, worker_count, 64)
-        for entries, j, r in failures]
+    bases = [base for base in all_bases
+             if prod(p ** k for p, k in base) > 5040]
+    known = set(bases)
+    tasks = [(base, j) for base in bases
+             for j in (None, *_decided_increments(base, known))]
+    # only results that are not satisfied come back, keyed by their n
+    unsatisfied = {r.factorization.entries: r for r in _pool_imap(
+        functools.partial(_unsatisfied_task, cfg), tasks, worker_count, 64)
+        if r is not None}
+    counterexamples = []
+    for base in bases:
+        f = Factorization.from_canonical(base)
+        if base in unsatisfied:
+            counterexamples.append((f, None, unsatisfied[base]))
+            continue
+        for j in range(len(base)):
+            r = unsatisfied.get(_bumped(base, j))
+            if r is not None:
+                counterexamples.append((f, j, r))
     return SearchReport(
         prime_count_max=prime_count_max,
         exponent_max=exponent_max,
         log_n_max=log_n_max,
         candidates_enumerated=len(all_bases),
-        bases_probed=len(tasks) - sum(j is None for _, j, _ in counterexamples),
+        bases_probed=len(bases) - sum(j is None for _, j, _ in counterexamples),
         counterexamples=tuple(counterexamples),
     )

@@ -88,13 +88,6 @@ class Factorization:
         """log2(n) as the float sum of k * log2(p); no power is built."""
         return sum(k * log2(p) for p, k in self.entries)
 
-    def with_exponent_bumped(self, index: int) -> "Factorization":
-        """Copy with entries[index] exponent raised by one."""
-        p, k = self.entries[index]
-        ents = list(self.entries)
-        ents[index] = (p, k + 1)
-        return Factorization(tuple(ents))
-
     def as_string(self) -> str:
         """Canonical factor string, e.g. '2^4*3^2*5*7'."""
         parts = []

@@ -1,4 +1,4 @@
-"""Scanner vs brute-force oracle, the primorial table, conjecture probes."""
+"""Scanner vs brute-force oracle, the primorial table, the conjecture-2 search."""
 
 import decimal
 import itertools
@@ -401,39 +401,87 @@ class TestTableWithoutBigGcds:
         assert len(exact_calls) == self.M - 1  # every row but m = 1
 
 
+def _per_base_search(prime_count_max, exponent_max, log_n_max,
+                     cfg=DEFAULT_PRECISION, non_increasing_only=True):
+    """The search as a per-base loop: each enumerated base > 5040 is
+    checked, then, if satisfied, each single-exponent increment; an n
+    that is a base and an increment is checked twice."""
+    log_n_max = Fraction(log_n_max)
+    all_bases = explorer._enumerate_bases(
+        prime_count_max, exponent_max, log_n_max, non_increasing_only,
+        cfg.start_bits)
+    rows, probed = [], 0
+    for entries in all_bases:
+        f = Factorization(entries)
+        if f.n() <= 5040:
+            continue
+        r = explorer.check(f, cfg)
+        if r.verdict is not Verdict.SATISFIED:
+            rows.append((f, None, r))
+            continue
+        probed += 1
+        for j, (p, k) in enumerate(entries):
+            bumped = list(entries)
+            bumped[j] = (p, k + 1)
+            r = explorer.check(Factorization(tuple(bumped)), cfg)
+            if r.verdict is not Verdict.SATISFIED:
+                rows.append((f, j, r))
+    return explorer.SearchReport(prime_count_max, exponent_max, log_n_max,
+                                 len(all_bases), probed, tuple(rows))
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The entries of every n the search checks, in call order."""
+    calls = []
+    real = explorer.check
+
+    def counting(f, cfg=DEFAULT_PRECISION):
+        calls.append(f.entries)
+        return real(f, cfg)
+
+    monkeypatch.setattr(explorer, "check", counting)
+    return calls
+
+
 class TestConjecture32Probe:
-    def test_35280_all_increments_satisfied(self):
-        f = primes.parse_factor_string("2^4*3^2*5*7^2")
-        rep = explorer.conjecture32_probe(f)
-        assert len(rep.increments) == 4
-        assert all(r.verdict is Verdict.SATISFIED for _, r in rep.increments)
-        assert rep.failures() == ()
+    """How the search probes a base: its check, then its increments'."""
+
+    def test_35280_all_increments_satisfied(self, checked):
+        base = primes.parse_factor_string("2^4*3^2*5*7^2").entries
+        # its exponents do not fall: every arrangement is enumerated
+        rep = explorer.conjecture32_search(4, 4, Fraction("10.5"),
+                                           non_increasing_only=False)
+        bumped = [primes.parse_factor_string(s).entries for s in (
+            "2^5*3^2*5*7^2", "2^4*3^3*5*7^2", "2^4*3^2*5^2*7^2",
+            "2^4*3^2*5*7^3")]
+        assert {base, *bumped} <= set(checked)
+        assert rep.counterexamples == ()
 
     def test_prime_power_5041(self):
-        rep = explorer.conjecture32_probe(Factorization(((71, 2),)))
-        (j, r), = rep.increments
-        assert r.factorization.entries == ((71, 3),)
-        assert r.verdict is Verdict.SATISFIED
+        # 71^2 is no base of a search over a prefix of the primes: the
+        # task decides it and its increment alone
+        for task in ((((71, 2),), None), (((71, 2),), 0)):
+            assert explorer._unsatisfied_task(DEFAULT_PRECISION, task) is None
 
     def test_base_5040_not_satisfied(self):
-        # a result, not a refusal: the base's check with no increments
-        rep = explorer.conjecture32_probe(primes.factorize(5040))
-        assert rep.base_result.verdict is Verdict.VIOLATED
-        assert rep.increments == ()
-        assert rep.failures() == ((None, rep.base_result),)
+        # a result, not a refusal: the task hands back the violated check
+        r = explorer._unsatisfied_task(
+            DEFAULT_PRECISION, (primes.factorize(5040).entries, None))
+        assert r.verdict is Verdict.VIOLATED
+        assert r == robin.check(primes.factorize(5040))
 
-    def test_base_below_5041_rejected(self):
-        with pytest.raises(ValueError):
-            explorer.conjecture32_probe(Factorization(((7, 1),)))
-
-    def test_increment_shape(self):
+    def test_increment_shape(self, checked):
+        # the only base > 5040 is 30030; each of its six exponents goes up
         f = primes.parse_factor_string("2*3*5*7*11*13")
-        rep = explorer.conjecture32_probe(f)
-        for j, r in rep.increments:
+        rep = explorer.conjecture32_search(6, 1, Fraction("10.4"))
+        assert rep.bases_probed == 1
+        want = [f.entries]
+        for j, (p, k) in enumerate(f.entries):
             expect = list(f.entries)
-            p, k = expect[j]
             expect[j] = (p, k + 1)
-            assert r.factorization.entries == tuple(expect)
+            want.append(tuple(expect))
+        assert checked == want
 
 
 def _naive_enumerate(prime_count, exp_max, ln_max_float, non_increasing):
@@ -453,8 +501,8 @@ def _naive_enumerate(prime_count, exp_max, ln_max_float, non_increasing):
     return found
 
 
-def _failing_probe_task(args):
-    raise RuntimeError("probe failed")
+def _failing_task(*args):
+    raise RuntimeError("task failed")
 
 
 class TestConjecture32Search:
@@ -471,6 +519,69 @@ class TestConjecture32Search:
     def test_enumeration_unique(self):
         got = explorer._enumerate_bases(5, 4, Fraction("16.0"), True, 53)
         assert len(got) == len(set(got))
+
+    def test_each_distinct_n_checked_once(self, checked):
+        rep = explorer.conjecture32_search(9, 6, Fraction("27.631021"))
+        assert len(checked) == len(set(checked)) == 3361
+        assert rep == _per_base_search(9, 6, "27.631021")
+
+    def test_every_arrangement_checked_once(self, checked):
+        # exponents in any order: more bases share an increment
+        bases = [b for b in explorer._enumerate_bases(
+            4, 3, Fraction(12), False, 53) if Factorization(b).n() > 5040]
+        want = set(bases)
+        for b in bases:
+            for j, (p, k) in enumerate(b):
+                want.add(b[:j] + ((p, k + 1),) + b[j + 1:])
+        explorer.conjecture32_search(4, 3, Fraction(12),
+                                     non_increasing_only=False)
+        assert len(checked) == len(want) < sum(len(b) + 1 for b in bases)
+        assert set(checked) == want
+
+    def test_increments_are_not_held(self, monkeypatch):
+        # 200 bases of up to 200 primes: holding their 20,100 increments
+        # at once took 23 MiB
+        monkeypatch.setattr(explorer, "check", lambda f, cfg: robin.CheckResult(
+            f, Fraction(1), None, Verdict.SATISFIED, cfg.start_bits))
+        tracemalloc.start()
+        try:
+            rep = explorer.conjecture32_search(200, 1, Fraction(10000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.bases_probed == 200 - 5  # 2, 6, 30, 210 and 2310 are not
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("args", [
+        (6, 3, "12.5", True),
+        (4, 4, "14", True),
+        (4, 3, "12", False),
+    ])
+    def test_rows_match_the_per_base_loop(self, args, monkeypatch):
+        # some n forced undecided and some violated, by their sigma(n)/n
+        real = robin.compare
+
+        def forced(lhs, rhs):
+            pick = hash(lhs) % 7
+            if pick == 0:
+                return intervals.Comparison.OVERLAPPING
+            if pick == 1:
+                return intervals.Comparison.GREATER
+            return real(lhs, rhs)
+
+        monkeypatch.setattr(robin, "compare", forced)
+        *search, non_increasing = args
+        want = _per_base_search(*search, non_increasing_only=non_increasing)
+        assert {j is None for _, j, _ in want.counterexamples} == {True, False}
+        assert {r.verdict for _, _, r in want.counterexamples} == {
+            Verdict.INDETERMINATE, Verdict.VIOLATED}
+        # forked workers keep the patched compare; their rows come back
+        # through a pickle
+        for workers in (1, 2):
+            got = explorer.conjecture32_search(
+                search[0], search[1], Fraction(search[2]),
+                worker_count=workers, non_increasing_only=non_increasing)
+            assert got == want
 
     def test_prime_powers_only(self):
         rep = explorer.conjecture32_search(1, 20, Fraction("20.7"))
@@ -498,10 +609,12 @@ class TestConjecture32Search:
                 assert r.verdict is Verdict.INDETERMINATE
 
     def test_base_not_satisfied_pickles_with_its_result(self):
-        rep = explorer.conjecture32_probe(primes.factorize(5040))
-        copy = pickle.loads(pickle.dumps(rep))
-        assert copy == rep
-        assert copy.failures() == ((None, rep.base_result),)
+        # what a worker sends back for 5040, and a report holding it
+        f = primes.factorize(5040)
+        r = explorer._unsatisfied_task(DEFAULT_PRECISION, (f.entries, None))
+        assert pickle.loads(pickle.dumps(r)) == r
+        rep = explorer.SearchReport(1, 1, Fraction(9), 1, 0, ((f, None, r),))
+        assert pickle.loads(pickle.dumps(rep)) == rep
 
     def test_worker_counts_agree(self):
         a = explorer.conjecture32_search(6, 3, Fraction("12.5"),
@@ -515,8 +628,8 @@ class TestConjecture32Search:
     def test_worker_exception_propagates_without_leaking_pool(
             self, monkeypatch):
         # module level, so the pool's workers can unpickle it by name
-        monkeypatch.setattr(explorer, "_probe_base_task", _failing_probe_task)
-        with pytest.raises(RuntimeError, match="probe failed"):
+        monkeypatch.setattr(explorer, "_unsatisfied_task", _failing_task)
+        with pytest.raises(RuntimeError, match="task failed"):
             explorer.conjecture32_search(6, 3, Fraction("12.5"),
                                          worker_count=2)
         assert multiprocessing.active_children() == []
@@ -578,7 +691,8 @@ class TestPoolSize:
                                            worker_count=100_000)
         assert pools == [3]
         assert got == want
-        few = explorer.conjecture32_search(1, 14, Fraction(10),
+        # the one base 2^13 and its increment 2^14: two distinct n
+        few = explorer.conjecture32_search(1, 13, Fraction(10),
                                            worker_count=100_000)
-        assert few.bases_probed == 2  # 2^13 and 2^14
+        assert few.bases_probed == 1
         assert pools == [3, 2]
