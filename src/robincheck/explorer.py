@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -201,7 +201,8 @@ def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> list:
     return [(n, r) for n, r in results if r.verdict is not Verdict.SATISFIED]
 
 
-def _pool_imap(fn, tasks: list, worker_count: int, chunksize: int = 1) -> Iterator:
+def _pool_imap(fn, tasks: Sequence, worker_count: int,
+               chunksize: int = 1) -> Iterator:
     """fn over tasks in order, on min(worker_count, CPUs, len(tasks)) processes.
 
     A pool starts every worker when it is built, hence the clamp; a clamp
@@ -215,9 +216,9 @@ def _pool_imap(fn, tasks: list, worker_count: int, chunksize: int = 1) -> Iterat
         yield from pool.imap(fn, tasks, chunksize)
 
 
-def _scan_segment_task(args):
-    a, b, cfg = args
-    return _scan_segment(a, b, cfg)
+def _scan_segment_task(hi: int, segment_size: int, cfg: PrecisionConfig,
+                       a: int) -> list:
+    return _scan_segment(a, min(a + segment_size, hi + 1), cfg)
 
 
 def iter_scan_results(
@@ -235,13 +236,10 @@ def iter_scan_results(
         raise InvalidInput("need 2 <= lo <= hi")
     if hi > MAX_SCAN_HI:
         raise InvalidInput(f"hi exceeds the supported scan range {MAX_SCAN_HI}")
-    tasks = []
-    a = lo
-    while a <= hi:
-        b = min(a + segment_size, hi + 1)
-        tasks.append((a, b, cfg))
-        a = b
-    return _pool_imap(_scan_segment_task, tasks, worker_count)
+    # segment starts, not segments: a range costs nothing to build
+    return _pool_imap(
+        functools.partial(_scan_segment_task, hi, segment_size, cfg),
+        range(lo, hi + 1, segment_size), worker_count)
 
 
 def scan_range(
@@ -403,30 +401,33 @@ def _enumerate_bases(
     substitution theorem any other arrangement of the same multiset is
     implied by its minimal arrangement, so the minimal ones are the
     critical cases.  Inclusion rule: the certified upper bound of
-    sum k_j ln p_j must not exceed log_n_max.
+    sum k_j ln p_j must not exceed log_n_max.  Depth first, each base
+    before its extensions and smaller exponents first, on an explicit
+    stack, so a base may hold any number of primes.
     """
     W = bits + _GUARD
     x_fp = (log_n_max.numerator << W) // log_n_max.denominator
     plist = _primes.first_primes(prime_count_max)
     ln_hi = [_ln_prime_fp(p, W)[1] for p in plist]
     out: list[tuple[tuple[int, int], ...]] = []
-
-    def recurse(pos: int, k_cap: int, s_hi: int, prefix: list[tuple[int, int]]):
+    # (base, exponent cap of its next prime, upper bound of its ln n)
+    stack = [((), exponent_max, 0)]
+    while stack:
+        base, k_cap, s_hi = stack.pop()
+        if base:
+            out.append(base)
+        pos = len(base)
         if pos == len(plist):
-            return
+            continue
         cap = k_cap if non_increasing_only else exponent_max
-        step = ln_hi[pos]
+        extensions = []
         acc = s_hi
         for k in range(1, cap + 1):
-            acc += step
+            acc += ln_hi[pos]
             if acc > x_fp:
                 break
-            prefix.append((plist[pos], k))
-            out.append(tuple(prefix))
-            recurse(pos + 1, k, acc, prefix)
-            prefix.pop()
-
-    recurse(0, exponent_max, 0, [])
+            extensions.append((base + ((plist[pos], k),), k, acc))
+        stack.extend(reversed(extensions))  # the first pops first
     return out
 
 

@@ -289,11 +289,12 @@ def parse_factor_string(s: str) -> Factorization:
     if not s or not s.strip():
         raise InvalidInput("empty factor string")
     seen: dict[int, int] = {}
-    for raw in s.split("*"):
+    terms = s.split("*")
+    for i, raw in enumerate(terms, 1):
         term = "".join(raw.split())
         m = _TERM_RE.match(term)
         if not m:
-            raise InvalidInput(f"bad term {raw!r}")
+            raise InvalidInput(f"bad term {raw!r} (term {i} of {len(terms)})")
         exp_str = m.group(2) or "1"
         if (exp_str[0] != "-"
                 and len(exp_str.lstrip("0")) > len(str(MAX_FACTOR_BITS))):

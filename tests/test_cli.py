@@ -59,6 +59,16 @@ class TestExitCodes:
         assert code == 64
         assert "not prime" in err
 
+    @pytest.mark.parametrize("factors, where", [
+        ("2**3", "bad term '' (term 2 of 3)"),
+        ("2*", "bad term '' (term 2 of 2)"),
+    ])
+    def test_bad_term_names_its_position(self, factors, where, capsys):
+        code, out, err = run_cli(["check", factors], capsys)
+        assert code == 64
+        assert out == ""
+        assert err == f"robincheck: error: {where}\n"
+
     def test_too_large_integer_exit_65(self, capsys):
         code, _, err = run_cli(["check", str(2**64 + 7)], capsys)
         assert code == 65

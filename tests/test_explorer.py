@@ -237,6 +237,17 @@ class TestScanRangeEnd:
             assert int(sig[n - lo]) == sigma_int(f), n
             assert robin.check(f).verdict is Verdict.SATISFIED, n
 
+    def test_segments_are_not_built_ahead(self):
+        # 953,675 segments of 2^20 up to 10^12; none exists before it runs
+        tracemalloc.start()
+        try:
+            it = explorer.iter_scan_results(2, explorer.MAX_SCAN_HI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        it.close()
+        assert peak < 1 << 20
+
 
 class TestPrecisionStability:
     def test_verdicts_identical_at_24_53_128_start_bits(self):
@@ -300,6 +311,27 @@ class TestConjecture31Table:
             q = Fraction(row.q_num, row.q_den)
             ratio = alpha / oracles.mp_of_fraction(q)
             assert oracles.interval_contains_mp(row.ratio, ratio)
+
+    def test_undecided_rows_rerun_ln_primorial(self, monkeypatch):
+        # a lower bound 2^-40 below ln p leaves every row's first
+        # enclosure wider than two grid steps, so its rounding is
+        # undecided and ln(p_m#) is recomputed at more guard bits
+        want = explorer.conjecture31_table(300)
+        ln_prime, primorial_log = explorer._ln_prime_fp, explorer._primorial_log
+        reruns = []
+
+        def wide(p, W):
+            L, H = ln_prime(p, W)
+            return L - (L >> 40), H
+
+        def counting(m, bits):
+            reruns.append(m)
+            return primorial_log(m, bits)
+
+        monkeypatch.setattr(explorer, "_ln_prime_fp", wide)
+        monkeypatch.setattr(explorer, "_primorial_log", counting)
+        assert explorer.conjecture31_table(300) == want
+        assert reruns == list(range(2, 301))  # m = 1 has no alpha
 
     def test_ratio_midpoints_nondecreasing(self):
         rows = explorer.conjecture31_table(2000)
@@ -484,6 +516,33 @@ class TestConjecture32Probe:
         assert checked == want
 
 
+def _recursive_enumerate(prime_count_max, exponent_max, log_n_max,
+                         non_increasing_only, bits):
+    """The enumeration as one recursive call per prime, for its order."""
+    W = bits + _GUARD
+    x_fp = (log_n_max.numerator << W) // log_n_max.denominator
+    plist = primes.first_primes(prime_count_max)
+    ln_hi = [robin._ln_prime_fp(p, W)[1] for p in plist]
+    out = []
+
+    def recurse(pos, k_cap, s_hi, prefix):
+        if pos == len(plist):
+            return
+        cap = k_cap if non_increasing_only else exponent_max
+        acc = s_hi
+        for k in range(1, cap + 1):
+            acc += ln_hi[pos]
+            if acc > x_fp:
+                break
+            prefix.append((plist[pos], k))
+            out.append(tuple(prefix))
+            recurse(pos + 1, k, acc, prefix)
+            prefix.pop()
+
+    recurse(0, exponent_max, 0, [])
+    return out
+
+
 def _naive_enumerate(prime_count, exp_max, ln_max_float, non_increasing):
     """Independent brute-force enumeration by itertools product."""
     import math
@@ -519,6 +578,23 @@ class TestConjecture32Search:
     def test_enumeration_unique(self):
         got = explorer._enumerate_bases(5, 4, Fraction("16.0"), True, 53)
         assert len(got) == len(set(got))
+
+    @pytest.mark.parametrize("args", [
+        (4, 3, Fraction("11.0"), True),
+        (3, 3, Fraction("9.5"), False),
+        (5, 4, Fraction("16.0"), True),
+        (4, 2, Fraction("12.0"), False),
+        (9, 6, Fraction("27.631021"), True),
+    ])
+    def test_enumeration_order_matches_recursion(self, args):
+        assert (explorer._enumerate_bases(*args, 53)
+                == _recursive_enumerate(*args, 53))
+
+    def test_enumeration_deeper_than_the_recursion_limit(self):
+        got = explorer._enumerate_bases(1200, 1, Fraction(20000), True, 53)
+        plist = primes.first_primes(1200)
+        assert got == [tuple((p, 1) for p in plist[:m])
+                       for m in range(1, 1201)]
 
     def test_each_distinct_n_checked_once(self, checked):
         rep = explorer.conjecture32_search(9, 6, Fraction("27.631021"))
