@@ -34,7 +34,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -431,29 +431,80 @@ def _enumerate_bases(
     return out
 
 
+def _exceeds_5040(entries: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the n of these entries exceeds 5040, from its first factors."""
+    n = 1
+    for p, k in entries:
+        n *= p ** k
+        if n > 5040:
+            return True
+    return False
+
+
 def _bumped(entries: tuple[tuple[int, int], ...], j: int, d: int = 1
             ) -> tuple[tuple[int, int], ...]:
     """entries with entry j's exponent moved by d; a raise stays canonical."""
-    p, k = entries[j]
-    return entries[:j] + ((p, k + d),) + entries[j + 1:]
+    n = list(entries)
+    p, k = n[j]
+    n[j] = (p, k + d)
+    return tuple(n)
 
 
-def _decided_increments(base: tuple[tuple[int, int], ...],
-                        bases: set) -> Iterator[int]:
-    """Each entry j at which n = base + e_j is decided as this increment.
+# bases are found by n mod this prime, which a raised or lowered exponent
+# moves by one product; below it n is its own key
+_KEY_MOD = (1 << 61) - 1
 
-    It is not when n is itself a base, or when lowering an earlier entry
-    i of n gives a base (n is then that base's increment at i).  Every n
-    is so decided exactly once, and no increment is kept in memory.
+
+def _base_key(entries: tuple[tuple[int, int], ...]) -> int:
+    key = 1
+    for p, k in entries:
+        key = key * p ** k % _KEY_MOD
+    return key
+
+
+def _base_at(bases: list, index: dict[int, list[int]], key: int,
+             entries: tuple[tuple[int, int], ...]) -> Optional[int]:
+    """The index of the base with this key and these entries, or None."""
+    for c in index[key]:
+        if bases[c] == entries:
+            return c
+    return None
+
+
+def _shared_increments(b: int, bases: list, keys: list[int],
+                       index: dict[int, list[int]]
+                       ) -> dict[int, tuple[int, Optional[int]]]:
+    """The entries j of base b whose n = base + e_j another task checks.
+
+    Each maps to that task, (base index, entry index or None): (c, None)
+    when n is base c, else (c, i) for the first entry i < j at which
+    lowering n gives base c.  Every other n is checked as task (b, j),
+    so every n is checked exactly once.  ``keys`` holds each base's
+    ``_base_key`` and ``index`` the bases at each key, so entries are
+    built and compared only where a key matches.
     """
-    raised = []  # the entries before j whose exponent can be lowered
-    for j, (_, k) in enumerate(base):
-        n = _bumped(base, j)
-        if n not in bases and not any(_bumped(n, i, -1) in bases
-                                      for i in raised):
-            yield j
+    base, key = bases[b], keys[b]
+    shared = {}
+    # (i, 1/p_i mod _KEY_MOD) for each entry i before j that can be lowered
+    raised = []
+    for j, (p, k) in enumerate(base):
+        n_key = key * p % _KEY_MOD
+        c = (_base_at(bases, index, n_key, _bumped(base, j))
+             if n_key in index else None)
+        if c is not None:
+            shared[j] = (c, None)
+        else:
+            for i, inverse in raised:
+                c_key = n_key * inverse % _KEY_MOD
+                c = (_base_at(bases, index, c_key,
+                              _bumped(_bumped(base, j), i, -1))
+                     if c_key in index else None)
+                if c is not None:
+                    shared[j] = (c, i)
+                    break
         if k > 1:
-            raised.append(j)
+            raised.append((j, pow(p, -1, _KEY_MOD)))
+    return shared
 
 
 def _unsatisfied_task(cfg: PrecisionConfig, task: tuple
@@ -493,23 +544,32 @@ def conjecture32_search(
         prime_count_max, exponent_max, log_n_max, non_increasing_only,
         cfg.start_bits,
     )
-    bases = [base for base in all_bases
-             if prod(p ** k for p, k in base) > 5040]
-    known = set(bases)
-    tasks = [(base, j) for base in bases
-             for j in (None, *_decided_increments(base, known))]
-    # only results that are not satisfied come back, keyed by their n
-    unsatisfied = {r.factorization.entries: r for r in _pool_imap(
-        functools.partial(_unsatisfied_task, cfg), tasks, worker_count, 64)
-        if r is not None}
+    bases = [base for base in all_bases if _exceeds_5040(base)]
+    keys = [_base_key(base) for base in bases]
+    index: dict[int, list[int]] = {}
+    for b, key in enumerate(keys):
+        index.setdefault(key, []).append(b)
+    tasks = []
+    for b, base in enumerate(bases):
+        shared = _shared_increments(b, bases, keys, index)
+        tasks.append((b, None))
+        tasks += [(b, j) for j in range(len(base)) if j not in shared]
+    # only results that are not satisfied are kept, keyed by their task
+    results = _pool_imap(functools.partial(_unsatisfied_task, cfg),
+                         [(bases[b], j) for b, j in tasks], worker_count, 64)
+    unsatisfied = {task: r for task, r in zip(tasks, results)
+                   if r is not None}
     counterexamples = []
-    for base in bases:
+    # every row is a result that is not satisfied
+    for b, base in enumerate(bases if unsatisfied else ()):
         f = Factorization.from_canonical(base)
-        if base in unsatisfied:
-            counterexamples.append((f, None, unsatisfied[base]))
+        r = unsatisfied.get((b, None))
+        if r is not None:
+            counterexamples.append((f, None, r))
             continue
+        shared = _shared_increments(b, bases, keys, index)
         for j in range(len(base)):
-            r = unsatisfied.get(_bumped(base, j))
+            r = unsatisfied.get(shared.get(j, (b, j)))
             if r is not None:
                 counterexamples.append((f, j, r))
     return SearchReport(

@@ -17,10 +17,14 @@ ln x = s ln 2 + ln c + 2 atanh((y-c)/(y+c)), where the atanh argument
 lies in [0, 1/(2i+1)), under 2**-7.4 at K = 7, so its series needs about
 a third of the terms the old (y-1)/(y+1) reduction needed.  ln c comes
 from a bounded cache filled once per (i, W) by that full series, and
-s ln 2 from ln 2 at a few extra bits.  Each bound runs only its own
-one-sided chain (``_atanh_bound``: a floor chain for a lower bound, a
-ceiling chain with its tail for an upper one), and stays within 2W ulp
-of ln x for every W the ladder uses.
+s ln 2 from ln 2 at a few extra bits.  ``_atanh_pair`` is the one atanh
+chain: one loop carries a floor and a ceiling chain and gives both
+bounds, for ln 2, the table and the reduced argument alike.  An
+interval [lo, hi] is reduced once, at lo; when it is narrow, the upper
+bound is ln lo's plus ceil((hi - lo) / lo) at scale 2**W, since ln is
+concave, which overshoots by under half an ulp, and only a wider one
+is reduced again at hi.  The bounds stay within 2W ulp of ln x for
+every W the ladder uses.
 
 ``robin.log_n`` and ``robin._rhs_from_log`` build ln n and the
 right-hand side e^gamma * ln(ln n) from these kernels.  The right side is
@@ -341,49 +345,39 @@ DEFAULT_PRECISION = PrecisionConfig()
 # propagate by flooring/ceiling each step.
 # ---------------------------------------------------------------------------
 
-def _atanh_bound(num: int, den: int, W: int, upper: bool) -> int:
-    """Upper (H) or lower (L) bound on atanh(num/den) * 2**W.
+def _atanh_pair(num: int, den: int, W: int) -> tuple[int, int]:
+    """Bounds (L, H) on atanh(num/den) * 2**W, for 0 <= num/den <= 1/3.
 
-    0 <= num/den <= 1/3.  Both chains sum t^(2k+1)/(2k+1), k = 0, 1, ...,
-    on powers p of t = num/den at scale 2**W.  The upper chain rounds
-    every step up, stops at the first k with p <= 2k+1 and adds a tail
-    bound.  The lower chain rounds every step down and stops at its first
-    zero term, which gives the L of a fused chain that runs until the
-    upper powers reach that stop: the lower powers never increase
-    (t^2 < 1) while the divisors grow, so a zero term is followed by zero
-    terms only, and past the upper stop K the next lower power is at most
-    (2K+1) t^2 < 2K+3, a zero term.  Each caller runs only the side it
-    keeps.
+    One loop sums t^(2k+1)/(2k+1), k = 0, 1, ..., on two chains of powers
+    of t = num/den at scale 2**W: the floor chain rounds every step down
+    and gives L, the ceiling chain rounds every step up and gives H.  It
+    stops at the first k whose ceiling power p is at most 2k+1, and adds
+    a tail bound to H.  By then every floor term left is zero: the floor
+    powers never increase (t^2 < 1) while the divisors grow, and the
+    next one is at most (2k+1) t^2 < 2k+3.
     """
     S = 1 << W
-    if upper:
-        t = _ceil_div_shift(num, den, W)
-        if t == 0:
-            return 0
-        t2 = ((t * t) + S - 1) >> W
-        H = p = t
-        k = 1
-        while True:
-            p = ((p * t2) + S - 1) >> W
-            d = 2 * k + 1
-            H += (p + d - 1) // d
-            if p <= d:
-                # Tail: sum_{j>k} t^(2j+1)/(2j+1) <= p_next / (2k+3) / (1 - t^2)
-                # with t^2 <= 1/4 the geometric factor is < 2.
-                p_next = ((p * t2) + S - 1) >> W
-                return H + (2 * p_next) // (2 * k + 3) + 2
-            k += 1
-    t = _floor_div_shift(num, den, W)
-    t2 = (t * t) >> W
-    L = p = t
-    d = 3
+    t_lo = _floor_div_shift(num, den, W)
+    t_hi = _ceil_div_shift(num, den, W)
+    if t_hi == 0:
+        return 0, 0
+    t2_lo = (t_lo * t_lo) >> W
+    t2_hi = ((t_hi * t_hi) + S - 1) >> W
+    L = p_lo = t_lo
+    H = p_hi = t_hi
+    k = 1
     while True:
-        p = (p * t2) >> W
-        term = p // d
-        if term == 0:
-            return L
-        L += term
-        d += 2
+        p_lo = (p_lo * t2_lo) >> W
+        p_hi = ((p_hi * t2_hi) + S - 1) >> W
+        d = 2 * k + 1
+        L += p_lo // d
+        H += (p_hi + d - 1) // d
+        if p_hi <= d:
+            # Tail: sum_{j>k} t^(2j+1)/(2j+1) <= p_next / (2k+3) / (1 - t^2)
+            # with t^2 <= 1/4 the geometric factor is < 2.
+            p_next = ((p_hi * t2_hi) + S - 1) >> W
+            return L, H + (2 * p_next) // (2 * k + 3) + 2
+        k += 1
 
 
 _LN2_CACHE: dict[int, tuple[int, int]] = {}
@@ -393,8 +387,8 @@ def _ln2_fp(W: int) -> tuple[int, int]:
     """Bounds on ln(2) * 2**W; ln 2 = 2*atanh(1/3) exactly."""
     cached = _LN2_CACHE.get(W)
     if cached is None:
-        cached = (2 * _atanh_bound(1, 3, W, False),
-                  2 * _atanh_bound(1, 3, W, True))
+        L, H = _atanh_pair(1, 3, W)
+        cached = (2 * L, 2 * H)
         if len(_LN2_CACHE) < 64:
             _LN2_CACHE[W] = cached
     return cached
@@ -425,8 +419,8 @@ def _ln_c_fp(i: int, W: int) -> tuple[int, int]:
         s = -1 if 3 * i < 2 << _TABLE_K else 0
         a, b = i << -s, 1 << _TABLE_K
         tn, td = abs(a - b), a + b
-        L = 2 * _atanh_bound(tn, td, W, False)
-        H = 2 * _atanh_bound(tn, td, W, True)
+        L, H = _atanh_pair(tn, td, W)
+        L, H = 2 * L, 2 * H
         if a < b:
             L, H = -H, -L
         l2L, l2H = _ln2_fp(W)
@@ -463,33 +457,33 @@ def _ln_reduced(num: int, den: int) -> tuple[int, int, int, int]:
     return s, i, a - i * b, a + i * b
 
 
-def _ln_bound(reduced: tuple[int, int, int, int], W: int, upper: bool) -> int:
-    """Upper (H) or lower (L) bound on ln(num/den) * 2**W.
-
-    ``reduced`` is ``_ln_reduced(num, den)``; the atanh argument is never
-    negative, so each bound runs only its own one-sided chain.
-    """
-    s, i, tn, td = reduced
-    # s ln 2 from ln 2 at _LN2_EXTRA more bits, rounded once
-    l2L, l2H = _ln2_fp(W + _LN2_EXTRA)
-    if upper:
-        s_ln2 = -((-s * (l2H if s >= 0 else l2L)) >> _LN2_EXTRA)
-    else:
-        s_ln2 = (s * (l2L if s >= 0 else l2H)) >> _LN2_EXTRA
-    return _ln_c_fp(i, W)[upper] + 2 * _atanh_bound(tn, td, W, upper) + s_ln2
-
-
 def _ln_fp(lo_num: int, hi_num: int, den: int, W: int) -> tuple[int, int]:
     """Bounds [L, H] on ln(x) * 2**W for every x in [lo_num/den, hi_num/den].
 
-    0 < lo_num <= hi_num, den > 0.  L is the lower bound on ln(lo_num/den)
-    and H the upper bound on ln(hi_num/den); each endpoint runs only the
-    one-sided series its bound needs.  Pass lo_num == hi_num for the
-    enclosure of a single ln, which reduces the argument once.
+    0 < lo_num <= hi_num, den > 0.  The argument is reduced once, at
+    lo_num, and one atanh chain gives both bounds on ln(lo_num/den).
+    For a narrow interval, d = hi_num - lo_num with
+    2 bitlen(d) + W < 2 bitlen(lo_num) - 2, H moves up by
+    ceil(d * 2**W / lo_num) >= ln(hi_num/lo_num) * 2**W (ln is
+    concave), which overshoots by under (d/lo_num)^2 / 2 * 2**W, below
+    half an ulp.  A wider interval reduces hi_num for its own H.
     """
-    lo = _ln_reduced(lo_num, den)
-    hi = lo if hi_num == lo_num else _ln_reduced(hi_num, den)
-    return _ln_bound(lo, W, False), _ln_bound(hi, W, True)
+    s, i, tn, td = _ln_reduced(lo_num, den)
+    aL, aH = _atanh_pair(tn, td, W)
+    cL, cH = _ln_c_fp(i, W)
+    # s ln 2 from ln 2 at _LN2_EXTRA more bits, each end rounded once
+    l2L, l2H = _ln2_fp(W + _LN2_EXTRA)
+    if s < 0:
+        l2L, l2H = l2H, l2L
+    L = cL + 2 * aL + ((s * l2L) >> _LN2_EXTRA)
+    H = cH + 2 * aH - ((-s * l2H) >> _LN2_EXTRA)
+    d = hi_num - lo_num
+    if d:
+        if 2 * d.bit_length() + W < 2 * lo_num.bit_length() - 2:
+            H -= (-d << W) // lo_num
+        else:
+            H = _ln_fp(hi_num, hi_num, den, W)[1]
+    return L, H
 
 
 def _exp_fp(xn: int, xd: int, W: int) -> tuple[int, int]:

@@ -4,14 +4,16 @@ Nothing here shares code with the package under test: sigma comes from
 plain divisor enumeration (or a naive pure-python divisor sieve), the
 right-hand side from mpmath at 50 significant digits.  Verdicts with an
 oracle margin below 1e-6 are not decided here; callers re-check those
-through the certified path.  ``fused_atanh_fp`` is the package's
-earlier two-sided atanh chain, copied as the bit-exact reference for its
-one-sided successor, and ``rhs_rd_ru`` gives the correctly rounded
+through the certified path.  ``fused_atanh_fp`` is the two-sided atanh
+chain, copied as the bit-exact reference for the package's one chain,
+``table_ln_fp`` composes it into the table-driven ln bounds by exact
+rational arithmetic, and ``rhs_rd_ru`` gives the correctly rounded
 right-hand side that every printed enclosure must equal.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -92,10 +94,9 @@ def _floor_div_shift(num: int, den: int, shift: int) -> int:
 def fused_atanh_fp(num: int, den: int, W: int) -> tuple[int, int]:
     """[L, H] on atanh(num/den) * 2**W, 0 <= num/den <= 1/3, both chains fused.
 
-    The package's earlier kernel, kept verbatim as the reference for the
-    one-sided ``intervals._atanh_bound``: one loop carries the floor and
-    the ceiling chain and stops when the ceiling chain's power reaches
-    its divisor.
+    The reference for ``intervals._atanh_pair``, the package's one atanh
+    chain: one loop carries the floor and the ceiling chain and stops
+    when the ceiling chain's power reaches its divisor.
     """
     S = 1 << W
     t_lo = _floor_div_shift(num, den, W)
@@ -118,6 +119,47 @@ def fused_atanh_fp(num: int, den: int, W: int) -> tuple[int, int]:
             H += (2 * p_next) // (2 * k + 3) + 2
             return L, H
         k += 1
+
+
+def table_ln_fp(num: int, den: int, W: int, K: int = 7,
+                extra: int = 16) -> tuple[int, int]:
+    """[L, H] on ln(num/den) * 2**W, composed from ``fused_atanh_fp`` alone.
+
+    num/den = y * 2**s with i = floor(y * 2**K) in [i0, 2 i0), i0 =
+    floor(2**(K+1) / 3), and c = i / 2**K; then
+    ln(num/den) = s ln 2 + ln c + 2 atanh((y-c)/(y+c)).  ln c = s_c ln 2 +
+    2 atanh(|y_c-1|/(y_c+1)) with c = y_c * 2**s_c, y_c in [2/3, 4/3),
+    its ln 2 at W; s ln 2 uses ln 2 at W + extra bits, each end rounded
+    once.  The package's table-driven kernel, written with Fractions.
+    """
+    x = Fraction(num, den)
+    i0 = (2 << K) // 3
+    s = 0
+    while x >= Fraction(2 * i0, 2 ** K) * Fraction(2) ** s:
+        s += 1
+    while x < Fraction(i0, 2 ** K) * Fraction(2) ** s:
+        s -= 1
+    y = x / Fraction(2) ** s
+    c = Fraction(math.floor(y * 2 ** K), 2 ** K)
+    t = (y - c) / (y + c)
+    aL, aH = fused_atanh_fp(t.numerator, t.denominator, W)
+
+    def ln2(bits):
+        lo, hi = fused_atanh_fp(1, 3, bits)
+        return 2 * lo, 2 * hi
+
+    s_c = -1 if c < Fraction(2, 3) else 0
+    y_c = c / Fraction(2) ** s_c
+    u = abs(y_c - 1) / (y_c + 1)
+    uL, uH = fused_atanh_fp(u.numerator, u.denominator, W)
+    cL, cH = (2 * uL, 2 * uH) if y_c >= 1 else (-2 * uH, -2 * uL)
+    l2L, l2H = ln2(W)
+    cL += s_c * (l2L if s_c >= 0 else l2H)
+    cH += s_c * (l2H if s_c >= 0 else l2L)
+    e2L, e2H = ln2(W + extra)
+    sL = math.floor(Fraction(s * (e2L if s >= 0 else e2H), 2 ** extra))
+    sH = math.ceil(Fraction(s * (e2H if s >= 0 else e2L), 2 ** extra))
+    return cL + 2 * aL + sL, cH + 2 * aH + sH
 
 
 def rhs_rd_ru(ln_n_terms, bits: int) -> tuple[Fraction, Fraction]:

@@ -454,8 +454,9 @@ def _per_base_search(prime_count_max, exponent_max, log_n_max,
         probed += 1
         for j, (p, k) in enumerate(entries):
             bumped = list(entries)
-            bumped[j] = (p, k + 1)
-            r = explorer.check(Factorization(tuple(bumped)), cfg)
+            bumped[j] = (p, k + 1)  # still canonical
+            r = explorer.check(Factorization.from_canonical(tuple(bumped)),
+                               cfg)
             if r.verdict is not Verdict.SATISFIED:
                 rows.append((f, j, r))
     return explorer.SearchReport(prime_count_max, exponent_max, log_n_max,
@@ -627,6 +628,61 @@ class TestConjecture32Search:
             tracemalloc.stop()
         assert rep.bases_probed == 200 - 5  # 2, 6, 30, 210 and 2310 are not
         assert peak < 8 << 20
+
+    def test_long_bases_match_the_per_base_loop(self, monkeypatch):
+        # 500 bases of up to 500 primes, 125,250 increments: building and
+        # hashing each increment's entries took 1.7 s before the first
+        # check.  The stub decides from a few entries, so every n
+        # is O(1) to check, and some rows are bases, some increments.
+        def stub(f, cfg):
+            e = f.entries
+            pick = (len(e) + e[0][1] * 3 + e[-1][1]) % 11
+            verdict = (Verdict.VIOLATED, Verdict.INDETERMINATE)[pick] \
+                if pick < 2 else Verdict.SATISFIED
+            return robin.CheckResult(f, Fraction(1), None, verdict,
+                                     cfg.start_bits)
+
+        monkeypatch.setattr(explorer, "check", stub)
+        want = _per_base_search(500, 1, 10000)
+        # rows of bases, of first and of last entries
+        assert {None, 0} < {j for _, j, _ in want.counterexamples}
+        assert explorer.conjecture32_search(500, 1, Fraction(10000)) == want
+
+    @pytest.mark.parametrize("modulus", [11, 1009])
+    def test_key_clashes_change_nothing(self, modulus, checked, monkeypatch):
+        # bases are found by n mod a prime; where two share a key, their
+        # entries decide
+        want = explorer.conjecture32_search(4, 3, Fraction(12),
+                                            non_increasing_only=False)
+        want_checked = list(checked)
+        checked.clear()
+        monkeypatch.setattr(explorer, "_KEY_MOD", modulus)
+        got = explorer.conjecture32_search(4, 3, Fraction(12),
+                                           non_increasing_only=False)
+        assert (got, checked) == (want, want_checked)
+
+    def test_no_increment_built_before_its_check(self, monkeypatch):
+        # 1000 bases of up to 1000 primes: no increment of a primorial is
+        # a base, so no hash matches and no entries are built until the
+        # tasks run (500,500 of them were built and hashed, 11.8 s)
+        built = []
+        real = explorer._bumped
+
+        def counting(entries, j, d=1):
+            built.append(j)
+            return real(entries, j, d)
+
+        class FirstCheck(Exception):
+            pass
+
+        def first_check(f, cfg):
+            raise FirstCheck
+
+        monkeypatch.setattr(explorer, "_bumped", counting)
+        monkeypatch.setattr(explorer, "check", first_check)
+        with pytest.raises(FirstCheck):
+            explorer.conjecture32_search(1000, 1, Fraction(10000))
+        assert built == []
 
     @pytest.mark.parametrize("args", [
         (6, 3, "12.5", True),

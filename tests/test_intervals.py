@@ -255,7 +255,8 @@ _LADDER_W = [bits + _GUARD for bits in (1, 53, 106, 212, 1024, GAMMA_MAX_BITS)]
 
 
 class TestOneSidedLn:
-    """The ln kernel's tight enclosure, and its chain against the fused one."""
+    """The ln kernel's tight enclosure, and its one chain against the fused
+    reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(W=st.sampled_from(_LADDER_W), lo=st.integers(1, 2 ** 160),
@@ -269,6 +270,15 @@ class TestOneSidedLn:
     @example(W=4618, lo=1, width=0, den=3)          # s = -1 at the top W
     @example(W=85, lo=85, width=1, den=128)         # breakpoints 85, 86 / 128
     @example(W=85, lo=2 ** 160, width=0, den=1)     # s = 160
+    # either side of the narrow-interval switch,
+    # 2 bitlen(width) + W < 2 bitlen(lo) - 2
+    @example(W=33, lo=2 ** 20, width=7, den=3)      # 6 + 33 < 40
+    @example(W=33, lo=2 ** 20, width=8, den=3)      # 8 + 33 > 40
+    @example(W=85, lo=2 ** 99, width=2 ** 56 - 1, den=2 ** 99)  # 197 < 198
+    @example(W=85, lo=2 ** 99, width=2 ** 56, den=2 ** 99)      # 199
+    @example(W=4618, lo=2 ** 3000, width=2 ** 690 - 1, den=1)  # 5998 < 6000
+    @example(W=4618, lo=2 ** 3000, width=2 ** 690, den=1)      # 6000
+    @example(W=4618, lo=2 ** 3001 - 1, width=2 ** 690 - 1, den=7)
     def test_ln_fp_encloses_mpmath_within_2W_ulp(self, W, lo, width, den):
         hi = lo + width
         L, H = _ln_fp(lo, hi, den, W)
@@ -287,9 +297,18 @@ class TestOneSidedLn:
     @example(W=33, num=1, den=2 ** 40)  # floor is 0, ceiling is 1
     def test_atanh_bound_matches_fused_reference(self, W, num, den):
         num = min(num, den // 3)  # the kernel's domain 0 <= num/den <= 1/3
-        assert (intervals._atanh_bound(num, den, W, False),
-                intervals._atanh_bound(num, den, W, True)) == \
+        assert intervals._atanh_pair(num, den, W) == \
             oracles.fused_atanh_fp(num, den, W)
+
+
+    @pytest.mark.parametrize("W", _LADDER_W)
+    def test_ln_of_a_prime_is_the_fused_composition(self, W):
+        # ln p bounds, which the prime cache, log_n and the bases'
+        # inclusion bounds take, are bit for bit the reference's
+        rng = random.Random(W)
+        plist = oracles.naive_prime_list(10 ** 5)
+        for p in [2, 3, 5, 7, 127, 2 ** 61 - 1, *rng.sample(plist, 10)]:
+            assert _ln_fp(p, p, 1, W) == oracles.table_ln_fp(p, 1, W), p
 
 
 class TestLnTableCache:

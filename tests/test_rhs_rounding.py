@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from robincheck import explorer, intervals, primes, robin
+from robincheck import explorer, intervals, primes, robin, theorems
 from robincheck.intervals import _GUARD, GAMMA_MAX_BITS, PrecisionConfig
 
 import oracles
@@ -150,6 +150,25 @@ def test_ziv_rerun_still_gives_rd_ru(monkeypatch, n):
     rhs = robin.robin_rhs(primes.factorize(n), 53)
     assert kernel.calls == [53 + _GUARD, 53 + 2 * _GUARD]
     assert _endpoints(rhs) == oracles.rhs_rd_ru(_terms(n), 53)
+
+
+def test_prime_power_sweep_makes_no_ziv_rerun(monkeypatch):
+    # a kernel that widened its ln ln n would show up here as reruns
+    reruns = []
+    real = robin._rhs_from_log
+
+    def counted(lo, hi, bits, ln_x=None):
+        def rerun(b):
+            reruns.append(b)
+            return ln_x(b)
+
+        return real(lo, hi, bits, rerun)
+
+    monkeypatch.setattr(robin, "_rhs_from_log", counted)
+    results = theorems.verify_prime_powers(10 ** 5)
+    assert len(results) == 8983
+    assert all(r.verdict is robin.Verdict.SATISFIED for r in results)
+    assert reruns == []
 
 
 @pytest.mark.parametrize("bits", [53, GAMMA_MAX_BITS])
