@@ -34,7 +34,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -431,16 +431,6 @@ def _enumerate_bases(
     return out
 
 
-def _exceeds_5040(entries: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the n of these entries exceeds 5040, from its first factors."""
-    n = 1
-    for p, k in entries:
-        n *= p ** k
-        if n > 5040:
-            return True
-    return False
-
-
 def _bumped(entries: tuple[tuple[int, int], ...], j: int, d: int = 1
             ) -> tuple[tuple[int, int], ...]:
     """entries with entry j's exponent moved by d; a raise stays canonical."""
@@ -544,7 +534,9 @@ def conjecture32_search(
         prime_count_max, exponent_max, log_n_max, non_increasing_only,
         cfg.start_bits,
     )
-    bases = [base for base in all_bases if _exceeds_5040(base)]
+    # six distinct primes make n >= 30030
+    bases = [base for base in all_bases
+             if len(base) > 5 or prod(p ** k for p, k in base) > 5040]
     keys = [_base_key(base) for base in bases]
     index: dict[int, list[int]] = {}
     for b, key in enumerate(keys):

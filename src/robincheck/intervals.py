@@ -356,28 +356,27 @@ def _atanh_pair(num: int, den: int, W: int) -> tuple[int, int]:
     powers never increase (t^2 < 1) while the divisors grow, and the
     next one is at most (2k+1) t^2 < 2k+3.
     """
-    S = 1 << W
-    t_lo = _floor_div_shift(num, den, W)
-    t_hi = _ceil_div_shift(num, den, W)
+    up = (1 << W) - 1  # added before the shift by W, it rounds up
+    t_lo = (num << W) // den
+    t_hi = -((-num << W) // den)
     if t_hi == 0:
         return 0, 0
     t2_lo = (t_lo * t_lo) >> W
-    t2_hi = ((t_hi * t_hi) + S - 1) >> W
+    t2_hi = (t_hi * t_hi + up) >> W
     L = p_lo = t_lo
     H = p_hi = t_hi
-    k = 1
+    d = 3
     while True:
         p_lo = (p_lo * t2_lo) >> W
-        p_hi = ((p_hi * t2_hi) + S - 1) >> W
-        d = 2 * k + 1
+        p_hi = (p_hi * t2_hi + up) >> W
         L += p_lo // d
-        H += (p_hi + d - 1) // d
+        H -= -p_hi // d  # plus the ceiling of p_hi / d
         if p_hi <= d:
-            # Tail: sum_{j>k} t^(2j+1)/(2j+1) <= p_next / (2k+3) / (1 - t^2)
-            # with t^2 <= 1/4 the geometric factor is < 2.
-            p_next = ((p_hi * t2_hi) + S - 1) >> W
-            return L, H + (2 * p_next) // (2 * k + 3) + 2
-        k += 1
+            # Tail, d = 2k+1: sum_{j>k} t^(2j+1)/(2j+1) <= p_next / (d+2)
+            # / (1 - t^2); with t^2 <= 1/4 the geometric factor is < 2.
+            p_next = (p_hi * t2_hi + up) >> W
+            return L, H + (2 * p_next) // (d + 2) + 2
+        d += 2
 
 
 _LN2_CACHE: dict[int, tuple[int, int]] = {}
