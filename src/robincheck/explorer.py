@@ -446,6 +446,7 @@ _KEY_MOD = (1 << 61) - 1
 
 
 def _base_key(entries: tuple[tuple[int, int], ...]) -> int:
+    """n mod _KEY_MOD for the n of these entries."""
     key = 1
     for p, k in entries:
         key = key * p ** k % _KEY_MOD

@@ -663,8 +663,8 @@ class TestConjecture32Search:
 
     def test_no_increment_built_before_its_check(self, monkeypatch):
         # 1000 bases of up to 1000 primes: no increment of a primorial is
-        # a base, so no hash matches and no entries are built until the
-        # tasks run (500,500 of them were built and hashed, 11.8 s)
+        # a base, so no key matches and no entries are built until the
+        # tasks run (all 500,500 were built and hashed first, 11.8 s)
         built = []
         real = explorer._bumped
 

@@ -278,7 +278,7 @@ class TestOneSidedLn:
     @example(W=85, lo=2 ** 99, width=2 ** 56, den=2 ** 99)      # 199
     @example(W=4618, lo=2 ** 3000, width=2 ** 690 - 1, den=1)  # 5998 < 6000
     @example(W=4618, lo=2 ** 3000, width=2 ** 690, den=1)      # 6000
-    @example(W=4618, lo=2 ** 3001 - 1, width=2 ** 690 - 1, den=7)
+    @example(W=4618, lo=2 ** 3001 - 1, width=2 ** 690 - 1, den=7)  # 5998
     def test_ln_fp_encloses_mpmath_within_2W_ulp(self, W, lo, width, den):
         hi = lo + width
         L, H = _ln_fp(lo, hi, den, W)
@@ -299,7 +299,6 @@ class TestOneSidedLn:
         num = min(num, den // 3)  # the kernel's domain 0 <= num/den <= 1/3
         assert intervals._atanh_pair(num, den, W) == \
             oracles.fused_atanh_fp(num, den, W)
-
 
     @pytest.mark.parametrize("W", _LADDER_W)
     def test_ln_of_a_prime_is_the_fused_composition(self, W):
