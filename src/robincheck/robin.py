@@ -5,9 +5,18 @@ exact rational (a product of (p^(k+1)-1)/(p^k(p-1)) over the prime
 factorization), the right side e^gamma * ln(ln n) is a certified
 enclosure with ln n evaluated as sum k_j ln p_j, so n itself is never
 materialized.  A verdict of Satisfied or Violated is only issued when
-the exact rational falls strictly outside the enclosure; otherwise the
-precision is escalated along ``PrecisionConfig.ladder``, and only when
-the ladder is exhausted does the check report Indeterminate.
+the exact rational falls strictly below or above a certified bound on
+the right side; otherwise the precision is escalated along
+``PrecisionConfig.ladder``, and only when the ladder is exhausted does
+the check report Indeterminate.
+
+Most n lie far below the right side, so ``check`` first compares the
+left side with a cached floor, a lower bound at the start rung that
+depends only on the top bits of ln n (``_rhs_floor``), and builds the
+enclosure of n's own right side only when that floor does not decide
+Satisfied.  The floor is never above that enclosure's lower end, so the
+verdict and bits are those the enclosure gives; ``CheckResult.rhs``
+then builds the enclosure on its first read.
 
 ``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed, and the
 one place that decides whether x > 1 is certified; the checker (through
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -65,16 +74,29 @@ REASON_ESCALATION_EXHAUSTED = "escalation_exhausted"
 class CheckResult:
     """One verdict with what decided it.
 
+    ``rhs`` is ``robin_rhs(factorization, precision_used)``, the
+    enclosure that decided the verdict (None for n = 2).  A result
+    decided by the cached floor holds ``...`` in its ``_rhs`` slot and
+    builds the enclosure on the first read of ``rhs``, which only output
+    and margins do; the slot is left out of eq, hash and repr, so a
+    result equals and hashes alike before and after that read.
     ``margin_lower_bound`` is derived on each read: no verdict needs it,
     so ``check`` does not build it, and a caller reads it once.
     """
 
     factorization: Factorization
     lhs: Fraction
-    rhs: Optional[RealInterval]
+    _rhs: object = field(compare=False, repr=False)
     verdict: Verdict
     precision_used: int
     reason: Optional[str] = None
+
+    @property
+    def rhs(self) -> Optional[RealInterval]:
+        if self._rhs is ...:
+            object.__setattr__(self, "_rhs", robin_rhs(self.factorization,
+                                                       self.precision_used))
+        return self._rhs
 
     @property
     def margin_lower_bound(self) -> Optional[Dyadic]:
@@ -84,10 +106,11 @@ class CheckResult:
         down so that tables never overstate the separation; None when no
         enclosure decided the verdict (n = 2, indeterminate).
         """
+        rhs = self.rhs
         if self.verdict is Verdict.SATISFIED:
-            gap = self.rhs.lo.as_fraction() - self.lhs
-        elif self.verdict is Verdict.VIOLATED and self.rhs is not None:
-            gap = self.lhs - self.rhs.hi.as_fraction()
+            gap = rhs.lo.as_fraction() - self.lhs
+        elif self.verdict is Verdict.VIOLATED and rhs is not None:
+            gap = self.lhs - rhs.hi.as_fraction()
         else:
             return None
         return dyadic_from_fraction(gap, self.precision_used, False)
@@ -214,6 +237,48 @@ def decide(lhs: Fraction,
     return Comparison.OVERLAPPING, rhs, bits
 
 
+# Floors of e^gamma ln ln n keyed by (x_f, bits): x_f keeps the top
+# _FLOOR_BITS bits of a bound on ln n, so each precision has at most 64
+# keys per binade of ln n, a few thousand over every n the package checks.
+_RHS_FLOOR_CACHE: dict[tuple[int, int], Optional[RealInterval]] = {}
+_RHS_FLOOR_CACHE_MAX = 1 << 16
+_FLOOR_BITS = 7
+
+
+def _rhs_floor(ln_lo: int, precision_bits: int) -> Optional[RealInterval]:
+    """An enclosure whose lo is at most ``robin_rhs``'s lo at these bits.
+
+    ``ln_lo`` is ``log_n``'s lower bound on ln n * 2**W, W =
+    precision_bits + _GUARD.  x_f is ln_lo's top _FLOOR_BITS bits minus
+    one step 2**s of that grid, and the result is
+    ``_rhs_from_log(x_f, x_f, precision_bits)`` (None where x_f <= 2**W).
+
+    Why its lo, T, is at most rhs.lo of ``robin_rhs(f, precision_bits)``
+    for every f whose ln n has this lower bound: with b = precision_bits
+    and eg = exp_gamma(b)[0], write RD_b(X) for X * 2**(-2W) rounded down
+    to b significant bits, which is monotone in X.  T = RD_b(eg * L_f),
+    L_f the lower bound of ``_ln_fp`` at x_f, since with no ``ln_x``
+    ``_rhs_from_log`` returns its first attempt's rounding.  rhs.lo is
+    RD_b(eg * L), L the lower bound of ``_ln_fp`` over [ln_lo, ln_hi],
+    when Ziv's test passes at once or the fallback is taken, and the
+    correctly rounded value, which is at least that, after a rerun.  So
+    T <= rhs.lo once L_f <= L.  As ln_lo < 2**(s + _FLOOR_BITS) and
+    x_f <= ln_lo - 2**s, ln(ln_lo) - ln(x_f) > 2**-_FLOOR_BITS: L_f lies
+    below L by more than 2**(W-7) - 2W > 0 ulps, the kernel being sound
+    and within 2W ulps of ln.  In value T lies about e^gamma * 2**-7
+    below the right side or more, so only an n whose sigma(n)/n is that
+    close to it needs its own enclosure.
+    """
+    s = ln_lo.bit_length() - _FLOOR_BITS
+    key = (((ln_lo >> s) - 1) << s, precision_bits)
+    got = _RHS_FLOOR_CACHE.get(key, ...)
+    if got is ...:
+        got = _rhs_from_log(key[0], key[0], precision_bits)
+        if len(_RHS_FLOOR_CACHE) < _RHS_FLOOR_CACHE_MAX:
+            _RHS_FLOOR_CACHE[key] = got
+    return got
+
+
 def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
     """Certified verdict on sigma(n)/n < e^gamma ln ln n, escalating precision.
 
@@ -222,11 +287,19 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     with the ``rhs_undefined`` reason, since sigma(n)/n >= 1 exceeds any
     negative/undefined right side.  A rung whose ln n > 1 is not yet
     certified escalates like an overlap does.
+
+    An lhs below ``_rhs_floor`` at ``cfg.start_bits`` is Satisfied at
+    that rung, as ``decide`` would find it, and its result builds
+    ``rhs`` on the first read; any other lhs goes to ``decide``.
     """
     lhs = sigma_over_n_fraction(f)
+    bits = cfg.start_bits
     if f.entries == ((2, 1),):
-        return CheckResult(f, lhs, None, Verdict.VIOLATED, cfg.start_bits,
+        return CheckResult(f, lhs, None, Verdict.VIOLATED, bits,
                            reason=REASON_RHS_UNDEFINED)
+    floor = _rhs_floor(log_n(f, bits)[0], bits)
+    if floor is not None and compare(lhs, floor) is Comparison.LESS:
+        return CheckResult(f, lhs, ..., Verdict.SATISFIED, bits)
     cmp_result, rhs, bits = decide(lhs, functools.partial(robin_rhs, f), cfg)
     if cmp_result is Comparison.LESS:
         return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits)

@@ -9,10 +9,14 @@ chain, copied as the bit-exact reference for the package's one chain,
 ``table_ln_fp`` composes it into the table-driven ln bounds by exact
 rational arithmetic, and ``rhs_rd_ru`` gives the correctly rounded
 right-hand side that every printed enclosure must equal.
+``eager_check`` is the exception: it is ``robin.check`` as it was before
+the cached right-side floor, built from the package's own ``decide`` and
+``robin_rhs``, the reference that the floor's shortcut must reproduce.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -178,6 +182,29 @@ def rhs_rd_ru(ln_n_terms, bits: int) -> tuple[Fraction, Fraction]:
         lo, hi = int(mpmath.floor(scaled)), int(mpmath.ceil(scaled))
     step = Fraction(2) ** (e - bits)
     return lo * step, hi * step
+
+
+def eager_check(f, cfg):
+    """``robin.check`` with no floor: ``decide`` from the start rung, the
+    deciding enclosure kept in the result."""
+    from robincheck import robin
+    from robincheck.factorization import sigma_over_n_fraction
+    from robincheck.intervals import Comparison
+
+    lhs = sigma_over_n_fraction(f)
+    if f.entries == ((2, 1),):
+        return robin.CheckResult(f, lhs, None, robin.Verdict.VIOLATED,
+                                 cfg.start_bits,
+                                 reason=robin.REASON_RHS_UNDEFINED)
+    cmp_result, rhs, bits = robin.decide(
+        lhs, functools.partial(robin.robin_rhs, f), cfg)
+    if cmp_result is Comparison.LESS:
+        return robin.CheckResult(f, lhs, rhs, robin.Verdict.SATISFIED, bits)
+    if cmp_result is Comparison.GREATER:
+        return robin.CheckResult(f, lhs, rhs, robin.Verdict.VIOLATED, bits,
+                                 reason=robin.REASON_LHS_EXCEEDS_RHS)
+    return robin.CheckResult(f, lhs, rhs, robin.Verdict.INDETERMINATE, bits,
+                             reason=robin.REASON_ESCALATION_EXHAUSTED)
 
 
 def agrees_with_decimal(iv, stated: str) -> bool:

@@ -410,3 +410,86 @@ class TestCheck:
             expected = (robin.Verdict.VIOLATED if gap > 0
                         else robin.Verdict.SATISFIED)
             assert r.verdict is expected
+
+
+def _floor_identity_inputs():
+    """Factorizations for the floor-versus-eager comparison."""
+    from robincheck import explorer, theorems
+
+    fs = [Factorization.from_canonical(((p, k),))
+          for p, k, _ in theorems._prime_powers_in(5040, 10 ** 5)]
+    rng = random.Random(157)
+    lo, hi = math.log(5041), math.log(10 ** 12)
+    fs += [primes.factorize(min(max(int(math.exp(rng.uniform(lo, hi))), 5041),
+                                10 ** 12))
+           for _ in range(2000)]
+    fs += [Factorization.from_canonical(((2, k),)) for k in range(13, 301)]
+    fs += [Factorization.from_canonical(b) for b in explorer._enumerate_bases(
+        9, 6, Fraction("27.631021"), True, 53)]
+    return fs
+
+
+def _fields(r):
+    return (r.factorization, r.lhs, r.rhs, r.verdict, r.precision_used,
+            r.reason)
+
+
+class TestRhsFloor:
+    """check() decides on a cached floor and builds rhs when it is read."""
+
+    @pytest.mark.parametrize("bits", [4, 53, 212])
+    def test_check_equals_eager_check(self, bits):
+        cfg = PrecisionConfig(start_bits=bits)
+        fs = _floor_identity_inputs()
+        deferred = 0
+        for f in fs:
+            got = robin.check(f, cfg)
+            deferred += got._rhs is ...
+            assert _fields(got) == _fields(oracles.eager_check(f, cfg)), f
+        # the floor decides the prime powers; 5040 and the other
+        # conjecture-2 bases below it reach decide()
+        assert 8983 <= deferred < len(fs)
+
+    def test_deferred_result_pickles(self):
+        import pickle
+
+        f = primes.factorize(5041)
+        eager = oracles.eager_check(f, DEFAULT_PRECISION)
+        r = robin.check(f)
+        assert r._rhs is ... and eager.rhs is not None
+        before = pickle.loads(pickle.dumps(r))
+        assert before._rhs is ...
+        assert before == eager and hash(before) == hash(eager)
+        assert before.rhs == eager.rhs
+        assert r.rhs == eager.rhs  # read: the slot now holds the enclosure
+        after = pickle.loads(pickle.dumps(r))
+        assert after._rhs == eager.rhs
+        assert after == eager and hash(after) == hash(eager)
+        assert after.margin_lower_bound == eager.margin_lower_bound
+
+    def test_worker_reports_equal_one_worker(self):
+        from robincheck import explorer
+
+        assert (explorer.scan_range(2, 120_000, worker_count=2)
+                == explorer.scan_range(2, 120_000, worker_count=1))
+        ln_max = Fraction("27.631021")
+        assert (explorer.conjecture32_search(9, 6, ln_max, worker_count=2)
+                == explorer.conjecture32_search(9, 6, ln_max, worker_count=1))
+
+    def test_sweep_builds_one_enclosure_per_floor_key(self, monkeypatch):
+        # 8,983 _rhs_from_log calls before the floor: one per prime power
+        from robincheck import theorems
+
+        calls = []
+        real = robin._rhs_from_log
+
+        def counted(*args, **kwargs):
+            calls.append(args[:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(robin, "_RHS_FLOOR_CACHE", {})
+        monkeypatch.setattr(robin, "_rhs_from_log", counted)
+        results = theorems.verify_prime_powers(10 ** 5)
+        assert len(results) == 8983
+        assert {r.verdict for r in results} == {robin.Verdict.SATISFIED}
+        assert 0 < len(calls) <= len(robin._RHS_FLOOR_CACHE)
