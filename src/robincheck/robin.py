@@ -290,17 +290,26 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
 
     An lhs below ``_rhs_floor`` at ``cfg.start_bits`` is Satisfied at
     that rung, as ``decide`` would find it, and its result builds
-    ``rhs`` on the first read; any other lhs goes to ``decide``.
+    ``rhs`` on the first read; any other lhs goes to ``decide``, whose
+    start rung reuses the ln n bounds the floor was found from.
     """
     lhs = sigma_over_n_fraction(f)
-    bits = cfg.start_bits
+    start = cfg.start_bits
     if f.entries == ((2, 1),):
-        return CheckResult(f, lhs, None, Verdict.VIOLATED, bits,
+        return CheckResult(f, lhs, None, Verdict.VIOLATED, start,
                            reason=REASON_RHS_UNDEFINED)
-    floor = _rhs_floor(log_n(f, bits)[0], bits)
+    ln_lo, ln_hi = log_n(f, start)
+    floor = _rhs_floor(ln_lo, start)
     if floor is not None and compare(lhs, floor) is Comparison.LESS:
-        return CheckResult(f, lhs, ..., Verdict.SATISFIED, bits)
-    cmp_result, rhs, bits = decide(lhs, functools.partial(robin_rhs, f), cfg)
+        return CheckResult(f, lhs, ..., Verdict.SATISFIED, start)
+
+    def rhs_at(b: int) -> Optional[RealInterval]:
+        # robin_rhs, reusing the start rung's ln n bounds
+        if b != start:
+            return robin_rhs(f, b)
+        return _rhs_from_log(ln_lo, ln_hi, b, functools.partial(log_n, f))
+
+    cmp_result, rhs, bits = decide(lhs, rhs_at, cfg)
     if cmp_result is Comparison.LESS:
         return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits)
     if cmp_result is Comparison.GREATER:

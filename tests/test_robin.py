@@ -493,3 +493,24 @@ class TestRhsFloor:
         assert len(results) == 8983
         assert {r.verdict for r in results} == {robin.Verdict.SATISFIED}
         assert 0 < len(calls) <= len(robin._RHS_FLOOR_CACHE)
+
+    def test_sweep_rhs_reads_make_no_ziv_rerun(self, monkeypatch):
+        # the sweep no longer builds its enclosures, so they are built
+        # here, on read; a kernel that widened ln ln n would show up as
+        # reruns
+        from robincheck import theorems
+
+        results = theorems.verify_prime_powers(10 ** 5)
+        reruns = []
+        real = robin._rhs_from_log
+
+        def counted(lo, hi, bits, ln_x):
+            def rerun(b):
+                reruns.append(b)
+                return ln_x(b)
+
+            return real(lo, hi, bits, rerun)
+
+        monkeypatch.setattr(robin, "_rhs_from_log", counted)
+        assert all(r.rhs.lo.as_fraction() > r.lhs for r in results)
+        assert reruns == []
