@@ -1,6 +1,7 @@
 """sigma, the normalized inequality, and the escalating certified check."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robincheck import factorization, primes, robin
+from robincheck import explorer, factorization, primes, robin, theorems
 from robincheck.factorization import (
     Factorization,
     sigma_int,
@@ -414,8 +415,6 @@ class TestCheck:
 
 def _floor_identity_inputs():
     """Factorizations for the floor-versus-eager comparison."""
-    from robincheck import explorer, theorems
-
     fs = [Factorization.from_canonical(((p, k),))
           for p, k, _ in theorems._prime_powers_in(5040, 10 ** 5)]
     rng = random.Random(157)
@@ -451,8 +450,6 @@ class TestRhsFloor:
         assert 8983 <= deferred < len(fs)
 
     def test_deferred_result_pickles(self):
-        import pickle
-
         f = primes.factorize(5041)
         eager = oracles.eager_check(f, DEFAULT_PRECISION)
         r = robin.check(f)
@@ -468,8 +465,6 @@ class TestRhsFloor:
         assert after.margin_lower_bound == eager.margin_lower_bound
 
     def test_worker_reports_equal_one_worker(self):
-        from robincheck import explorer
-
         assert (explorer.scan_range(2, 120_000, worker_count=2)
                 == explorer.scan_range(2, 120_000, worker_count=1))
         ln_max = Fraction("27.631021")
@@ -478,8 +473,6 @@ class TestRhsFloor:
 
     def test_sweep_builds_one_enclosure_per_floor_key(self, monkeypatch):
         # 8,983 _rhs_from_log calls before the floor: one per prime power
-        from robincheck import theorems
-
         calls = []
         real = robin._rhs_from_log
 
@@ -498,8 +491,6 @@ class TestRhsFloor:
         # the sweep no longer builds its enclosures, so they are built
         # here, on read; a kernel that widened ln ln n would show up as
         # reruns
-        from robincheck import theorems
-
         results = theorems.verify_prime_powers(10 ** 5)
         reruns = []
         real = robin._rhs_from_log
