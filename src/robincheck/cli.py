@@ -204,7 +204,7 @@ def _log10_midpoint(f: Factorization) -> Fraction:
 
 def _cmd_check(args, cfg: PrecisionConfig, out: TextIO) -> int:
     value = args.value.strip()
-    if re.fullmatch(r"\d+", value):
+    if re.fullmatch(r"\d+", value, re.ASCII):
         f = primes.factorize(int(value))
     else:
         f = primes.parse_factor_string(value)

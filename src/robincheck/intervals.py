@@ -16,10 +16,11 @@ breakpoint c = i / 2**_TABLE_K <= y below it; then
 ln x = s ln 2 + ln c + 2 atanh((y-c)/(y+c)), where the atanh argument
 lies in [0, 1/(2i+1)), under 2**-7.4 at K = 7, so its series needs about
 a third of the terms the old (y-1)/(y+1) reduction needed.  ln c comes
-from a bounded cache filled once per (i, W) by that full series, and
-s ln 2 from ln 2 at a few extra bits.  ``_atanh_pair`` is the one atanh
-chain: one loop carries a floor and a ceiling chain and gives both
-bounds, for ln 2, the table and the reduced argument alike.  An
+from that full series, memoized per (i, W) by ``functools.lru_cache``
+like ln 2 and e**gamma, and s ln 2 from ln 2 at a few extra bits.
+``_atanh_pair`` is the one atanh chain: one loop carries a floor and a
+ceiling chain and gives both bounds, for ln 2, the table and the
+reduced argument alike.  An
 interval [lo, hi] is reduced once, at lo; when it is narrow, the upper
 bound is ln lo's plus ceil((hi - lo) / lo) at scale 2**W, since ln is
 concave, which overshoots by under half an ulp, and only a wider one
@@ -57,6 +58,7 @@ string's) ceiling.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -379,55 +381,40 @@ def _atanh_pair(num: int, den: int, W: int) -> tuple[int, int]:
         d += 2
 
 
-_LN2_CACHE: dict[int, tuple[int, int]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _ln2_fp(W: int) -> tuple[int, int]:
     """Bounds on ln(2) * 2**W; ln 2 = 2*atanh(1/3) exactly."""
-    cached = _LN2_CACHE.get(W)
-    if cached is None:
-        L, H = _atanh_pair(1, 3, W)
-        cached = (2 * L, 2 * H)
-        if len(_LN2_CACHE) < 64:
-            _LN2_CACHE[W] = cached
-    return cached
+    L, H = _atanh_pair(1, 3, W)
+    return 2 * L, 2 * H
 
 
 # The table-driven reduction's breakpoints are c = i / 2**_TABLE_K for i
 # in [_I_LO, 2 * _I_LO), from just below 2/3 to just below 4/3.
 _TABLE_K = 7
 _I_LO = (2 << _TABLE_K) // 3
-_LN_C_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
-# room for the tables of 64 working precisions, as _LN2_CACHE holds 64
-_LN_C_CACHE_MAX = 64 * _I_LO
 # s ln 2 is taken from ln 2 at this many extra bits, so for |s| < 2**10
 # it adds about one ulp at W, not |s| times ln 2's own error
 _LN2_EXTRA = 16
 
 
+# room for the tables of 64 working precisions, as _ln2_fp holds 64
+@functools.lru_cache(maxsize=64 * _I_LO)
 def _ln_c_fp(i: int, W: int) -> tuple[int, int]:
     """Bounds on ln(i / 2**_TABLE_K) * 2**W for a table breakpoint.
 
-    Filled once per (i, W) by the full series: c = y * 2**s with y = a/b
-    in [2/3, 4/3) and s in {-1, 0}, ln y = 2 atanh((y-1)/(y+1)) with
-    |(y-1)/(y+1)| <= 1/5.
+    By the full series: c = y * 2**s with y = a/b in [2/3, 4/3) and s in
+    {-1, 0}, ln y = 2 atanh((y-1)/(y+1)) with |(y-1)/(y+1)| <= 1/5.
     """
-    key = (i, W)
-    cached = _LN_C_CACHE.get(key)
-    if cached is None:
-        s = -1 if 3 * i < 2 << _TABLE_K else 0
-        a, b = i << -s, 1 << _TABLE_K
-        tn, td = abs(a - b), a + b
-        L, H = _atanh_pair(tn, td, W)
-        L, H = 2 * L, 2 * H
-        if a < b:
-            L, H = -H, -L
-        l2L, l2H = _ln2_fp(W)
-        cached = (L + s * (l2L if s >= 0 else l2H),
-                  H + s * (l2H if s >= 0 else l2L))
-        if len(_LN_C_CACHE) < _LN_C_CACHE_MAX:
-            _LN_C_CACHE[key] = cached
-    return cached
+    s = -1 if 3 * i < 2 << _TABLE_K else 0
+    a, b = i << -s, 1 << _TABLE_K
+    tn, td = abs(a - b), a + b
+    L, H = _atanh_pair(tn, td, W)
+    L, H = 2 * L, 2 * H
+    if a < b:
+        L, H = -H, -L
+    l2L, l2H = _ln2_fp(W)
+    return (L + s * (l2L if s >= 0 else l2H),
+            H + s * (l2H if s >= 0 else l2L))
 
 
 def _ln_reduced(num: int, den: int) -> tuple[int, int, int, int]:
@@ -510,9 +497,7 @@ def _exp_fp(xn: int, xd: int, W: int) -> tuple[int, int]:
 # e**gamma
 # ---------------------------------------------------------------------------
 
-_EXP_GAMMA_CACHE: dict[int, tuple[int, int]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def exp_gamma(precision_bits: int) -> tuple[int, int]:
     """Bounds (L, H) on e**gamma * 2**W, W = precision_bits + _GUARD.
 
@@ -524,12 +509,6 @@ def exp_gamma(precision_bits: int) -> tuple[int, int]:
         raise InvalidInput(
             f"gamma digit string supports at most {GAMMA_MAX_BITS} bits"
         )
-    cached = _EXP_GAMMA_CACHE.get(precision_bits)
-    if cached is not None:
-        return cached
     W = precision_bits + _GUARD
-    result = (_exp_fp(_GAMMA_NUM, _GAMMA_DEN, W)[0],
-              _exp_fp(_GAMMA_NUM + 1, _GAMMA_DEN, W)[1])
-    if len(_EXP_GAMMA_CACHE) < 64:
-        _EXP_GAMMA_CACHE[precision_bits] = result
-    return result
+    return (_exp_fp(_GAMMA_NUM, _GAMMA_DEN, W)[0],
+            _exp_fp(_GAMMA_NUM + 1, _GAMMA_DEN, W)[1])

@@ -265,7 +265,7 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(factors.items()))
 
 
-_TERM_RE = re.compile(r"^(\d+)(?:\^(-?\d+))?$")
+_TERM_RE = re.compile(r"^(\d+)(?:\^(-?\d+))?$", re.ASCII)
 
 
 def within_bit_budget(f: Factorization) -> Factorization:

@@ -62,6 +62,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("factors, where", [
         ("2**3", "bad term '' (term 2 of 3)"),
         ("2*", "bad term '' (term 2 of 2)"),
+        # values and factor strings are ASCII; a str pattern's \d alone
+        # would take these Arabic-Indic and full-width digits
+        *((v, f"bad term {v!r} (term 1 of 1)")
+          for v in ("\u0665\u0660\u0664\u0661", "\u0667\u0661^\u0662",
+                    "\uff15\uff10\uff14\uff11")),
     ])
     def test_bad_term_names_its_position(self, factors, where, capsys):
         code, out, err = run_cli(["check", factors], capsys)

@@ -1,5 +1,6 @@
 """Interval arithmetic: soundness, refinement, and the embedded constant."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -312,29 +313,36 @@ class TestOneSidedLn:
 
 class TestLnTableCache:
     def test_ladder_walk_to_4096_bits_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(intervals, "_LN_C_CACHE", {})
+        cached = intervals._ln_c_fp
+        keys = set()
+
+        def recorded(i, W):
+            keys.add((i, W))
+            return cached(i, W)
+
+        # _ln_fp looks the table up at call time
+        monkeypatch.setattr(intervals, "_ln_c_fp", recorded)
         rungs = list(PrecisionConfig(53, 4096).ladder())
         for bits in rungs:
             robin.check(primes.primorial_factorization(30),
                         PrecisionConfig(bits, bits))
             for t in (5041, 10**6 + 3, 2**40 - 87):
                 explorer._rhs_floor_scaled(t, bits)
-        cache = intervals._LN_C_CACHE
-        assert 0 < len(cache) <= intervals._LN_C_CACHE_MAX
+        assert 0 < len(keys) <= cached.cache_info().maxsize
         # keys are breakpoints c = i/2**K in [85/128, 170/128) at the
         # rungs' W, or at the W of a Ziv rerun above one
         ws = {b + j * _GUARD for b in rungs
               for j in range(1, robin._ZIV_RERUNS + 2)}
-        assert {W for _, W in cache} <= ws
-        assert all(85 <= i < 170 for i, _ in cache)
+        assert {W for _, W in keys} <= ws
+        assert all(85 <= i < 170 for i, _ in keys)
 
     def test_full_cache_still_gives_the_same_bounds(self, monkeypatch):
         want = [_ln_fp(x, x, 7, W) for x in (5, 50, 5000) for W in (85, 138)]
-        monkeypatch.setattr(intervals, "_LN_C_CACHE", {})
-        monkeypatch.setattr(intervals, "_LN_C_CACHE_MAX", 2)
+        small = functools.lru_cache(maxsize=2)(intervals._ln_c_fp.__wrapped__)
+        monkeypatch.setattr(intervals, "_ln_c_fp", small)
         got = [_ln_fp(x, x, 7, W) for x in (5, 50, 5000) for W in (85, 138)]
         assert got == want
-        assert len(intervals._LN_C_CACHE) == 2
+        assert small.cache_info().currsize == 2
 
 
 class TestPrecisionLadder:

@@ -480,12 +480,12 @@ class TestRhsFloor:
             calls.append(args[:3])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(robin, "_RHS_FLOOR_CACHE", {})
+        robin._floor_enclosure.cache_clear()
         monkeypatch.setattr(robin, "_rhs_from_log", counted)
         results = theorems.verify_prime_powers(10 ** 5)
         assert len(results) == 8983
         assert {r.verdict for r in results} == {robin.Verdict.SATISFIED}
-        assert 0 < len(calls) <= len(robin._RHS_FLOOR_CACHE)
+        assert 0 < len(calls) <= robin._floor_enclosure.cache_info().currsize
 
     def test_sweep_rhs_reads_make_no_ziv_rerun(self, monkeypatch):
         # the sweep no longer builds its enclosures, so they are built
