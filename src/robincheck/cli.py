@@ -64,13 +64,20 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+def _int_arg(text: str) -> int:
+    """An ASCII decimal integer; int() alone takes "5_040" and other digits."""
+    if not re.fullmatch(r"-?\d+", text, re.ASCII):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision-bits", type=int, default=53,
+    common.add_argument("--precision-bits", type=_int_arg, default=53,
                         help="starting interval precision (default 53)")
-    common.add_argument("--max-precision-bits", type=int, default=4096,
+    common.add_argument("--max-precision-bits", type=_int_arg, default=4096,
                         help="escalation ceiling (default 4096)")
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=_int_arg, default=1,
                         help="worker processes for range/search commands")
     common.add_argument("--format", choices=("human", "csv", "json", "svg"),
                         default="human")
@@ -88,17 +95,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", parents=[common],
                        help="check every n in a range, streaming violations")
-    p.add_argument("start", type=int)
-    p.add_argument("end", type=int)
+    p.add_argument("start", type=_int_arg)
+    p.add_argument("end", type=_int_arg)
 
     p = sub.add_parser("conjecture1", parents=[common],
                        help="primorial partial-product table (q_m vs alpha_m)")
-    p.add_argument("m_max", type=int)
+    p.add_argument("m_max", type=_int_arg)
 
     p = sub.add_parser("conjecture2", parents=[common],
                        help="bounded exponent-increment counterexample search")
-    p.add_argument("--primes", type=int, default=9, dest="prime_count")
-    p.add_argument("--max-exp", type=int, default=6)
+    p.add_argument("--primes", type=_int_arg, default=9, dest="prime_count")
+    p.add_argument("--max-exp", type=_int_arg, default=6)
     p.add_argument("--max-log-n", default=_DEFAULT_LOG_N_MAX,
                    help="upper bound on ln n (decimal, default ln 10^12)")
     p.add_argument("--no-prune-justification", action="store_true",
@@ -108,17 +115,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", parents=[common],
                        help="corollary bound table vs e^gamma ln ln 5040")
-    p.add_argument("m_max", type=int)
+    p.add_argument("m_max", type=_int_arg)
 
     p = sub.add_parser("prime-powers", parents=[common],
                        help="verify every prime power in (5040, limit]")
-    p.add_argument("--limit", type=int, default=10 ** 6)
+    p.add_argument("--limit", type=_int_arg, default=10 ** 6)
 
     p = sub.add_parser("substitute", parents=[common],
                        help="one-shot prime substitution report")
     p.add_argument("factors", help="base factor string")
-    p.add_argument("index", type=int, help="0-based entry to replace")
-    p.add_argument("new_prime", type=int)
+    p.add_argument("index", type=_int_arg, help="0-based entry to replace")
+    p.add_argument("new_prime", type=_int_arg)
     return parser
 
 

@@ -12,11 +12,15 @@ the check report Indeterminate.
 
 Most n lie far below the right side, so ``check`` first compares the
 left side with a cached floor, a lower bound at the start rung that
-depends only on the top bits of ln n (``_rhs_floor``), and builds the
-enclosure of n's own right side only when that floor does not decide
-Satisfied.  The floor is never above that enclosure's lower end, so the
-verdict and bits are those the enclosure gives; ``CheckResult.rhs``
-then builds the enclosure on its first read.
+depends only on the top bits of a lower bound on ln n (``_rhs_floor``).
+It takes that bound first from n's bit length, B ln 2 with B = sum
+k_j (bit_length(p_j) - 1), which needs no ln p series since n >= 2**B;
+only where that floor does not decide Satisfied does it compute
+``log_n`` for a floor from ln n itself, and only where neither decides
+does it build the enclosure of n's own right side.  Each floor is never
+above that enclosure's lower end, so the verdict and bits are those the
+enclosure gives; ``CheckResult.rhs`` then builds the enclosure on its
+first read.
 
 ``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed, and the
 one place that decides whether x > 1 is certified; the checker (through
@@ -50,6 +54,7 @@ from .intervals import (
     GAMMA_MAX_BITS,
     PrecisionConfig,
     RealInterval,
+    _ln2_fp,
     _ln_fp,
     _shared_exponent,
     compare,
@@ -116,9 +121,11 @@ class CheckResult:
         return dyadic_from_fraction(gap, self.precision_used, False)
 
 
-# ln(p) bounds cache keyed by (p, W); ln p is recomputed constantly during
-# scans and sweeps, and the fixed-point bounds are just two ints.  It stays
-# a dict: the benchmark reads its length for its ln p cache hit ratio.
+# ln(p) bounds cache keyed by (p, W); ``log_n`` reads it for the n that
+# check's bit-length floor leaves undecided and for every enclosure built
+# (rhs reads, the primorial table, the scanner's block filter), and the
+# fixed-point bounds are just two ints.  It stays a dict: the benchmark
+# reads its length for its ln p cache hit ratio.
 _LN_PRIME_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
 _LN_PRIME_CACHE_MAX = 1 << 18
 
@@ -250,32 +257,41 @@ def _floor_enclosure(x_f: int, precision_bits: int) -> Optional[RealInterval]:
     return _rhs_from_log(x_f, x_f, precision_bits)
 
 
-def _rhs_floor(ln_lo: int, precision_bits: int) -> Optional[RealInterval]:
+def _rhs_floor(x: int, precision_bits: int) -> Optional[RealInterval]:
     """An enclosure whose lo is at most ``robin_rhs``'s lo at these bits.
 
-    ``ln_lo`` is ``log_n``'s lower bound on ln n * 2**W, W =
-    precision_bits + _GUARD.  x_f is ln_lo's top _FLOOR_BITS bits minus
-    one step 2**s of that grid, and the result is
+    ``x`` is any integer with 2**_FLOOR_BITS <= x <= ln n * 2**W, W =
+    precision_bits + _GUARD: ``log_n``'s lower bound, or ``check``'s
+    bit-length bound B ln 2, which needs no ln p series.  x_f is x's top
+    _FLOOR_BITS bits minus one step 2**s of that grid, and the result is
     ``_rhs_from_log(x_f, x_f, precision_bits)`` (None where x_f <= 2**W).
 
     Why its lo, T, is at most rhs.lo of ``robin_rhs(f, precision_bits)``
-    for every f whose ln n has this lower bound: with b = precision_bits
-    and eg = exp_gamma(b)[0], write RD_b(X) for X * 2**(-2W) rounded down
-    to b significant bits, which is monotone in X.  T = RD_b(eg * L_f),
-    L_f the lower bound of ``_ln_fp`` at x_f, since with no ``ln_x``
-    ``_rhs_from_log`` returns its first attempt's rounding.  rhs.lo is
-    RD_b(eg * L), L the lower bound of ``_ln_fp`` over [ln_lo, ln_hi],
-    when Ziv's test passes at once or the fallback is taken, and the
-    correctly rounded value, which is at least that, after a rerun.  So
-    T <= rhs.lo once L_f <= L.  As ln_lo < 2**(s + _FLOOR_BITS) and
-    x_f <= ln_lo - 2**s, ln(ln_lo) - ln(x_f) > 2**-_FLOOR_BITS: L_f lies
-    below L by more than 2**(W-7) - 2W > 0 ulps, the kernel being sound
-    and within 2W ulps of ln.  In value T lies about e^gamma * 2**-7
-    below the right side or more, so only an n whose sigma(n)/n is that
-    close to it needs its own enclosure.
+    for every such x: with b = precision_bits and eg = exp_gamma(b)[0],
+    write RD_b(X) for X * 2**(-2W) rounded down to b significant bits,
+    which is monotone in X.  T = RD_b(eg * L_f), L_f the lower bound of
+    ``_ln_fp`` at x_f, since with no ``ln_x`` ``_rhs_from_log`` returns
+    its first attempt's rounding.  rhs.lo is RD_b(eg * L), L the lower
+    bound of ``_ln_fp`` over ``log_n``'s [ln_lo, ln_hi], when Ziv's test
+    passes at once or the fallback is taken, and the correctly rounded
+    value, which is at least that, after a rerun.  So T <= rhs.lo once
+    L_f <= L.  As x < 2**(s + _FLOOR_BITS) and x_f <= x - 2**s, ln(x) -
+    ln(x_f) > 2**-_FLOOR_BITS.  ln_lo sums k_j bounds on ln p_j * 2**W,
+    each at most 2W below, and sum k_j <= log2 n, so ln_lo lies within a
+    factor 1 - 3W * 2**-W of ln n * 2**W >= x.  The kernel being sound and
+    within 2W ulps of ln, L_f lies below L by more than
+    2**(W-7) - 6W - 2W > 0 ulps (W >= 36).  In value T lies about
+    e^gamma * 2**-7 below the right side or more, so only an n whose
+    sigma(n)/n is that close to it needs its own enclosure.
     """
-    s = ln_lo.bit_length() - _FLOOR_BITS
-    return _floor_enclosure(((ln_lo >> s) - 1) << s, precision_bits)
+    s = x.bit_length() - _FLOOR_BITS
+    return _floor_enclosure(((x >> s) - 1) << s, precision_bits)
+
+
+def _below_floor(lhs: Fraction, x: int, precision_bits: int) -> bool:
+    """Whether lhs lies below ``_rhs_floor(x, precision_bits)``."""
+    floor = _rhs_floor(x, precision_bits)
+    return floor is not None and compare(lhs, floor) is Comparison.LESS
 
 
 def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
@@ -289,17 +305,22 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
 
     An lhs below ``_rhs_floor`` at ``cfg.start_bits`` is Satisfied at
     that rung, as ``decide`` would find it, and its result builds
-    ``rhs`` on the first read; any other lhs goes to ``decide``, whose
-    start rung reuses the ln n bounds the floor was found from.
+    ``rhs`` on the first read.  The floor is tried first at B ln 2, B the
+    sum of k (bit_length(p) - 1), a lower bound on ln n that runs no ln p
+    series, then at ``log_n``'s lower bound; any lhs that neither floor
+    settles goes to ``decide``, whose start rung reuses those ln n bounds.
     """
     lhs = sigma_over_n_fraction(f)
     start = cfg.start_bits
     if f.entries == ((2, 1),):
         return CheckResult(f, lhs, None, Verdict.VIOLATED, start,
                            reason=REASON_RHS_UNDEFINED)
+    # n >= 2**B, so B ln 2 bounds ln n from below with no ln p series
+    B = sum(k * (p.bit_length() - 1) for p, k in f.entries)
+    if _below_floor(lhs, B * _ln2_fp(start + _GUARD)[0], start):
+        return CheckResult(f, lhs, ..., Verdict.SATISFIED, start)
     ln_lo, ln_hi = log_n(f, start)
-    floor = _rhs_floor(ln_lo, start)
-    if floor is not None and compare(lhs, floor) is Comparison.LESS:
+    if _below_floor(lhs, ln_lo, start):
         return CheckResult(f, lhs, ..., Verdict.SATISFIED, start)
 
     def rhs_at(b: int) -> Optional[RealInterval]:

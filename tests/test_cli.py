@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output schemas, decimal fidelity, stability."""
 
+import argparse
 import dataclasses
 import decimal
 import json
@@ -73,6 +74,40 @@ class TestExitCodes:
         assert code == 64
         assert out == ""
         assert err == f"robincheck: error: {where}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "\u0662", "\u0665\u0660\u0664\u0660"],
+        ["scan", "2", "5_040"],
+        ["bounds", "\uff11\uff12"],
+        ["conjecture2", "--primes", "\u0664"],
+        ["substitute", "2^4*3^2*5*7", "\u0663", "11"],
+        ["substitute", "2^4*3^2*5*7", "3", "1_1"],
+        ["scan", "2", "300", "--jobs", "\u0662"],
+        ["scan", "2", "300", "--jobs", "+2"],
+    ])
+    def test_integer_arguments_are_ascii_digits(self, argv, capsys):
+        # int() alone reads these as 2, 5040, 12, 4, 3, 11 and 2
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("robincheck: error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_no_argument_parses_with_int(self):
+        # int() takes non-ASCII digits and underscores; every integer
+        # argument goes through cli._int_arg instead
+        def walk(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from walk(sub)
+
+        parsers = list(walk(cli._build_parser()))
+        assert len(parsers) > 1
+        for parser in parsers:
+            for action in parser._actions:
+                assert action.type is not int, (parser.prog, action.dest)
 
     def test_too_large_integer_exit_65(self, capsys):
         code, _, err = run_cli(["check", str(2**64 + 7)], capsys)

@@ -18,6 +18,7 @@ from robincheck.factorization import (
 )
 from robincheck.intervals import (
     _GUARD,
+    _ln2_fp,
     Comparison,
     DEFAULT_PRECISION,
     Dyadic,
@@ -505,3 +506,31 @@ class TestRhsFloor:
         monkeypatch.setattr(robin, "_rhs_from_log", counted)
         assert all(r.rhs.lo.as_fraction() > r.lhs for r in results)
         assert reruns == []
+
+    @pytest.mark.parametrize("bits", [4, 53, 212])
+    def test_bit_length_floor_is_below_log_n_floor(self, bits):
+        ln2_lo = _ln2_fp(bits + _GUARD)[0]
+        for f in _floor_identity_inputs():
+            b = sum(k * (p.bit_length() - 1) for p, k in f.entries)
+            ln_lo = robin.log_n(f, bits)[0]
+            assert b * ln2_lo <= ln_lo, f
+            coarse = robin._rhs_floor(b * ln2_lo, bits)
+            fine = robin._rhs_floor(ln_lo, bits)
+            if coarse is not None and fine is not None:
+                assert coarse.lo.as_fraction() <= fine.lo.as_fraction(), f
+
+    def test_sweep_runs_no_log_n(self, monkeypatch):
+        calls = []
+        real = robin.log_n
+
+        def counted(f, bits):
+            calls.append(f)
+            return real(f, bits)
+
+        robin._LN_PRIME_CACHE.clear()
+        monkeypatch.setattr(robin, "log_n", counted)
+        results = theorems.verify_prime_powers(10 ** 5)
+        assert len(results) == 8983 and calls == []
+        for r in results:
+            eager = oracles.eager_check(r.factorization, DEFAULT_PRECISION)
+            assert r.rhs == eager.rhs, r.factorization

@@ -30,22 +30,26 @@ def test_every_layer_attribute_resolves():
             assert callable(holder), f"{layer}: {mod_name}.{attr}"
 
 
-_TRACE_CHECK_5041 = """
+_TRACE_CHECK_5041_5040 = """
 import json, runpy, sys
 t = runpy.run_path(sys.argv[1])["Tracer"]()
 t.install()
 import robincheck
 robincheck.check_n(5041)
-print(json.dumps({"missing": t.missing, "edges": sorted(t.edges)}))
+after_5041 = dict(t.edges)
+robincheck.check_n(5040)
+print(json.dumps({"missing": t.missing, "edges": sorted(t.edges),
+                  "edges_5041": sorted(after_5041.items())}))
 """
 
 
 def test_traced_check_records_its_layers():
-    # installing the tracer rewrites module globals, so it runs apart
+    # installing the tracer rewrites module globals, so it runs apart;
+    # 5041 is settled by the bit-length floor, and 5040 reaches decide()
     env = dict(os.environ,
                PYTHONPATH=os.path.abspath(os.path.join(_ROOT, "src")))
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACE_CHECK_5041, _TRACER],
+        [sys.executable, "-c", _TRACE_CHECK_5041_5040, _TRACER],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     doc = json.loads(proc.stdout)
     assert doc["missing"] == []
@@ -56,3 +60,6 @@ def test_traced_check_records_its_layers():
     # the RHS kernel's one ln call and a cold ln p both run the ln kernel
     assert ("robin.rhs_from_log", "intervals.ln_fp") in edges
     assert ("robin.ln_prime", "intervals.ln_fp") in edges
+    # 5041's check ran no ln p series
+    calls_5041 = {tuple(edge): n for edge, n in doc["edges_5041"]}
+    assert calls_5041.get(("robin.check", "robin.log_n"), 0) == 0
