@@ -122,10 +122,10 @@ class CheckResult:
 
 
 # ln(p) bounds cache keyed by (p, W); ``log_n`` reads it for the n that
-# check's bit-length floor leaves undecided and for every enclosure built
-# (rhs reads, the primorial table, the scanner's block filter), and the
-# fixed-point bounds are just two ints.  It stays a dict: the benchmark
-# reads its length for its ln p cache hit ratio.
+# check's bit-length floor leaves undecided and for every rhs read, and
+# the primorial table and the conjecture-2 base enumeration read it per
+# prime.  The fixed-point bounds are just two ints.  It stays a dict: the
+# benchmark reads its length for its ln p cache hit ratio.
 _LN_PRIME_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
 _LN_PRIME_CACHE_MAX = 1 << 18
 
