@@ -66,9 +66,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_arg(text: str) -> int:
     """An ASCII decimal integer; int() alone takes "5_040" and other digits."""
-    if not re.fullmatch(r"-?\d+", text, re.ASCII):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if re.fullmatch(r"-?\d+", text, re.ASCII):
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _decimal_arg(text: str) -> Fraction:
+    """An ASCII decimal; Fraction() alone takes "1_5" and "1e400000000"."""
+    if re.fullmatch(r"-?\d+(\.\d+)?", text, re.ASCII):
+        try:
+            return Fraction(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid decimal value: {text!r}")
 
 
 def _build_parser() -> _Parser:
@@ -106,7 +119,8 @@ def _build_parser() -> _Parser:
                        help="bounded exponent-increment counterexample search")
     p.add_argument("--primes", type=_int_arg, default=9, dest="prime_count")
     p.add_argument("--max-exp", type=_int_arg, default=6)
-    p.add_argument("--max-log-n", default=_DEFAULT_LOG_N_MAX,
+    p.add_argument("--max-log-n", type=_decimal_arg,
+                   default=_DEFAULT_LOG_N_MAX,
                    help="upper bound on ln n (decimal, default ln 10^12)")
     p.add_argument("--no-prune-justification", action="store_true",
                    help="allow --primes beyond 9 (outside the corollary-backed range)")
@@ -421,13 +435,8 @@ def _cmd_conjecture2(args, cfg: PrecisionConfig, out: TextIO) -> int:
         raise InvalidInput(
             "--primes beyond 9 leaves the corollary-backed range; "
             "pass --no-prune-justification to proceed anyway")
-    try:
-        log_n_max = Fraction(args.max_log_n)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidInput(
-            f"bad --max-log-n value {args.max_log_n!r}") from None
     report = explorer.conjecture32_search(
-        args.prime_count, args.max_exp, log_n_max, cfg,
+        args.prime_count, args.max_exp, args.max_log_n, cfg,
         worker_count=args.jobs,
         non_increasing_only=not args.all_arrangements,
     )

@@ -41,10 +41,11 @@ in [lo.m * 2**e, hi.m * 2**e].  All rounding is directed outward (floor
 for lo, ceiling for hi), so a comparison of an exact rational against
 an interval that comes out Less or Greater is a mathematical certainty,
 never a floating-point accident.  ``compare`` decides it by integer
-cross-multiplication at that exponent, and ``outward_interval`` is the
-one constructor that rounds two ratios outward onto a shared exponent.
-`Dyadic` is the plain value m * 2**e: it converts to a `Fraction`, a
-num/den pair or an exact decimal string, and does no arithmetic.
+cross-multiplication at that exponent.  ``dyadic_from_num_den`` is the
+one directed rounding: ``outward_interval`` rounds two ratios with it
+onto a shared exponent, and ``outward_ratio`` rounds the corners of a
+truncated ratio's box with it.  `Dyadic` is the plain value m * 2**e
+(`Fraction`, num/den and exact decimal views; no arithmetic).
 
 Series are evaluated at a working precision a few dozen bits beyond the
 requested precision; every intermediate floor/ceil keeps the lower/upper
@@ -61,7 +62,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class InvalidInput(ValueError):
@@ -172,11 +173,11 @@ def outward_interval(lo_num: int, hi_num: int, den: int,
                             dyadic_from_num_den(hi_num, den, bits, True))
 
 
-def _shared_exponent(lo: Dyadic, hi: Dyadic) -> RealInterval:
-    """[lo, hi] with the endpoint at the larger exponent shifted, exactly."""
+def _shared_exponent(lo: Dyadic, hi: Dyadic, move: int = 0) -> RealInterval:
+    """[lo, hi] * 2**move, the endpoint at the larger exponent shifted."""
     e = min(lo.e, hi.e)
-    return RealInterval(Dyadic(lo.m << (lo.e - e), e),
-                        Dyadic(hi.m << (hi.e - e), e))
+    return RealInterval(Dyadic(lo.m << (lo.e - e), e + move),
+                        Dyadic(hi.m << (hi.e - e), e + move))
 
 
 # outward_ratio keeps this many bits of x and y beyond the requested ones
@@ -187,11 +188,17 @@ def outward_ratio(lo_m: int, hi_m: int, x: int, y: int, e: int,
                   bits: int) -> RealInterval:
     """The interval outward_interval(lo_m * x, hi_m * x, y << e, bits) returns.
 
-    For lo_m > 0, huge x, y > 0 and e >= 0 its endpoints are usually
-    decided by the top ``bits + _TOP_SLACK_BITS`` bits of x and y, which
-    spares the full-size products and divisions (Ziv's rounding test).
-    Where the truncation leaves an endpoint undecided, or lo_m <= 0, the
-    exact ``outward_interval`` computes both.
+    For huge x, y > 0 and e >= 0 each endpoint a > 0 is usually decided
+    by the top ``bits + _TOP_SLACK_BITS`` bits of x and y, which spares
+    the full-size products and divisions (Ziv's rounding test).  With
+    x in [x0, x1] * 2**t and y in [y0, y1] * 2**u, ``dyadic_from_num_den``
+    rounds the box's least and greatest ratios, a*x0/y1 and a*x1/y0.
+    Equal exponents force bitlen(a*x0) = bitlen(a*x1) and
+    bitlen(y0) = bitlen(y1), so a*x and y << e have those bit lengths
+    plus t and u + e, and every ratio in the box rounds at one shift,
+    where the directed quotient is monotone; equal mantissas then pin the
+    exact endpoint, at its exponent moved by t - u - e.  Where the
+    corners disagree, or a <= 0, ``outward_interval`` computes both exactly.
     """
     keep = max(bits + _TOP_SLACK_BITS, 1)
     t = max(x.bit_length() - keep, 0)
@@ -199,45 +206,18 @@ def outward_ratio(lo_m: int, hi_m: int, x: int, y: int, e: int,
     # x lies in [x0, x1] * 2**t and y in [y0, y1] * 2**u
     x0, y0 = x >> t, y >> u
     x1, y1 = x0 + (t > 0), y0 + (u > 0)
-    den_size = y.bit_length() + e
     ends = []
     for a, round_up in ((lo_m, False), (hi_m, True)):
-        end = _top_quotient(a * x0, a * x1, y0, y1, t - u - e, t - den_size,
-                            bits, round_up)
-        if end is None:
-            return outward_interval(lo_m * x, hi_m * x, y << e, bits)
-        ends.append(end)
-    return _shared_exponent(*ends)
-
-
-def _top_quotient(n0: int, n1: int, d0: int, d1: int, scale: int, size: int,
-                  bits: int, round_up: bool) -> Optional[Dyadic]:
-    """``dyadic_from_num_den`` of a num/den bracketed by its truncations.
-
-    num lies in [n0, n1] * 2**t and den in [d0, d1] * 2**u (d0 > 0),
-    scale = t - u and size = t - den.bit_length().  The rounding shift
-    needs num's bit length, the mantissa the directed quotient; each is
-    taken only when both ends of the brackets agree on it, else None.
-    """
-    num_size = n0.bit_length()
-    if n0 <= 0 or n1.bit_length() != num_size:
-        return None
-    shift = bits + 2 - (num_size + size)
-    s = shift + scale
-    # num * 2**shift / den lies in [n0 / d1, n1 / d0] * 2**s
-    if s >= 0:
-        lo_n, lo_d, hi_n, hi_d = n0 << s, d1, n1 << s, d0
+        if a <= 0:
+            break
+        least = dyadic_from_num_den(a * x0, y1, bits, round_up)
+        most = dyadic_from_num_den(a * x1, y0, bits, round_up)
+        if least.m != most.m or least.e != most.e:
+            break
+        ends.append(least)
     else:
-        lo_n, lo_d, hi_n, hi_d = n0, d1 << -s, n1, d0 << -s
-    if round_up:
-        m = -(-lo_n // lo_d)
-        if m != -(-hi_n // hi_d):
-            return None
-    else:
-        m = lo_n // lo_d
-        if m != hi_n // hi_d:
-            return None
-    return Dyadic(m, -shift)
+        return _shared_exponent(*ends, t - u - e)
+    return outward_interval(lo_m * x, hi_m * x, y << e, bits)
 
 
 class Comparison(enum.Enum):

@@ -84,18 +84,40 @@ class TestExitCodes:
         ["substitute", "2^4*3^2*5*7", "3", "1_1"],
         ["scan", "2", "300", "--jobs", "\u0662"],
         ["scan", "2", "300", "--jobs", "+2"],
+        ["scan", "2", "9" * 5000],
     ])
     def test_integer_arguments_are_ascii_digits(self, argv, capsys):
-        # int() alone reads these as 2, 5040, 12, 4, 3, 11 and 2
+        # int() alone reads these as 2, 5040, 12, 4, 3, 11 and 2, and
+        # refuses the last, past its 4300-digit limit, with a ValueError
+        # that argparse would report under the helper's name
         code, out, err = run_cli(argv, capsys)
         assert code == 64
         assert out == ""
         assert err.startswith("robincheck: error: ")
+        assert "invalid int value: " in err and "_int_arg" not in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("value", ["\u0661\u0665", "1_5", "1e5", " 15"])
+    def test_max_log_n_is_an_ascii_decimal(self, value, capsys):
+        # Fraction() alone reads these as 15, 15, 100000 and 15
+        code, out, err = run_cli(["conjecture2", "--max-log-n", value],
+                                 capsys)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("robincheck: error: ")
+        assert err.count("robincheck: error:") == 1
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    # the text and flag arguments; every other one is a number
+    _NON_NUMERIC_DESTS = {
+        "help", "command", "value", "factors", "output", "format",
+        "no_prune_justification", "all_arrangements",
+    }
+
     def test_no_argument_parses_with_int(self):
-        # int() takes non-ASCII digits and underscores; every integer
-        # argument goes through cli._int_arg instead
+        # int() and Fraction() take non-ASCII digits and underscores;
+        # every numeric argument goes through cli._int_arg or
+        # cli._decimal_arg instead
         def walk(parser):
             yield parser
             for action in parser._actions:
@@ -107,7 +129,9 @@ class TestExitCodes:
         assert len(parsers) > 1
         for parser in parsers:
             for action in parser._actions:
-                assert action.type is not int, (parser.prog, action.dest)
+                assert (action.type in (cli._int_arg, cli._decimal_arg)
+                        or action.dest in self._NON_NUMERIC_DESTS), (
+                    parser.prog, action.dest)
 
     def test_too_large_integer_exit_65(self, capsys):
         code, _, err = run_cli(["check", str(2**64 + 7)], capsys)

@@ -433,6 +433,19 @@ class TestSharedExponent:
             RealInterval(Dyadic(3, -2), Dyadic(2, -2))
 
 
+# Inputs whose truncation box has corners of two bit lengths, so the
+# corners round at two exponents and the exact path decides.  At 53 bits
+# and slack 64, x and y keep their top 117 bits.
+_CORNERS_DISAGREE = [
+    # y's top bits are 2**117 - 1, so its bracket straddles 2**117
+    dict(lo=1, width=0, x=3, y=2 ** 200 - 1, e=0, bits=53, slack=64),
+    # x's top bits are (2**118 - 1) / 3: at the hi endpoint a = 3,
+    # a*x0 = 2**118 - 1 and a*x1 = 2**118 + 2; at a = 1 they agree
+    dict(lo=1, width=2, x=((2 ** 118 - 1) // 3 << 200) + 12345, y=7, e=0,
+         bits=53, slack=64),
+]
+
+
 class TestOutwardRatio:
     """outward_ratio returns what the exact outward_interval returns."""
 
@@ -445,6 +458,8 @@ class TestOutwardRatio:
     # must come from both ends
     @example(lo=3, width=0, x=(2 ** 300 + 2) // 3, y=3, e=0, bits=53,
              slack=64)
+    @example(**_CORNERS_DISAGREE[0])
+    @example(**_CORNERS_DISAGREE[1])
     def test_equals_exact(self, lo, width, x, y, e, bits, slack):
         # slack 4 or 8 leaves many endpoints undecided; -10**6 keeps one
         # bit, so the exact path decides nearly every case
@@ -452,6 +467,23 @@ class TestOutwardRatio:
             mp.setattr(intervals, "_TOP_SLACK_BITS", slack)
             got = outward_ratio(lo, lo + width, x, y, e, bits)
         assert got == outward_interval(lo * x, (lo + width) * x, y << e, bits)
+
+    @pytest.mark.parametrize("case", _CORNERS_DISAGREE)
+    def test_disagreeing_corners_take_the_exact_path(self, case,
+                                                     monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return outward_interval(*args)
+
+        monkeypatch.setattr(intervals, "outward_interval", counting)
+        monkeypatch.setattr(intervals, "_TOP_SLACK_BITS", case["slack"])
+        lo, hi = case["lo"], case["lo"] + case["width"]
+        x, y, e, bits = case["x"], case["y"], case["e"], case["bits"]
+        got = outward_ratio(lo, hi, x, y, e, bits)
+        assert len(calls) == 1
+        assert got == outward_interval(lo * x, hi * x, y << e, bits)
 
 
 class TestExactRatioAlgebra:
