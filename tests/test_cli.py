@@ -105,7 +105,6 @@ class TestExitCodes:
         assert code == 64
         assert out == ""
         assert err.startswith("robincheck: error: ")
-        assert err.count("robincheck: error:") == 1
         assert err.count("\n") == 1 and err.endswith("\n")
 
     # the text and flag arguments; every other one is a number
@@ -129,6 +128,7 @@ class TestExitCodes:
         assert len(parsers) > 1
         for parser in parsers:
             for action in parser._actions:
+                assert action.type is not int, (parser.prog, action.dest)
                 assert (action.type in (cli._int_arg, cli._decimal_arg)
                         or action.dest in self._NON_NUMERIC_DESTS), (
                     parser.prog, action.dest)
