@@ -235,10 +235,12 @@ def iter_scan_results(
 ) -> Iterator[list]:
     """Per segment, ascending and streamed: ``_scan_segment``'s flagged pairs.
 
-    The range is refused here, before the first segment is asked for.
+    Bad arguments are refused here, before the first segment is asked for.
     """
     if lo < 2 or lo > hi:
         raise InvalidInput("need 2 <= lo <= hi")
+    if segment_size < 1:
+        raise InvalidInput("segment_size must be >= 1")
     if hi > MAX_SCAN_HI:
         raise InvalidInput(f"hi exceeds the supported scan range {MAX_SCAN_HI}")
     # segment starts, not segments: a range costs nothing to build

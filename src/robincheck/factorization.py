@@ -8,12 +8,10 @@ from math import gcd, log2
 
 from .intervals import InvalidInput
 
-# Below this many entries Fraction's one gcd of the unreduced terms is
-# cheaper than cancelling prime by prime (measured on primorials).
-_CANCEL_MIN_ENTRIES = 1200
-# sigma(p) = p + 1 is factored over the primes up to this bound, which
-# factors it completely for every p below about 4 * 10^6
-_SMALL_PRIME_BOUND = 1 << 11
+# Up to this many bits of n Fraction's one gcd beats cancelling against n's
+# primes: trial/gcd time on primorials, colossally abundant numbers read
+# 1.05, 1.07 at 10.5k bits; 1.00, 0.99 at 12k; 0.93, 0.91 at 13.2k (2 vCPUs)
+_GCD_MAX_BITS = 13_000
 
 # Fraction(num, den) from coprime num, den > 0 without Fraction's gcd:
 # Python 3.12 names it _from_coprime_ints, 3.10 and 3.11 _normalize=False
@@ -101,18 +99,21 @@ class Factorization:
 def sigma_over_n_fraction(f: Factorization) -> Fraction:
     """Exact sigma(n)/n = prod sigma(p^k) / prod p^k, in lowest terms.
 
-    A factorization of fewer than ``_CANCEL_MIN_ENTRIES`` entries builds
-    the unreduced fraction and lets ``Fraction`` reduce it.  That one gcd
-    is quadratic in the size of n in CPython, so a larger factorization
-    is reduced prime by prime instead: each sigma(p) = p + 1 is factored
-    over the primes up to ``_SMALL_PRIME_BOUND`` and its primes cancel
-    against the denominator's exponents, since only n's primes can
-    divide the reduced denominator.  The rest of the numerator (every
-    sigma(p^k) with k > 1, and any part of a p + 1 that trial division
-    could not factor) meets the denominator in one gcd whose smaller
-    side is only that rest.
+    While sum k * bit_length(p) is at most ``_GCD_MAX_BITS``, ``Fraction``
+    reduces the terms with one gcd, quadratic in CPython.  A larger n is
+    reduced against its own primes, the only ones that can divide the
+    reduced denominator: each c = sigma(p^k) is divided by n's primes q in
+    ascending order until q^2 > c, each q cancelling while its exponent
+    in n lasts.  If n's primes run out first, c has none of them.
+    Otherwise any prime of n left in c exceeds sqrt(c), so at most one is:
+    c is 1, one prime of n, which cancels unless its exponent is used up
+    (exponents only fall, so a used-up one stays in the numerator), or a
+    part with a prime outside n; only such parts meet the denominator's gcd.
     """
-    if len(f.entries) < _CANCEL_MIN_ENTRIES:
+    bits = 0  # from n's bit length up to twice it
+    for p, k in f.entries:
+        bits += k * p.bit_length()
+    if bits <= _GCD_MAX_BITS:
         nums = []
         dens = []
         for p, k in f.entries:
@@ -120,37 +121,34 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
             nums.append(pk * p - 1)
             dens.append(pk * (p - 1))
         return Fraction(_tree_product(nums), _tree_product(dens))
-    from .primes import factor_small, primes_up_to  # primes imports this module
-    small = primes_up_to(_SMALL_PRIME_BOUND)
-    left = dict(f.entries)  # each prime's exponent still in the denominator
-    kept = []  # numerator terms coprime to the reduced denominator
-    rest = []  # numerator terms still to meet the denominator
+    left = dict(f.entries)  # n's primes, ascending, to the exponent left
+    kept = []  # numerator parts coprime to the reduced denominator
+    rest = []  # numerator parts still to meet the denominator
     for p, k in f.entries:
-        if k > 1:
-            rest.append((p ** (k + 1) - 1) // (p - 1))
+        c = (p ** (k + 1) - 1) // (p - 1)
+        for q in left:
+            if q * q > c:
+                break
+            while c % q == 0:
+                c //= q
+                if left[q]:
+                    left[q] -= 1
+                else:
+                    kept.append(q)
+        else:
+            kept.append(c)  # n's primes ran out
             continue
-        powers, unfactored = factor_small(p + 1, small)
-        if unfactored > 1:
-            rest.append(unfactored)
-        term = 1
-        for r, e in powers:
-            d = left.get(r, 0)
-            if d:
-                cut = min(d, e)
-                left[r] = d - cut
-                e -= cut
-            if e:
-                term *= r ** e
-        kept.append(term)
-    num = _tree_product(kept)
+        d = left.get(c)
+        if d:
+            left[c] = d - 1
+        elif d == 0:
+            kept.append(c)
+        elif c > 1:
+            rest.append(c)
+    tail = _tree_product(rest)
     den = _tree_product([p ** d for p, d in left.items() if d])
-    if rest:
-        tail = _tree_product(rest)
-        g = gcd(tail, den)
-        num *= tail // g
-        if g != 1:
-            den //= g
-    return _coprime_fraction(num, den)
+    g = gcd(tail, den)
+    return _coprime_fraction(_tree_product(kept) * (tail // g), den // g)
 
 
 def sigma_int(f: Factorization) -> int:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from robincheck import explorer, intervals, output, primes, robin
 from robincheck.factorization import Factorization, sigma_int
-from robincheck.intervals import _GUARD, DEFAULT_PRECISION
+from robincheck.intervals import _GUARD, DEFAULT_PRECISION, InvalidInput
 from robincheck.robin import Verdict
 
 import oracles
@@ -103,6 +103,14 @@ class TestScanGolden:
             explorer.scan_range(10, 2)
         with pytest.raises(ValueError):
             explorer.scan_range(1, 10)
+
+    @pytest.mark.parametrize("segment_size", [-1, 0])
+    def test_segment_size_below_one_refused(self, segment_size):
+        # with a step of -1 no segment would run, yet the report would
+        # count 5039 n checked and none of the range's 27 violators
+        for scan in (explorer.scan_range, explorer.iter_scan_results):
+            with pytest.raises(InvalidInput, match="segment_size"):
+                scan(2, 5040, segment_size=segment_size)
 
 
 class TestScanDeterminism:

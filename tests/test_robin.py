@@ -94,9 +94,9 @@ def _both_paths(f):
     """(num, den) of sigma_over_n_fraction(f) by Fraction's gcd and by
     prime cancellation; lowest terms make the pairs unique."""
     out = []
-    for entries_needed in (10 ** 9, 0):
+    for max_bits in (10 ** 18, 0):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(factorization, "_CANCEL_MIN_ENTRIES", entries_needed)
+            mp.setattr(factorization, "_GCD_MAX_BITS", max_bits)
             fr = sigma_over_n_fraction(f)
         out.append((fr.numerator, fr.denominator))
     return out
@@ -127,7 +127,8 @@ def _colossally_abundant(k):
     return Factorization(tuple(entries))
 
 
-_SMALL_BOUND_SQ = factorization._SMALL_PRIME_BOUND ** 2
+# large enough that big + 1 mostly has a prime factor above 200
+_BIG_MIN = 1 << 22
 
 
 class TestSigmaOverNCancellation:
@@ -138,13 +139,13 @@ class TestSigmaOverNCancellation:
         small=st.lists(st.tuples(st.sampled_from(_PRIMES_BELOW_200),
                                  st.integers(1, 40)),
                        min_size=0, max_size=6, unique_by=lambda e: e[0]),
-        big=st.integers(_SMALL_BOUND_SQ, 10 ** 13).map(_next_prime),
+        big=st.integers(_BIG_MIN, 10 ** 13).map(_next_prime),
         partners=st.lists(st.integers(1, 40), min_size=4, max_size=4),
     )
     @example(small=[(2, 3)], big=2 * 2063 * 2087 - 1, partners=[1, 3, 2, 1])
     def test_equals_sigma_over_n(self, small, big, partners):
-        # big + 1 is past trial division, so it joins the gcd'd rest; the
-        # partners put some of its prime factors into n as well
+        # the partners put some of big + 1's prime factors into n, and
+        # the entries cut at 8 can leave others outside it
         assert primes.is_prime(big)
         entries = dict(small)
         entries[big] = 1
@@ -159,6 +160,26 @@ class TestSigmaOverNCancellation:
             while den % p == 0:
                 den //= p
         assert den == 1  # the denominator's primes are n's
+
+    @pytest.mark.parametrize("entries", [
+        # 3^2 <= sigma(3^4) = 11^2: n's primes run out
+        ((3, 4),),
+        # sigma(2) = 3 is left whole and cancels n's 3
+        ((2, 1), (3, 1)),
+        # sigma(5) = 2 * 3 leaves 3, whose exponent sigma(2) = 3 used up
+        ((2, 1), (3, 1), (5, 1)),
+        # 3^2 > sigma(5) = 6, which holds 2: the final gcd takes its 3
+        ((3, 1), (5, 1)),
+        ((3, 20000), (5, 20000)),
+        ((2, 30000), (3, 20000), (7, 10000)),
+        ((2, 100000),),
+    ], ids=["primes_run_out", "prime_of_n_with_exponent_left",
+            "prime_of_n_used_up", "part_with_prime_outside_n",
+            "3^20000*5^20000", "2^30000*3^20000*7^10000", "2^100000"])
+    def test_factorizations(self, entries):
+        f = Factorization(entries)
+        want = _lowest_terms(sigma_int(f), f.n())
+        assert _both_paths(f) == [want, want]
 
     @pytest.mark.parametrize("m", [1, 2, 3000, 10 ** 4])
     def test_primorials(self, m):
