@@ -180,9 +180,8 @@ def _rhs_floor_scaled(t: int, bits: int) -> int:
                         lambda b: _ln_fp(t, t, 1, b + _GUARD))
     if rhs is None:
         return 0
-    d = rhs.lo
-    shift = d.e + _THR_SHIFT
-    return d.m << shift if shift >= 0 else d.m >> -shift
+    shift = rhs.e + _THR_SHIFT
+    return rhs.lo_m << shift if shift >= 0 else rhs.lo_m >> -shift
 
 
 def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> list:
@@ -239,8 +238,8 @@ def iter_scan_results(
     """
     if lo < 2 or lo > hi:
         raise InvalidInput("need 2 <= lo <= hi")
-    if segment_size < 1:
-        raise InvalidInput("segment_size must be >= 1")
+    if segment_size < 1 or worker_count < 1:
+        raise InvalidInput("segment_size and worker_count must be >= 1")
     if hi > MAX_SCAN_HI:
         raise InvalidInput(f"hi exceeds the supported scan range {MAX_SCAN_HI}")
     # segment starts, not segments: a range costs nothing to build
@@ -369,9 +368,9 @@ def conjecture31_table(
         ratio = None
         if alpha is not None:
             # alpha / q; alpha's exponent is below 0 unless bits is tiny
-            e = alpha.lo.e
-            ratio = outward_ratio(alpha.lo.m << max(e, 0),
-                                  alpha.hi.m << max(e, 0), qd, qn,
+            e = alpha.e
+            ratio = outward_ratio(alpha.lo_m << max(e, 0),
+                                  alpha.hi_m << max(e, 0), qd, qn,
                                   max(-e, 0), W)
         rows.append(
             ConjectureRow(m, p, qn, qd, alpha, ratio, exceeded)
@@ -533,8 +532,9 @@ def conjecture32_search(
     as a counterexample row of its own, with index None, and its
     increments are not reported.
     """
-    if prime_count_max < 1 or exponent_max < 1:
-        raise InvalidInput("prime_count_max and exponent_max must be >= 1")
+    if prime_count_max < 1 or exponent_max < 1 or worker_count < 1:
+        raise InvalidInput(
+            "prime_count_max, exponent_max and worker_count must be >= 1")
     log_n_max = Fraction(log_n_max)
     if log_n_max <= 0:
         raise InvalidInput("log_n_max must be positive")

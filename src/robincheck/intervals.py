@@ -35,17 +35,18 @@ Ziv's rounding test (Ziv, ACM TOMS 17, 1991) with reruns at more guard
 bits, so they do not depend on which sound kernel computed them.
 
 An enclosure the package hands out (the right-hand side, the primorial
-table's alpha and ratio) is a `RealInterval`: two integers lo.m <= hi.m
-at one shared binary exponent e, guaranteed to contain the true value
-in [lo.m * 2**e, hi.m * 2**e].  All rounding is directed outward (floor
+table's alpha and ratio) is a `RealInterval`: three ints lo_m <= hi_m
+at one binary exponent e, guaranteed to contain the true value in
+[lo_m * 2**e, hi_m * 2**e].  All rounding is directed outward (floor
 for lo, ceiling for hi), so a comparison of an exact rational against
 an interval that comes out Less or Greater is a mathematical certainty,
 never a floating-point accident.  ``compare`` decides it by integer
-cross-multiplication at that exponent.  ``dyadic_from_num_den`` is the
-one directed rounding: ``outward_interval`` rounds two ratios with it
-onto a shared exponent, and ``outward_ratio`` rounds the corners of a
-truncated ratio's box with it.  `Dyadic` is the plain value m * 2**e
-(`Fraction`, num/den and exact decimal views; no arithmetic).
+cross-multiplication at that exponent.  ``round_num_den`` is the one
+directed rounding, to an (m, e) pair: ``outward_interval`` rounds two
+ratios with it onto a shared exponent, and ``outward_ratio`` rounds the
+corners of a truncated ratio's box with it.  `Dyadic` is the plain value
+m * 2**e (`Fraction`, num/den and exact decimal views; no arithmetic),
+built only by an enclosure's ``lo``/``hi`` views for printing and margins.
 
 Series are evaluated at a working precision a few dozen bits beyond the
 requested precision; every intermediate floor/ceil keeps the lower/upper
@@ -123,23 +124,24 @@ class Dyadic:
         return f"{sign}{ip}.{fp}" if fp else f"{sign}{ip}"
 
 
-def dyadic_from_num_den(num: int, den: int, bits: int, round_up: bool) -> Dyadic:
-    """Round num/den (den > 0, not necessarily reduced) to ~bits bits, directed.
+def round_num_den(num: int, den: int, bits: int,
+                  round_up: bool) -> tuple[int, int]:
+    """num/den (den > 0, not necessarily reduced) as (m, e) at ~bits bits.
 
-    Result differs from the true value by less than |num/den| *
-    2**-(bits+1); round_up selects ceiling (result >= num/den),
+    m * 2**e differs from the true value by less than |num/den| *
+    2**-(bits+1); round_up selects ceiling (m * 2**e >= num/den),
     otherwise floor.  Takes raw integers so callers with huge unreduced
     ratios can skip gcd normalization entirely.
     """
     shift = bits + 2 - (num.bit_length() - den.bit_length())
     if round_up:
-        return Dyadic(_ceil_div_shift(num, den, shift), -shift)
-    return Dyadic(_floor_div_shift(num, den, shift), -shift)
+        return _ceil_div_shift(num, den, shift), -shift
+    return _floor_div_shift(num, den, shift), -shift
 
 
 def dyadic_from_fraction(fr: Fraction, bits: int, round_up: bool) -> Dyadic:
     """Round fr to a dyadic with ~bits significant bits, directed."""
-    return dyadic_from_num_den(fr.numerator, fr.denominator, bits, round_up)
+    return Dyadic(*round_num_den(fr.numerator, fr.denominator, bits, round_up))
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +150,23 @@ def dyadic_from_fraction(fr: Fraction, bits: int, round_up: bool) -> Dyadic:
 
 @dataclass(frozen=True, slots=True)
 class RealInterval:
-    """Enclosure [lo, hi] of a real value: lo.m <= hi.m at one exponent e."""
+    """Enclosure [lo_m * 2**e, hi_m * 2**e] of a real value, lo_m <= hi_m."""
 
-    lo: Dyadic
-    hi: Dyadic
+    lo_m: int
+    hi_m: int
+    e: int
 
     def __post_init__(self):
-        if self.lo.e != self.hi.e or self.lo.m > self.hi.m:
-            raise ValueError("interval endpoints at two exponents or out of order")
+        if self.lo_m > self.hi_m:
+            raise ValueError("interval endpoints out of order")
+
+    @property
+    def lo(self) -> Dyadic:
+        return Dyadic(self.lo_m, self.e)
+
+    @property
+    def hi(self) -> Dyadic:
+        return Dyadic(self.hi_m, self.e)
 
     def midpoint(self) -> Fraction:
         return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
@@ -165,19 +176,19 @@ def outward_interval(lo_num: int, hi_num: int, den: int,
                      bits: int) -> RealInterval:
     """[lo_num/den rounded down, hi_num/den rounded up] at ~bits bits.
 
-    Each endpoint rounds as ``dyadic_from_num_den`` rounds it; the one at
-    the larger exponent is then shifted left onto the smaller, which is
+    Each endpoint rounds as ``round_num_den`` rounds it; the one at the
+    larger exponent is then shifted left onto the smaller, which is
     exact, so the endpoints keep their values and share one exponent.
     """
-    return _shared_exponent(dyadic_from_num_den(lo_num, den, bits, False),
-                            dyadic_from_num_den(hi_num, den, bits, True))
+    return _shared_exponent(round_num_den(lo_num, den, bits, False),
+                            round_num_den(hi_num, den, bits, True))
 
 
-def _shared_exponent(lo: Dyadic, hi: Dyadic, move: int = 0) -> RealInterval:
-    """[lo, hi] * 2**move, the endpoint at the larger exponent shifted."""
-    e = min(lo.e, hi.e)
-    return RealInterval(Dyadic(lo.m << (lo.e - e), e + move),
-                        Dyadic(hi.m << (hi.e - e), e + move))
+def _shared_exponent(lo: tuple, hi: tuple, move: int = 0) -> RealInterval:
+    """[lo, hi] * 2**move for (m, e) pairs, the one at the larger e shifted."""
+    (lo_m, lo_e), (hi_m, hi_e) = lo, hi
+    e = min(lo_e, hi_e)
+    return RealInterval(lo_m << (lo_e - e), hi_m << (hi_e - e), e + move)
 
 
 # outward_ratio keeps this many bits of x and y beyond the requested ones
@@ -191,7 +202,7 @@ def outward_ratio(lo_m: int, hi_m: int, x: int, y: int, e: int,
     For huge x, y > 0 and e >= 0 each endpoint a > 0 is usually decided
     by the top ``bits + _TOP_SLACK_BITS`` bits of x and y, which spares
     the full-size products and divisions (Ziv's rounding test).  With
-    x in [x0, x1] * 2**t and y in [y0, y1] * 2**u, ``dyadic_from_num_den``
+    x in [x0, x1] * 2**t and y in [y0, y1] * 2**u, ``round_num_den``
     rounds the box's least and greatest ratios, a*x0/y1 and a*x1/y0.
     Equal exponents force bitlen(a*x0) = bitlen(a*x1) and
     bitlen(y0) = bitlen(y1), so a*x and y << e have those bit lengths
@@ -210,9 +221,9 @@ def outward_ratio(lo_m: int, hi_m: int, x: int, y: int, e: int,
     for a, round_up in ((lo_m, False), (hi_m, True)):
         if a <= 0:
             break
-        least = dyadic_from_num_den(a * x0, y1, bits, round_up)
-        most = dyadic_from_num_den(a * x1, y0, bits, round_up)
-        if least.m != most.m or least.e != most.e:
+        least = round_num_den(a * x0, y1, bits, round_up)
+        most = round_num_den(a * x1, y0, bits, round_up)
+        if least != most:
             break
         ends.append(least)
     else:
@@ -236,13 +247,13 @@ def compare(lhs: Fraction, rhs: RealInterval) -> Comparison:
     sides are scaled to integers at the endpoints' shared exponent.
     """
     num, den = lhs.numerator, lhs.denominator
-    if rhs.lo.e < 0:
-        num <<= -rhs.lo.e
+    if rhs.e < 0:
+        num <<= -rhs.e
     else:
-        den <<= rhs.lo.e
-    if num < rhs.lo.m * den:
+        den <<= rhs.e
+    if num < rhs.lo_m * den:
         return Comparison.LESS
-    if num > rhs.hi.m * den:
+    if num > rhs.hi_m * den:
         return Comparison.GREATER
     return Comparison.OVERLAPPING
 

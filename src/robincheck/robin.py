@@ -198,12 +198,10 @@ def _rhs_from_log(lo: int, hi: int, precision_bits: int,
         hi_m = -((-B << precision_bits) >> nb)
         if (na == nb and lo_m == (B << precision_bits) >> na
                 and hi_m == -((-A << precision_bits) >> na)):
-            e = na - precision_bits - 2 * W
-            return RealInterval(Dyadic(lo_m, e), Dyadic(hi_m, e))
+            return RealInterval(lo_m, hi_m, na - precision_bits - 2 * W)
         if fallback is None:
-            fallback = _shared_exponent(
-                Dyadic(lo_m, na - precision_bits - 2 * W),
-                Dyadic(hi_m, nb - precision_bits - 2 * W))
+            fallback = _shared_exponent((lo_m, na - precision_bits - 2 * W),
+                                        (hi_m, nb - precision_bits - 2 * W))
         if ln_x is None or b + _GUARD > GAMMA_MAX_BITS:
             break
         b += _GUARD

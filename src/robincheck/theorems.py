@@ -25,7 +25,6 @@ from .intervals import (
     _GUARD,
     Comparison,
     DEFAULT_PRECISION,
-    Dyadic,
     InvalidInput,
     PrecisionConfig,
     RealInterval,
@@ -140,8 +139,7 @@ def _certify_log_increase(
     def gap_at(bits: int) -> RealInterval:
         a_lo, a_hi = log_n(f_before, bits)  # same bits, so one scale
         b_lo, b_hi = log_n(f_after, bits)
-        e = -(bits + _GUARD)
-        return RealInterval(Dyadic(b_lo - a_hi, e), Dyadic(b_hi - a_lo, e))
+        return RealInterval(b_lo - a_hi, b_hi - a_lo, -(bits + _GUARD))
 
     verdict = decide(Fraction(0), gap_at, cfg)[0]
     return (None if verdict is Comparison.OVERLAPPING

@@ -1,6 +1,7 @@
 """Scanner vs brute-force oracle, the primorial table, the conjecture-2 search."""
 
 import decimal
+import functools
 import itertools
 import multiprocessing
 import os
@@ -111,6 +112,22 @@ class TestScanGolden:
         for scan in (explorer.scan_range, explorer.iter_scan_results):
             with pytest.raises(InvalidInput, match="segment_size"):
                 scan(2, 5040, segment_size=segment_size)
+
+    @pytest.mark.parametrize("worker_count", [-3, 0])
+    @pytest.mark.parametrize("entry", [
+        functools.partial(explorer.scan_range, 2, 300),
+        functools.partial(explorer.iter_scan_results, 2, 300),
+        functools.partial(explorer.conjecture32_search, 4, 3, Fraction(15)),
+    ], ids=["scan_range", "iter_scan_results", "conjecture32_search"])
+    def test_worker_count_below_one_refused(self, entry, worker_count,
+                                            monkeypatch):
+        # these ran in-process: a full scan report, or 11 bases probed
+        def no_check(f, cfg):
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(explorer, "check", no_check)
+        with pytest.raises(InvalidInput, match="worker_count"):
+            entry(worker_count=worker_count)
 
 
 class TestScanDeterminism:

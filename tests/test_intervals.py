@@ -26,7 +26,7 @@ from robincheck.intervals import (
     outward_interval,
     outward_ratio,
 )
-from robincheck import explorer, intervals, primes, robin
+from robincheck import explorer, intervals, primes, robin, theorems
 from robincheck.robin import _rhs_from_log
 
 import oracles
@@ -53,8 +53,7 @@ def _contains(outer: RealInterval, inner: RealInterval) -> bool:
 
 def _scaled(bounds: tuple[int, int], bits: int) -> RealInterval:
     """A kernel's bounds (L, H) at scale 2**W, as [L / 2**W, H / 2**W]."""
-    W = bits + _GUARD
-    return RealInterval(Dyadic(bounds[0], -W), Dyadic(bounds[1], -W))
+    return RealInterval(bounds[0], bounds[1], -(bits + _GUARD))
 
 
 def _ln_interval(x: Fraction, bits: int) -> RealInterval:
@@ -360,13 +359,13 @@ class TestPrecisionLadder:
 
 class TestCompare:
     def test_trivial_cases(self):
-        rhs = RealInterval(Dyadic(1, 0), Dyadic(2, 0))
+        rhs = RealInterval(1, 2, 0)
         assert compare(Fraction(1, 2), rhs) is Comparison.LESS
         assert compare(Fraction(3), rhs) is Comparison.GREATER
         assert compare(Fraction(3, 2), rhs) is Comparison.OVERLAPPING
 
     def test_endpoints_overlap(self):
-        rhs = RealInterval(Dyadic(1, 0), Dyadic(2, 0))
+        rhs = RealInterval(1, 2, 0)
         assert compare(Fraction(1), rhs) is Comparison.OVERLAPPING
         assert compare(Fraction(2), rhs) is Comparison.OVERLAPPING
 
@@ -376,7 +375,7 @@ class TestCompare:
     @example(Fraction(-3, 8), -3, 0, -3, "hi")
     @settings(max_examples=500)
     def test_agrees_with_fraction_reference(self, fr, m, w, e, where):
-        rhs = RealInterval(Dyadic(m, e), Dyadic(m + w, e))
+        rhs = RealInterval(m, m + w, e)
         if where != "free":  # lhs exactly on an endpoint
             fr = oracles.dyadic_fraction(rhs.lo if where == "lo" else rhs.hi)
         assert compare(fr, rhs).value == oracles.compare_by_fractions(fr, rhs)
@@ -397,14 +396,16 @@ class TestCompare:
 
 
 class TestSharedExponent:
-    """Every enclosure the package builds: lo.m <= hi.m at one exponent.
+    """Every enclosure the package builds: ints lo_m <= hi_m at one exponent.
 
     The integer kernels' bounds share their scale 2**W by construction.
     """
 
     @staticmethod
     def _check(iv):
-        assert iv.lo.e == iv.hi.e and iv.lo.m <= iv.hi.m
+        assert all(type(v) is int for v in (iv.lo_m, iv.hi_m, iv.e))
+        assert iv.lo_m <= iv.hi_m
+        assert (iv.lo, iv.hi) == (Dyadic(iv.lo_m, iv.e), Dyadic(iv.hi_m, iv.e))
 
     @pytest.mark.parametrize("bits", [8, 53, 212, 1024])
     def test_kernels(self, bits):
@@ -419,6 +420,21 @@ class TestSharedExponent:
         self._check(_rhs_from_log(3 << W, (3 << W) + 1, bits))
         self._check(_rhs_from_log(5 << (W - 2), 7 << (W + 100), bits))
 
+    @pytest.mark.parametrize("bits", [4, 53, 212])
+    def test_rhs_floors(self, bits):
+        W = bits + _GUARD
+        for f in (primes.factorize(5041), primes.primorial_factorization(100),
+                  primes.factorize(2**40)):
+            B = sum(k * (p.bit_length() - 1) for p, k in f.entries)
+            for x in (B * intervals._ln2_fp(W)[0], robin.log_n(f, bits)[0]):
+                self._check(robin._rhs_floor(x, bits))
+
+    def test_threshold_and_deferred_rhs(self):
+        self._check(theorems.threshold_5040())
+        r = robin.check(primes.factorize(5041))
+        assert r._rhs is ...  # a floor decided it
+        self._check(r.rhs)
+
     def test_primorial_table(self):
         rows = explorer.conjecture31_table(400)
         assert rows[0].alpha is None and rows[0].ratio is None
@@ -428,9 +444,7 @@ class TestSharedExponent:
 
     def test_constructor_refuses_other_shapes(self):
         with pytest.raises(ValueError):
-            RealInterval(Dyadic(1, 0), Dyadic(2, -1))  # 1 <= 1, two exponents
-        with pytest.raises(ValueError):
-            RealInterval(Dyadic(3, -2), Dyadic(2, -2))
+            RealInterval(3, 2, -2)
 
 
 # Inputs whose truncation box has corners of two bit lengths, so the

@@ -1,7 +1,11 @@
-"""``factorization`` is a leaf module: it imports nothing from ``primes``.
+"""Module-shape guards, read from the source with ``ast``.
 
+``factorization`` is a leaf module: it imports nothing from ``primes``.
 ``primes`` imports ``factorization``, so an import the other way could only
 sit inside a function, hidden from the module's top.
+
+An enclosure is three ints, and a ``Dyadic`` is built only where one is
+read for printing or a margin.
 """
 
 import ast
@@ -28,3 +32,38 @@ def test_factorization_imports_nothing_from_primes():
     assert [name for name in _imported_names(tree)
             if name == "robincheck.primes"
             or name.startswith("robincheck.primes.")] == []
+
+
+def _dyadic_calls(tree: ast.AST):
+    """The enclosing qualname of every ``Dyadic(...)`` call in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name == "Dyadic":
+                found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_views_and_dyadic_from_fraction_build_dyadics():
+    found = set()
+    for name in sorted(os.listdir(_SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(_SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found.update((name, where) for where in _dyadic_calls(tree))
+    assert found == {
+        ("intervals.py", "RealInterval.lo"),
+        ("intervals.py", "RealInterval.hi"),
+        ("intervals.py", "dyadic_from_fraction"),
+    }

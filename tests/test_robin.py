@@ -21,7 +21,6 @@ from robincheck.intervals import (
     _ln2_fp,
     Comparison,
     DEFAULT_PRECISION,
-    Dyadic,
     InvalidInput,
     PrecisionConfig,
     RealInterval,
@@ -197,9 +196,8 @@ class TestSigmaOverNCancellation:
 
 def _log_n_interval(f, bits):
     """log_n's bounds on ln(n) * 2**W, as [Fraction(lo, 2**W), Fraction(hi, 2**W)]."""
-    W = bits + _GUARD
     lo, hi = robin.log_n(f, bits)
-    return RealInterval(Dyadic(lo, -W), Dyadic(hi, -W))
+    return RealInterval(lo, hi, -(bits + _GUARD))
 
 
 class TestLogN:
