@@ -1,8 +1,9 @@
 """Certified verification of sigma(n) < e^gamma * n * log log n.
 
-Exact rational left-hand sides, outward-rounded interval right-hand
-sides, a segmented range scanner, the prime-power and prime-substitution
-theorem suites, corollary bound calculators, and the primorial-table /
+Exact rational left-hand sides (decided through outward enclosures and
+built exactly where read), outward-rounded interval right-hand sides, a
+segmented range scanner, the prime-power and prime-substitution theorem
+suites, corollary bound calculators, and the primorial-table /
 exponent-increment conjecture experiments.
 """
 

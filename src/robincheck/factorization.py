@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log2
+from math import gcd, isqrt, log2
 
-from .intervals import InvalidInput
+from .intervals import InvalidInput, RealInterval
 
 # Up to this many bits of n Fraction's one gcd beats cancelling against n's
 # primes: trial/gcd time on primorials, colossally abundant numbers read
 # 1.05, 1.07 at 10.5k bits; 1.00, 0.99 at 12k; 0.93, 0.91 at 13.2k (2 vCPUs)
 _GCD_MAX_BITS = 13_000
+
+# A sigma(p^k) of at most this many bits meets only the trial primes that
+# every k = 1 entry needs, and what they leave goes to the final gcd.  The
+# first 3000 primes to the 5th power took 0.51 s at 64 bits against 0.10 s
+# here, and to the 30th power 3.2 s at 1024 bits against 2.2 s (2 vCPUs)
+_SMALL_SIGMA_BITS = 256
 
 # Fraction(num, den) from coprime num, den > 0 without Fraction's gcd:
 # Python 3.12 names it _from_coprime_ints, 3.10 and 3.11 _normalize=False
@@ -109,7 +116,18 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
     c is 1, one prime of n, which cancels unless its exponent is used up
     (exponents only fall, so a used-up one stays in the numerator), or a
     part with a prime outside n; only such parts meet the denominator's gcd.
+    A c of at most ``_SMALL_SIGMA_BITS`` bits is tried only against n's
+    primes up to sqrt(p_max + 1) and the next one, which settle every
+    k = 1 entry; if they run out first, what is left of c meets the gcd
+    too, so a product of many squared primes costs no trial per pair of
+    its primes.  The gcd leaves tail / g and den / g coprime, and every
+    kept part is coprime to den, so the result is in lowest terms.  A
+    prime power needs no gcd: sigma(p^k) = 1 mod p.
     """
+    if len(f.entries) == 1:
+        ((p, k),) = f.entries
+        pk = p ** k
+        return _coprime_fraction((pk * p - 1) // (p - 1), pk)
     bits = 0  # from n's bit length up to twice it
     for p, k in f.entries:
         bits += k * p.bit_length()
@@ -124,9 +142,12 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
     left = dict(f.entries)  # n's primes, ascending, to the exponent left
     kept = []  # numerator parts coprime to the reduced denominator
     rest = []  # numerator parts still to meet the denominator
+    qs = list(left)
+    few = qs[:bisect(qs, isqrt(qs[-1] + 1)) + 1]
     for p, k in f.entries:
         c = (p ** (k + 1) - 1) // (p - 1)
-        for q in left:
+        tried = few if c.bit_length() <= _SMALL_SIGMA_BITS else qs
+        for q in tried:
             if q * q > c:
                 break
             while c % q == 0:
@@ -136,7 +157,8 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
                 else:
                     kept.append(q)
         else:
-            kept.append(c)  # n's primes ran out
+            # no prime of n is left in c once they have all been tried
+            (kept if len(tried) == len(qs) else rest).append(c)
             continue
         d = left.get(c)
         if d:
@@ -149,6 +171,37 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
     den = _tree_product([p ** d for p, d in left.items() if d])
     g = gcd(tail, den)
     return _coprime_fraction(_tree_product(kept) * (tail // g), den // g)
+
+
+def sigma_over_n_interval(f: Factorization, W: int) -> RealInterval:
+    """Outward enclosure [lo, hi] * 2**-W of sigma(n)/n, with no big p^k.
+
+    sigma(n)/n is the product of f(p, k) = sigma(p^k)/p^k = p/(p-1) *
+    (1 - p^-(k+1)).  A running pair from 2**W takes each factor, lo
+    rounded down and hi up, so [lo, hi] * 2**-W holds the product after
+    every step.  Where (k+1)(bit_length(p) - 1) > W + 1, p^(k+1) >=
+    2**(W+2), so f(p, k) lies in p/(p-1) * [1 - 2**-(W+1), 1] and no
+    power of p is built; otherwise f(p, k) is sigma(p^k) / p^k exactly,
+    numbers of at most W + k + 2 bits ((p + 1) / p for k = 1).  Each step
+    moves an end by at most an ulp, and the lower one by half the running
+    value more where p^(k+1) is not built; the later factors scale that by
+    at most sigma(n)/n, so the width is below 3m * sigma(n)/n ulps for m
+    entries.
+    """
+    lo = hi = 1 << W
+    for p, k in f.entries:
+        if k == 1:  # most entries of a big n: (p + 1) / p
+            c, pk = p + 1, p
+        elif (k + 1) * (p.bit_length() - 1) > W + 1:
+            lo = lo * p * ((2 << W) - 1) // ((p - 1) << (W + 1))
+            hi = -(-hi * p // (p - 1))
+            continue
+        else:
+            pk = p ** k
+            c = (pk * p - 1) // (p - 1)
+        lo = lo * c // pk
+        hi = -(-hi * c // pk)
+    return RealInterval(lo, hi, -W)
 
 
 def sigma_int(f: Factorization) -> int:

@@ -239,13 +239,24 @@ class Comparison(enum.Enum):
     OVERLAPPING = "overlapping"
 
 
-def compare(lhs: Fraction, rhs: RealInterval) -> Comparison:
+def compare(lhs: Fraction | RealInterval, rhs: RealInterval) -> Comparison:
     """Less iff lhs < rhs.lo, Greater iff lhs > rhs.hi, else Overlapping.
 
-    Less/Greater are mathematically certain; Overlapping means the
-    interval is too wide to decide and the caller should escalate.  Both
-    sides are scaled to integers at the endpoints' shared exponent.
+    ``lhs`` is an exact rational or an enclosure of one; an enclosure is
+    Less only when all of it lies below rhs.lo and Greater only when all
+    of it lies above rhs.hi.  Less/Greater are mathematically certain;
+    Overlapping means an interval is too wide to decide and the caller
+    should escalate (or compare the exact value).  Both sides are scaled
+    to integers at the endpoints' shared exponent.
     """
+    if isinstance(lhs, RealInterval):
+        e = min(lhs.e, rhs.e)
+        s, t = lhs.e - e, rhs.e - e
+        if lhs.hi_m << s < rhs.lo_m << t:
+            return Comparison.LESS
+        if lhs.lo_m << s > rhs.hi_m << t:
+            return Comparison.GREATER
+        return Comparison.OVERLAPPING
     num, den = lhs.numerator, lhs.denominator
     if rhs.e < 0:
         num <<= -rhs.e

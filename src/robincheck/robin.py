@@ -2,11 +2,14 @@
 
 The comparison runs in normalized form: the left side sigma(n)/n is an
 exact rational (a product of (p^(k+1)-1)/(p^k(p-1)) over the prime
-factorization), the right side e^gamma * ln(ln n) is a certified
-enclosure with ln n evaluated as sum k_j ln p_j, so n itself is never
-materialized.  A verdict of Satisfied or Violated is only issued when
-the exact rational falls strictly below or above a certified bound on
-the right side; otherwise the precision is escalated along
+factorization), decided through an outward enclosure of it at 2**-W
+(``sigma_over_n_interval``, which builds no big p^k) and built exactly
+only for a rung that enclosure overlaps; the right side e^gamma *
+ln(ln n) is a certified enclosure with ln n evaluated as sum k_j ln p_j,
+so n itself is never materialized.  A verdict of Satisfied or Violated
+is only issued when the rational falls strictly below or above a
+certified bound on the right side, so every verdict and rung is the one
+the exact rational gives; otherwise the precision is escalated along
 ``PrecisionConfig.ladder``, and only when the ladder is exhausted does
 the check report Indeterminate.
 
@@ -19,8 +22,8 @@ only where that floor does not decide Satisfied does it compute
 ``log_n`` for a floor from ln n itself, and only where neither decides
 does it build the enclosure of n's own right side.  Each floor is never
 above that enclosure's lower end, so the verdict and bits are those the
-enclosure gives; ``CheckResult.rhs`` then builds the enclosure on its
-first read.
+enclosure gives; ``CheckResult.rhs`` and ``CheckResult.lhs`` are then
+built on their first read.
 
 ``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed, and the
 one place that decides whether x > 1 is certified; the checker (through
@@ -28,8 +31,8 @@ one place that decides whether x > 1 is certified; the checker (through
 certified), the scanner's block filter and the primorial table all feed
 it integer
 bounds on ln n at scale 2**W, which is what ``log_n`` returns, and
-``intervals.compare`` decides the rational left side against the
-enclosure on integers too.
+``intervals.compare`` decides the left side, an enclosure or the exact
+rational, against the right side's enclosure on integers too.
 
 For n = 2 the right side has no useful value (ln ln 2 < 0, so the
 inequality cannot hold for any n >= 2 whose sigma(n)/n >= 1); it is
@@ -45,7 +48,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .factorization import Factorization, sigma_over_n_fraction
+from .factorization import (
+    Factorization,
+    sigma_over_n_fraction,
+    sigma_over_n_interval,
+)
 from .intervals import (
     _GUARD,
     Comparison,
@@ -79,22 +86,31 @@ REASON_ESCALATION_EXHAUSTED = "escalation_exhausted"
 class CheckResult:
     """One verdict with what decided it.
 
+    ``lhs`` is the exact ``sigma_over_n_fraction(factorization)``, and
     ``rhs`` is ``robin_rhs(factorization, precision_used)``, the
-    enclosure that decided the verdict (None for n = 2).  A result
-    decided by the cached floor holds ``...`` in its ``_rhs`` slot and
-    builds the enclosure on the first read of ``rhs``, which only output
-    and margins do; the slot is left out of eq, hash and repr, so a
-    result equals and hashes alike before and after that read.
+    enclosure that decided the verdict (None for n = 2).  A result whose
+    verdict did not need one of them holds ``...`` in its ``_lhs`` or
+    ``_rhs`` slot and builds the value on the first read, which only
+    output, margins and callers that compare left sides do; the slots are
+    left out of eq, hash and repr, so a result equals and hashes alike
+    before and after those reads, and pickles what it holds.
     ``margin_lower_bound`` is derived on each read: no verdict needs it,
     so ``check`` does not build it, and a caller reads it once.
     """
 
     factorization: Factorization
-    lhs: Fraction
+    _lhs: object = field(compare=False, repr=False)
     _rhs: object = field(compare=False, repr=False)
     verdict: Verdict
     precision_used: int
     reason: Optional[str] = None
+
+    @property
+    def lhs(self) -> Fraction:
+        if self._lhs is ...:
+            object.__setattr__(self, "_lhs",
+                               sigma_over_n_fraction(self.factorization))
+        return self._lhs
 
     @property
     def rhs(self) -> Optional[RealInterval]:
@@ -223,21 +239,28 @@ def robin_rhs(f: Factorization, precision_bits: int) -> Optional[RealInterval]:
                          functools.partial(log_n, f))
 
 
-def decide(lhs: Fraction,
+def decide(lhs: Fraction | RealInterval,
            rhs_at: Callable[[int], Optional[RealInterval]],
-           cfg: PrecisionConfig) -> tuple[Comparison, Optional[RealInterval], int]:
+           cfg: PrecisionConfig,
+           exact: Optional[Callable[[], Fraction]] = None,
+           ) -> tuple[Comparison, Optional[RealInterval], int]:
     """``compare(lhs, rhs_at(bits))`` up ``cfg.ladder()`` until it decides.
 
     The one precision-escalation loop: returns the first Less or Greater
     with the enclosure and bits that gave it, else Overlapping with the
     top rung's.  A rung where ``rhs_at`` gives None escalates like an
-    overlap does.
+    overlap does.  ``lhs`` is an exact rational or an enclosure of the
+    value ``exact()`` gives; where the enclosure overlaps a rung, that
+    rung compares ``exact()`` instead, so each rung decides as the exact
+    value would.
     """
     for bits in cfg.ladder():
         rhs = rhs_at(bits)
         if rhs is None:
             continue
         cmp_result = compare(lhs, rhs)
+        if cmp_result is Comparison.OVERLAPPING and exact is not None:
+            cmp_result = compare(exact(), rhs)
         if cmp_result is not Comparison.OVERLAPPING:
             return cmp_result, rhs, bits
     return Comparison.OVERLAPPING, rhs, bits
@@ -286,8 +309,8 @@ def _rhs_floor(x: int, precision_bits: int) -> Optional[RealInterval]:
     return _floor_enclosure(((x >> s) - 1) << s, precision_bits)
 
 
-def _below_floor(lhs: Fraction, x: int, precision_bits: int) -> bool:
-    """Whether lhs lies below ``_rhs_floor(x, precision_bits)``."""
+def _below_floor(lhs: RealInterval, x: int, precision_bits: int) -> bool:
+    """Whether all of lhs lies below ``_rhs_floor(x, precision_bits)``."""
     floor = _rhs_floor(x, precision_bits)
     return floor is not None and compare(lhs, floor) is Comparison.LESS
 
@@ -301,25 +324,29 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     negative/undefined right side.  A rung whose ln n > 1 is not yet
     certified escalates like an overlap does.
 
-    An lhs below ``_rhs_floor`` at ``cfg.start_bits`` is Satisfied at
-    that rung, as ``decide`` would find it, and its result builds
-    ``rhs`` on the first read.  The floor is tried first at B ln 2, B the
-    sum of k (bit_length(p) - 1), a lower bound on ln n that runs no ln p
-    series, then at ``log_n``'s lower bound; any lhs that neither floor
-    settles goes to ``decide``, whose start rung reuses those ln n bounds.
+    The left side is ``sigma_over_n_interval`` at W = ``cfg.start_bits``
+    + _GUARD, which holds sigma(n)/n.  Wholly below ``_rhs_floor`` at the
+    start rung, tried at B ln 2 (B the sum of k (bit_length(p) - 1), a
+    lower bound on ln n that runs no ln p series) and then at ``log_n``'s
+    lower bound, it is Satisfied there; a floor lies at or below the start
+    rung's enclosure, so that is ``decide``'s verdict and rung for the
+    exact value too.  The rest goes to ``decide``, whose start rung reuses
+    those ln n bounds and which builds the exact sigma(n)/n only for a
+    rung the enclosure overlaps; ``lhs`` and ``rhs`` are otherwise built
+    on their first read.
     """
-    lhs = sigma_over_n_fraction(f)
     start = cfg.start_bits
     if f.entries == ((2, 1),):
-        return CheckResult(f, lhs, None, Verdict.VIOLATED, start,
+        return CheckResult(f, ..., None, Verdict.VIOLATED, start,
                            reason=REASON_RHS_UNDEFINED)
+    lhs = sigma_over_n_interval(f, start + _GUARD)
     # n >= 2**B, so B ln 2 bounds ln n from below with no ln p series
     B = sum(k * (p.bit_length() - 1) for p, k in f.entries)
     if _below_floor(lhs, B * _ln2_fp(start + _GUARD)[0], start):
-        return CheckResult(f, lhs, ..., Verdict.SATISFIED, start)
+        return CheckResult(f, ..., ..., Verdict.SATISFIED, start)
     ln_lo, ln_hi = log_n(f, start)
     if _below_floor(lhs, ln_lo, start):
-        return CheckResult(f, lhs, ..., Verdict.SATISFIED, start)
+        return CheckResult(f, ..., ..., Verdict.SATISFIED, start)
 
     def rhs_at(b: int) -> Optional[RealInterval]:
         # robin_rhs, reusing the start rung's ln n bounds
@@ -327,13 +354,21 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
             return robin_rhs(f, b)
         return _rhs_from_log(ln_lo, ln_hi, b, functools.partial(log_n, f))
 
-    cmp_result, rhs, bits = decide(lhs, rhs_at, cfg)
+    built = []  # the exact sigma(n)/n, once a rung needs it
+
+    def exact() -> Fraction:
+        if not built:
+            built.append(sigma_over_n_fraction(f))
+        return built[0]
+
+    cmp_result, rhs, bits = decide(lhs, rhs_at, cfg, exact)
+    exact_lhs = built[0] if built else ...
     if cmp_result is Comparison.LESS:
-        return CheckResult(f, lhs, rhs, Verdict.SATISFIED, bits)
+        return CheckResult(f, exact_lhs, rhs, Verdict.SATISFIED, bits)
     if cmp_result is Comparison.GREATER:
-        return CheckResult(f, lhs, rhs, Verdict.VIOLATED, bits,
+        return CheckResult(f, exact_lhs, rhs, Verdict.VIOLATED, bits,
                            reason=REASON_LHS_EXCEEDS_RHS)
-    return CheckResult(f, lhs, rhs, Verdict.INDETERMINATE, bits,
+    return CheckResult(f, exact_lhs, rhs, Verdict.INDETERMINATE, bits,
                        reason=REASON_ESCALATION_EXHAUSTED)
 
 

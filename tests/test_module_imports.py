@@ -6,6 +6,10 @@ sit inside a function, hidden from the module's top.
 
 An enclosure is three ints, and a ``Dyadic`` is built only where one is
 read for printing or a margin.
+
+``check`` decides on an enclosure of sigma(n)/n: the exact rational is
+built only by the lazy ``CheckResult.lhs`` and by the fallback that
+``check`` hands to ``decide`` for a rung the enclosure overlaps.
 """
 
 import ast
@@ -67,3 +71,36 @@ def test_only_the_views_and_dyadic_from_fraction_build_dyadics():
         ("intervals.py", "RealInterval.hi"),
         ("intervals.py", "dyadic_from_fraction"),
     }
+
+
+def _scopes_naming(tree: ast.AST, name: str):
+    """The enclosing qualname of every load of ``name`` in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef, ast.Lambda)):
+            scope = scope + (getattr(node, "name", "<lambda>"),)
+        if isinstance(node, ast.Name) and node.id == name:
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_exact_lhs_stays_off_the_verdict_path():
+    with open(os.path.join(_SRC, "robin.py")) as fh:
+        tree = ast.parse(fh.read(), "robin.py")
+    assert set(_scopes_naming(tree, "sigma_over_n_fraction")) == {
+        "CheckResult.lhs", "check.exact"}
+    # check hands its fallback to decide and calls it nowhere itself
+    check = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "check")
+    uses = [node for node in ast.walk(check)
+            if isinstance(node, ast.Name) and node.id == "exact"]
+    handed = [arg for call in ast.walk(check) if isinstance(call, ast.Call)
+              and getattr(call.func, "id", None) == "decide"
+              for arg in call.args]
+    assert len(uses) == 1 and uses[0] in handed

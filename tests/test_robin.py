@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from robincheck.factorization import (
     Factorization,
     sigma_int,
     sigma_over_n_fraction,
+    sigma_over_n_interval,
 )
 from robincheck.intervals import (
     _GUARD,
@@ -192,6 +194,59 @@ class TestSigmaOverNCancellation:
         assert any(e > 1 for _, e in f.entries)
         want = _lowest_terms(sigma_int(f), f.n())
         assert _both_paths(f) == [want, want]
+
+    @pytest.mark.parametrize("entries", [
+        tuple((p, 2) for p in primes.first_primes(600)),
+        tuple((p, (1, 2, 3, 5)[i % 4])
+              for i, p in enumerate(primes.first_primes(1500))),
+    ], ids=["first_600_primes_squared", "k_1_2_3_5"])
+    def test_small_sigmas_past_the_trial_primes(self, entries):
+        # most sigma(p^k) here have a few dozen bits and meet only n's
+        # primes up to sqrt(p_max + 1); what those leave meets the gcd
+        f = Factorization(entries)
+        assert (sum(k * p.bit_length() for p, k in entries)
+                > factorization._GCD_MAX_BITS)
+        plain = Fraction(math.prod((p ** (k + 1) - 1) // (p - 1)
+                                   for p, k in entries),
+                         math.prod(p ** k for p, k in entries))
+        fr = sigma_over_n_fraction(f)
+        assert (fr.numerator, fr.denominator) == (plain.numerator,
+                                                  plain.denominator)
+
+
+class TestSigmaOverNInterval:
+    """``sigma_over_n_interval``, check's left side, holds sigma(n)/n."""
+
+    @staticmethod
+    def _contains(f, W):
+        iv = sigma_over_n_interval(f, W)
+        assert iv.e == -W
+        exact = sigma_over_n_fraction(f)
+        assert iv.lo_m <= exact * (1 << W) <= iv.hi_m, f
+        # the width bound of the docstring
+        assert iv.hi_m - iv.lo_m <= 3 * len(f) * ((iv.hi_m >> W) + 1), f
+
+    @pytest.mark.parametrize("bits", [4, 53, 212])
+    def test_floor_identity_inputs(self, bits):
+        for f in _floor_identity_inputs():
+            self._contains(f, bits + _GUARD)
+
+    @pytest.mark.parametrize("bits", [4, 53, 212])
+    def test_powers_of_two_on_the_grid(self, bits):
+        # sigma(2^k)/2^k = 2 - 2**-k lies on the 2**-W grid for k <= W,
+        # and within 2**-W of 2 above it, so an upper end one ulp low
+        # leaves it out
+        W = bits + _GUARD
+        for k in range(1, W + 9):
+            self._contains(Factorization(((2, k),)), W)
+
+    @pytest.mark.parametrize("f", [
+        Factorization(((3, 10 ** 6), (5, 10 ** 6))),
+        primes.primorial_factorization(2 * 10 ** 4),
+        _colossally_abundant(3000),
+    ], ids=["3^1000000*5^1000000", "primorial_20000", "ca_3000"])
+    def test_big_inputs(self, f):
+        self._contains(f, 53 + _GUARD)
 
 
 def _log_n_interval(f, bits):
@@ -451,6 +506,87 @@ def _floor_identity_inputs():
 def _fields(r):
     return (r.factorization, r.lhs, r.rhs, r.verdict, r.precision_used,
             r.reason)
+
+
+def _refuse_exact(f):
+    raise AssertionError(f"the verdict built sigma(n)/n of {f}")
+
+
+class TestLazyLhs:
+    """check() decides on the enclosure; lhs is built when it is read."""
+
+    @pytest.mark.parametrize("f", [
+        primes.primorial_factorization(2 * 10 ** 4),
+        _colossally_abundant(3000),
+    ], ids=["primorial_20000", "ca_3000"])
+    def test_verdict_builds_no_exact_lhs(self, f, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(robin, "sigma_over_n_fraction", _refuse_exact)
+            r = robin.check(f)
+        eager = oracles.eager_check(f, DEFAULT_PRECISION)
+        assert r._lhs is ...
+        assert (r.verdict, r.precision_used) == (eager.verdict,
+                                                 eager.precision_used)
+        before = pickle.loads(pickle.dumps(r))
+        assert before._lhs is ...
+        assert before == eager and hash(before) == hash(eager)
+        assert r.lhs == sigma_over_n_fraction(f) == eager.lhs
+        after = pickle.loads(pickle.dumps(r))
+        assert after._lhs == eager.lhs
+        assert after == before and hash(after) == hash(before)
+        assert _fields(after) == _fields(eager)
+
+    def test_decide_compares_exact_where_the_enclosure_overlaps(self):
+        cfg = PrecisionConfig(start_bits=8, max_bits=32)
+        half = RealInterval(1, 1, -1)
+        unit = RealInterval(0, 1, 0)  # [0, 1] holds both values below
+        for value, want in ((Fraction(1, 3), Comparison.LESS),
+                            (Fraction(2, 3), Comparison.GREATER)):
+            calls = []
+
+            def exact(value=value):
+                calls.append(value)
+                return value
+
+            assert robin.decide(unit, lambda b: half, cfg, exact) == (
+                want, half, 8)
+            assert calls == [value]
+        assert robin.decide(unit, lambda b: half, cfg) == (
+            Comparison.OVERLAPPING, half, 32)
+
+    @pytest.mark.parametrize("bits", [4, 53])
+    def test_wide_enclosure_defers_to_exact(self, bits, monkeypatch):
+        # an enclosure [0, 64] no floor or rung can decide: every verdict
+        # and rung then comes from the exact value, built once per check
+        built = []
+
+        def counted(f):
+            built.append(f)
+            return sigma_over_n_fraction(f)
+
+        monkeypatch.setattr(robin, "sigma_over_n_interval",
+                            lambda f, W: RealInterval(0, 64 << W, -W))
+        monkeypatch.setattr(robin, "sigma_over_n_fraction", counted)
+        cfg = PrecisionConfig(start_bits=bits)
+        fs = _floor_identity_inputs()[::40] + [primes.factorize(5040)]
+        for f in fs:
+            got = robin.check(f, cfg)
+            assert got._lhs is not ...
+            assert _fields(got) == _fields(oracles.eager_check(f, cfg)), f
+        assert built == fs
+
+    def test_huge_power_of_two_builds_no_power(self, monkeypatch):
+        monkeypatch.setattr(robin, "sigma_over_n_fraction", _refuse_exact)
+        f = Factorization(((2, 1 << 25),))
+        tracemalloc.start()
+        try:
+            r = robin.check(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.verdict is robin.Verdict.SATISFIED
+        assert r.precision_used == DEFAULT_PRECISION.start_bits
+        assert peak < 1 << 20  # 2**(2**25) alone takes 4 MiB
 
 
 class TestRhsFloor:

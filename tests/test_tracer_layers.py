@@ -37,15 +37,20 @@ t.install()
 import robincheck
 robincheck.check_n(5041)
 after_5041 = dict(t.edges)
-robincheck.check_n(5040)
+r = robincheck.check_n(5040)
+after_check = sorted(t.edges)
+r.lhs
 print(json.dumps({"missing": t.missing, "edges": sorted(t.edges),
+                  "edges_check": after_check,
                   "edges_5041": sorted(after_5041.items())}))
 """
 
 
 def test_traced_check_records_its_layers():
     # installing the tracer rewrites module globals, so it runs apart;
-    # 5041 is settled by the bit-length floor, and 5040 reaches decide()
+    # 5041 is settled by the bit-length floor, and 5040 reaches decide(),
+    # where the enclosure of sigma(n)/n decides; the exact sigma(n)/n is
+    # built where the result's lhs is read
     env = dict(os.environ,
                PYTHONPATH=os.path.abspath(os.path.join(_ROOT, "src")))
     proc = subprocess.run(
@@ -54,9 +59,10 @@ def test_traced_check_records_its_layers():
     doc = json.loads(proc.stdout)
     assert doc["missing"] == []
     edges = {tuple(e) for e in doc["edges"]}
-    for child in ("robin.log_n", "robin.rhs_from_log", "intervals.compare",
-                  "factorization.lhs"):
+    for child in ("robin.log_n", "robin.rhs_from_log", "intervals.compare"):
         assert ("robin.check", child) in edges, child
+    assert ("root", "factorization.lhs") in edges
+    assert "factorization.lhs" not in {e[1] for e in doc["edges_check"]}
     # the RHS kernel's one ln call and a cold ln p both run the ln kernel
     assert ("robin.rhs_from_log", "intervals.ln_fp") in edges
     assert ("robin.ln_prime", "intervals.ln_fp") in edges
