@@ -121,13 +121,8 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
     k = 1 entry; if they run out first, what is left of c meets the gcd
     too, so a product of many squared primes costs no trial per pair of
     its primes.  The gcd leaves tail / g and den / g coprime, and every
-    kept part is coprime to den, so the result is in lowest terms.  A
-    prime power needs no gcd: sigma(p^k) = 1 mod p.
+    kept part is coprime to den, so the result is in lowest terms.
     """
-    if len(f.entries) == 1:
-        ((p, k),) = f.entries
-        pk = p ** k
-        return _coprime_fraction((pk * p - 1) // (p - 1), pk)
     bits = 0  # from n's bit length up to twice it
     for p, k in f.entries:
         bits += k * p.bit_length()
