@@ -1,22 +1,22 @@
 """Range scanning and the two conjecture experiments.
 
-The scanner certifies a whole segment at a time.  sigma(n) for every n
-in the segment comes from a multiplicative sieve over the primes
-p <= sqrt(segment end), with no division until the end: each multiple
-of p multiplies in 1 + p + ... + p^k and records p^k, by strided numpy
-slices for the primes up to sqrt(segment width) and by batched
-``np.multiply.at`` index lists for the rest.  One division of n by what
-was recorded leaves a prime cofactor or 1, and the prime contributes its
-own factor; no per-n trial division happens.
+The scanner certifies a whole segment at a time.  It never computes
+sigma(n): a multiplicative sieve over the primes p <= P, where
+P = min(128, sqrt(segment end)), gives the P-smooth part s of every n
+in the segment and sigma(s), by strided numpy slices and with no
+division: each multiple of p multiplies in 1 + p + ... + p^k and records
+p^k.  The rest n / s holds only primes above P, at most k of them where
+(P+1)^k < segment end, and each raises sigma(n)/n by less than
+(P+1)/P (Robin 1984), so sigma(n)/n <= sigma(s)/s * ((P+1)/P)^k.
 Each block of consecutive n is then compared against a certified lower
 bound of the right-hand side at the block start (the RHS is increasing
-in n), using pure int64 arithmetic, and only the handful of
-near-extremal candidates that survive the block filter are routed
-through the fully certified per-n check.  Violations are therefore
-confirmed by the exact machinery, and everything filtered out is
-certified Satisfied by the block bound.  Where the RHS kernel gives no
-bound (the block at 2, since ln 2 < 1) the threshold is 0 and every n
-of the block is a candidate.
+in n), lowered by P^k / (P+1)^k, using pure int64 arithmetic, and only
+the handful of near-extremal candidates that survive the block filter
+are routed through the fully certified per-n check.  Violations are
+therefore confirmed by the exact machinery, and everything filtered out
+is certified Satisfied by the block bound.  Where the RHS kernel gives
+no bound (the block at 2, since ln 2 < 1) the threshold is 0 and every
+n of the block is a candidate.
 
 Output is deterministic and independent of the worker count: the
 segment grid depends only on (lo, hi, segment size) and results are
@@ -27,7 +27,6 @@ than there are CPUs or tasks.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import multiprocessing
 import operator
@@ -64,17 +63,21 @@ SEGMENT_SIZE = 1 << 20
 # n per block-filter threshold.  Uncapped blocks [t, min(2t, b)) take 1
 # threshold per 2^20 window instead of 256 and find the same candidates,
 # but the cap also bounds the int64 temporaries sig << _THR_SHIFT and
-# thr * ns, 8 MB each over a whole window: scan peak RSS went from 60.3
-# to 67.8 MB without it.
+# thr * smooth, 8 MB each over a whole window: scan peak RSS went from
+# 60.3 to 67.8 MB without it.
 _BLOCK = 4096
 # tier-1 threshold fixed-point scale; 2^-16 of slack costs a few extra
 # candidates and keeps the comparison in exact int64 arithmetic
 _THR_SHIFT = 16
-MAX_SCAN_HI = 10 ** 12  # keeps sigma * 2^16 and thr * n inside int64
-# index entries per batch of the sieving primes above isqrt(width): the
-# batch temporaries stay near 2 MiB at every height, where indexing all
-# of a 2^20 window's entries at once would add tens of MiB
-_SIEVE_BATCH = 1 << 16
+# keeps sigma(s) * 2^16 and the block filter's thr' * s <= thr * n
+# inside int64, for the smooth part s of every n (see _scan_segment)
+MAX_SCAN_HI = 10 ** 12
+# the sieve takes the primes up to this out of each n (see _scan_segment).
+# On seven 2^20 windows (4 at 10^7, 2 at 10^9, 1 at 10^11) 64 sends 2 n
+# to the exact check and 128 none, and on [2, 2^20] 64 sends 86 n
+# against 52; 256 sieves 23 more primes, takes 10 % longer and sends no
+# fewer.
+_SMOOTH_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -86,35 +89,40 @@ class ScanReport:
     checked_count: int
 
 
-def _sigma_segment(a: int, b: int) -> np.ndarray:
-    """sigma(n) for n in [a, b) as int64, via a multiplicative prime sieve.
+def _smooth_bound(b: int) -> tuple[int, int, int]:
+    """(P, P^k, (P+1)^k) for a window [a, b).
 
-    For every prime p <= sqrt(b - 1), each multiple's sigma picks up the
-    factor 1 + p + ... + p^k for the exact power p^k it holds, and
-    ``found`` (the product of the prime powers taken out of n so far)
-    picks up p^k.  One division at the end leaves n // found, which is 1
-    or a single prime above sqrt(b - 1) that contributes its own factor.
+    ``_sigma_segment`` takes the primes up to P = min(_SMOOTH_MAX,
+    isqrt(b - 1)) out of each n, and k, the largest integer with
+    (P+1)^k <= b - 1, bounds the primes above P that one n < b holds.
+    """
+    P = min(_SMOOTH_MAX, isqrt(b - 1))
+    down = up = 1
+    while up * (P + 1) <= b - 1:
+        up *= P + 1
+        down *= P
+    return P, down, up
 
-    A prime with p^2 <= width strides over the window once per power.
-    The primes above isqrt(width) have at most one multiple of p^2 in
-    the window; their multiples are indexed all at once, _SIEVE_BATCH
-    entries at a time, multiplied in as 1 + p and p, and the few
-    multiples of p^2 are fixed up one by one.
 
-    int64 headroom for b <= MAX_SCAN_HI + 1: found divides n <= 10^12.
-    Each partial product in sig is sigma of a unitary divisor of n, or,
-    before a p^2 fix-up, such a product with 1 + p <= sigma(p^k) in place
-    of sigma(p^k), so it stays <= sigma(n) < 7n < 2^43, and a per-prime
-    factor stays below 2 * p^k <= 2 * 10^12.
+def _sigma_segment(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma(s), s) as int64 for the P-smooth part s of each n in [a, b).
+
+    P = ``_smooth_bound(b)[0]``.  For every prime p <= P, each multiple of p
+    picks up 1 + p + ... + p^k in sigma(s) and p^k in s, for the exact
+    power p^k it holds, by strided passes over the window: one per power
+    of p.  The rest of n, whose primes all exceed P, is never looked at;
+    ``_scan_segment`` bounds what it adds to sigma(n)/n.
+
+    int64 headroom for b <= MAX_SCAN_HI + 1: s divides n <= 10^12, and
+    each partial product in sigma(s) is sigma of a unitary divisor of n,
+    so it stays <= sigma(n) < 7n < 2^43.
     """
     width = b - a
     sig = np.ones(width, dtype=np.int64)
-    found = np.ones(width, dtype=np.int64)
-    plist = _primes.primes_up_to(isqrt(b - 1))
-    n_small = bisect.bisect_right(plist, isqrt(width))
-    for p in plist[:n_small]:
-        s = -a % p
-        view = found[s::p]
+    smooth = np.ones(width, dtype=np.int64)
+    for p in _primes.primes_up_to(_smooth_bound(b)[0]):
+        first = -a % p
+        view = smooth[first::p]
         view *= p
         term = 1 + p
         q = p * p
@@ -124,49 +132,13 @@ def _sigma_segment(a: int, b: int) -> np.ndarray:
             term = np.full(view.size, 1 + p, dtype=np.int64)
             while j < width:
                 # in the view, multiples of q = p^k are q // p apart
-                i, step = (j - s) // p, q // p
+                i, step = (j - first) // p, q // p
                 view[i::step] *= p
                 term[i::step] += q
                 q *= p
                 j = -a % q
-        sig[s::p] *= term
-
-    big = np.array(plist[n_small:], dtype=np.int64)
-    first = -a % big
-    count = (width - 1 - first) // big + 1  # 0 when first >= width
-    # the multiples of big[g] are entries ends[g] - count[g] to
-    # ends[g] - 1 of one list over all big primes; entry t is the index
-    # origin[g] + t * big[g]
-    ends = np.cumsum(count)
-    origin = first - (ends - count) * big
-    start = 0
-    while start < big.size:
-        base = int(ends[start] - count[start])
-        stop = max(int(np.searchsorted(ends, base + _SIEVE_BATCH, "right")),
-                   start + 1)
-        step = np.repeat(big[start:stop], count[start:stop])
-        idx = np.repeat(origin[start:stop], count[start:stop])
-        idx += np.arange(base, base + step.size, dtype=np.int64) * step
-        # two big primes can divide one n: unbuffered products
-        np.multiply.at(found, idx, step)
-        step += 1
-        np.multiply.at(sig, idx, step)
-        start = stop
-    square = -a % (big * big)
-    hit = square < width
-    for p, j in zip(big[hit].tolist(), square[hit].tolist()):
-        # n = a + j holds p^k, k >= 2: swap 1 + p for sigma(p^k)
-        n, q, term = a + j, p * p, 1 + p + p * p
-        while n % (q * p) == 0:
-            q *= p
-            term += q
-        sig[j] = sig[j] // (1 + p) * term
-        found[j] *= q // p
-
-    np.floor_divide(np.arange(a, b, dtype=np.int64), found, out=found)
-    found += found > 1
-    sig *= found
-    return sig
+        sig[first::p] *= term
+    return sig, smooth
 
 
 def _rhs_floor_scaled(t: int, bits: int) -> int:
@@ -185,20 +157,37 @@ def _rhs_floor_scaled(t: int, bits: int) -> int:
 
 
 def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> list:
-    """(n, CheckResult) of each n in [a, b) not certified satisfied, by n."""
+    """(n, CheckResult) of each n in [a, b) not certified satisfied, by n.
+
+    The block filter reads sigma(s) and s for the P-smooth part s of each
+    n (``_sigma_segment``), against a block threshold thr lowered to
+    thr' = floor(thr * P^k / (P+1)^k), where k is the largest integer
+    with (P+1)^k <= b - 1.  An n is certified satisfied when
+    sigma(s) * 2^_THR_SHIFT < thr' * s.
+
+    Soundness: write n = s * r.  sigma is multiplicative, so
+    sigma(n)/n = sigma(s)/s * sigma(r)/r.  Every prime q of r is at least
+    P + 1, so r <= n < b has at most k distinct primes, and each one's
+    factor sigma(q^j)/q^j is below q/(q-1) <= (P+1)/P (Robin 1984);
+    hence sigma(r)/r <= ((P+1)/P)^k.  So sigma(s) * 2^_THR_SHIFT < thr' * s
+    gives sigma(n)/n < thr / 2^_THR_SHIFT, which is at most the RHS at the
+    block start t, and the RHS increases in n.  int64: sigma(s) <=
+    sigma(n) < 2^43 and thr' * s <= thr * n (``MAX_SCAN_HI``).
+    Candidates still go through ``factorize`` and ``check``.
+    """
     candidates: list[int] = []
-    sig = _sigma_segment(a, b)
-    ns = np.arange(a, b, dtype=np.int64)
+    sig, smooth = _sigma_segment(a, b)
+    _, down, up = _smooth_bound(b)
     t = a
     while t < b:
         # below _BLOCK, a block [t, 2t) keeps the bound at t close to the
         # RHS of its last n, where the RHS still climbs steeply
         t_end = min(t + _BLOCK, 2 * t, b)
-        thr = _rhs_floor_scaled(t, cfg.start_bits)
+        thr = _rhs_floor_scaled(t, cfg.start_bits) * down // up
         i0, i1 = t - a, t_end - a
-        mask = (sig[i0:i1] << _THR_SHIFT) >= thr * ns[i0:i1]
+        mask = (sig[i0:i1] << _THR_SHIFT) >= thr * smooth[i0:i1]
         if mask.any():
-            candidates.extend(int(v) for v in ns[i0:i1][mask])
+            candidates.extend((np.flatnonzero(mask) + t).tolist())
         t = t_end
 
     results = ((n, check(_primes.factorize(n), cfg)) for n in candidates)

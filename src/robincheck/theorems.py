@@ -4,7 +4,8 @@ The substitution theorem says a satisfied factorization stays satisfied
 when any base prime is replaced by a larger one (exponents fixed).  Its
 computable content is two monotonicity facts, and that is what this
 module certifies case by case: the divisor-side product strictly
-decreases (exact rational comparison) and the log-side strictly
+decreases (separation of the two sigma(n)/n enclosures, or an exact
+rational comparison where they overlap) and the log-side strictly
 increases (certified interval separation of the two ln n enclosures).
 
 The corollary bound calculators compare the exponent-independent bound
@@ -20,7 +21,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .explorer import q_steps
-from .factorization import Factorization, _coprime_fraction
+from .factorization import (
+    Factorization,
+    _coprime_fraction,
+    sigma_over_n_interval,
+)
 from .intervals import (
     _GUARD,
     Comparison,
@@ -28,6 +33,7 @@ from .intervals import (
     InvalidInput,
     PrecisionConfig,
     RealInterval,
+    compare,
 )
 from .robin import CheckResult, check, decide, log_n, robin_rhs
 from . import primes as _primes
@@ -109,12 +115,20 @@ def substitution_report(
     """Certify both monotonicity claims for one prime substitution.
 
     Either verdict may be indeterminate; the report carries it as it is.
+    The divisor side is decided on the two ``sigma_over_n_interval``
+    enclosures at W = ``cfg.start_bits`` + _GUARD; only where they
+    overlap are the exact sigma(n)/n built and compared.
     """
     after_f = substitute_prime(f, index, new_prime)
     old_prime = f.entries[index][0]
     before = check(f, cfg)
     after = check(after_f, cfg)
-    lhs_decreased = after.lhs < before.lhs
+    W = cfg.start_bits + _GUARD
+    order = compare(sigma_over_n_interval(after_f, W),
+                    sigma_over_n_interval(f, W))
+    lhs_decreased = (after.lhs < before.lhs
+                     if order is Comparison.OVERLAPPING
+                     else order is Comparison.LESS)
     rhs_increased = _certify_log_increase(f, after_f, cfg)
     return SubstitutionReport(
         before=before,

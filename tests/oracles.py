@@ -2,6 +2,7 @@
 
 Nothing here shares code with the package under test: sigma comes from
 plain divisor enumeration (or a naive pure-python divisor sieve), the
+P-smooth part of n and its sigma from trial division, the
 right-hand side from mpmath at 50 significant digits.  Verdicts with an
 oracle margin below 1e-6 are not decided here; callers re-check those
 through the certified path.  ``fused_atanh_fp`` is the two-sided atanh
@@ -44,6 +45,24 @@ def sigma_by_divisors(n: int) -> int:
                 total += q
         d += 1
     return total
+
+
+def smooth_part_sigma(n: int, P: int) -> tuple[int, int]:
+    """(sigma(s), s) for s the largest divisor of n with no prime above P.
+
+    Trial division by every d in [2, P]: a composite d divides nothing
+    that is left, since its primes were divided out before it.
+    """
+    sig = s = 1
+    for d in range(2, P + 1):
+        term = pk = 1
+        while n % d == 0:
+            n //= d
+            pk *= d
+            term += pk
+        sig *= term
+        s *= pk
+    return sig, s
 
 
 def sigma_sieve(limit: int) -> list[int]:

@@ -10,10 +10,9 @@ import random
 import tracemalloc
 import types
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,18 +160,30 @@ class TestScanOracleEquivalence:
             assert (n in scanner_violators) == (verdict == "violated"), n
 
     def test_sigma_segment_matches_naive_sieve(self):
+        # P = isqrt(3000) = 54: s by trial division, sigma(s) from the
+        # naive divisor sieve
         sig = oracles.sigma_sieve(3000)
-        seg = explorer._sigma_segment(1000, 3001)
+        seg, smooth = explorer._sigma_segment(1000, 3001)
         for n in range(1000, 3001):
-            assert int(seg[n - 1000]) == sig[n], n
+            s = oracles.smooth_part_sigma(n, 54)[1]
+            got = int(seg[n - 1000]), int(smooth[n - 1000])
+            assert got == (sig[s], s), n
+
+
+def smooth_limit(b):
+    """P of a window ending at b, as the scanner documents it."""
+    return min(explorer._SMOOTH_MAX, isqrt(b - 1))
 
 
 def assert_sigma_segment_exact(a, b):
-    seg = explorer._sigma_segment(a, b)
-    assert seg.dtype == "int64" and seg.size == b - a
+    """(sigma(s), s) of every n in [a, b) against trial division to P."""
+    seg, smooth = explorer._sigma_segment(a, b)
+    assert seg.dtype == smooth.dtype == "int64"
+    assert seg.size == smooth.size == b - a
+    P = smooth_limit(b)
     for n in range(a, b):
-        expect = 1 if n == 1 else sigma_int(primes.factorize(n))
-        assert int(seg[n - a]) == expect, n
+        got = int(seg[n - a]), int(smooth[n - a])
+        assert got == oracles.smooth_part_sigma(n, P), n
 
 
 class TestSigmaSegment:
@@ -185,7 +196,8 @@ class TestSigmaSegment:
         assert_sigma_segment_exact(a, a + 5000)
 
     def test_segment_narrower_than_largest_sieving_prime(self):
-        # sieving primes reach ~10^6 here; most have no multiple inside
+        # the sieving primes 101 to 127 exceed the width, and some have no
+        # multiple inside
         a = 10**12 - 10**6
         assert_sigma_segment_exact(a, a + 97)
 
@@ -195,72 +207,126 @@ class TestSigmaSegment:
 
     @pytest.mark.parametrize("p, k", [(1031, 3), (9973, 3), (999983, 2)])
     def test_full_window_with_big_prime_power(self, p, k):
-        # p > isqrt(2^20) = 1024: p^k goes through the batched path and
-        # its p^2 fix-up
+        # p > _SMOOTH_MAX: p^k is left out of s, whole
         pk = p ** k
         rng = random.Random(pk)
         a = pk - rng.randrange(explorer.SEGMENT_SIZE)
         b = a + explorer.SEGMENT_SIZE
-        seg = explorer._sigma_segment(a, b)
-        expect = (pk * p - 1) // (p - 1)
-        assert int(seg[pk - a]) == expect == sigma_int(primes.factorize(pk))
+        seg, smooth = explorer._sigma_segment(a, b)
+        assert (int(seg[pk - a]), int(smooth[pk - a])) == (1, 1)
+        P = smooth_limit(b)
+        assert P == explorer._SMOOTH_MAX < p
         for n in rng.sample(range(a, b), 256):
-            assert int(seg[n - a]) == sigma_int(primes.factorize(n)), n
-
-    @pytest.mark.parametrize("a, b", [
-        (10**9 + 777, 10**9 + 777 + 2**20),
-        (10**12 - 4096, 10**12 + 1),
-    ])
-    def test_batch_size_does_not_change_the_array(self, a, b, monkeypatch):
-        arrays = []
-        for batch in (1, 2**30):
-            monkeypatch.setattr(explorer, "_SIEVE_BATCH", batch)
-            arrays.append(explorer._sigma_segment(a, b))
-        monkeypatch.undo()
-        arrays.append(explorer._sigma_segment(a, b))
-        assert all(np.array_equal(arrays[0], s) for s in arrays[1:])
+            got = int(seg[n - a]), int(smooth[n - a])
+            assert got == oracles.smooth_part_sigma(n, P), n
 
     def test_peak_memory_of_a_window_at_1e11(self):
         a, b = 10**11, 10**11 + 2**20
         # grow the shared prime source first: the peak is the sieve's own
-        primes.primes_up_to(isqrt(b - 1))
+        primes.primes_up_to(explorer._SMOOTH_MAX)
         tracemalloc.start()
         try:
             explorer._sigma_segment(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # four window-sized int64 arrays
-        assert peak <= 4 * 8 * (b - a)
+        # three window-sized int64 arrays
+        assert peak <= 3 * 8 * (b - a)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=10**12),
            st.integers(min_value=1, max_value=4096))
     def test_matches_factorize_on_random_windows(self, a, width):
-        # widths above 4 sieve small primes by strides and big ones in
-        # batches
+        # s is the product of the prime powers of factorize(n) up to P
         b = min(a + width, explorer.MAX_SCAN_HI + 1)
-        assert_sigma_segment_exact(a, b)
+        seg, smooth = explorer._sigma_segment(a, b)
+        P = smooth_limit(b)
+        for n in range(a, b):
+            sig = s = 1
+            for p, k in primes.factorize(n).entries if n > 1 else ():
+                if p <= P:
+                    sig *= (p ** (k + 1) - 1) // (p - 1)
+                    s *= p ** k
+            assert (int(seg[n - a]), int(smooth[n - a])) == (sig, s), n
+
+
+_ABOVE_128 = (131, 137, 139, 149, 151)
+_BOUND_WINDOWS = {
+    # the scan_range grid of 4096-wide segments: P from 64 to 128
+    "every_n_to_5e4": [(a, min(a + 4096, 50_001))
+                       for a in range(2, 50_001, 4096)],
+    "top_4096": [(explorer.MAX_SCAN_HI - 4095, explorer.MAX_SCAN_HI + 1)],
+    # 600 n around the product of the j smallest primes above 128,
+    # j = 1..5, which holds j primes just above P: the tightest case
+    "products_above_128": [(max(q - 300, 2), q + 300) for q in (
+        prod(_ABOVE_128[:j]) for j in range(1, 6))],
+}
+
+
+class TestSmoothBound:
+    @pytest.mark.parametrize("name", list(_BOUND_WINDOWS))
+    def test_bound_by_brute_force(self, name, monkeypatch):
+        for a, b in _BOUND_WINDOWS[name]:
+            sigma_n = {n: sigma_int(primes.factorize(n)) for n in range(a, b)}
+            seg, smooth = explorer._sigma_segment(a, b)
+            P, down, up = explorer._smooth_bound(b)
+            k = 0
+            while (P + 1) ** (k + 1) <= b - 1:
+                k += 1
+            assert (P, down, up) == (smooth_limit(b), P ** k, (P + 1) ** k)
+            if name == "products_above_128":
+                # the product's own primes are all above P, k of them
+                q = b - 300
+                assert int(smooth[q - a]) == 1 and up <= q < up * (P + 1)
+            # sigma(n)/n <= sigma(s)/s * ((P+1)/P)^k, on integers
+            for n in range(a, b):
+                assert (sigma_n[n] * down * int(smooth[n - a])
+                        <= int(seg[n - a]) * up * n), n
+
+            # the filter at each n's own floor(sigma(n)/n * 2^16), the
+            # tightest threshold the bound allows, must flag every n
+            flagged = types.SimpleNamespace(verdict=Verdict.VIOLATED)
+            with monkeypatch.context() as m:
+                m.setattr(explorer, "_BLOCK", 1)
+                m.setattr(explorer, "_rhs_floor_scaled", lambda t, bits: (
+                    sigma_n[t] << explorer._THR_SHIFT) // t)
+                m.setattr(primes, "factorize", int)
+                m.setattr(explorer, "check", lambda n, cfg: flagged)
+                pairs = explorer._scan_segment(a, b, DEFAULT_PRECISION)
+            assert [n for n, _ in pairs] == list(range(a, b))
 
 
 class TestScanRangeEnd:
     def test_top_block_at_max_scan_hi(self):
         # int64 headroom of the block filter at the end of the supported
-        # range: sigma << 16 and thr * n must both stay below 2^63
+        # range: sigma(s) << 16 and thr' * s <= thr * n must both stay
+        # below 2^63
         hi = explorer.MAX_SCAN_HI
         lo = hi - 4095
         rep = explorer.scan_range(lo, hi, segment_size=4096)
         assert rep.violations == () and rep.indeterminates == ()
         assert rep.checked_count == 4096
-        sig = explorer._sigma_segment(lo, hi + 1)
+        sig, smooth = explorer._sigma_segment(lo, hi + 1)
         thr = explorer._rhs_floor_scaled(lo, 53)
         assert int(sig.max()) << explorer._THR_SHIFT < 2**63
         assert thr * hi < 2**63
+        assert 1 <= int(smooth.min()) and int(smooth.max()) <= hi
+        P = smooth_limit(hi + 1)
         rng = random.Random(20121)
         for n in rng.sample(range(lo, hi + 1), 64):
+            got = int(sig[n - lo]), int(smooth[n - lo])
+            assert got == oracles.smooth_part_sigma(n, P), n
             f = primes.factorize(n)
-            assert int(sig[n - lo]) == sigma_int(f), n
             assert robin.check(f).verdict is Verdict.SATISFIED, n
+
+    def test_top_window_sieves_no_prime_above_smooth_max(self, monkeypatch):
+        # a fresh prime source sieves to 2^16 on its first call; sieving
+        # to sqrt(10^12) would have grown it to 10^6
+        monkeypatch.setattr(primes, "_SOURCE", primes._PrimeSource())
+        hi = explorer.MAX_SCAN_HI
+        rep = explorer.scan_range(hi - 4095, hi)
+        assert rep.violations == () and rep.indeterminates == ()
+        assert primes._SOURCE._limit == 1 << 16
 
     def test_segments_are_not_built_ahead(self):
         # 953,675 segments of 2^20 up to 10^12; none exists before it runs

@@ -8,7 +8,7 @@ import pytest
 
 from robincheck import primes, robin, theorems
 from robincheck.factorization import Factorization, sigma_over_n_fraction
-from robincheck.intervals import InvalidInput, PrecisionConfig
+from robincheck.intervals import InvalidInput, PrecisionConfig, RealInterval
 from robincheck.robin import Verdict
 
 import oracles
@@ -171,6 +171,51 @@ class TestSubstitutionReport:
         assert rep.rhs_increased is None
         rep = theorems.substitution_report(f, 0, 1000000000000000009)
         assert rep.rhs_increased is True
+
+    def test_enclosures_decide_the_divisor_side(self, monkeypatch):
+        # the 2*10^4-prime primorial with its last prime bumped: the two
+        # sigma(n)/n enclosures separate, and no exact one is built
+        def refuse(f):
+            raise AssertionError("exact sigma(n)/n built")
+
+        monkeypatch.setattr(robin, "sigma_over_n_fraction", refuse)
+        m = 20_000
+        f = primes.primorial_factorization(m)
+        rep = theorems.substitution_report(f, m - 1, primes.nth_prime(m + 1))
+        assert rep.lhs_decreased is True
+        assert rep.rhs_increased is True
+
+    @pytest.mark.parametrize("entries, index, new_prime, widen", [
+        # adjacent 60-bit primes: sigma(n)/n moves by ~6e-36, inside the
+        # 85-bit enclosures
+        (((1000000000000000003, 1),), 0, 1000000000000000009, False),
+        # 35280 -> 45360, with both enclosures widened to [0, 8]
+        (((2, 4), (3, 2), (5, 1), (7, 2)), 3, 11, True),
+    ])
+    def test_overlapping_enclosures_fall_back_to_exact(self, entries, index,
+                                                        new_prime, widen,
+                                                        monkeypatch):
+        f = Factorization(entries)
+        built = []
+
+        def counted(g):
+            built.append(g)
+            return sigma_over_n_fraction(g)
+
+        monkeypatch.setattr(robin, "sigma_over_n_fraction", counted)
+        if widen:
+            monkeypatch.setattr(theorems, "sigma_over_n_interval",
+                                lambda g, W: RealInterval(0, 8 << W, -W))
+        rep = theorems.substitution_report(f, index, new_prime)
+        assert len(built) == 2
+        assert rep.after.lhs < rep.before.lhs
+        assert rep.lhs_decreased is True
+        # the exact comparison's answer is the one reported: with every
+        # sigma(n)/n read as n, the larger n has the larger lhs
+        monkeypatch.setattr(robin, "sigma_over_n_fraction",
+                            lambda g: Fraction(g.n()))
+        rep = theorems.substitution_report(f, index, new_prime)
+        assert rep.lhs_decreased is False
 
     def test_certified_decrease_is_false(self):
         small = Factorization(((1000000000000000003, 1),))
