@@ -201,7 +201,8 @@ class TestSigmaSegment:
         a = 10**12 - 10**6
         assert_sigma_segment_exact(a, a + 97)
 
-    @pytest.mark.parametrize("pk", [2**39, 3**25, 5**17, 7**14, 997**4])
+    @pytest.mark.parametrize("pk", [2**39, 3**25, 5**17, 7**14, 11**11,
+                                    997**4])
     def test_segment_containing_high_prime_power(self, pk):
         assert_sigma_segment_exact(pk - 300, pk + 300)
 
@@ -222,16 +223,18 @@ class TestSigmaSegment:
 
     def test_peak_memory_of_a_window_at_1e11(self):
         a, b = 10**11, 10**11 + 2**20
-        # grow the shared prime source first: the peak is the sieve's own
-        primes.primes_up_to(explorer._SMOOTH_MAX)
+        # grow the shared prime source and build the wheel first: the
+        # peak is the sieve's own
+        explorer._sigma_segment(a, a + 1000)
         tracemalloc.start()
         try:
             explorer._sigma_segment(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # three window-sized int64 arrays
-        assert peak <= 3 * 8 * (b - a)
+        # the two result arrays and the largest term array, 1/13 of one:
+        # 2.08 of them measured
+        assert peak <= 2.125 * 8 * (b - a)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=10**12),
@@ -248,6 +251,62 @@ class TestSigmaSegment:
                     sig *= (p ** (k + 1) - 1) // (p - 1)
                     s *= p ** k
             assert (int(seg[n - a]), int(smooth[n - a])) == (sig, s), n
+
+
+def assert_sigma_segment_sampled(a, b, extra=()):
+    """``assert_sigma_segment_exact`` on 256 random n of [a, b) and extra."""
+    seg, smooth = explorer._sigma_segment(a, b)
+    P = smooth_limit(b)
+    rng = random.Random(a)
+    for n in itertools.chain(rng.sample(range(a, b), 256), extra):
+        got = int(seg[n - a]), int(smooth[n - a])
+        assert got == oracles.smooth_part_sigma(n, P), n
+
+
+_L = prod(p ** c for p, c in explorer._WHEEL_CAPS.items())
+
+
+class TestWheel:
+    def test_period_and_entries(self):
+        L, sig, smooth = explorer._wheel(11)
+        assert L == _L == 2**5 * 3**2 * 5 * 7 * 11
+        assert sig.size == smooth.size == L
+        assert sig.dtype == smooth.dtype == "int64"
+        # each p^min(v_p(r), c_p), r = 0 holding every p^c_p: gcd(r, L)
+        for r in (0, 1, 2, 64, 96, 3 * 27, 121, L // 2, L - 1):
+            assert (int(sig[r]), int(smooth[r])) == (
+                oracles.smooth_part_sigma(gcd(r, L), 11)), r
+
+    def test_cached_arrays_are_read_only(self):
+        _, sig, smooth = explorer._wheel(11)
+        for arr in (sig, smooth):
+            with pytest.raises(ValueError):
+                arr[0] = 2
+
+    # L - 1500: the 3000 n straddle a period boundary in their middle
+    @pytest.mark.parametrize("r", [0, 1, _L - 1500, _L - 1])
+    @pytest.mark.parametrize("q", [9000, 9_000_000])
+    def test_windows_at_each_residue(self, r, q):
+        a = q * _L + r
+        assert_sigma_segment_exact(a, a + 3000)
+        # wider than L: three period boundaries inside
+        edges = [a + k * _L - a % _L + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        assert_sigma_segment_sampled(a, a + explorer.SEGMENT_SIZE, edges)
+
+    @pytest.mark.parametrize("a, b", [(2, 121), (60, 121), (2, 50), (2, 49),
+                                      (2, 26), (2, 10), (2, 4), (1, 121)])
+    def test_tiny_windows_use_only_primes_up_to_p(self, a, b):
+        # P = isqrt(b - 1) < 11 here, down to 1, with no wheel prime
+        assert smooth_limit(b) < 11
+        assert_sigma_segment_exact(a, b)
+
+    @pytest.mark.parametrize("p", list(explorer._WHEEL_CAPS))
+    def test_multiples_of_powers_above_the_cap(self, p):
+        # p^(c_p + 1), ..., p^(c_p + 4) times a cofactor prime to p
+        c = explorer._WHEEL_CAPS[p]
+        for e in range(c + 1, c + 5):
+            n = p ** e * (10**9 // p ** e // p * p + 1)
+            assert_sigma_segment_exact(n - 200, n + 200)
 
 
 _ABOVE_128 = (131, 137, 139, 149, 151)

@@ -2,10 +2,12 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
-from robincheck import intervals, robin
+from robincheck import explorer, intervals, robin
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src", "robincheck")
 
@@ -41,6 +43,17 @@ def test_module_level_dict_caches_are_only_the_named_ones():
     (intervals._ln_c_fp, 64 * 85),
     (intervals.exp_gamma, 64),
     (robin._floor_enclosure, 1 << 16),
+    (explorer._wheel, 16),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_memoized_kernels_keep_their_bounds(fn, maxsize):
     assert fn.cache_info().maxsize == maxsize
+
+
+def test_import_builds_no_wheel():
+    # the scan wheel's period is built by the first window, not at import
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(_SRC, "..")))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import robincheck; "
+         "print(robincheck.explorer._wheel.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout == "0\n"
