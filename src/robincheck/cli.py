@@ -125,7 +125,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-prune-justification", action="store_true",
                    help="allow --primes beyond 9 (outside the corollary-backed range)")
     p.add_argument("--all-arrangements", action="store_true",
-                   help="disable the non-increasing-exponent restriction")
+                   help="check every arrangement of the exponents directly")
 
     p = sub.add_parser("bounds", parents=[common],
                        help="corollary bound table vs e^gamma ln ln 5040")

@@ -461,13 +461,15 @@ def _enumerate_bases(
 ) -> list[tuple[tuple[int, int], ...]]:
     """All factorizations over a prefix of the primes with ln n <= bound.
 
-    Exponent vectors are non-increasing by default: by the prime
-    substitution theorem any other arrangement of the same multiset is
-    implied by its minimal arrangement, so the minimal ones are the
-    critical cases.  Inclusion rule: the certified upper bound of
-    sum k_j ln p_j must not exceed log_n_max.  Depth first, each base
-    before its extensions and smaller exponents first, on an explicit
-    stack, so a base may hold any number of primes.
+    Exponent vectors are non-increasing by default.  Where n holds b at
+    p and a > b at q > p, swapping the two gives n' = n (p/q)^(a-b) <= n,
+    and (sigma(n')/n') / (sigma(n)/n) is the product over k = b..a-1 of
+    g_k(1/p) / g_k(1/q) >= 1, g_k the increasing ratio of
+    ``conjecture32_search``'s exchange lemma.  So a sorted arrangement
+    that is satisfied implies every other one.  Inclusion rule: the
+    certified upper bound of sum k_j ln p_j must not exceed log_n_max.
+    Depth first, each base before its extensions and smaller exponents
+    first, on an explicit stack, so a base may hold any number of primes.
     """
     W = bits + _GUARD
     x_fp = (log_n_max.numerator << W) // log_n_max.denominator
@@ -495,79 +497,31 @@ def _enumerate_bases(
     return out
 
 
-def _bumped(entries: tuple[tuple[int, int], ...], j: int, d: int = 1
+def _bumped(entries: tuple[tuple[int, int], ...], j: int
             ) -> tuple[tuple[int, int], ...]:
-    """entries with entry j's exponent moved by d; a raise stays canonical."""
-    n = list(entries)
-    p, k = n[j]
-    n[j] = (p, k + d)
-    return tuple(n)
+    """entries with entry j's exponent raised by one; still canonical."""
+    p, k = entries[j]
+    return entries[:j] + ((p, k + 1),) + entries[j + 1:]
 
 
-# bases are found by n mod this prime, which a raised or lowered exponent
-# moves by one product; below it n is its own key
-_KEY_MOD = (1 << 61) - 1
+def _raised_at(base: tuple[tuple[int, int], ...], non_increasing_only: bool
+               ) -> list[int]:
+    """Per entry j, the entry i whose raise decides base + e_j.
 
-
-def _base_key(entries: tuple[tuple[int, int], ...]) -> int:
-    """n mod _KEY_MOD for the n of these entries."""
-    key = 1
-    for p, k in entries:
-        key = key * p ** k % _KEY_MOD
-    return key
-
-
-def _base_at(bases: list, index: dict[int, list[int]], key: int,
-             entries: tuple[tuple[int, int], ...]) -> Optional[int]:
-    """The index of the base with this key and these entries, or None."""
-    for c in index[key]:
-        if bases[c] == entries:
-            return c
-    return None
-
-
-def _shared_increments(b: int, bases: list, keys: list[int],
-                       index: dict[int, list[int]]
-                       ) -> dict[int, tuple[int, Optional[int]]]:
-    """The entries j of base b whose n = base + e_j another task checks.
-
-    Each maps to that task, (base index, entry index or None): (c, None)
-    when n is base c, else (c, i) for the first entry i < j at which
-    lowering n gives base c.  Every other n is checked as task (b, j),
-    so every n is checked exactly once.  ``keys`` holds each base's
-    ``_base_key`` and ``index`` the bases at each key, so entries are
-    built and compared only where a key matches.
+    With every arrangement that is j.  Otherwise it is the first entry
+    with j's exponent, so that base + e_i is base + e_j sorted.
     """
-    base, key = bases[b], keys[b]
-    shared = {}
-    # (i, 1/p_i mod _KEY_MOD) for each entry i before j that can be lowered
-    raised = []
-    for j, (p, k) in enumerate(base):
-        n_key = key * p % _KEY_MOD
-        c = (_base_at(bases, index, n_key, _bumped(base, j))
-             if n_key in index else None)
-        if c is not None:
-            shared[j] = (c, None)
-        else:
-            for i, inverse in raised:
-                c_key = n_key * inverse % _KEY_MOD
-                c = (_base_at(bases, index, c_key,
-                              _bumped(_bumped(base, j), i, -1))
-                     if c_key in index else None)
-                if c is not None:
-                    shared[j] = (c, i)
-                    break
-        if k > 1:
-            raised.append((j, pow(p, -1, _KEY_MOD)))
-    return shared
+    if not non_increasing_only:
+        return list(range(len(base)))
+    ks = [k for _, k in base]
+    return [ks.index(k) for k in ks]
 
 
 def _unsatisfied_task(cfg: PrecisionConfig, task: tuple
                       ) -> Optional[CheckResult]:
     """None if n is certified satisfied, else its ``CheckResult``.
 
-    task = (base, j): n is the base for j None, else its increment at
-    entry j.
+    task = (base, j): n is the base for j None, else base + e_j.
     """
     base, j = task
     entries = base if j is None else _bumped(base, j)
@@ -585,10 +539,22 @@ def conjecture32_search(
 ) -> SearchReport:
     """Check every enumerated base > 5040 and each of its increments.
 
-    Each distinct n among the bases and their single-exponent increments
-    is checked once.  A base that is not certified satisfied is reported
-    as a counterexample row of its own, with index None, and its
-    increments are not reported.
+    A base that is not certified satisfied is reported as a counterexample
+    row of its own, with index None, and its increments are not reported.
+    Each distinct n is checked once, found by a set of the n themselves
+    (exact by unique factorization; raising entry i multiplies n by p_i).
+
+    By default the increment n = base + e_j is decided by its sorted form
+    h = base + e_i (``_raised_at``), and checked itself only when h is not
+    satisfied.  Exchange lemma: n holds k + 1 at p_j and k at p_i <= p_j,
+    h swaps the two, so h = n p_i / p_j <= n.  sigma(m)/m is the product
+    of S_e(1/p) = 1 + 1/p + ... + 1/p^e over m's entries p^e, so
+    (sigma(h)/h) / (sigma(n)/n) = g_k(1/p_i) / g_k(1/p_j) with g_k(x) =
+    S_(k+1)(x) / S_k(x) = 1 + 1/(x^-1 + ... + x^-(k+1)), which increases
+    in x: sigma(h)/h >= sigma(n)/n.  As e^gamma ln ln n increases in n,
+    h satisfied gives n satisfied.  With ``non_increasing_only=False`` no
+    lemma is used: every arrangement is enumerated and every increment
+    checked directly.
     """
     if prime_count_max < 1 or exponent_max < 1 or worker_count < 1:
         raise InvalidInput(
@@ -596,38 +562,36 @@ def conjecture32_search(
     log_n_max = Fraction(log_n_max)
     if log_n_max <= 0:
         raise InvalidInput("log_n_max must be positive")
-    all_bases = _enumerate_bases(
-        prime_count_max, exponent_max, log_n_max, non_increasing_only,
-        cfg.start_bits,
-    )
-    # six distinct primes make n >= 30030
-    bases = [base for base in all_bases
-             if len(base) > 5 or prod(p ** k for p, k in base) > 5040]
-    keys = [_base_key(base) for base in bases]
-    index: dict[int, list[int]] = {}
-    for b, key in enumerate(keys):
-        index.setdefault(key, []).append(b)
+    all_bases = _enumerate_bases(prime_count_max, exponent_max, log_n_max,
+                                 non_increasing_only, cfg.start_bits)
+    bases = [(base, n) for base in all_bases
+             if (n := prod(p ** k for p, k in base)) > 5040]
+    # each base, then each raise that is no base and no task yet; seen keeps
+    # a raise only if a second base reaches it by lowering an exponent > 1
+    seen = {n for _, n in bases}
     tasks = []
-    for b, base in enumerate(bases):
-        shared = _shared_increments(b, bases, keys, index)
-        tasks.append((b, None))
-        tasks += [(b, j) for j in range(len(base)) if j not in shared]
-    # only results that are not satisfied are kept, keyed by their task
-    results = _pool_imap(functools.partial(_unsatisfied_task, cfg),
-                         [(bases[b], j) for b, j in tasks], worker_count, 64)
-    unsatisfied = {task: r for task, r in zip(tasks, results)
-                   if r is not None}
+    for base, n in bases:
+        tasks.append((base, None))
+        above_one = sum(k > 1 for _, k in base)
+        for i in dict.fromkeys(_raised_at(base, non_increasing_only)):
+            if (m := n * base[i][0]) not in seen:
+                tasks.append((base, i))
+                if above_one - (base[i][1] > 1):
+                    seen.add(m)
+    unsatisfied = {r.factorization.n(): r for r in _pool_imap(
+        functools.partial(_unsatisfied_task, cfg), tasks, worker_count, 64)
+        if r is not None}
     counterexamples = []
-    # every row is a result that is not satisfied
-    for b, base in enumerate(bases if unsatisfied else ()):
+    for base, n in bases if unsatisfied else ():
         f = Factorization.from_canonical(base)
-        r = unsatisfied.get((b, None))
+        r = unsatisfied.get(n)
         if r is not None:
             counterexamples.append((f, None, r))
             continue
-        shared = _shared_increments(b, bases, keys, index)
-        for j in range(len(base)):
-            r = unsatisfied.get(shared.get(j, (b, j)))
+        for j, i in enumerate(_raised_at(base, non_increasing_only)):
+            r = unsatisfied.get(n * base[i][0])
+            if r is not None and i != j:  # h decides nothing: check n
+                r = _unsatisfied_task(cfg, (base, j))
             if r is not None:
                 counterexamples.append((f, j, r))
     return SearchReport(

@@ -3,6 +3,7 @@
 import decimal
 import functools
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robincheck import explorer, intervals, output, primes, robin
-from robincheck.factorization import Factorization, sigma_int
+from robincheck.factorization import (Factorization, sigma_int,
+                                      sigma_over_n_fraction)
 from robincheck.intervals import _GUARD, DEFAULT_PRECISION, InvalidInput
 from robincheck.robin import Verdict
 
@@ -655,9 +657,16 @@ class TestConjecture32Probe:
         assert r == robin.check(primes.factorize(5040))
 
     def test_increment_shape(self, checked):
-        # the only base > 5040 is 30030; each of its six exponents goes up
+        # the only base > 5040 is 30030.  Its six increments share one
+        # sorted form, 2^2*3*5*7*11*13, which decides them all
         f = primes.parse_factor_string("2*3*5*7*11*13")
         rep = explorer.conjecture32_search(6, 1, Fraction("10.4"))
+        assert rep.bases_probed == 1
+        assert checked == [f.entries, ((2, 2),) + f.entries[1:]]
+        # with every arrangement, each of its six exponents goes up
+        checked.clear()
+        rep = explorer.conjecture32_search(6, 1, Fraction("10.4"),
+                                           non_increasing_only=False)
         assert rep.bases_probed == 1
         want = [f.entries]
         for j, (p, k) in enumerate(f.entries):
@@ -749,8 +758,23 @@ class TestConjecture32Search:
 
     def test_each_distinct_n_checked_once(self, checked):
         rep = explorer.conjecture32_search(9, 6, Fraction("27.631021"))
-        assert len(checked) == len(set(checked)) == 3361
+        assert len(checked) == len(set(checked)) == 1210
         assert rep == _per_base_search(9, 6, "27.631021")
+
+    def test_sorted_forms_decide_their_increments(self):
+        # the exchange lemma, by brute force over the default search: the
+        # form that decides base + e_j is sorted, no larger, and has a
+        # sigma(n)/n at least as large
+        for base in explorer._enumerate_bases(9, 6, Fraction("27.631021"),
+                                              True, 53):
+            at = explorer._raised_at(base, True)
+            for j, i in enumerate(at):
+                n = Factorization.from_canonical(explorer._bumped(base, j))
+                h = Factorization.from_canonical(explorer._bumped(base, i))
+                ks = [k for _, k in h.entries]
+                assert ks == sorted(ks, reverse=True), (base, j)
+                assert h.n() <= n.n()
+                assert sigma_over_n_fraction(h) >= sigma_over_n_fraction(n)
 
     def test_every_arrangement_checked_once(self, checked):
         # exponents in any order: more bases share an increment
@@ -765,14 +789,17 @@ class TestConjecture32Search:
         assert len(checked) == len(want) < sum(len(b) + 1 for b in bases)
         assert set(checked) == want
 
-    def test_increments_are_not_held(self, monkeypatch):
+    @pytest.mark.parametrize("non_increasing_only", [True, False])
+    def test_increments_are_not_held(self, non_increasing_only, monkeypatch):
         # 200 bases of up to 200 primes: holding their 20,100 increments
         # at once took 23 MiB
         monkeypatch.setattr(explorer, "check", lambda f, cfg: robin.CheckResult(
             f, Fraction(1), None, Verdict.SATISFIED, cfg.start_bits))
         tracemalloc.start()
         try:
-            rep = explorer.conjecture32_search(200, 1, Fraction(10000))
+            rep = explorer.conjecture32_search(
+                200, 1, Fraction(10000),
+                non_increasing_only=non_increasing_only)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -782,11 +809,12 @@ class TestConjecture32Search:
     def test_long_bases_match_the_per_base_loop(self, monkeypatch):
         # 500 bases of up to 500 primes, 125,250 increments: building and
         # hashing each increment's entries took 1.7 s before the first
-        # check.  The stub decides from a few entries, so every n
-        # is O(1) to check, and some rows are bases, some increments.
+        # check.  The stub decides from the exponent multiset alone, as a
+        # sound check may (an increment and its sorted form agree), and
+        # some rows are bases, some increments.
         def stub(f, cfg):
             e = f.entries
-            pick = (len(e) + e[0][1] * 3 + e[-1][1]) % 11
+            pick = (len(e) + 3 * sum(k for _, k in e)) % 11
             verdict = (Verdict.VIOLATED, Verdict.INDETERMINATE)[pick] \
                 if pick < 2 else Verdict.SATISFIED
             return robin.CheckResult(f, Fraction(1), None, verdict,
@@ -798,23 +826,10 @@ class TestConjecture32Search:
         assert {None, 0} < {j for _, j, _ in want.counterexamples}
         assert explorer.conjecture32_search(500, 1, Fraction(10000)) == want
 
-    @pytest.mark.parametrize("modulus", [11, 1009])
-    def test_key_clashes_change_nothing(self, modulus, checked, monkeypatch):
-        # bases are found by n mod a prime; where two share a key, their
-        # entries decide
-        want = explorer.conjecture32_search(4, 3, Fraction(12),
-                                            non_increasing_only=False)
-        want_checked = list(checked)
-        checked.clear()
-        monkeypatch.setattr(explorer, "_KEY_MOD", modulus)
-        got = explorer.conjecture32_search(4, 3, Fraction(12),
-                                           non_increasing_only=False)
-        assert (got, checked) == (want, want_checked)
-
     def test_no_increment_built_before_its_check(self, monkeypatch):
-        # 1000 bases of up to 1000 primes: no increment of a primorial is
-        # a base, so no key matches and no entries are built until the
-        # tasks run (all 500,500 were built and hashed first, 11.8 s)
+        # 1000 bases of up to 1000 primes: a raise is found by its n, the
+        # base's n times p_i, so no entries are built until the tasks run
+        # (all 500,500 increments were once built and hashed first, 11.8 s)
         built = []
         real = explorer._bumped
 
@@ -840,19 +855,30 @@ class TestConjecture32Search:
         (4, 3, "12", False),
     ])
     def test_rows_match_the_per_base_loop(self, args, monkeypatch):
-        # some n forced undecided and some violated, by their sigma(n)/n
+        # n is forced undecided in a band of sigma(n)/n and violated above
+        # it, between the 60th and 85th and above the 85th percentile of
+        # the bases' sigma(n)/n.  Like a sound check, this never makes a
+        # sorted form satisfied and its increment not.
+        *search, non_increasing = args
+        ratios = sorted(
+            float(sigma_over_n_fraction(f)) for f in map(
+                Factorization, explorer._enumerate_bases(
+                    search[0], search[1], Fraction(search[2]),
+                    non_increasing, 53))
+            if f.n() > 5040)
+        band = ratios[len(ratios) * 60 // 100], ratios[len(ratios) * 85 // 100]
         real = robin.compare
 
         def forced(lhs, rhs):
-            pick = hash(lhs) % 7
-            if pick == 0:
-                return intervals.Comparison.OVERLAPPING
-            if pick == 1:
+            x = (math.ldexp(lhs.lo_m, lhs.e)
+                 if isinstance(lhs, intervals.RealInterval) else float(lhs))
+            if x >= band[1]:
                 return intervals.Comparison.GREATER
+            if x >= band[0]:
+                return intervals.Comparison.OVERLAPPING
             return real(lhs, rhs)
 
         monkeypatch.setattr(robin, "compare", forced)
-        *search, non_increasing = args
         want = _per_base_search(*search, non_increasing_only=non_increasing)
         assert {j is None for _, j, _ in want.counterexamples} == {True, False}
         assert {r.verdict for _, _, r in want.counterexamples} == {
