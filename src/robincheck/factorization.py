@@ -63,7 +63,7 @@ class Factorization:
         for (p1, _), (p2, _) in zip(ents, ents[1:]):
             if p1 == p2:
                 raise InvalidInput(f"duplicate base {p1}")
-        object.__setattr__(self, "entries", ents)
+        _set_entries(self, ents)
 
     @classmethod
     def from_canonical(cls, entries: tuple[tuple[int, int], ...]
@@ -76,7 +76,7 @@ class Factorization:
         equals the validated constructor's.
         """
         f = object.__new__(cls)
-        object.__setattr__(f, "entries", entries)
+        _set_entries(f, entries)
         return f
 
     def __len__(self) -> int:
@@ -101,6 +101,11 @@ class Factorization:
         return "*".join(parts)
 
     __str__ = as_string
+
+
+# the slot's own setter: a frozen dataclass refuses setattr, and
+# object.__setattr__ looks the slot up by name on every call
+_set_entries = Factorization.entries.__set__
 
 
 def sigma_over_n_fraction(f: Factorization) -> Fraction:
@@ -168,8 +173,8 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
     return _coprime_fraction(_tree_product(kept) * (tail // g), den // g)
 
 
-def sigma_over_n_interval(f: Factorization, W: int) -> RealInterval:
-    """Outward enclosure [lo, hi] * 2**-W of sigma(n)/n, with no big p^k.
+def sigma_over_n_fp(f: Factorization, W: int) -> tuple[int, int]:
+    """Bounds (lo, hi) with lo <= sigma(n)/n * 2**W <= hi, with no big p^k.
 
     sigma(n)/n is the product of f(p, k) = sigma(p^k)/p^k = p/(p-1) *
     (1 - p^-(k+1)).  A running pair from 2**W takes each factor, lo
@@ -196,6 +201,12 @@ def sigma_over_n_interval(f: Factorization, W: int) -> RealInterval:
             c = (pk * p - 1) // (p - 1)
         lo = lo * c // pk
         hi = -(-hi * c // pk)
+    return lo, hi
+
+
+def sigma_over_n_interval(f: Factorization, W: int) -> RealInterval:
+    """``sigma_over_n_fp``'s bounds as the enclosure [lo, hi] * 2**-W."""
+    lo, hi = sigma_over_n_fp(f, W)
     return RealInterval(lo, hi, -W)
 
 

@@ -8,9 +8,10 @@ sieves past 10^8: a larger request raises ``InvalidInput`` up front.
 
 Raw-integer factorization is supported up to 64-bit magnitude: trial
 division by the primes below 10^3, then Brent's variant of Pollard
-rho with a deterministic Miller-Rabin primality test (the 12-witness
-set, valid far beyond 2^64).  Anything larger must arrive pre-factored
-as a factor string.
+rho with a deterministic Miller-Rabin primality test on the first k
+prime bases, k the least with n below psi_k, the smallest strong
+pseudoprime to all of them (13 bases, 2 to 41, below psi_13 ~ 3.3e24).
+Anything larger must arrive pre-factored as a factor string.
 """
 
 from __future__ import annotations
@@ -42,9 +43,23 @@ MAX_FACTOR_INPUT = 2 ** 64 - 1
 MAX_FACTOR_BITS = 1 << 25
 _PAST_BUDGET = f"n exceeds the {MAX_FACTOR_BITS}-bit budget for factored input"
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin: an odd n < psi_k that passes the first k
+# prime bases is prime, psi_k the smallest strong pseudoprime to all of
+# them (OEIS A014233; psi_7 = psi_8 and psi_9 = psi_10 = psi_11).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 8),
+    (3_825_123_056_546_413_051, 11),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+_MR_DETERMINISTIC_BOUND = _MR_TIERS[-1][0]
 
 _SEGMENT = 1 << 20
 _SIEVE_BUDGET = 10 ** 8  # its ~5.8 M primes already fill a few hundred MB
@@ -181,20 +196,23 @@ def primorial_factorization(m: int) -> Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.317e24."""
+    """Deterministic Miller-Rabin for n < 3.317e24, on the bases n needs."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n >= _MR_DETERMINISTIC_BOUND:
+    for psi, k in _MR_TIERS:
+        if n < psi:
+            break
+    else:
         raise InvalidInput(f"{n} exceeds the deterministic primality range")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

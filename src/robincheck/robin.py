@@ -2,9 +2,9 @@
 
 The comparison runs in normalized form: the left side sigma(n)/n is an
 exact rational (a product of (p^(k+1)-1)/(p^k(p-1)) over the prime
-factorization), decided through an outward enclosure of it at 2**-W
-(``sigma_over_n_interval``, which builds no big p^k) and built exactly
-only for a rung that enclosure overlaps; the right side e^gamma *
+factorization), decided through integer bounds on it at scale 2**-W
+(``sigma_over_n_fp``, which builds no big p^k) and built exactly only
+for a rung that enclosure overlaps; the right side e^gamma *
 ln(ln n) is a certified enclosure with ln n evaluated as sum k_j ln p_j,
 so n itself is never materialized.  A verdict of Satisfied or Violated
 is only issued when the rational falls strictly below or above a
@@ -13,17 +13,19 @@ the exact rational gives; otherwise the precision is escalated along
 ``PrecisionConfig.ladder``, and only when the ladder is exhausted does
 the check report Indeterminate.
 
-Most n lie far below the right side, so ``check`` first compares the
-left side with a cached floor, a lower bound at the start rung that
-depends only on the top bits of a lower bound on ln n (``_rhs_floor``).
-It takes that bound first from n's bit length, B ln 2 with B = sum
-k_j (bit_length(p_j) - 1), which needs no ln p series since n >= 2**B;
-only where that floor does not decide Satisfied does it compute
-``log_n`` for a floor from ln n itself, and only where neither decides
-does it build the enclosure of n's own right side.  Each floor is never
-above that enclosure's lower end, so the verdict and bits are those the
-enclosure gives; ``CheckResult.rhs`` and ``CheckResult.lhs`` are then
-built on their first read.
+Most n lie far below the right side, so ``check`` first tests the left
+side against a floor, a lower bound at the start rung that depends only
+on the top bits of a lower bound on ln n (``_rhs_floor``), as one
+integer comparison with its threshold at scale 2**-W, memoized per floor
+key (``_floor_threshold``).  It takes that bound first from n's bit
+length, B ln 2 with B = sum k_j (bit_length(p_j) - 1), which needs no ln
+p series since n >= 2**B; only where that floor does not decide
+Satisfied does it compute ``log_n`` for a floor from ln n itself, and
+only where neither decides does it build the left side's enclosure and
+that of n's own right side.  Each floor is never above that enclosure's
+lower end, so the verdict and bits are those the enclosure gives;
+``CheckResult.rhs`` and ``CheckResult.lhs`` are then built on their
+first read.
 
 ``_rhs_from_log`` is the one place e^gamma * ln(x) is enclosed, and the
 one place that decides whether x > 1 is certified; the checker (through
@@ -50,8 +52,8 @@ from typing import Callable, Optional
 
 from .factorization import (
     Factorization,
+    sigma_over_n_fp,
     sigma_over_n_fraction,
-    sigma_over_n_interval,
 )
 from .intervals import (
     _GUARD,
@@ -82,7 +84,7 @@ REASON_LHS_EXCEEDS_RHS = "lhs_exceeds_rhs"
 REASON_ESCALATION_EXHAUSTED = "escalation_exhausted"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CheckResult:
     """One verdict with what decided it.
 
@@ -96,6 +98,11 @@ class CheckResult:
     before and after those reads, and pickles what it holds.
     ``margin_lower_bound`` is derived on each read: no verdict needs it,
     so ``check`` does not build it, and a caller reads it once.
+
+    ``__init__`` fills the slots through their own setters, which skip
+    the name lookup of the frozen dataclass's ``object.__setattr__``;
+    eq, hash, repr, ``dataclasses.replace`` and pickling are the
+    dataclass's, and assignment still raises ``FrozenInstanceError``.
     """
 
     factorization: Factorization
@@ -105,18 +112,26 @@ class CheckResult:
     precision_used: int
     reason: Optional[str] = None
 
+    def __init__(self, factorization: Factorization, _lhs: object,
+                 _rhs: object, verdict: Verdict, precision_used: int,
+                 reason: Optional[str] = None):
+        _set_factorization(self, factorization)
+        _set_lhs(self, _lhs)
+        _set_rhs(self, _rhs)
+        _set_verdict(self, verdict)
+        _set_precision_used(self, precision_used)
+        _set_reason(self, reason)
+
     @property
     def lhs(self) -> Fraction:
         if self._lhs is ...:
-            object.__setattr__(self, "_lhs",
-                               sigma_over_n_fraction(self.factorization))
+            _set_lhs(self, sigma_over_n_fraction(self.factorization))
         return self._lhs
 
     @property
     def rhs(self) -> Optional[RealInterval]:
         if self._rhs is ...:
-            object.__setattr__(self, "_rhs", robin_rhs(self.factorization,
-                                                       self.precision_used))
+            _set_rhs(self, robin_rhs(self.factorization, self.precision_used))
         return self._rhs
 
     @property
@@ -135,6 +150,14 @@ class CheckResult:
         else:
             return None
         return dyadic_from_fraction(gap, self.precision_used, False)
+
+
+_set_factorization = CheckResult.factorization.__set__
+_set_lhs = CheckResult._lhs.__set__
+_set_rhs = CheckResult._rhs.__set__
+_set_verdict = CheckResult.verdict.__set__
+_set_precision_used = CheckResult.precision_used.__set__
+_set_reason = CheckResult.reason.__set__
 
 
 # ln(p) bounds cache keyed by (p, W); ``log_n`` reads it for the n that
@@ -272,10 +295,10 @@ def decide(lhs: Fraction | RealInterval,
 _FLOOR_BITS = 7
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _floor_enclosure(x_f: int, precision_bits: int) -> Optional[RealInterval]:
-    """``_rhs_from_log(x_f, x_f, precision_bits)``, memoized per floor key."""
-    return _rhs_from_log(x_f, x_f, precision_bits)
+def _floor_key(x: int) -> int:
+    """x_f: x's top _FLOOR_BITS bits minus one step 2**s of that grid."""
+    s = x.bit_length() - _FLOOR_BITS
+    return ((x >> s) - 1) << s
 
 
 def _rhs_floor(x: int, precision_bits: int) -> Optional[RealInterval]:
@@ -283,9 +306,9 @@ def _rhs_floor(x: int, precision_bits: int) -> Optional[RealInterval]:
 
     ``x`` is any integer with 2**_FLOOR_BITS <= x <= ln n * 2**W, W =
     precision_bits + _GUARD: ``log_n``'s lower bound, or ``check``'s
-    bit-length bound B ln 2, which needs no ln p series.  x_f is x's top
-    _FLOOR_BITS bits minus one step 2**s of that grid, and the result is
-    ``_rhs_from_log(x_f, x_f, precision_bits)`` (None where x_f <= 2**W).
+    bit-length bound B ln 2, which needs no ln p series.  The result is
+    ``_rhs_from_log(x_f, x_f, precision_bits)`` at x_f = ``_floor_key(x)``
+    (None where x_f <= 2**W).
 
     Why its lo, T, is at most rhs.lo of ``robin_rhs(f, precision_bits)``
     for every such x: with b = precision_bits and eg = exp_gamma(b)[0],
@@ -305,14 +328,34 @@ def _rhs_floor(x: int, precision_bits: int) -> Optional[RealInterval]:
     e^gamma * 2**-7 below the right side or more, so only an n whose
     sigma(n)/n is that close to it needs its own enclosure.
     """
-    s = x.bit_length() - _FLOOR_BITS
-    return _floor_enclosure(((x >> s) - 1) << s, precision_bits)
+    x_f = _floor_key(x)
+    return _rhs_from_log(x_f, x_f, precision_bits)
 
 
-def _below_floor(lhs: RealInterval, x: int, precision_bits: int) -> bool:
-    """Whether all of lhs lies below ``_rhs_floor(x, precision_bits)``."""
-    floor = _rhs_floor(x, precision_bits)
-    return floor is not None and compare(lhs, floor) is Comparison.LESS
+@functools.lru_cache(maxsize=1 << 16)
+def _floor_threshold(x_f: int, precision_bits: int) -> int:
+    """ceil(T * 2**W) for the floor T at key x_f; 0 where there is none.
+
+    W = precision_bits + _GUARD, and T is the lo of ``_rhs_floor`` at
+    any x with that key.  An integer hi then has hi * 2**-W < T exactly
+    when hi < the result, and no hi >= 1 is below 0.  Memoized per floor
+    key (x_f, bits), the one cache the floors keep.
+    """
+    floor = _rhs_from_log(x_f, x_f, precision_bits)
+    if floor is None:
+        return 0
+    s = floor.e + precision_bits + _GUARD
+    return floor.lo_m << s if s >= 0 else -(-floor.lo_m >> -s)
+
+
+def _below_floor(hi: int, x: int, precision_bits: int) -> bool:
+    """Whether hi * 2**-W lies below ``_rhs_floor(x, precision_bits)``'s lo.
+
+    W = precision_bits + _GUARD; the enclosure [lo, hi] * 2**-W is then
+    wholly below that floor, which is what ``compare`` would call Less.
+    One integer comparison against ``_floor_threshold``.
+    """
+    return hi < _floor_threshold(_floor_key(x), precision_bits)
 
 
 def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
@@ -324,28 +367,35 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     negative/undefined right side.  A rung whose ln n > 1 is not yet
     certified escalates like an overlap does.
 
-    The left side is ``sigma_over_n_interval`` at W = ``cfg.start_bits``
-    + _GUARD, which holds sigma(n)/n.  Wholly below ``_rhs_floor`` at the
-    start rung, tried at B ln 2 (B the sum of k (bit_length(p) - 1), a
-    lower bound on ln n that runs no ln p series) and then at ``log_n``'s
-    lower bound, it is Satisfied there; a floor lies at or below the start
-    rung's enclosure, so that is ``decide``'s verdict and rung for the
-    exact value too.  The rest goes to ``decide``, whose start rung reuses
-    those ln n bounds and which builds the exact sigma(n)/n only for a
-    rung the enclosure overlaps; ``lhs`` and ``rhs`` are otherwise built
-    on their first read.
+    The left side is ``sigma_over_n_fp``'s integer bounds [lo, hi] at
+    scale 2**-W, W = ``cfg.start_bits`` + _GUARD, which hold sigma(n)/n.
+    Where hi lies below ``_rhs_floor``'s integer threshold at the start
+    rung (``_below_floor``), tried at B ln 2 (B the sum of k
+    (bit_length(p) - 1), a lower bound on ln n that runs no ln p series)
+    and then at ``log_n``'s lower bound, it is Satisfied there; a floor
+    lies at or below the start rung's enclosure, so that is ``decide``'s
+    verdict and rung for the exact value too.  Up to there the work is on
+    ints: no interval is built and nothing is compared.  The rest builds
+    the enclosure and goes to ``decide``, whose start rung reuses those
+    ln n bounds and which builds the exact sigma(n)/n only for a rung the
+    enclosure overlaps; ``lhs`` and ``rhs`` are otherwise built on their
+    first read.
     """
     start = cfg.start_bits
-    if f.entries == ((2, 1),):
+    entries = f.entries
+    if entries == ((2, 1),):
         return CheckResult(f, ..., None, Verdict.VIOLATED, start,
-                           reason=REASON_RHS_UNDEFINED)
-    lhs = sigma_over_n_interval(f, start + _GUARD)
+                           REASON_RHS_UNDEFINED)
+    W = start + _GUARD
+    lo, hi = sigma_over_n_fp(f, W)
     # n >= 2**B, so B ln 2 bounds ln n from below with no ln p series
-    B = sum(k * (p.bit_length() - 1) for p, k in f.entries)
-    if _below_floor(lhs, B * _ln2_fp(start + _GUARD)[0], start):
+    B = 0
+    for p, k in entries:
+        B += k * (p.bit_length() - 1)
+    if _below_floor(hi, B * _ln2_fp(W)[0], start):
         return CheckResult(f, ..., ..., Verdict.SATISFIED, start)
     ln_lo, ln_hi = log_n(f, start)
-    if _below_floor(lhs, ln_lo, start):
+    if _below_floor(hi, ln_lo, start):
         return CheckResult(f, ..., ..., Verdict.SATISFIED, start)
 
     def rhs_at(b: int) -> Optional[RealInterval]:
@@ -361,15 +411,16 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
             built.append(sigma_over_n_fraction(f))
         return built[0]
 
-    cmp_result, rhs, bits = decide(lhs, rhs_at, cfg, exact)
+    cmp_result, rhs, bits = decide(RealInterval(lo, hi, -W), rhs_at, cfg,
+                                   exact)
     exact_lhs = built[0] if built else ...
     if cmp_result is Comparison.LESS:
         return CheckResult(f, exact_lhs, rhs, Verdict.SATISFIED, bits)
     if cmp_result is Comparison.GREATER:
         return CheckResult(f, exact_lhs, rhs, Verdict.VIOLATED, bits,
-                           reason=REASON_LHS_EXCEEDS_RHS)
+                           REASON_LHS_EXCEEDS_RHS)
     return CheckResult(f, exact_lhs, rhs, Verdict.INDETERMINATE, bits,
-                       reason=REASON_ESCALATION_EXHAUSTED)
+                       REASON_ESCALATION_EXHAUSTED)
 
 
 def check_n(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:

@@ -17,6 +17,7 @@ the cached right-side floor, built from the package's own ``decide`` and
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -203,27 +204,42 @@ def rhs_rd_ru(ln_n_terms, bits: int) -> tuple[Fraction, Fraction]:
     return lo * step, hi * step
 
 
+def frozen_record(cls, *values):
+    """An instance of the frozen dataclass ``cls`` built as a generated
+    ``__init__`` builds one: ``object.__setattr__`` on each field in
+    order, the values given then the fields' defaults."""
+    fields = dataclasses.fields(cls)
+    values += tuple(f.default for f in fields[len(values):])
+    obj = object.__new__(cls)
+    for f, value in zip(fields, values):
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
 def eager_check(f, cfg):
     """``robin.check`` with no floor: ``decide`` from the start rung, the
-    deciding enclosure kept in the result."""
+    deciding enclosure kept in the result, which ``frozen_record``
+    builds."""
     from robincheck import robin
     from robincheck.factorization import sigma_over_n_fraction
     from robincheck.intervals import Comparison
 
+    def result(*values):
+        return frozen_record(robin.CheckResult, f, lhs, *values)
+
     lhs = sigma_over_n_fraction(f)
     if f.entries == ((2, 1),):
-        return robin.CheckResult(f, lhs, None, robin.Verdict.VIOLATED,
-                                 cfg.start_bits,
-                                 reason=robin.REASON_RHS_UNDEFINED)
+        return result(None, robin.Verdict.VIOLATED, cfg.start_bits,
+                      robin.REASON_RHS_UNDEFINED)
     cmp_result, rhs, bits = robin.decide(
         lhs, functools.partial(robin.robin_rhs, f), cfg)
     if cmp_result is Comparison.LESS:
-        return robin.CheckResult(f, lhs, rhs, robin.Verdict.SATISFIED, bits)
+        return result(rhs, robin.Verdict.SATISFIED, bits)
     if cmp_result is Comparison.GREATER:
-        return robin.CheckResult(f, lhs, rhs, robin.Verdict.VIOLATED, bits,
-                                 reason=robin.REASON_LHS_EXCEEDS_RHS)
-    return robin.CheckResult(f, lhs, rhs, robin.Verdict.INDETERMINATE, bits,
-                             reason=robin.REASON_ESCALATION_EXHAUSTED)
+        return result(rhs, robin.Verdict.VIOLATED, bits,
+                      robin.REASON_LHS_EXCEEDS_RHS)
+    return result(rhs, robin.Verdict.INDETERMINATE, bits,
+                  robin.REASON_ESCALATION_EXHAUSTED)
 
 
 def agrees_with_decimal(iv, stated: str) -> bool:

@@ -60,6 +60,14 @@ class TestExitCodes:
         assert code == 64
         assert "not prime" in err
 
+    def test_strong_pseudoprime_to_37_is_not_a_prime_base(self, capsys):
+        # psi_12 = 399165290221 * 798330580441 passes every base 2..37
+        code, out, err = run_cli(["check", "2*318665857834031151167461"],
+                                 capsys)
+        assert code == 64 and out == ""
+        assert err == ("robincheck: error: 318665857834031151167461 "
+                       "is not prime\n")
+
     @pytest.mark.parametrize("factors, where", [
         ("2**3", "bad term '' (term 2 of 3)"),
         ("2*", "bad term '' (term 2 of 2)"),
@@ -319,15 +327,20 @@ class TestSigStr:
         assert output.sig_str_num_den(num, den) == expected
 
 
+_BELOW_FLOOR = robin._below_floor
+
+
 class TestUndecided:
     """Every command that reports "could not decide" exits 2.
 
     No real input stays undecided at the top of the precision ladder, so
-    the comparison is forced to overlap on every rung.
+    the comparison is forced to overlap on every rung, and the floors,
+    which decide on ints without it, are turned off.
     """
 
     @pytest.fixture(autouse=True)
     def _never_separates(self, monkeypatch):
+        monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: Comparison.OVERLAPPING)
 
@@ -388,6 +401,7 @@ class TestUndecided:
 
     def test_conjecture2_undecided_increments(self, monkeypatch, capsys):
         monkeypatch.setattr(robin, "compare", intervals.compare)
+        monkeypatch.setattr(robin, "_below_floor", _BELOW_FLOOR)
         check = explorer.check
 
         def undecided_at_2_to_the_4(f, cfg):

@@ -84,7 +84,9 @@ class TestScanGolden:
         flagged = explorer._scan_segment(2, 5041, DEFAULT_PRECISION)
         assert flagged == list(explorer.scan_range(2, 5040).violations)
         # forced overlaps leave n = 2 violated and every other candidate
-        # undecided: one list, ascending, with both verdicts
+        # undecided: one list, ascending, with both verdicts (the floors
+        # decide on ints, apart from compare, so they are turned off)
+        monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: intervals.Comparison.OVERLAPPING)
         flagged = explorer._scan_segment(2, 5041, DEFAULT_PRECISION)
@@ -878,6 +880,7 @@ class TestConjecture32Search:
                 return intervals.Comparison.OVERLAPPING
             return real(lhs, rhs)
 
+        monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
         monkeypatch.setattr(robin, "compare", forced)
         want = _per_base_search(*search, non_increasing_only=non_increasing)
         assert {j is None for _, j, _ in want.counterexamples} == {True, False}
@@ -902,6 +905,7 @@ class TestConjecture32Search:
         assert rep.counterexamples == ()
 
     def test_undecided_base_is_a_row_without_index(self, monkeypatch):
+        monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: intervals.Comparison.OVERLAPPING)
         cfg = intervals.PrecisionConfig(53, 106)

@@ -42,7 +42,7 @@ def test_module_level_dict_caches_are_only_the_named_ones():
     (intervals._ln2_fp, 64),
     (intervals._ln_c_fp, 64 * 85),
     (intervals.exp_gamma, 64),
-    (robin._floor_enclosure, 1 << 16),
+    (robin._floor_threshold, 1 << 16),
     (explorer._wheel, 16),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_memoized_kernels_keep_their_bounds(fn, maxsize):

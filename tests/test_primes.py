@@ -132,6 +132,56 @@ class TestIsPrime:
         assert primes.is_prime(2**61 - 1)
         assert not primes.is_prime((2**31 - 1) * (2**31 + 11))
 
+    # psi_k, the smallest strong pseudoprime to the first k prime bases
+    # (OEIS A014233), for k = 1..13
+    _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+            3474749660383, 341550071728321, 341550071728321,
+            3825123056546413051, 3825123056546413051, 3825123056546413051,
+            318665857834031151167461, 3317044064679887385961981)
+
+    @staticmethod
+    def _strong_probable_prime(n, a):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            return True
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                return True
+        return False
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_strong_pseudoprimes_are_composite(self, k):
+        psi = self._PSI[k - 1]
+        bases = oracles.naive_prime_list(41)[:k]
+        assert all(self._strong_probable_prime(psi, a) for a in bases)
+        # psi_k is the least such n, so the (k+1)-th base must catch it
+        # when psi_k < psi_{k+1}
+        if k < 13 and psi < self._PSI[k]:
+            assert not self._strong_probable_prime(
+                psi, oracles.naive_prime_list(43)[k])
+        if psi < primes._MR_DETERMINISTIC_BOUND:
+            assert not primes.is_prime(psi)
+        else:
+            with pytest.raises(InvalidInput, match="deterministic"):
+                primes.is_prime(psi)
+
+    def test_psi12_times_two_is_refused_as_a_factor_string(self):
+        with pytest.raises(InvalidInput,
+                           match="^318665857834031151167461 is not prime$"):
+            primes.parse_factor_string("2*318665857834031151167461")
+
+    def test_matches_the_sieve_to_two_million(self):
+        limit = 2 * 10 ** 6
+        flags = bytearray(limit + 1)
+        for p in primes.primes_up_to(limit):
+            flags[p] = 1
+        assert [n for n in range(limit + 1)
+                if primes.is_prime(n) != flags[n]] == []
+
 
 class TestParseFactorString:
     def test_grammar_on_5040(self):

@@ -1,5 +1,6 @@
 """sigma, the normalized inequality, and the escalating certified check."""
 
+import dataclasses
 import math
 import pickle
 import random
@@ -26,6 +27,7 @@ from robincheck.intervals import (
     InvalidInput,
     PrecisionConfig,
     RealInterval,
+    compare,
     dyadic_from_fraction,
 )
 
@@ -352,7 +354,9 @@ class TestCheck:
 
     def test_ladder_exhausted_is_indeterminate(self, monkeypatch):
         # no real input stays undecided at 4096 bits; force every rung
-        # to overlap so the end of the ladder is reached
+        # to overlap so the end of the ladder is reached, with the floors,
+        # which decide on ints, turned off
+        monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: Comparison.OVERLAPPING)
         r = robin.check(primes.factorize(5041))
@@ -382,6 +386,7 @@ class TestCheck:
         decided.append(robin.check(primes.primorial_factorization(200),
                                    PrecisionConfig(start_bits=212)))
         n2 = robin.check(Factorization(((2, 1),)))
+        monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: Comparison.OVERLAPPING)
         undecided = robin.check_n(5041, PrecisionConfig(max_bits=212))
@@ -564,8 +569,8 @@ class TestLazyLhs:
             built.append(f)
             return sigma_over_n_fraction(f)
 
-        monkeypatch.setattr(robin, "sigma_over_n_interval",
-                            lambda f, W: RealInterval(0, 64 << W, -W))
+        monkeypatch.setattr(robin, "sigma_over_n_fp",
+                            lambda f, W: (0, 64 << W))
         monkeypatch.setattr(robin, "sigma_over_n_fraction", counted)
         cfg = PrecisionConfig(start_bits=bits)
         fs = _floor_identity_inputs()[::40] + [primes.factorize(5040)]
@@ -636,12 +641,12 @@ class TestRhsFloor:
             calls.append(args[:3])
             return real(*args, **kwargs)
 
-        robin._floor_enclosure.cache_clear()
+        robin._floor_threshold.cache_clear()
         monkeypatch.setattr(robin, "_rhs_from_log", counted)
         results = theorems.verify_prime_powers(10 ** 5)
         assert len(results) == 8983
         assert {r.verdict for r in results} == {robin.Verdict.SATISFIED}
-        assert 0 < len(calls) <= robin._floor_enclosure.cache_info().currsize
+        assert 0 < len(calls) <= robin._floor_threshold.cache_info().currsize
 
     def test_sweep_rhs_reads_make_no_ziv_rerun(self, monkeypatch):
         # the sweep no longer builds its enclosures, so they are built
@@ -674,6 +679,73 @@ class TestRhsFloor:
             if coarse is not None and fine is not None:
                 assert coarse.lo.as_fraction() <= fine.lo.as_fraction(), f
 
+    @pytest.mark.parametrize("bits", [4, 53, 212])
+    def test_below_floor_is_compare_against_the_floor(self, bits):
+        # at T - 1, T and T + 1 for the threshold T of every floor key
+        # the inputs reach, at both of check's ln n bounds
+        W = bits + _GUARD
+        ln2_lo = _ln2_fp(W)[0]
+        floors = {}
+        for f in _floor_identity_inputs():
+            b = sum(k * (p.bit_length() - 1) for p, k in f.entries)
+            for x in (b * ln2_lo, robin.log_n(f, bits)[0]):
+                key = robin._floor_key(x)
+                if key not in floors:
+                    floors[key] = robin._rhs_floor(x, bits)
+                floor = floors[key]
+                t = robin._floor_threshold(key, bits)
+                # hi >= 2**W, as sigma(n)/n >= 1, where there is no floor
+                for hi in ((t - 1, t, t + 1) if floor is not None
+                           else (1 << W,)):
+                    want = floor is not None and compare(
+                        RealInterval(hi, hi, -W), floor) is Comparison.LESS
+                    assert robin._below_floor(hi, x, bits) is want, (f, x, hi)
+        assert None in floors.values() and len(floors) > 100
+
+    def test_threshold_rounds_an_off_grid_floor_up(self, monkeypatch):
+        # the floors above all lie on the 2**-W grid, where rounding up
+        # and down agree; this one lies between grid points 1 and 2
+        bits = 53
+        W = bits + _GUARD
+        floor = RealInterval(5, 6, -(W + 2))
+        x = 1 << (W + 3)
+        monkeypatch.setattr(robin, "_rhs_from_log", lambda lo, hi, b: floor)
+        robin._floor_threshold.cache_clear()
+        try:
+            assert robin._floor_threshold(robin._floor_key(x), bits) == 2
+            for hi in (1, 2, 3):
+                want = compare(RealInterval(hi, hi, -W), floor)
+                assert robin._below_floor(hi, x, bits) is (
+                    want is Comparison.LESS), hi
+        finally:
+            robin._floor_threshold.cache_clear()
+
+    def test_sweep_builds_no_interval_and_compares_nothing(self,
+                                                           monkeypatch):
+        # once the floor memo holds the sweep's keys, every prime power
+        # is decided on ints
+        theorems.verify_prime_powers(10 ** 5)
+        built, compared = [], []
+        real_init = RealInterval.__init__
+
+        def counted_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        def counted_compare(lhs, rhs):
+            compared.append((lhs, rhs))
+            return compare(lhs, rhs)
+
+        monkeypatch.setattr(RealInterval, "__init__", counted_init)
+        monkeypatch.setattr(robin, "compare", counted_compare)
+        results = theorems.verify_prime_powers(10 ** 5)
+        assert len(results) == 8983
+        assert {r.verdict for r in results} == {robin.Verdict.SATISFIED}
+        assert built == [] and compared == []
+        # the seams count: one check that reaches decide trips both
+        robin.check(primes.factorize(5040))
+        assert built and compared
+
     def test_sweep_runs_no_log_n(self, monkeypatch):
         calls = []
         real = robin.log_n
@@ -689,3 +761,68 @@ class TestRhsFloor:
         for r in results:
             eager = oracles.eager_check(r.factorization, DEFAULT_PRECISION)
             assert r.rhs == eager.rhs, r.factorization
+
+
+def _slots(record):
+    """Every field of a dataclass record, the lazy ``_lhs``/``_rhs`` too."""
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+class TestRecords:
+    """``CheckResult`` and ``Factorization.from_canonical`` fill their
+    slots through the slots' own setters; the records behave as the
+    dataclass's generated ``__init__`` made them."""
+
+    @staticmethod
+    def _results():
+        fs = [primes.factorize(n) for n in (5041, 5040, 720720, 12, 2)]
+        fs.append(primes.primorial_factorization(200))
+        for f in fs:
+            for bits in (4, 53, 212):
+                cfg = PrecisionConfig(start_bits=bits)
+                yield robin.check(f, cfg), oracles.eager_check(f, cfg)
+
+    def test_check_results_equal_the_eager_oracle(self):
+        for r, eager in self._results():
+            assert r == eager and hash(r) == hash(eager), r
+            assert repr(r) == repr(eager)
+            back = pickle.loads(pickle.dumps(r))
+            assert back == eager and hash(back) == hash(eager)
+            assert _slots(back) == _slots(r)
+            # the constructor against the oracle's, slot by slot
+            values = _slots(eager)
+            built = robin.CheckResult(*values)
+            assert _slots(built) == values
+            assert _slots(robin.CheckResult(**{
+                f.name: v for f, v in zip(dataclasses.fields(eager),
+                                          values)})) == values
+            assert (_slots(oracles.frozen_record(robin.CheckResult,
+                                                 *values[:5]))
+                    == _slots(robin.CheckResult(*values[:5])))
+
+    def test_check_result_replace_and_frozen(self):
+        r = robin.check_n(5041)
+        moved = dataclasses.replace(r, precision_used=106, reason="x")
+        assert _slots(moved) == (r.factorization, ..., ..., r.verdict, 106,
+                                 "x")
+        assert moved == oracles.frozen_record(
+            robin.CheckResult, r.factorization, None, None, r.verdict, 106,
+            "x")
+        for name in ("verdict", "_lhs", "reason"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, None)
+        assert r.reason is None and r._lhs is ...
+
+    @pytest.mark.parametrize("entries", [
+        ((2, 1),), ((2, 4), (3, 2), (5, 1), (7, 1)), ((71, 2),),
+        tuple((p, 1) for p in _PRIMES_BELOW_200),
+    ])
+    def test_from_canonical_equals_the_validated_constructor(self, entries):
+        f = Factorization.from_canonical(entries)
+        g = Factorization(entries)
+        assert f.entries is entries
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+        assert pickle.loads(pickle.dumps(f)) == g
+        assert dataclasses.replace(f) == g
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.entries = ()
