@@ -141,37 +141,22 @@ def _wheel(P: int) -> tuple[int, np.ndarray, np.ndarray]:
     return L, sig, smooth
 
 
-def _tiled(period: np.ndarray, start: int, width: int) -> np.ndarray:
-    """period[(start + i) % L] for i < width, L = period.size, by slice copies.
-
-    The first period comes from two slices of ``period``; each later copy
-    doubles what is filled, which stays a whole number of periods.
-    """
-    L = period.size
-    out = np.empty(width, dtype=period.dtype)
-    done = min(L, width)
-    head = min(L - start, done)
-    out[:head] = period[start:start + head]
-    out[head:done] = period[:done - head]
-    while done < width:
-        m = min(done, width - done)
-        out[done:done + m] = out[:m]
-        done += m
-    return out
-
-
 def _sigma_segment(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """(sigma(s), s) as int64 for the P-smooth part s of each n in [a, b).
 
     P = ``_smooth_bound(b)[0]``.  Both arrays start as the ``_wheel``
     period rotated to a, which holds each wheel prime p <= P up to
-    p^c_p.  Then one strided pass per prime p <= P, starting at
-    p^(c_p + 1) (c_p = 0 off the wheel), takes each multiple of it to
-    its exact power p^k: p^k in s, and in sigma(s) the wheel's factor
-    sigma(p^c_p) is divided out and 1 + p + ... + p^k multiplied in.
-    The division is exact: at those positions the sigma array's value
-    is a product with sigma(p^c_p) as one factor.  The rest of n, whose primes all exceed P, is never
-    looked at; ``_scan_segment`` bounds what it adds to sigma(n)/n.
+    p^c_p: numpy copies the period's last part into the head of the
+    window, broadcasts the whole period over the window's whole periods
+    and copies its first part into the tail, so nothing beside the two
+    arrays is allocated.  Then one strided pass per prime p <= P,
+    starting at p^(c_p + 1) (c_p = 0 off the wheel), takes each multiple
+    of it to its exact power p^k: p^k in s, and in sigma(s) the wheel's
+    factor sigma(p^c_p) is divided out and 1 + p + ... + p^k multiplied
+    in.  The division is exact: at those positions the sigma array's
+    value is a product with sigma(p^c_p) as one factor.  The rest of n,
+    whose primes all exceed P, is never looked at; ``_scan_segment``
+    bounds what it adds to sigma(n)/n.
 
     int64 headroom for b <= MAX_SCAN_HI + 1: s divides n <= 10^12, and
     each value the sigma array takes on the way, the quotient after the
@@ -182,8 +167,15 @@ def _sigma_segment(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     width = b - a
     P = _smooth_bound(b)[0]
     L, wheel_sig, wheel_smooth = _wheel(min(P, max(_WHEEL_CAPS)))
-    sig = _tiled(wheel_sig, a % L, width)
-    smooth = _tiled(wheel_smooth, a % L, width)
+    start = a % L
+    head = min(-a % L, width)  # up to the window's first multiple of L
+    stop = head + (width - head) // L * L
+    sig = np.empty(width, dtype=np.int64)
+    smooth = np.empty(width, dtype=np.int64)
+    for out, period in ((sig, wheel_sig), (smooth, wheel_smooth)):
+        out[:head] = period[start:start + head]
+        out[head:stop].reshape(-1, L)[:] = period
+        out[stop:] = period[:width - stop]
     for p in _primes.primes_up_to(P):
         base = p ** (_WHEEL_CAPS.get(p, 0) + 1)
         low = (base - 1) // (p - 1)  # sigma(p^c_p), already in sig

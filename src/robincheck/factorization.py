@@ -9,9 +9,12 @@ from math import gcd, isqrt, log2
 
 from .intervals import InvalidInput, RealInterval
 
-# Up to this many bits of n Fraction's one gcd beats cancelling against n's
-# primes: trial/gcd time on primorials, colossally abundant numbers read
-# 1.05, 1.07 at 10.5k bits; 1.00, 0.99 at 12k; 0.93, 0.91 at 13.2k (2 vCPUs)
+# Up to this many bits of n, one gcd of sigma(n) and n reduces the fraction.
+# That beats cancelling against n's primes well past here: gcd/cancel time on
+# primorials, colossally abundant numbers and squared primes read 0.35,
+# 0.41, 0.47 at 10k bits; 0.88, 0.93, 0.72 at 56k; 1.10, 1.16, 0.79 at 80k
+# (2 vCPUs).  It stays at 13,000 so that the cancellation path keeps its
+# tested inputs from 13,064 bits (the first 600 primes squared)
 _GCD_MAX_BITS = 13_000
 
 # A sigma(p^k) of at most this many bits meets only the trial primes that
@@ -111,8 +114,9 @@ _set_entries = Factorization.entries.__set__
 def sigma_over_n_fraction(f: Factorization) -> Fraction:
     """Exact sigma(n)/n = prod sigma(p^k) / prod p^k, in lowest terms.
 
-    While sum k * bit_length(p) is at most ``_GCD_MAX_BITS``, ``Fraction``
-    reduces the terms with one gcd, quadratic in CPython.  A larger n is
+    While sum k * bit_length(p) is at most ``_GCD_MAX_BITS``, it is
+    ``Fraction(sigma_int(f), f.n())``, which ``Fraction`` reduces with one
+    gcd of sigma(n) and n, quadratic in CPython.  A larger n is
     reduced against its own primes, the only ones that can divide the
     reduced denominator: each c = sigma(p^k) is divided by n's primes q in
     ascending order until q^2 > c, each q cancelling while its exponent
@@ -132,13 +136,7 @@ def sigma_over_n_fraction(f: Factorization) -> Fraction:
     for p, k in f.entries:
         bits += k * p.bit_length()
     if bits <= _GCD_MAX_BITS:
-        nums = []
-        dens = []
-        for p, k in f.entries:
-            pk = p ** k
-            nums.append(pk * p - 1)
-            dens.append(pk * (p - 1))
-        return Fraction(_tree_product(nums), _tree_product(dens))
+        return Fraction(sigma_int(f), f.n())
     left = dict(f.entries)  # n's primes, ascending, to the exponent left
     kept = []  # numerator parts coprime to the reduced denominator
     rest = []  # numerator parts still to meet the denominator
@@ -213,6 +211,6 @@ def sigma_over_n_interval(f: Factorization, W: int) -> RealInterval:
 def sigma_int(f: Factorization) -> int:
     """Exact sum of divisors via the geometric-series closed form."""
     terms = []
-    for p, k in f.entries:
-        terms.append((p ** (k + 1) - 1) // (p - 1))
+    for p, k in f.entries:  # k = 1 for most entries of a big n
+        terms.append(p + 1 if k == 1 else (p ** (k + 1) - 1) // (p - 1))
     return _tree_product(terms)

@@ -77,8 +77,6 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 def _segmented_primes(limit: int):
     """Yield numpy arrays of primes covering [2, limit] segment by segment."""
-    if limit < 2:
-        return
     root = isqrt(limit)
     base = _simple_sieve(max(root, 2))
     yield base[base <= limit]
@@ -227,8 +225,6 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int) -> int:
     """A nontrivial factor of odd composite n with no tiny prime factor."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 1000):
         y, m_batch, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -272,8 +268,6 @@ def factorize(n: int) -> Factorization:
     stack = [rem] if rem > 1 else []
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
         if is_prime(v):
             factors[v] = factors.get(v, 0) + 1
             continue

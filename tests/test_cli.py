@@ -115,6 +115,20 @@ class TestExitCodes:
         assert err.startswith("robincheck: error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "5041", "--jobs", "0"], "--jobs must be >= 1"),
+        # past int()'s 4300-digit limit, which _decimal_arg turns into
+        # argparse's own refusal
+        (["conjecture2", "--max-log-n", "9" * 5000],
+         "argument --max-log-n: invalid decimal value: "),
+    ])
+    def test_refused_before_any_command_runs(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"robincheck: error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     # the text and flag arguments; every other one is a number
     _NON_NUMERIC_DESTS = {
         "help", "command", "value", "factors", "output", "format",
@@ -317,6 +331,7 @@ class TestIntStr:
 
 class TestSigStr:
     @pytest.mark.parametrize("num,den,expected", [
+        (0, 7, "0"),                      # zero has no leading digit
         (9999995, 10**6, "10.0000"),      # rounding carries into a new digit
         (-9999995, 10**6, "-10.0000"),
         (9999985, 10**6, "9.99998"),      # half-even keeps the even digit

@@ -53,6 +53,12 @@ class TestSieve:
         with pytest.raises(InvalidInput, match="exceed the sieve budget"):
             source.primes_up_to(100_001)
 
+    def test_fresh_source_gives_the_first_primes(self):
+        # below p_6 the source sieves to its 2^16 minimum, not to an estimate
+        source = primes._PrimeSource()
+        assert source.first(3) == (2, 3, 5)
+        assert source._limit == 1 << 16
+
 
 class TestNthPrime:
     @pytest.mark.parametrize("m,expected", [(1, 2), (9, 23), (10**4, 104729)])

@@ -559,6 +559,24 @@ class TestLazyLhs:
         assert robin.decide(unit, lambda b: half, cfg) == (
             Comparison.OVERLAPPING, half, 32)
 
+    def test_decide_escalates_past_a_rung_without_rhs(self):
+        # a rung where rhs_at gives None is skipped like an overlap: the
+        # next rung decides, and a ladder of only such rungs ends with
+        # the last rung's None
+        cfg = PrecisionConfig(start_bits=8, max_bits=32)
+        half = RealInterval(1, 1, -1)
+        asked = []
+
+        def from_16(bits):
+            asked.append(bits)
+            return half if bits >= 16 else None
+
+        assert robin.decide(Fraction(1, 3), from_16, cfg) == (
+            Comparison.LESS, half, 16)
+        assert asked == [8, 16]
+        assert robin.decide(Fraction(1, 3), lambda b: None, cfg) == (
+            Comparison.OVERLAPPING, None, 32)
+
     @pytest.mark.parametrize("bits", [4, 53])
     def test_wide_enclosure_defers_to_exact(self, bits, monkeypatch):
         # an enclosure [0, 64] no floor or rung can decide: every verdict
