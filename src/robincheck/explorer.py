@@ -207,10 +207,11 @@ def _rhs_floor_scaled(t: int, bits: int) -> int:
 
     0 when the RHS kernel cannot certify ln t > 1, which is the case for
     t = 2 (ln 2 < 1) and for no t >= 3 at any usable precision; a zero
-    threshold makes every n of the block a candidate.
+    threshold makes every n of the block a candidate.  A threshold floored
+    to 2^-_THR_SHIFT needs no correctly rounded end, so ln t is computed
+    once and ``_rhs_from_log`` rounds it outward.
     """
-    rhs = _rhs_from_log(*_ln_fp(t, t, 1, bits + _GUARD), bits,
-                        lambda b: _ln_fp(t, t, 1, b + _GUARD))
+    rhs = _rhs_from_log(*_ln_fp(t, t, 1, bits + _GUARD), bits)
     if rhs is None:
         return 0
     shift = rhs.e + _THR_SHIFT
@@ -450,8 +451,8 @@ def _enumerate_bases(
     log_n_max: Fraction,
     non_increasing_only: bool,
     bits: int,
-) -> list[tuple[tuple[int, int], ...]]:
-    """All factorizations over a prefix of the primes with ln n <= bound.
+) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """(entries, n) for all n over a prefix of the primes with ln n <= bound.
 
     Exponent vectors are non-increasing by default.  Where n holds b at
     p and a > b at q > p, swapping the two gives n' = n (p/q)^(a-b) <= n,
@@ -461,22 +462,24 @@ def _enumerate_bases(
     that is satisfied implies every other one.  Inclusion rule: the
     certified upper bound of sum k_j ln p_j must not exceed log_n_max.
     Depth first, each base before its extensions and smaller exponents
-    first, on an explicit stack, so a base may hold any number of primes.
+    first, on an explicit stack, so a base may hold any number of primes;
+    each extension multiplies its base's n by the new prime power.
     """
     W = bits + _GUARD
     x_fp = (log_n_max.numerator << W) // log_n_max.denominator
     plist = _primes.first_primes(prime_count_max)
     ln_hi = [_ln_prime_fp(p, W)[1] for p in plist]
-    out: list[tuple[tuple[int, int], ...]] = []
-    # (base, exponent cap of its next prime, upper bound of its ln n)
-    stack = [((), exponent_max, 0)]
+    out: list[tuple[tuple[tuple[int, int], ...], int]] = []
+    # (base, its n, exponent cap of its next prime, upper bound of its ln n)
+    stack = [((), 1, exponent_max, 0)]
     while stack:
-        base, k_cap, s_hi = stack.pop()
+        base, n, k_cap, s_hi = stack.pop()
         if base:
-            out.append(base)
+            out.append((base, n))
         pos = len(base)
         if pos == len(plist):
             continue
+        p = plist[pos]
         cap = k_cap if non_increasing_only else exponent_max
         extensions = []
         acc = s_hi
@@ -484,7 +487,8 @@ def _enumerate_bases(
             acc += ln_hi[pos]
             if acc > x_fp:
                 break
-            extensions.append((base + ((plist[pos], k),), k, acc))
+            n *= p
+            extensions.append((base + ((p, k),), n, k, acc))
         stack.extend(reversed(extensions))  # the first pops first
     return out
 
@@ -556,8 +560,7 @@ def conjecture32_search(
         raise InvalidInput("log_n_max must be positive")
     all_bases = _enumerate_bases(prime_count_max, exponent_max, log_n_max,
                                  non_increasing_only, cfg.start_bits)
-    bases = [(base, n) for base in all_bases
-             if (n := prod(p ** k for p, k in base)) > 5040]
+    bases = [(base, n) for base, n in all_bases if n > 5040]
     # each base, then each raise that is no base and no task yet; seen keeps
     # a raise only if a second base reaches it by lowering an exponent > 1
     seen = {n for _, n in bases}

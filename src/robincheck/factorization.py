@@ -9,13 +9,13 @@ from math import gcd, isqrt, log2
 
 from .intervals import InvalidInput, RealInterval
 
-# Up to this many bits of n, one gcd of sigma(n) and n reduces the fraction.
-# That beats cancelling against n's primes well past here: gcd/cancel time on
-# primorials, colossally abundant numbers and squared primes read 0.35,
-# 0.41, 0.47 at 10k bits; 0.88, 0.93, 0.72 at 56k; 1.10, 1.16, 0.79 at 80k
-# (2 vCPUs).  It stays at 13,000 so that the cancellation path keeps its
-# tested inputs from 13,064 bits (the first 600 primes squared)
-_GCD_MAX_BITS = 13_000
+# Up to this many bits of n, one gcd of sigma(n) and n reduces the fraction;
+# past it, cancelling against n's primes wins.  gcd/cancel time read 0.35 /
+# 0.41 / 0.47 at 10k bits on primorials / colossally abundant numbers /
+# squared primes, 0.95-1.02 / 0.98-1.04 / 0.74-0.76 at 2^16 and 1.03-1.07 /
+# 1.11 / 0.72-0.76 at 72k (2 vCPUs, CPython 3.11); squared primes still read
+# 0.93 at 160k
+_GCD_MAX_BITS = 1 << 16
 
 # A sigma(p^k) of at most this many bits meets only the trial primes that
 # every k = 1 entry needs, and what they leave goes to the final gcd.  The

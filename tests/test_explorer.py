@@ -597,7 +597,7 @@ def _per_base_search(prime_count_max, exponent_max, log_n_max,
         prime_count_max, exponent_max, log_n_max, non_increasing_only,
         cfg.start_bits)
     rows, probed = [], 0
-    for entries in all_bases:
+    for entries, _ in all_bases:
         f = Factorization(entries)
         if f.n() <= 5040:
             continue
@@ -728,17 +728,26 @@ def _failing_task(*args):
 
 class TestConjecture32Search:
     def test_enumeration_matches_naive(self):
-        got = explorer._enumerate_bases(4, 3, Fraction("11.0"), True, 53)
+        got = [b for b, _ in explorer._enumerate_bases(
+            4, 3, Fraction("11.0"), True, 53)]
         naive = _naive_enumerate(4, 3, 11.0, True)
         assert set(got) == naive
 
     def test_enumeration_all_arrangements_matches_naive(self):
-        got = explorer._enumerate_bases(3, 3, Fraction("9.5"), False, 53)
+        got = [b for b, _ in explorer._enumerate_bases(
+            3, 3, Fraction("9.5"), False, 53)]
         naive = _naive_enumerate(3, 3, 9.5, False)
         assert set(got) == naive
 
+    @pytest.mark.parametrize("non_increasing_only", [True, False])
+    def test_enumeration_carries_n(self, non_increasing_only):
+        got = explorer._enumerate_bases(5, 4, Fraction("16.0"),
+                                        non_increasing_only, 53)
+        assert all(n == Factorization(b).n() for b, n in got)
+
     def test_enumeration_unique(self):
-        got = explorer._enumerate_bases(5, 4, Fraction("16.0"), True, 53)
+        got = [b for b, _ in explorer._enumerate_bases(
+            5, 4, Fraction("16.0"), True, 53)]
         assert len(got) == len(set(got))
 
     @pytest.mark.parametrize("args", [
@@ -749,11 +758,12 @@ class TestConjecture32Search:
         (9, 6, Fraction("27.631021"), True),
     ])
     def test_enumeration_order_matches_recursion(self, args):
-        assert (explorer._enumerate_bases(*args, 53)
+        assert ([b for b, _ in explorer._enumerate_bases(*args, 53)]
                 == _recursive_enumerate(*args, 53))
 
     def test_enumeration_deeper_than_the_recursion_limit(self):
-        got = explorer._enumerate_bases(1200, 1, Fraction(20000), True, 53)
+        got = [b for b, _ in explorer._enumerate_bases(
+            1200, 1, Fraction(20000), True, 53)]
         plist = primes.first_primes(1200)
         assert got == [tuple((p, 1) for p in plist[:m])
                        for m in range(1, 1201)]
@@ -767,8 +777,8 @@ class TestConjecture32Search:
         # the exchange lemma, by brute force over the default search: the
         # form that decides base + e_j is sorted, no larger, and has a
         # sigma(n)/n at least as large
-        for base in explorer._enumerate_bases(9, 6, Fraction("27.631021"),
-                                              True, 53):
+        for base, _ in explorer._enumerate_bases(
+                9, 6, Fraction("27.631021"), True, 53):
             at = explorer._raised_at(base, True)
             for j, i in enumerate(at):
                 n = Factorization.from_canonical(explorer._bumped(base, j))
@@ -780,7 +790,7 @@ class TestConjecture32Search:
 
     def test_every_arrangement_checked_once(self, checked):
         # exponents in any order: more bases share an increment
-        bases = [b for b in explorer._enumerate_bases(
+        bases = [b for b, _ in explorer._enumerate_bases(
             4, 3, Fraction(12), False, 53) if Factorization(b).n() > 5040]
         want = set(bases)
         for b in bases:
@@ -863,8 +873,8 @@ class TestConjecture32Search:
         # sorted form satisfied and its increment not.
         *search, non_increasing = args
         ratios = sorted(
-            float(sigma_over_n_fraction(f)) for f in map(
-                Factorization, explorer._enumerate_bases(
+            float(sigma_over_n_fraction(f)) for f in (
+                Factorization(b) for b, _ in explorer._enumerate_bases(
                     search[0], search[1], Fraction(search[2]),
                     non_increasing, 53))
             if f.n() > 5040)

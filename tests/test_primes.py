@@ -1,5 +1,6 @@
 """Sieve, factorization, and factor-string grammar."""
 
+import bisect
 import random
 
 import pytest
@@ -52,6 +53,30 @@ class TestSieve:
         assert len(source.primes_up_to(100_000)) == 9592
         with pytest.raises(InvalidInput, match="exceed the sieve budget"):
             source.primes_up_to(100_001)
+
+    def test_sieve_at_every_limit_to_2000(self):
+        naive = oracles.naive_prime_list(2000)
+        for limit in range(2, 2001):
+            assert (primes._sieve(limit).tolist()
+                    == naive[: bisect.bisect_right(naive, limit)]), limit
+
+    @pytest.mark.parametrize("limit", [
+        p * p + d for p in (3, 5, 7, 11, 251, 257) for d in (-1, 0, 1)
+    ] + [1 << 16, (1 << 16) + 1, 99_999, 100_000])
+    def test_sieve_at_squares_and_powers_of_two(self, limit):
+        # p^2 is the first multiple of p struck, and p^2 - 1 the last
+        # limit before it; odd and even limits end on either parity
+        assert (primes._sieve(limit).tolist()
+                == oracles.naive_prime_list(limit))
+
+    def test_growth_in_steps_matches_one_growth(self):
+        stepped = primes._PrimeSource()
+        stepped._grow_to(70_000)
+        stepped._grow_to(200_000)
+        whole = primes._PrimeSource()
+        whole._grow_to(200_000)
+        assert stepped._limit == whole._limit == 200_000
+        assert stepped.primes_up_to(200_000) == whole.primes_up_to(200_000)
 
     def test_fresh_source_gives_the_first_primes(self):
         # below p_6 the source sieves to its 2^16 minimum, not to an estimate

@@ -202,12 +202,11 @@ class TestSigmaOverNCancellation:
         tuple((p, (1, 2, 3, 5)[i % 4])
               for i, p in enumerate(primes.first_primes(1500))),
     ], ids=["first_600_primes_squared", "k_1_2_3_5"])
-    def test_small_sigmas_past_the_trial_primes(self, entries):
+    def test_small_sigmas_past_the_trial_primes(self, entries, monkeypatch):
         # most sigma(p^k) here have a few dozen bits and meet only n's
         # primes up to sqrt(p_max + 1); what those leave meets the gcd
         f = Factorization(entries)
-        assert (sum(k * p.bit_length() for p, k in entries)
-                > factorization._GCD_MAX_BITS)
+        monkeypatch.setattr(factorization, "_GCD_MAX_BITS", 0)
         plain = Fraction(math.prod((p ** (k + 1) - 1) // (p - 1)
                                    for p, k in entries),
                          math.prod(p ** k for p, k in entries))
@@ -503,8 +502,9 @@ def _floor_identity_inputs():
                                 10 ** 12))
            for _ in range(2000)]
     fs += [Factorization.from_canonical(((2, k),)) for k in range(13, 301)]
-    fs += [Factorization.from_canonical(b) for b in explorer._enumerate_bases(
-        9, 6, Fraction("27.631021"), True, 53)]
+    fs += [Factorization.from_canonical(b)
+           for b, _ in explorer._enumerate_bases(
+               9, 6, Fraction("27.631021"), True, 53)]
     return fs
 
 
