@@ -145,10 +145,10 @@ def _build_parser() -> _Parser:
 
 def _exit_code(verdicts: Iterable[Verdict]) -> int:
     """1 if any verdict is violated, else 2 if any is undecided, else 0."""
-    seen = set(verdicts)
-    if Verdict.VIOLATED in seen:
+    present = set(verdicts)
+    if Verdict.VIOLATED in present:
         return EXIT_VIOLATED
-    if Verdict.INDETERMINATE in seen:
+    if Verdict.INDETERMINATE in present:
         return EXIT_INDETERMINATE
     return EXIT_SATISFIED
 

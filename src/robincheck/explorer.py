@@ -23,7 +23,7 @@ no bound (the block at 2, since ln 2 < 1) the threshold is 0 and every
 n of the block is a candidate.
 
 Output is deterministic and independent of the worker count: the
-segment grid depends only on (lo, hi, segment size) and results are
+segment grid depends only on (lo, hi, ``SEGMENT_SIZE``) and results are
 merged in ascending order.  ``_pool_imap`` is the one worker pool, for
 the scanner and the conjecture-2 search; it never starts more processes
 than there are CPUs or tasks.
@@ -271,9 +271,9 @@ def _pool_imap(fn, tasks: Sequence, worker_count: int,
         yield from pool.imap(fn, tasks, chunksize)
 
 
-def _scan_segment_task(hi: int, segment_size: int, cfg: PrecisionConfig,
+def _scan_segment_task(hi: int, size: int, cfg: PrecisionConfig,
                        a: int) -> list:
-    return _scan_segment(a, min(a + segment_size, hi + 1), cfg)
+    return _scan_segment(a, min(a + size, hi + 1), cfg)
 
 
 def iter_scan_results(
@@ -281,7 +281,6 @@ def iter_scan_results(
     hi: int,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     worker_count: int = 1,
-    segment_size: int = SEGMENT_SIZE,
 ) -> Iterator[list]:
     """Per segment, ascending and streamed: ``_scan_segment``'s flagged pairs.
 
@@ -289,14 +288,14 @@ def iter_scan_results(
     """
     if lo < 2 or lo > hi:
         raise InvalidInput("need 2 <= lo <= hi")
-    if segment_size < 1 or worker_count < 1:
-        raise InvalidInput("segment_size and worker_count must be >= 1")
+    if worker_count < 1:
+        raise InvalidInput("worker_count must be >= 1")
     if hi > MAX_SCAN_HI:
         raise InvalidInput(f"hi exceeds the supported scan range {MAX_SCAN_HI}")
+    size = SEGMENT_SIZE  # read once; workers get it in the task
     # segment starts, not segments: a range costs nothing to build
-    return _pool_imap(
-        functools.partial(_scan_segment_task, hi, segment_size, cfg),
-        range(lo, hi + 1, segment_size), worker_count)
+    return _pool_imap(functools.partial(_scan_segment_task, hi, size, cfg),
+                      range(lo, hi + 1, size), worker_count)
 
 
 def scan_range(
@@ -304,11 +303,10 @@ def scan_range(
     hi: int,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     worker_count: int = 1,
-    segment_size: int = SEGMENT_SIZE,
 ) -> ScanReport:
     """Certified verdict for every n in [lo, hi]; violations ascending."""
     flagged = [pair for segment in iter_scan_results(
-        lo, hi, cfg, worker_count, segment_size) for pair in segment]
+        lo, hi, cfg, worker_count) for pair in segment]
     return ScanReport(
         lo=lo,
         hi=hi,
@@ -537,8 +535,8 @@ def conjecture32_search(
 
     A base that is not certified satisfied is reported as a counterexample
     row of its own, with index None, and its increments are not reported.
-    Each distinct n is checked once, found by a set of the n themselves
-    (exact by unique factorization; raising entry i multiplies n by p_i).
+    Each distinct n is checked once: a dict keys the tasks by n (exact by
+    unique factorization; raising entry i multiplies n by p_i).
 
     By default the increment n = base + e_j is decided by its sorted form
     h = base + e_i (``_raised_at``), and checked itself only when h is not
@@ -561,21 +559,15 @@ def conjecture32_search(
     all_bases = _enumerate_bases(prime_count_max, exponent_max, log_n_max,
                                  non_increasing_only, cfg.start_bits)
     bases = [(base, n) for base, n in all_bases if n > 5040]
-    # each base, then each raise that is no base and no task yet; seen keeps
-    # a raise only if a second base reaches it by lowering an exponent > 1
-    seen = {n for _, n in bases}
-    tasks = []
+    # each distinct n -> the first (base, i) that reaches it
+    tasks = {}
     for base, n in bases:
-        tasks.append((base, None))
-        above_one = sum(k > 1 for _, k in base)
-        for i in dict.fromkeys(_raised_at(base, non_increasing_only)):
-            if (m := n * base[i][0]) not in seen:
-                tasks.append((base, i))
-                if above_one - (base[i][1] > 1):
-                    seen.add(m)
+        tasks.setdefault(n, (base, None))
+        for i in _raised_at(base, non_increasing_only):
+            tasks.setdefault(n * base[i][0], (base, i))
     unsatisfied = {r.factorization.n(): r for r in _pool_imap(
-        functools.partial(_unsatisfied_task, cfg), tasks, worker_count, 64)
-        if r is not None}
+        functools.partial(_unsatisfied_task, cfg), list(tasks.values()),
+        worker_count, 64) if r is not None}
     counterexamples = []
     for base, n in bases if unsatisfied else ():
         f = Factorization.from_canonical(base)

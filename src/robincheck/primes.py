@@ -114,13 +114,19 @@ class _PrimeSource:
 
     def first(self, m: int) -> tuple[int, ...]:
         if len(self._primes) < m:
-            # p_m < m (ln m + ln ln m) for m >= 6 (Rosser-Schoenfeld);
-            # padded, and 16 > p_5 covers the rest
-            if m < 6:
-                est = 16
-            else:
-                est = int(m * (math.log(m) + math.log(math.log(m)))) + 16
-            self._grow_to(est)
+            # m (ln m + ln ln m - 1) <= p_m < m (ln m + ln ln m) for m >= 6
+            # (Dusart 1999; Rosser-Schoenfeld), and 16 > p_5: grown to the
+            # padded upper bound unless the lower one passes the budget
+            est = lower = 16
+            if m >= 6:
+                ln = math.log(m)
+                lower = m * (ln + math.log(ln) - 1)
+                est = int(m * (ln + math.log(ln))) + 16
+            if lower <= _SIEVE_BUDGET:
+                self._grow_to(min(est, _SIEVE_BUDGET))
+            if len(self._primes) < m:
+                raise InvalidInput(f"the first {m} primes exceed the sieve "
+                                   f"budget {_SIEVE_BUDGET}")
         return self._primes[:m]
 
 
@@ -289,7 +295,7 @@ def parse_factor_string(s: str) -> Factorization:
     """
     if not s or not s.strip():
         raise InvalidInput("empty factor string")
-    seen: dict[int, int] = {}
+    exponents: dict[int, int] = {}
     terms = s.split("*")
     for i, raw in enumerate(terms, 1):
         term = "".join(raw.split())
@@ -315,7 +321,7 @@ def parse_factor_string(s: str) -> Factorization:
             )
         if not is_prime(base):
             raise InvalidInput(f"{base} is not prime")
-        if base in seen:
+        if base in exponents:
             raise InvalidInput(f"base {base} repeated")
-        seen[base] = exp
-    return within_bit_budget(Factorization(tuple(seen.items())))
+        exponents[base] = exp
+    return within_bit_budget(Factorization(tuple(exponents.items())))

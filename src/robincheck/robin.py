@@ -324,9 +324,10 @@ def _rhs_floor(x: int, precision_bits: int) -> Optional[RealInterval]:
     each at most 2W below, and sum k_j <= log2 n, so ln_lo lies within a
     factor 1 - 3W * 2**-W of ln n * 2**W >= x.  The kernel being sound and
     within 2W ulps of ln, L_f lies below L by more than
-    2**(W-7) - 6W - 2W > 0 ulps (W >= 36).  In value T lies about
-    e^gamma * 2**-7 below the right side or more, so only an n whose
-    sigma(n)/n is that close to it needs its own enclosure.
+    2**(W-7) - 6W - 2W > 0 ulps (true for W >= 14, so for every W >= 33
+    that ``PrecisionConfig`` accepts).  In value T lies about e^gamma *
+    2**-7 below the right side or more, so only an n whose sigma(n)/n is
+    that close to it needs its own enclosure.
     """
     x_f = _floor_key(x)
     return _rhs_from_log(x_f, x_f, precision_bits)

@@ -1,12 +1,14 @@
 """CLI surface: exit codes, output schemas, decimal fidelity, stability."""
 
 import argparse
+import csv
 import dataclasses
 import decimal
 import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -26,6 +28,8 @@ from robincheck import (
 )
 from robincheck.intervals import Comparison
 from robincheck.factorization import sigma_over_n_fraction
+
+import golden_diff
 
 
 def run_cli(args, capsys):
@@ -865,3 +869,65 @@ def test_golden_stdout_and_exit_code(case, capsys):
         with open(os.path.join(_GOLDEN_DIR, case["stderr"]), newline="") as fh:
             assert err == fh.read()
     assert code == case["exit"]
+
+
+class TestGoldenDiff:
+    """The replay every change to the printed output is accepted by."""
+
+    @pytest.fixture
+    def golden_copy(self, tmp_path):
+        dest = tmp_path / "cli_golden"
+        shutil.copytree(_GOLDEN_DIR, dest)
+        return dest
+
+    @staticmethod
+    def _edit_cell(path, column, edit):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index(column)
+        rows[1][col] = edit(rows[1][col])
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    @staticmethod
+    def _golden_bytes():
+        files = {}
+        for name in sorted(os.listdir(_GOLDEN_DIR)):
+            with open(os.path.join(_GOLDEN_DIR, name), "rb") as fh:
+                files[name] = fh.read()
+        return files
+
+    def test_checked_in_goldens_pass(self, capsys):
+        before = self._golden_bytes()
+        assert golden_diff.main(_GOLDEN_DIR, record=False) == 0
+        out = capsys.readouterr().out
+        assert "NOT ALLOWED" not in out and "rounded" not in out
+        assert self._golden_bytes() == before
+
+    def test_changed_verdict_not_allowed(self, golden_copy, capsys):
+        before = self._golden_bytes()
+        self._edit_cell(golden_copy / "check_5040.csv", "verdict",
+                        lambda v: "satisfied")
+        assert golden_diff.main(str(golden_copy), record=False) == 1
+        out = capsys.readouterr().out
+        assert "NOT ALLOWED check_5040.csv: verdict (1)" in out
+        assert self._golden_bytes() == before
+
+    def test_moved_rhs_lo_is_rounded(self, golden_copy, capsys):
+        before = self._golden_bytes()
+        self._edit_cell(golden_copy / "check_5040.csv", "rhs_lo",
+                        lambda v: v[:-1] + ("1" if v[-1] != "1" else "2"))
+        assert golden_diff.main(str(golden_copy), record=False) == 0
+        out = capsys.readouterr().out
+        assert "rounded    check_5040.csv: rhs_lo (1)" in out
+        assert "NOT ALLOWED" not in out
+        assert self._golden_bytes() == before
+
+    def test_changed_fields_of_json(self):
+        doc = {"n": 5040, "rows": [{"rhs": {"lo": "1", "hi": "2"}}]}
+        old = json.dumps(doc)
+        extra = json.dumps(dict(doc, extra=1))
+        assert golden_diff.changed_fields("a.json", old, extra) == {
+            "<shape>": 1}
+        assert golden_diff.changed_fields(
+            "a.json", old, json.dumps(doc, indent=2)) == {"<layout>": 1}

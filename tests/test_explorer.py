@@ -108,14 +108,6 @@ class TestScanGolden:
         with pytest.raises(ValueError):
             explorer.scan_range(1, 10)
 
-    @pytest.mark.parametrize("segment_size", [-1, 0])
-    def test_segment_size_below_one_refused(self, segment_size):
-        # with a step of -1 no segment would run, yet the report would
-        # count 5039 n checked and none of the range's 27 violators
-        for scan in (explorer.scan_range, explorer.iter_scan_results):
-            with pytest.raises(InvalidInput, match="segment_size"):
-                scan(2, 5040, segment_size=segment_size)
-
     @pytest.mark.parametrize("worker_count", [-3, 0])
     @pytest.mark.parametrize("entry", [
         functools.partial(explorer.scan_range, 2, 300),
@@ -134,17 +126,18 @@ class TestScanGolden:
 
 
 class TestScanDeterminism:
-    def test_byte_identical_across_worker_counts(self):
+    def test_byte_identical_across_worker_counts(self, monkeypatch):
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 1 << 14)
         reports = {}
         for workers in (1, 4, 8):
-            rep = explorer.scan_range(2, 120_000, worker_count=workers,
-                                      segment_size=1 << 14)
+            rep = explorer.scan_range(2, 120_000, worker_count=workers)
             reports[workers] = scan_golden_projection(rep)
         assert reports[1] == reports[4] == reports[8]
 
-    def test_segment_size_does_not_change_results(self):
-        a = explorer.scan_range(2, 30_000, segment_size=1 << 12)
-        b = explorer.scan_range(2, 30_000, segment_size=1 << 20)
+    def test_segment_size_does_not_change_results(self, monkeypatch):
+        b = explorer.scan_range(2, 30_000)  # one 2^20 window
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 1 << 12)
+        a = explorer.scan_range(2, 30_000)
         assert [n for n, _ in a.violations] == [n for n, _ in b.violations]
 
 
@@ -366,7 +359,7 @@ class TestScanRangeEnd:
         # below 2^63
         hi = explorer.MAX_SCAN_HI
         lo = hi - 4095
-        rep = explorer.scan_range(lo, hi, segment_size=4096)
+        rep = explorer.scan_range(lo, hi)
         assert rep.violations == () and rep.indeterminates == ()
         assert rep.checked_count == 4096
         sig, smooth = explorer._sigma_segment(lo, hi + 1)
@@ -768,10 +761,21 @@ class TestConjecture32Search:
         assert got == [tuple((p, 1) for p in plist[:m])
                        for m in range(1, 1201)]
 
-    def test_each_distinct_n_checked_once(self, checked):
-        rep = explorer.conjecture32_search(9, 6, Fraction("27.631021"))
-        assert len(checked) == len(set(checked)) == 1210
-        assert rep == _per_base_search(9, 6, "27.631021")
+    @pytest.mark.parametrize("search, non_increasing, count, per_base", [
+        ((9, 6, "27.631021"), True, 1210, True),
+        # the per-base loop takes about 1.8 s here
+        ((9, 6, "27.631021"), False, 46_634, False),
+        ((12, 8, "45"), True, 10_693, True),
+    ], ids=["default", "all_arrangements", "12_8_45"])
+    def test_each_distinct_n_checked_once(self, checked, search,
+                                          non_increasing, count, per_base):
+        p, e, x = search
+        rep = explorer.conjecture32_search(
+            p, e, Fraction(x), non_increasing_only=non_increasing)
+        assert len(checked) == len(set(checked)) == count
+        if per_base:
+            assert rep == _per_base_search(
+                p, e, x, non_increasing_only=non_increasing)
 
     def test_sorted_forms_decide_their_increments(self):
         # the exchange lemma, by brute force over the default search: the
@@ -990,20 +994,21 @@ class TestPoolSize:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         return built
 
-    def test_scan_clamped_to_cpus_and_segments(self, pools):
+    def test_scan_clamped_to_cpus_and_segments(self, pools, monkeypatch):
         want = explorer.scan_range(2, 20_000)
-        got = explorer.scan_range(2, 20_000, worker_count=100_000,
-                                  segment_size=4096)  # 5 segments
-        assert pools == [3]
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 4096)
+        got = explorer.scan_range(2, 20_000, worker_count=100_000)
+        assert pools == [3]  # 5 segments
         assert scan_golden_projection(got) == scan_golden_projection(want)
-        explorer.scan_range(2, 8000, worker_count=100_000, segment_size=4096)
+        explorer.scan_range(2, 8000, worker_count=100_000)
         assert pools == [3, 2]  # 2 segments
 
     def test_one_process_runs_in_process(self, pools, monkeypatch):
-        explorer.scan_range(2, 20_000, worker_count=1, segment_size=4096)
         explorer.scan_range(2, 20_000, worker_count=8)  # one segment
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 4096)
+        explorer.scan_range(2, 20_000, worker_count=1)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        explorer.scan_range(2, 20_000, worker_count=8, segment_size=4096)
+        explorer.scan_range(2, 20_000, worker_count=8)
         explorer.conjecture32_search(6, 3, Fraction("12.5"), worker_count=8)
         assert pools == []
 

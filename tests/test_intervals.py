@@ -420,7 +420,7 @@ class TestSharedExponent:
         self._check(_rhs_from_log(3 << W, (3 << W) + 1, bits))
         self._check(_rhs_from_log(5 << (W - 2), 7 << (W + 100), bits))
 
-    @pytest.mark.parametrize("bits", [4, 53, 212])
+    @pytest.mark.parametrize("bits", [1, 4, 53, 212])
     def test_rhs_floors(self, bits):
         W = bits + _GUARD
         for f in (primes.factorize(5041), primes.primorial_factorization(100),

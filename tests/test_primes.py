@@ -54,6 +54,25 @@ class TestSieve:
         with pytest.raises(InvalidInput, match="exceed the sieve budget"):
             source.primes_up_to(100_001)
 
+    def test_first_takes_every_prime_the_budget_holds(self, monkeypatch):
+        # the upper estimate for m = 9592 is about 109,215, past the budget
+        monkeypatch.setattr(primes, "_SIEVE_BUDGET", 100_000)
+        got = primes._PrimeSource().first(9592)
+        assert len(got) == 9592 and got[-1] == 99_991
+
+    def test_first_past_the_budget_names_m(self, monkeypatch):
+        monkeypatch.setattr(primes, "_SIEVE_BUDGET", 100_000)
+        # the lower bound 99,620 is within the budget: refused after sieving
+        sieved = primes._PrimeSource()
+        with pytest.raises(InvalidInput, match="first 9593 primes exceed"):
+            sieved.first(9593)
+        assert sieved._limit == 100_000
+        # the lower bound 104,306 is not: refused before sieving
+        source = primes._PrimeSource()
+        with pytest.raises(InvalidInput, match="first 10000 primes exceed"):
+            source.first(10_000)
+        assert source._limit == 0
+
     def test_sieve_at_every_limit_to_2000(self):
         naive = oracles.naive_prime_list(2000)
         for limit in range(2, 2001):

@@ -615,7 +615,7 @@ class TestLazyLhs:
 class TestRhsFloor:
     """check() decides on a cached floor and builds rhs when it is read."""
 
-    @pytest.mark.parametrize("bits", [4, 53, 212])
+    @pytest.mark.parametrize("bits", [1, 4, 53, 212])
     def test_check_equals_eager_check(self, bits):
         cfg = PrecisionConfig(start_bits=bits)
         fs = _floor_identity_inputs()
@@ -685,7 +685,7 @@ class TestRhsFloor:
         assert all(r.rhs.lo.as_fraction() > r.lhs for r in results)
         assert reruns == []
 
-    @pytest.mark.parametrize("bits", [4, 53, 212])
+    @pytest.mark.parametrize("bits", [1, 4, 53, 212])
     def test_bit_length_floor_is_below_log_n_floor(self, bits):
         ln2_lo = _ln2_fp(bits + _GUARD)[0]
         for f in _floor_identity_inputs():
@@ -697,7 +697,7 @@ class TestRhsFloor:
             if coarse is not None and fine is not None:
                 assert coarse.lo.as_fraction() <= fine.lo.as_fraction(), f
 
-    @pytest.mark.parametrize("bits", [4, 53, 212])
+    @pytest.mark.parametrize("bits", [1, 4, 53, 212])
     def test_below_floor_is_compare_against_the_floor(self, bits):
         # at T - 1, T and T + 1 for the threshold T of every floor key
         # the inputs reach, at both of check's ln n bounds
