@@ -22,6 +22,15 @@ is certified Satisfied by the block bound.  Where the RHS kernel gives
 no bound (the block at 2, since ln 2 < 1) the threshold is 0 and every
 n of the block is a candidate.
 
+Most windows need no sieve.  The paper's substitution theorem, with the
+exchange lemma of ``conjecture32_search``, maps every n > 5040 to a
+Hardy-Ramanujan integer h <= n (exponents non-increasing on the first
+primes) with sigma(h)/h >= sigma(n)/n, and sigma(5040)/5040 = 403/105
+lies below e^gamma ln ln 5583.  So once per call ``_cover_bound`` checks
+each HR integer in (5040, hi], and a window [a, b) with a >= 5583 whose
+b - 1 lies below the least one not certified satisfied holds no flagged
+n and is not sieved.
+
 Output is deterministic and independent of the worker count: the
 segment grid depends only on (lo, hi, ``SEGMENT_SIZE``) and results are
 merged in ascending order.  ``_pool_imap`` is the one worker pool, for
@@ -45,6 +54,7 @@ import numpy as np
 from .factorization import Factorization
 from .intervals import (
     _GUARD,
+    Comparison,
     DEFAULT_PRECISION,
     InvalidInput,
     PrecisionConfig,
@@ -58,7 +68,9 @@ from .robin import (
     _ln_prime_fp,
     _rhs_from_log,
     check,
+    decide,
     log_n,
+    robin_rhs,
 )
 from . import primes as _primes
 
@@ -88,6 +100,11 @@ _SMOOTH_MAX = 128
 # L = 27,720 19.0, 55,440 17.6, 110,880 (these caps, 1.8 MB) 16.5,
 # 151,200 (2^5 3^3 5^2 7, 2.4 MB) 16.7, 221,760 17.9.
 _WHEEL_CAPS = {2: 5, 3: 2, 5: 1, 7: 1, 11: 1}
+# sigma(5040)/5040; e^gamma ln ln n passes it between 5582 and _COVER_FROM,
+# from which on a scan window may be certified without a sieve
+# (``_cover_bound``)
+_SIGMA_OVER_N_5040 = Fraction(403, 105)
+_COVER_FROM = 5583
 
 
 @dataclass(frozen=True)
@@ -271,9 +288,82 @@ def _pool_imap(fn, tasks: Sequence, worker_count: int,
         yield from pool.imap(fn, tasks, chunksize)
 
 
+def _hr_walk(X: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """(entries, n) for every Hardy-Ramanujan integer 2 <= n <= X.
+
+    An HR integer is 2^k1 3^k2 ... p_r^kr with k1 >= ... >= kr >= 1, the
+    non-increasing bases of ``_enumerate_bases``, kept exactly when
+    n <= X.  It holds the first r primes, so their primorial is at most
+    X, and 2^k1 <= n bounds every exponent by the largest k with 2^k <= X.
+    """
+    count, primorial = 0, 1
+    # the primorial of the first bit_length(X) primes exceeds X
+    for p in _primes.first_primes(X.bit_length()):
+        primorial *= p
+        if primorial > X:
+            break
+        count += 1
+    return _enumerate_bases(count, X.bit_length() - 1, None, True, None,
+                            n_max=X)
+
+
+def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
+    """Below it, every n >= _COVER_FROM is certified satisfied.
+
+    The least HR integer in (5040, hi] (``_hr_walk``) that ``check`` does
+    not certify satisfied at ``cfg``, or hi + 1 if there is none; 0, so
+    that nothing is covered, unless ``decide`` certifies the small case
+    403/105 < e^gamma ln ln 5583.
+
+    Why.  Write f(p, k) = sigma(p^k)/p^k = (1 - p^-(k+1))/(1 - 1/p), so
+    sigma(n)/n is the product of f over n's entries p^k.  Take n in
+    [5583, bound).
+    - Substitution (the paper's theorem): f(p, k) decreases in p.  So
+      n = prod Q_i^(e_i), Q_i its primes ascending, moved onto the first
+      primes as M = prod p_i^(e_i) (p_i <= Q_i) gives M <= n and
+      sigma(M)/M >= sigma(n)/n.
+    - Exchange (``_enumerate_bases``' swap, from ``conjecture32_search``'s
+      lemma): each swap that moves a larger exponent onto a smaller prime
+      lowers n and raises sigma(n)/n, so M's exponents sorted
+      non-increasing give an HR integer h <= M with sigma(h)/h >=
+      sigma(M)/M.  If h > 5040, then h < bound is certified satisfied,
+      and sigma(n)/n <= sigma(h)/h < e^gamma ln ln h <= e^gamma ln ln n,
+      as the right side increases in n.
+    - Small case: if h <= 5040, sigma(h)/h <= sigma(5040)/5040 = 403/105,
+      since sigma(m)/m < 403/105 for every m < 5040 (5040 is
+      superabundant), and 403/105 < e^gamma ln ln 5583 <= e^gamma ln ln n.
+      e^gamma ln ln n passes 403/105 near n = 5582.15, so 5583 is the
+      least cut-off this step gives.
+    """
+    cut = _primes.factorize(_COVER_FROM)
+    if decide(_SIGMA_OVER_N_5040, functools.partial(robin_rhs, cut),
+              cfg)[0] is not Comparison.LESS:
+        return 0
+    unsatisfied = (
+        n for entries, n in _hr_walk(hi) if n > 5040
+        and check(Factorization.from_canonical(entries), cfg).verdict
+        is not Verdict.SATISFIED)
+    return min(unsatisfied, default=hi + 1)
+
+
 def _scan_segment_task(hi: int, size: int, cfg: PrecisionConfig,
-                       a: int) -> list:
-    return _scan_segment(a, min(a + size, hi + 1), cfg)
+                       bound: int, a: int) -> list:
+    b = min(a + size, hi + 1)
+    if a >= _COVER_FROM and b - 1 < bound:
+        return []  # certified by _cover_bound
+    return _scan_segment(a, b, cfg)
+
+
+def _scan_windows(lo: int, hi: int, size: int, cfg: PrecisionConfig,
+                  worker_count: int) -> Iterator[list]:
+    # a window starting below _COVER_FROM is never covered: no walk unless
+    # the last one starts at or past it
+    last = lo + (hi - lo) // size * size
+    bound = _cover_bound(hi, cfg) if last >= _COVER_FROM else 0
+    # segment starts, not segments: a range costs nothing to build
+    yield from _pool_imap(
+        functools.partial(_scan_segment_task, hi, size, cfg, bound),
+        range(lo, hi + 1, size), worker_count)
 
 
 def iter_scan_results(
@@ -284,7 +374,10 @@ def iter_scan_results(
 ) -> Iterator[list]:
     """Per segment, ascending and streamed: ``_scan_segment``'s flagged pairs.
 
-    Bad arguments are refused here, before the first segment is asked for.
+    Bad arguments are refused here, before the first segment is asked
+    for.  With that first request, ``_cover_bound`` is worked out once;
+    a window [a, b) with a >= 5583 and b - 1 below it holds no flagged n
+    and is not sieved.
     """
     if lo < 2 or lo > hi:
         raise InvalidInput("need 2 <= lo <= hi")
@@ -293,9 +386,7 @@ def iter_scan_results(
     if hi > MAX_SCAN_HI:
         raise InvalidInput(f"hi exceeds the supported scan range {MAX_SCAN_HI}")
     size = SEGMENT_SIZE  # read once; workers get it in the task
-    # segment starts, not segments: a range costs nothing to build
-    return _pool_imap(functools.partial(_scan_segment_task, hi, size, cfg),
-                      range(lo, hi + 1, size), worker_count)
+    return _scan_windows(lo, hi, size, cfg, worker_count)
 
 
 def scan_range(
@@ -446,11 +537,12 @@ class SearchReport:
 def _enumerate_bases(
     prime_count_max: int,
     exponent_max: int,
-    log_n_max: Fraction,
+    log_n_max: Optional[Fraction],
     non_increasing_only: bool,
-    bits: int,
+    bits: Optional[int],
+    n_max: Optional[int] = None,
 ) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """(entries, n) for all n over a prefix of the primes with ln n <= bound.
+    """(entries, n) for all n over a prefix of the primes within a bound.
 
     Exponent vectors are non-increasing by default.  Where n holds b at
     p and a > b at q > p, swapping the two gives n' = n (p/q)^(a-b) <= n,
@@ -458,15 +550,18 @@ def _enumerate_bases(
     g_k(1/p) / g_k(1/q) >= 1, g_k the increasing ratio of
     ``conjecture32_search``'s exchange lemma.  So a sorted arrangement
     that is satisfied implies every other one.  Inclusion rule: the
-    certified upper bound of sum k_j ln p_j must not exceed log_n_max.
+    certified upper bound of sum k_j ln p_j at ``bits`` must not exceed
+    log_n_max; with ``n_max`` given instead, n <= n_max, compared exactly
+    on the n each base carries (``_hr_walk``).
     Depth first, each base before its extensions and smaller exponents
     first, on an explicit stack, so a base may hold any number of primes;
     each extension multiplies its base's n by the new prime power.
     """
-    W = bits + _GUARD
-    x_fp = (log_n_max.numerator << W) // log_n_max.denominator
     plist = _primes.first_primes(prime_count_max)
-    ln_hi = [_ln_prime_fp(p, W)[1] for p in plist]
+    if n_max is None:
+        W = bits + _GUARD
+        x_fp = (log_n_max.numerator << W) // log_n_max.denominator
+        ln_hi = [_ln_prime_fp(p, W)[1] for p in plist]
     out: list[tuple[tuple[tuple[int, int], ...], int]] = []
     # (base, its n, exponent cap of its next prime, upper bound of its ln n)
     stack = [((), 1, exponent_max, 0)]
@@ -482,10 +577,13 @@ def _enumerate_bases(
         extensions = []
         acc = s_hi
         for k in range(1, cap + 1):
-            acc += ln_hi[pos]
-            if acc > x_fp:
-                break
             n *= p
+            if n_max is None:
+                acc += ln_hi[pos]
+                if acc > x_fp:
+                    break
+            elif n > n_max:
+                break
             extensions.append((base + ((p, k),), n, k, acc))
         stack.extend(reversed(extensions))  # the first pops first
     return out

@@ -93,7 +93,13 @@ class _PrimeSource:
         self._limit = 0
         self._primes: tuple[int, ...] = ()
 
-    def _grow_to(self, limit: int):
+    def _grow_to(self, limit: int, count: int = 0):
+        """Sieve to at least ``limit``; keep it only if it holds ``count`` primes.
+
+        The count is read on the sieve's array, so a sieve that ``first``
+        will refuse never becomes the tuple of Python ints, several times
+        its size.
+        """
         if limit > _SIEVE_BUDGET:
             raise InvalidInput(
                 f"primes up to {limit} exceed the sieve budget {_SIEVE_BUDGET}"
@@ -102,7 +108,10 @@ class _PrimeSource:
             if limit <= self._limit:
                 return
             new_limit = min(max(limit, 2 * self._limit, 1 << 16), _SIEVE_BUDGET)
-            self._primes = tuple(_sieve(new_limit).tolist())
+            primes = _sieve(new_limit)
+            if len(primes) < count:
+                return
+            self._primes = tuple(primes.tolist())
             self._limit = new_limit
 
     def primes_up_to(self, limit: int) -> tuple[int, ...]:
@@ -123,7 +132,7 @@ class _PrimeSource:
                 lower = m * (ln + math.log(ln) - 1)
                 est = int(m * (ln + math.log(ln))) + 16
             if lower <= _SIEVE_BUDGET:
-                self._grow_to(min(est, _SIEVE_BUDGET))
+                self._grow_to(min(est, _SIEVE_BUDGET), m)
             if len(self._primes) < m:
                 raise InvalidInput(f"the first {m} primes exceed the sieve "
                                    f"budget {_SIEVE_BUDGET}")

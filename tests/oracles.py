@@ -310,6 +310,28 @@ def naive_prime_list(limit: int) -> list[int]:
     return out
 
 
+def hr_integers(x: int) -> set[int]:
+    """Every Hardy-Ramanujan integer 2 <= h <= x, for x < 2 * 10^36.
+
+    h = 2^k1 3^k2 ... p_r^kr with k1 >= ... >= kr >= 1, by recursion over
+    the exponent of each prime in turn, from trial-division primes.
+    """
+    plist = naive_prime_list(100)  # their product is about 2.3 * 10^36
+    assert x < 2 * 10 ** 36
+    found = set()
+
+    def extend(i: int, h: int, k_max: int):
+        for k in range(1, k_max + 1):
+            h *= plist[i]
+            if h > x:
+                return
+            found.add(h)
+            extend(i + 1, h, k)
+
+    extend(0, 1, x.bit_length())
+    return found
+
+
 if __name__ == "__main__":
     import sys
 

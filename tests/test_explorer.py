@@ -359,9 +359,10 @@ class TestScanRangeEnd:
         # below 2^63
         hi = explorer.MAX_SCAN_HI
         lo = hi - 4095
-        rep = explorer.scan_range(lo, hi)
+        rep = explorer.scan_range(lo, hi)  # a covered window: no sieve
         assert rep.violations == () and rep.indeterminates == ()
         assert rep.checked_count == 4096
+        assert explorer._scan_segment(lo, hi + 1, DEFAULT_PRECISION) == []
         sig, smooth = explorer._sigma_segment(lo, hi + 1)
         thr = explorer._rhs_floor_scaled(lo, 53)
         assert int(sig.max()) << explorer._THR_SHIFT < 2**63
@@ -380,8 +381,8 @@ class TestScanRangeEnd:
         # to sqrt(10^12) would have grown it to 10^6
         monkeypatch.setattr(primes, "_SOURCE", primes._PrimeSource())
         hi = explorer.MAX_SCAN_HI
-        rep = explorer.scan_range(hi - 4095, hi)
-        assert rep.violations == () and rep.indeterminates == ()
+        flagged = explorer._scan_segment(hi - 4095, hi + 1, DEFAULT_PRECISION)
+        assert flagged == []
         assert primes._SOURCE._limit == 1 << 16
 
     def test_segments_are_not_built_ahead(self):
@@ -394,6 +395,128 @@ class TestScanRangeEnd:
             tracemalloc.stop()
         it.close()
         assert peak < 1 << 20
+
+
+def _hr_of(n: int, plist) -> int:
+    """n's exponents sorted non-increasing on the first primes."""
+    ks = sorted((e for _, e in primes.factorize(n).entries), reverse=True)
+    return prod(p ** k for p, k in zip(plist, ks))
+
+
+class TestCoverReduction:
+    """Each step of ``_cover_bound``'s argument, by brute force."""
+
+    def test_substitution_and_exchange_to_1e5(self):
+        sig = oracles.sigma_sieve(10 ** 5)
+        plist = oracles.naive_prime_list(50)
+        for n in range(5041, 10 ** 5 + 1):
+            h = _hr_of(n, plist)
+            assert h <= n, n
+            assert Fraction(sig[h], h) >= Fraction(sig[n], n), n
+            assert h > 5040 or Fraction(sig[n], n) <= Fraction(403, 105), n
+
+    def test_5040_beats_every_smaller_m(self):
+        sig = oracles.sigma_sieve(5040)
+        assert Fraction(sig[5040], 5040) == explorer._SIGMA_OVER_N_5040
+        for m in range(1, 5040):
+            assert Fraction(sig[m], m) < explorer._SIGMA_OVER_N_5040, m
+
+    @pytest.mark.parametrize("bits", [24, 53, 128])
+    def test_crossing_between_5582_and_5583(self, bits):
+        x = explorer._SIGMA_OVER_N_5040
+        below = robin.robin_rhs(primes.factorize(5582), bits)
+        above = robin.robin_rhs(primes.factorize(explorer._COVER_FROM), bits)
+        assert intervals.compare(x, below) is not intervals.Comparison.LESS
+        assert intervals.compare(x, above) is intervals.Comparison.LESS
+
+
+class TestHrWalk:
+    def test_walk_is_the_oracle_set_to_1e12(self):
+        walk = explorer._hr_walk(10 ** 12)
+        assert all(n == Factorization(e).n() for e, n in walk)
+        got = [n for _, n in walk if n > 5040]
+        assert len(got) == len(set(got)) == 4290
+        assert set(got) == {h for h in oracles.hr_integers(10 ** 12)
+                             if h > 5040}
+
+    def test_inclusion_is_exact_at_hr_integers(self):
+        hr = sorted(oracles.hr_integers(10 ** 12))
+        rng = random.Random(3101)
+        for h in [2, 5040, 55440, hr[-1]] + rng.sample(hr, 24):
+            for x in (h, h - 1):
+                assert ({n for _, n in explorer._hr_walk(x)}
+                        == oracles.hr_integers(x)), x
+
+
+def _windows(lo, hi, size):
+    return [(a, min(a + size, hi + 1)) for a in range(lo, hi + 1, size)]
+
+
+class TestCoveredWindows:
+    LO, HI, SIZE = 2, 60_000, 4096
+    H0 = 27_720  # 2^3 3^2 5 7 11
+
+    @pytest.fixture
+    def sieved(self, monkeypatch):
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", self.SIZE)
+        calls = []
+        real = explorer._sigma_segment
+
+        def spy(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(explorer, "_sigma_segment", spy)
+        return calls
+
+    def assert_sieved_alike(self, rep):
+        """rep is the concatenated per-window ``_scan_segment`` output."""
+        flagged = [pair for a, b in _windows(self.LO, self.HI, self.SIZE)
+                   for pair in explorer._scan_segment(a, b,
+                                                      DEFAULT_PRECISION)]
+        assert list(rep.violations) == [
+            (n, r) for n, r in flagged if r.verdict is Verdict.VIOLATED]
+        assert list(rep.indeterminates) == [
+            n for n, r in flagged if r.verdict is not Verdict.VIOLATED]
+
+    def test_only_windows_below_5583_are_sieved(self, sieved):
+        rep = explorer.scan_range(self.LO, self.HI)
+        assert sieved == [(a, b) for a, b in _windows(self.LO, self.HI,
+                                                       self.SIZE)
+                          if a < explorer._COVER_FROM]
+        self.assert_sieved_alike(rep)
+
+    def test_unsatisfied_hr_integer_sieves_the_windows_past_it(
+            self, sieved, monkeypatch):
+        real = explorer.check
+
+        def check(f, cfg):
+            r = real(f, cfg)
+            if f.n() == self.H0:
+                return robin.CheckResult(f, ..., ..., Verdict.VIOLATED,
+                                         r.precision_used)
+            return r
+
+        monkeypatch.setattr(explorer, "check", check)
+        assert explorer._cover_bound(self.HI, DEFAULT_PRECISION) == self.H0
+        rep = explorer.scan_range(self.LO, self.HI)
+        assert sieved == [(a, b) for a, b in _windows(self.LO, self.HI,
+                                                       self.SIZE)
+                          if a < explorer._COVER_FROM or b - 1 >= self.H0]
+        self.assert_sieved_alike(rep)
+
+    def test_undecided_small_case_covers_nothing(self, sieved, monkeypatch):
+        monkeypatch.setattr(explorer, "decide", lambda lhs, rhs_at, cfg: (
+            intervals.Comparison.OVERLAPPING, None, cfg.start_bits))
+        assert explorer._cover_bound(self.HI, DEFAULT_PRECISION) == 0
+        rep = explorer.scan_range(self.LO, self.HI)
+        assert sieved == _windows(self.LO, self.HI, self.SIZE)
+        self.assert_sieved_alike(rep)
+
+    def test_worker_counts_agree_across_5583(self, monkeypatch):
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 2048)
+        assert (explorer.scan_range(2, 30_000, worker_count=2)
+                == explorer.scan_range(2, 30_000, worker_count=1))
 
 
 class TestPrecisionStability:

@@ -62,11 +62,12 @@ class TestSieve:
 
     def test_first_past_the_budget_names_m(self, monkeypatch):
         monkeypatch.setattr(primes, "_SIEVE_BUDGET", 100_000)
-        # the lower bound 99,620 is within the budget: refused after sieving
+        # the lower bound 99,620 is within the budget: refused after
+        # sieving, on the sieve's array, before any tuple is built
         sieved = primes._PrimeSource()
         with pytest.raises(InvalidInput, match="first 9593 primes exceed"):
             sieved.first(9593)
-        assert sieved._limit == 100_000
+        assert sieved._limit == 0 and sieved._primes == ()
         # the lower bound 104,306 is not: refused before sieving
         source = primes._PrimeSource()
         with pytest.raises(InvalidInput, match="first 10000 primes exceed"):
