@@ -26,20 +26,23 @@ Most windows need no sieve.  The paper's substitution theorem, with the
 exchange lemma of ``conjecture32_search``, maps every n > 5040 to a
 Hardy-Ramanujan integer h <= n (exponents non-increasing on the first
 primes) with sigma(h)/h >= sigma(n)/n, and sigma(5040)/5040 = 403/105
-lies below e^gamma ln ln 5583.  So once per call ``_cover_bound`` checks
-each HR integer in (5040, hi], and a window [a, b) with a >= 5583 whose
-b - 1 lies below the least one not certified satisfied holds no flagged
-n and is not sieved.
+lies below e^gamma ln ln 5583.  So once per call ``_cover_bound`` walks
+the HR integers in (5040, hi], deciding each from bounds carried down
+the walk and skipping every subtree that one bound certifies, and a
+window [a, b) with a >= 5583 whose b - 1 lies below the least one not
+certified satisfied holds no flagged n and is not sieved.
 
 Output is deterministic and independent of the worker count: the
 segment grid depends only on (lo, hi, ``SEGMENT_SIZE``) and results are
 merged in ascending order.  ``_pool_imap`` is the one worker pool, for
 the scanner and the conjecture-2 search; it never starts more processes
-than there are CPUs or tasks.
+than there are CPUs or tasks, and the scanner hands it only the windows
+that need a sieve.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import multiprocessing
 import operator
@@ -47,11 +50,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .factorization import Factorization
+from .factorization import Factorization, sigma_over_n_extend
 from .intervals import (
     _GUARD,
     Comparison,
@@ -59,12 +62,14 @@ from .intervals import (
     InvalidInput,
     PrecisionConfig,
     RealInterval,
+    _ln2_fp,
     _ln_fp,
     outward_ratio,
 )
 from .robin import (
     CheckResult,
     Verdict,
+    _below_floor,
     _ln_prime_fp,
     _rhs_from_log,
     check,
@@ -288,31 +293,112 @@ def _pool_imap(fn, tasks: Sequence, worker_count: int,
         yield from pool.imap(fn, tasks, chunksize)
 
 
-def _hr_walk(X: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """(entries, n) for every Hardy-Ramanujan integer 2 <= n <= X.
+def _hr_primes(X: int) -> list[int]:
+    """The first primes whose product is at most X.
 
-    An HR integer is 2^k1 3^k2 ... p_r^kr with k1 >= ... >= kr >= 1, the
-    non-increasing bases of ``_enumerate_bases``, kept exactly when
-    n <= X.  It holds the first r primes, so their primorial is at most
-    X, and 2^k1 <= n bounds every exponent by the largest k with 2^k <= X.
+    They are the primes a Hardy-Ramanujan integer n <= X can hold.
     """
-    count, primorial = 0, 1
+    plist, primorial = [], 1
     # the primorial of the first bit_length(X) primes exceeds X
     for p in _primes.first_primes(X.bit_length()):
         primorial *= p
         if primorial > X:
             break
-        count += 1
-    return _enumerate_bases(count, X.bit_length() - 1, None, True, None,
-                            n_max=X)
+        plist.append(p)
+    return plist
+
+
+def _hr_walk(X: int, W: int,
+             prune: Optional[Callable[[tuple], bool]] = None
+             ) -> Iterator[tuple]:
+    """(entries, n, lo, hi, B, ln_lo) for Hardy-Ramanujan integers 2 <= n <= X.
+
+    An HR integer is 2^k1 3^k2 ... p_r^kr with k1 >= ... >= kr >= 1.  It
+    holds the first r primes (``_hr_primes``), and 2^k1 <= n bounds every
+    exponent by the largest k with 2^k <= X.  Depth first on an explicit
+    stack, each node before its extensions by p_(r+1)^k, k <= kr, smaller
+    k first, each kept exactly when its n <= X.  Every HR integer comes
+    once, unless ``prune(node)``, asked after the node is handed out, is
+    true: then the node's extensions are not walked.
+
+    Each node carries, from its parent in O(1): [lo, hi] =
+    ``sigma_over_n_fp(n, W)``, the parent's pair extended by the one new
+    entry (``sigma_over_n_extend``); B = sum k (bit_length(p) - 1), so
+    n >= 2**B; and ln_lo = sum k ``_ln_prime_fp(p, W)[0]``, ``log_n``'s
+    lower bound at W - _GUARD bits.
+    """
+    plist = _hr_primes(X)
+    ln_lo_p = [_ln_prime_fp(p, W)[0] for p in plist]
+    one = 1 << W
+    stack = [((), 1, one, one, 0, 0)]
+    while stack:
+        node = stack.pop()
+        entries, n, lo, hi, B, ln_lo = node
+        if entries:
+            yield node
+            if prune is not None and prune(node):
+                continue
+        r = len(entries)
+        if r == len(plist):
+            continue
+        p, L, bits = plist[r], ln_lo_p[r], plist[r].bit_length() - 1
+        extensions = []
+        for k in range(1, (entries[-1][1] if entries else X.bit_length() - 1)
+                       + 1):
+            n *= p
+            if n > X:
+                break
+            extensions.append((entries + ((p, k),), n,
+                               *sigma_over_n_extend(lo, hi, ((p, k),), W),
+                               B + k * bits, ln_lo + k * L))
+        stack.extend(reversed(extensions))  # the first pops first
+
+
+def _below_floors(hi: int, B: int, ln_lo: int, bits: int) -> bool:
+    """``check``'s two floors on hi: at B ln 2, then at ln_lo.
+
+    hi, B and ln_lo are at W = bits + _GUARD, as in ``check``; each floor
+    is ``robin._below_floor``, so the walk decides as ``check`` would.
+    """
+    return (_below_floor(hi, B * _ln2_fp(bits + _GUARD)[0], bits)
+            or _below_floor(hi, ln_lo, bits))
+
+
+def _hr_satisfied(node: tuple, cfg: PrecisionConfig) -> bool:
+    """Whether ``check`` certifies the ``_hr_walk`` node satisfied.
+
+    The node's carried hi, B and ln_lo are the values ``check`` computes
+    first, so where its floors decide (``_below_floors``) that is its
+    verdict; any other node goes to ``check`` itself.
+    """
+    entries, _, _, hi, B, ln_lo = node
+    return (_below_floors(hi, B, ln_lo, cfg.start_bits)
+            or check(Factorization.from_canonical(entries), cfg).verdict
+            is Verdict.SATISFIED)
+
+
+def _subtree_hi(hi: int, n: int, tail: Sequence[int], X: int) -> int:
+    """hi times p/(p - 1) for p in ``tail`` while n times those p is <= X.
+
+    Each step is rounded up as ``sigma_over_n_fp`` rounds hi.  With hi of
+    an HR integer h on the first r primes and ``tail`` the primes after
+    them, it bounds sigma(d)/d * 2**W above for every extension d of h
+    in ``_hr_walk`` (see ``_cover_bound``).
+    """
+    for p in tail:
+        n *= p
+        if n > X:
+            break
+        hi = -(-hi * p // (p - 1))
+    return hi
 
 
 def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     """Below it, every n >= _COVER_FROM is certified satisfied.
 
-    The least HR integer in (5040, hi] (``_hr_walk``) that ``check`` does
-    not certify satisfied at ``cfg``, or hi + 1 if there is none; 0, so
-    that nothing is covered, unless ``decide`` certifies the small case
+    The least HR integer in (5040, hi] that ``check`` does not certify
+    satisfied at ``cfg``, or hi + 1 if there is none; 0, so that nothing
+    is covered, unless ``decide`` certifies the small case
     403/105 < e^gamma ln ln 5583.
 
     Why.  Write f(p, k) = sigma(p^k)/p^k = (1 - p^-(k+1))/(1 - 1/p), so
@@ -334,36 +420,80 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
       superabundant), and 403/105 < e^gamma ln ln 5583 <= e^gamma ln ln n.
       e^gamma ln ln n passes 403/105 near n = 5582.15, so 5583 is the
       least cut-off this step gives.
+
+    How, in one ``_hr_walk`` at W = cfg.start_bits + _GUARD.
+    - Carried step: a node h > 5040 is decided by ``check``'s own two
+      floors on its carried hi, B and ln_lo, and goes to ``check`` itself
+      only where they do not decide (``_hr_satisfied``).  Either way the
+      verdict is ``check``'s.
+    - Subtree step: every extension d of h in the walk is h times powers
+      of the next primes p_(r+1) < p_(r+2) < ..., at most s of them,
+      where s is the largest count with h p_(r+1) ... p_(r+s) <= hi.  As
+      f(q, j) < q/(q - 1), sigma(d)/d < sigma(h)/h prod_(j=r+1..r+s)
+      p_j/(p_j - 1) <= U * 2**-W, U = ``_subtree_hi``, and d >= h
+      p_(r+1).  So where U is below the floor at h p_(r+1), by bit length
+      and then by ln_lo + ln p_(r+1), every d is satisfied and the walk
+      skips h's extensions.  ``check`` would call each such d satisfied
+      at its own floors too: its hi is at most U (the same rounded-up
+      steps, through factors no larger), its B and ln_lo are at least
+      those at h p_(r+1), and the floor threshold rises with them.  So
+      the result is the least n ``check`` leaves unsatisfied.
+    - The walk extends no node at or past the least unsatisfied n found
+      so far, since its extensions are larger.
     """
     cut = _primes.factorize(_COVER_FROM)
     if decide(_SIGMA_OVER_N_5040, functools.partial(robin_rhs, cut),
               cfg)[0] is not Comparison.LESS:
         return 0
-    unsatisfied = (
-        n for entries, n in _hr_walk(hi) if n > 5040
-        and check(Factorization.from_canonical(entries), cfg).verdict
-        is not Verdict.SATISFIED)
-    return min(unsatisfied, default=hi + 1)
+    start = cfg.start_bits
+    W = start + _GUARD
+    plist = _hr_primes(hi)
+    bound = hi + 1
+
+    def prune(node: tuple) -> bool:
+        entries, n, _, s_hi, B, ln_lo = node
+        if n >= bound:
+            return True
+        r = len(entries)
+        if n <= 5040 or r == len(plist) or n * plist[r] > hi:
+            return False
+        p = plist[r]
+        return _below_floors(_subtree_hi(s_hi, n, plist[r:], hi),
+                             B + p.bit_length() - 1,
+                             ln_lo + _ln_prime_fp(p, W)[0], start)
+
+    for node in _hr_walk(hi, W, prune):
+        if 5040 < node[1] < bound and not _hr_satisfied(node, cfg):
+            bound = node[1]
+    return bound
 
 
 def _scan_segment_task(hi: int, size: int, cfg: PrecisionConfig,
-                       bound: int, a: int) -> list:
-    b = min(a + size, hi + 1)
-    if a >= _COVER_FROM and b - 1 < bound:
-        return []  # certified by _cover_bound
-    return _scan_segment(a, b, cfg)
+                       a: int) -> list:
+    return _scan_segment(a, min(a + size, hi + 1), cfg)
 
 
 def _scan_windows(lo: int, hi: int, size: int, cfg: PrecisionConfig,
                   worker_count: int) -> Iterator[list]:
+    starts = range(lo, hi + 1, size)
     # a window starting below _COVER_FROM is never covered: no walk unless
     # the last one starts at or past it
-    last = lo + (hi - lo) // size * size
-    bound = _cover_bound(hi, cfg) if last >= _COVER_FROM else 0
-    # segment starts, not segments: a range costs nothing to build
-    yield from _pool_imap(
-        functools.partial(_scan_segment_task, hi, size, cfg, bound),
-        range(lo, hi + 1, size), worker_count)
+    bound = _cover_bound(hi, cfg) if starts[-1] >= _COVER_FROM else 0
+    # the covered windows, from _COVER_FROM on with b - 1 < bound, are one
+    # run starts[first:stop], since b only grows with a: every b - 1 <= hi,
+    # and a window with b - 1 < hi has b - 1 = a + size - 1
+    first = bisect.bisect_left(starts, _COVER_FROM)
+    stop = max(first, len(starts) if bound > hi
+               else bisect.bisect_left(starts, bound - size + 1))
+    # segment starts, not segments, and only those of the windows that
+    # need a sieve: a covered scan starts no pool
+    sieved = _pool_imap(functools.partial(_scan_segment_task, hi, size, cfg),
+                        [*starts[:first], *starts[stop:]], worker_count)
+    for _ in range(first):
+        yield next(sieved)
+    for _ in range(stop - first):
+        yield []
+    yield from sieved
 
 
 def iter_scan_results(
@@ -537,12 +667,11 @@ class SearchReport:
 def _enumerate_bases(
     prime_count_max: int,
     exponent_max: int,
-    log_n_max: Optional[Fraction],
+    log_n_max: Fraction,
     non_increasing_only: bool,
-    bits: Optional[int],
-    n_max: Optional[int] = None,
+    bits: int,
 ) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """(entries, n) for all n over a prefix of the primes within a bound.
+    """(entries, n) for all n over a prefix of the primes with ln n <= bound.
 
     Exponent vectors are non-increasing by default.  Where n holds b at
     p and a > b at q > p, swapping the two gives n' = n (p/q)^(a-b) <= n,
@@ -550,18 +679,15 @@ def _enumerate_bases(
     g_k(1/p) / g_k(1/q) >= 1, g_k the increasing ratio of
     ``conjecture32_search``'s exchange lemma.  So a sorted arrangement
     that is satisfied implies every other one.  Inclusion rule: the
-    certified upper bound of sum k_j ln p_j at ``bits`` must not exceed
-    log_n_max; with ``n_max`` given instead, n <= n_max, compared exactly
-    on the n each base carries (``_hr_walk``).
+    certified upper bound of sum k_j ln p_j must not exceed log_n_max.
     Depth first, each base before its extensions and smaller exponents
     first, on an explicit stack, so a base may hold any number of primes;
     each extension multiplies its base's n by the new prime power.
     """
+    W = bits + _GUARD
+    x_fp = (log_n_max.numerator << W) // log_n_max.denominator
     plist = _primes.first_primes(prime_count_max)
-    if n_max is None:
-        W = bits + _GUARD
-        x_fp = (log_n_max.numerator << W) // log_n_max.denominator
-        ln_hi = [_ln_prime_fp(p, W)[1] for p in plist]
+    ln_hi = [_ln_prime_fp(p, W)[1] for p in plist]
     out: list[tuple[tuple[tuple[int, int], ...], int]] = []
     # (base, its n, exponent cap of its next prime, upper bound of its ln n)
     stack = [((), 1, exponent_max, 0)]
@@ -577,13 +703,10 @@ def _enumerate_bases(
         extensions = []
         acc = s_hi
         for k in range(1, cap + 1):
-            n *= p
-            if n_max is None:
-                acc += ln_hi[pos]
-                if acc > x_fp:
-                    break
-            elif n > n_max:
+            acc += ln_hi[pos]
+            if acc > x_fp:
                 break
+            n *= p
             extensions.append((base + ((p, k),), n, k, acc))
         stack.extend(reversed(extensions))  # the first pops first
     return out

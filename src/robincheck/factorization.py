@@ -176,18 +176,30 @@ def sigma_over_n_fp(f: Factorization, W: int) -> tuple[int, int]:
 
     sigma(n)/n is the product of f(p, k) = sigma(p^k)/p^k = p/(p-1) *
     (1 - p^-(k+1)).  A running pair from 2**W takes each factor, lo
-    rounded down and hi up, so [lo, hi] * 2**-W holds the product after
-    every step.  Where (k+1)(bit_length(p) - 1) > W + 1, p^(k+1) >=
-    2**(W+2), so f(p, k) lies in p/(p-1) * [1 - 2**-(W+1), 1] and no
-    power of p is built; otherwise f(p, k) is sigma(p^k) / p^k exactly,
-    numbers of at most W + k + 2 bits ((p + 1) / p for k = 1).  Each step
-    moves an end by at most an ulp, and the lower one by half the running
-    value more where p^(k+1) is not built; the later factors scale that by
-    at most sigma(n)/n, so the width is below 3m * sigma(n)/n ulps for m
-    entries.
+    rounded down and hi up (``sigma_over_n_extend``), so [lo, hi] * 2**-W
+    holds the product after every step.  Where (k+1)(bit_length(p) - 1) >
+    W + 1, p^(k+1) >= 2**(W+2), so f(p, k) lies in p/(p-1) *
+    [1 - 2**-(W+1), 1] and no power of p is built; otherwise f(p, k) is
+    sigma(p^k) / p^k exactly, numbers of at most W + k + 2 bits
+    ((p + 1) / p for k = 1).  Each step moves an end by at most an ulp,
+    and the lower one by half the running value more where p^(k+1) is not
+    built; the later factors scale that by at most sigma(n)/n, so the
+    width is below 3m * sigma(n)/n ulps for m entries.
     """
-    lo = hi = 1 << W
-    for p, k in f.entries:
+    one = 1 << W
+    return sigma_over_n_extend(one, one, f.entries, W)
+
+
+def sigma_over_n_extend(lo: int, hi: int, entries, W: int
+                        ) -> tuple[int, int]:
+    """[lo, hi] taken through f(p, k) for each entry (p, k) in turn.
+
+    ``sigma_over_n_fp``'s steps, lo rounded down and hi up, from any
+    running pair.  Extending the pair of n by n's next entries gives the
+    pair of the longer n bit for bit: the steps and their order are the
+    same.
+    """
+    for p, k in entries:
         if k == 1:  # most entries of a big n: (p + 1) / p
             c, pk = p + 1, p
         elif (k + 1) * (p.bit_length() - 1) > W + 1:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from robincheck import explorer, intervals, output, primes, robin
 from robincheck.factorization import (Factorization, sigma_int,
-                                      sigma_over_n_fraction)
+                                      sigma_over_n_fp, sigma_over_n_fraction)
 from robincheck.intervals import _GUARD, DEFAULT_PRECISION, InvalidInput
 from robincheck.robin import Verdict
 
@@ -430,11 +430,14 @@ class TestCoverReduction:
         assert intervals.compare(x, above) is intervals.Comparison.LESS
 
 
+_W = DEFAULT_PRECISION.start_bits + _GUARD
+
+
 class TestHrWalk:
     def test_walk_is_the_oracle_set_to_1e12(self):
-        walk = explorer._hr_walk(10 ** 12)
-        assert all(n == Factorization(e).n() for e, n in walk)
-        got = [n for _, n in walk if n > 5040]
+        walk = list(explorer._hr_walk(10 ** 12, _W))
+        assert all(n == Factorization(e).n() for e, n, *_ in walk)
+        got = [n for _, n, *_ in walk if n > 5040]
         assert len(got) == len(set(got)) == 4290
         assert set(got) == {h for h in oracles.hr_integers(10 ** 12)
                              if h > 5040}
@@ -444,8 +447,52 @@ class TestHrWalk:
         rng = random.Random(3101)
         for h in [2, 5040, 55440, hr[-1]] + rng.sample(hr, 24):
             for x in (h, h - 1):
-                assert ({n for _, n in explorer._hr_walk(x)}
+                assert ({node[1] for node in explorer._hr_walk(x, _W)}
                         == oracles.hr_integers(x)), x
+
+    def test_carried_state_is_what_check_computes_to_1e12(self):
+        start = DEFAULT_PRECISION.start_bits
+        for entries, n, lo, hi, B, ln_lo in explorer._hr_walk(10 ** 12, _W):
+            f = Factorization(entries)
+            assert (lo, hi) == sigma_over_n_fp(f, _W), n
+            assert ln_lo == robin.log_n(f, start)[0], n
+            assert B == sum(k * (p.bit_length() - 1) for p, k in entries), n
+
+
+class TestSubtreeBound:
+    def test_skipped_hr_integers_lie_below_their_ancestor_bound(
+            self, monkeypatch):
+        # every HR integer d > 5040 the walk does not hand out lies under
+        # a pruned ancestor h, its deepest one handed out, with
+        # d >= h p_(r+1) and sigma(d)/d at most h's subtree bound
+        hi = 10 ** 12
+        walked, bounds = set(), {}
+        real_walk, real_bound = explorer._hr_walk, explorer._subtree_hi
+
+        def walk(*args):
+            for node in real_walk(*args):
+                walked.add(node[1])
+                yield node
+
+        def subtree_hi(s_hi, n, tail, X):
+            bounds[n] = (tail[0], real_bound(s_hi, n, tail, X))
+            return bounds[n][1]
+
+        monkeypatch.setattr(explorer, "_hr_walk", walk)
+        monkeypatch.setattr(explorer, "_subtree_hi", subtree_hi)
+        assert explorer._cover_bound(hi, DEFAULT_PRECISION) == hi + 1
+        skipped = sorted(d for d in oracles.hr_integers(hi)
+                         if d > 5040 and d not in walked)
+        assert len(skipped) > 1000
+        for d in skipped:
+            entries = primes.factorize(d).entries
+            h = next(h for h in (prod(p ** k for p, k in entries[:r])
+                                 for r in range(len(entries) - 1, 0, -1))
+                     if h in walked)
+            p_next, U = bounds[h]
+            assert h > 5040 and d >= h * p_next, d
+            assert Fraction(sigma_int(Factorization(entries)), d) <= Fraction(
+                U, 1 << _W), d
 
 
 def _windows(lo, hi, size):
@@ -488,16 +535,13 @@ class TestCoveredWindows:
 
     def test_unsatisfied_hr_integer_sieves_the_windows_past_it(
             self, sieved, monkeypatch):
-        real = explorer.check
-
-        def check(f, cfg):
-            r = real(f, cfg)
-            if f.n() == self.H0:
-                return robin.CheckResult(f, ..., ..., Verdict.VIOLATED,
-                                         r.precision_used)
-            return r
-
-        monkeypatch.setattr(explorer, "check", check)
+        # h0 fails the walk's node decision, and no ancestor of it may
+        # skip it by the subtree bound
+        real, real_bound = explorer._hr_satisfied, explorer._subtree_hi
+        monkeypatch.setattr(explorer, "_hr_satisfied", lambda node, cfg: (
+            node[1] != self.H0 and real(node, cfg)))
+        monkeypatch.setattr(explorer, "_subtree_hi", lambda s_hi, n, tail, X: (
+            1 << 1000 if self.H0 % n == 0 else real_bound(s_hi, n, tail, X)))
         assert explorer._cover_bound(self.HI, DEFAULT_PRECISION) == self.H0
         rep = explorer.scan_range(self.LO, self.HI)
         assert sieved == [(a, b) for a, b in _windows(self.LO, self.HI,
@@ -517,6 +561,35 @@ class TestCoveredWindows:
         monkeypatch.setattr(explorer, "SEGMENT_SIZE", 2048)
         assert (explorer.scan_range(2, 30_000, worker_count=2)
                 == explorer.scan_range(2, 30_000, worker_count=1))
+
+    @pytest.mark.parametrize("size", [1000, 4096])
+    @pytest.mark.parametrize("bound", [0, 5040, 5583, 6000, 8191, 8192,
+                                       8193, 27_720, HI, HI + 1])
+    def test_sieved_windows_are_those_not_covered(self, monkeypatch, size,
+                                                  bound):
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", size)
+        monkeypatch.setattr(explorer, "_cover_bound", lambda hi, cfg: bound)
+        calls = []
+        monkeypatch.setattr(explorer, "_scan_segment", lambda a, b, cfg: (
+            calls.append((a, b)) or [(a, None)]))
+        windows = _windows(self.LO, self.HI, size)
+        got = list(explorer.iter_scan_results(self.LO, self.HI))
+        want = [(a, b) for a, b in windows
+                if a < explorer._COVER_FROM or b - 1 >= bound]
+        assert calls == want
+        assert got == [[(a, None)] if (a, b) in want else []
+                       for a, b in windows]
+
+    def test_covered_scan_starts_no_pool(self, monkeypatch):
+        def pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        lo, hi = 10 ** 9, 10 ** 9 + 2 ** 21 - 1  # two covered windows
+        rep = explorer.scan_range(lo, hi, worker_count=2)
+        assert (rep.lo, rep.hi, rep.checked_count) == (lo, hi, hi - lo + 1)
+        assert rep.violations == () and rep.indeterminates == ()
 
 
 class TestPrecisionStability:
@@ -1119,10 +1192,13 @@ class TestPoolSize:
 
     def test_scan_clamped_to_cpus_and_segments(self, pools, monkeypatch):
         want = explorer.scan_range(2, 20_000)
-        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 4096)
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 1024)
         got = explorer.scan_range(2, 20_000, worker_count=100_000)
-        assert pools == [3]  # 5 segments
+        # 20 segments; the 6 that start below 5583 need a sieve, the rest
+        # are covered and never reach the pool
+        assert pools == [3]
         assert scan_golden_projection(got) == scan_golden_projection(want)
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 4096)
         explorer.scan_range(2, 8000, worker_count=100_000)
         assert pools == [3, 2]  # 2 segments
 
