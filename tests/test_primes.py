@@ -1,7 +1,11 @@
 """Sieve, factorization, and factor-string grammar."""
 
 import bisect
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +16,8 @@ from robincheck.factorization import Factorization
 from robincheck.intervals import InvalidInput
 
 import oracles
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 class TestSieve:
@@ -167,6 +173,162 @@ class TestFactorize:
     def test_below_two(self):
         with pytest.raises(ValueError):
             primes.factorize(1)
+
+
+def _staged(monkeypatch, n):
+    """factorize(n).entries and each split stage's (stage, v, result)."""
+    calls = []
+    rho, pminus1 = primes._brent_rho, primes._pminus1
+
+    def spy_rho(v, max_cycle=None):
+        d = rho(v, max_cycle)
+        calls.append(("rho" if max_cycle is None else "short rho", v, d))
+        return d
+
+    def spy_pminus1(v):
+        d = pminus1(v)
+        calls.append(("p-1", v, d))
+        return d
+
+    monkeypatch.setattr(primes, "_brent_rho", spy_rho)
+    monkeypatch.setattr(primes, "_pminus1", spy_pminus1)
+    return primes.factorize(n).entries, calls
+
+
+def _stage1_gcd(v):
+    """The first stage-1 chunk gcd of p - 1 on v that is not 1, else 1."""
+    x = 2
+    for e, _ in primes._pm1_tables()[0]:
+        y = pow(x, e, v)
+        g = math.gcd(y - 1, v)
+        if g != 1:
+            return g
+        x = y
+    return 1
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        x = rng.randrange(lo, hi) | 1
+        if primes.is_prime(x):
+            return x
+
+
+def _largest_prime_power_of(m):
+    return max(p ** k for p, k in primes.factorize(m).entries)
+
+
+class TestStagedSplit:
+    """Each stage of ``factorize``'s split of a composite part, forced.
+
+    The numbers were searched for once; each test first asserts what
+    makes its stage the one that splits, against the module's constants.
+    """
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 2**32 - 5])
+    def test_prime_square_costs_no_rho(self, monkeypatch, p):
+        entries, calls = _staged(monkeypatch, p * p)
+        assert entries == ((p, 2),)
+        assert calls == []
+
+    def test_short_rho_finds_a_factor_near_ten_thousand(self, monkeypatch):
+        p50 = 562949953421381   # the least prime above 2^49
+        n = 10007 * p50
+        assert n.bit_length() >= primes._STAGED_BITS
+        entries, calls = _staged(monkeypatch, n)
+        assert entries == ((10007, 1), (p50, 1))
+        assert calls == [("short rho", n, 10007)]
+
+    def test_pminus1_stage1(self, monkeypatch):
+        # p - 1 = 2 * 223 * 953 * 2689 is B1-smooth; q = 2 * 865030979 + 1
+        p, q = 1142927183, 1730061959
+        assert _largest_prime_power_of(p - 1) <= primes._PM1_B1
+        assert _largest_prime_power_of(q - 1) > primes._PM1_B2
+        assert _stage1_gcd(p * q) == p
+        entries, calls = _staged(monkeypatch, p * q)
+        assert entries == ((p, 1), (q, 1))
+        assert calls == [("short rho", p * q, None), ("p-1", p * q, p)]
+
+    def test_pminus1_stage2(self, monkeypatch):
+        # p - 1 = 2 * 5 * 2551 * 43237, one prime in (B1, B2]
+        p, q, ell = 1102975871, 1896740543, 43237
+        assert primes._PM1_B1 < ell <= primes._PM1_B2
+        assert _largest_prime_power_of((p - 1) // ell) <= primes._PM1_B1
+        assert _largest_prime_power_of(q - 1) > primes._PM1_B2
+        assert _stage1_gcd(p * q) == 1
+        entries, calls = _staged(monkeypatch, p * q)
+        assert entries == ((p, 1), (q, 1))
+        assert calls == [("short rho", p * q, None), ("p-1", p * q, p)]
+
+    def test_pminus1_backs_off_when_the_chunk_gcd_is_v(self, monkeypatch):
+        # both p - 1 and q - 1 are B1-smooth: their chunk's gcd is pq, and
+        # one prime at a time splits them
+        p, q = 1327160039, 1437733043
+        for r in (p, q):
+            assert _largest_prime_power_of(r - 1) <= primes._PM1_B1
+        assert _stage1_gcd(p * q) == p * q
+        entries, calls = _staged(monkeypatch, p * q)
+        assert entries == ((p, 1), (q, 1))
+        assert calls == [("short rho", p * q, None), ("p-1", p * q, q)]
+
+    # k with 6k + 1, 12k + 1 and 18k + 1 prime, 6k + 1 > 10^3 and their
+    # product (a Carmichael number) below 2^64: 40 of the 1,666 such k
+    _CHERNICK_K = (
+        195, 2040, 4615, 8151, 11616, 15430, 19691, 23806, 30470, 35811,
+        40420, 45096, 51096, 55855, 61670, 68215, 73695, 80300, 87065,
+        92781, 97790, 105245, 111596, 118426, 124351, 131330, 136430,
+        141336, 148490, 156446, 164136, 171740, 178366, 185556, 193160,
+        199535, 207081, 214490, 222190, 231191)
+
+    def test_carmichael_numbers(self):
+        backed_off = 0
+        for k in self._CHERNICK_K:
+            ps = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            assert all(primes.is_prime(p) for p in ps)
+            n = math.prod(ps)
+            assert n < 2**64
+            assert primes.factorize(n).entries == tuple((p, 1) for p in ps)
+            backed_off += _stage1_gcd(n) == n
+            # 2's orders mod the three primes tend to complete at the same
+            # prime of k: p - 1 may give up, but never returns n
+            d = primes._pminus1(n)
+            assert d is None or (1 < d < n and n % d == 0)
+        assert backed_off == 36
+
+    def test_full_rho_splits_safe_prime_products(self, monkeypatch):
+        # p = 2 * 791878313 + 1 and q = 2 * 955346471 + 1: neither p - 1
+        # nor q - 1 is smooth, so only the full rho splits pq
+        p, q = 1583756627, 1910692943
+        for r in (p, q):
+            assert primes.is_prime((r - 1) // 2)
+        entries, calls = _staged(monkeypatch, p * q)
+        assert entries == ((p, 1), (q, 1))
+        assert [c[:2] for c in calls] == [
+            ("short rho", p * q), ("p-1", p * q), ("rho", p * q)]
+        assert calls[0][2] is None and calls[1][2] is None
+        assert calls[2][2] in (p, q)
+
+    @pytest.mark.parametrize("bits,lo,count", [
+        (31, 1 << 30, 100),
+        (32, (1 << 32) - (1 << 24), 30),
+    ])
+    def test_balanced_semiprimes(self, bits, lo, count):
+        rng = random.Random(20261020 + bits)
+        hi = 1 << bits
+        for _ in range(count):
+            p = q = 0
+            while p == q:
+                p, q = (_random_prime(rng, lo, hi) for _ in range(2))
+            assert primes.factorize(p * q).entries == (
+                (min(p, q), 1), (max(p, q), 1))
+
+    def test_stage_tables_are_built_on_first_use(self):
+        code = ("import robincheck.primes as p; p.factorize(10**12 - 11); "
+                "print(p._pm1_tables.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "0\n"
 
 
 class TestIsPrime:
