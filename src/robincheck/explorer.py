@@ -22,27 +22,26 @@ is certified Satisfied by the block bound.  Where the RHS kernel gives
 no bound (the block at 2, since ln 2 < 1) the threshold is 0 and every
 n of the block is a candidate.
 
-Most windows need no sieve.  The paper's substitution theorem, with the
-exchange lemma of ``conjecture32_search``, maps every n > 5040 to a
+Most of a scan needs no sieve.  The paper's substitution theorem, with
+the exchange lemma of ``conjecture32_search``, maps every n > 5040 to a
 Hardy-Ramanujan integer h <= n (exponents non-increasing on the first
 primes) with sigma(h)/h >= sigma(n)/n, and sigma(5040)/5040 = 403/105
 lies below e^gamma ln ln 5583.  So once per call ``_cover_bound`` walks
 the HR integers in (5040, hi], deciding each from bounds carried down
-the walk and skipping every subtree that one bound certifies, and a
-window [a, b) with a >= 5583 whose b - 1 lies below the least one not
-certified satisfied holds no flagged n and is not sieved.
+the walk and skipping every subtree that one bound certifies, and every
+n in [5583, hi] below the least one not certified satisfied holds.  The
+scanner sieves only the two stretches left: [lo, 5583) and [bound, hi].
 
 Output is deterministic and independent of the worker count: the
-segment grid depends only on (lo, hi, ``SEGMENT_SIZE``) and results are
-merged in ascending order.  ``_pool_imap`` is the one worker pool, for
-the scanner and the conjecture-2 search; it never starts more processes
-than there are CPUs or tasks, and the scanner hands it only the windows
-that need a sieve.
+windows depend only on (lo, hi, ``SEGMENT_SIZE``) and the cover bound,
+a function of (hi, cfg), and results are merged in ascending order.
+``_pool_imap`` is the one worker pool, for the scanner and the
+conjecture-2 search; it never starts more processes than there are CPUs
+or tasks, and the scanner hands it the starts of the sieved windows.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import multiprocessing
 import operator
@@ -106,7 +105,7 @@ _SMOOTH_MAX = 128
 # 151,200 (2^5 3^3 5^2 7, 2.4 MB) 16.7, 221,760 17.9.
 _WHEEL_CAPS = {2: 5, 3: 2, 5: 1, 7: 1, 11: 1}
 # sigma(5040)/5040; e^gamma ln ln n passes it between 5582 and _COVER_FROM,
-# from which on a scan window may be certified without a sieve
+# from which on a scanned n may be certified without a sieve
 # (``_cover_bound``)
 _SIGMA_OVER_N_5040 = Fraction(403, 105)
 _COVER_FROM = 5583
@@ -468,32 +467,22 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     return bound
 
 
-def _scan_segment_task(hi: int, size: int, cfg: PrecisionConfig,
+def _scan_segment_task(stop: int, size: int, cfg: PrecisionConfig,
                        a: int) -> list:
-    return _scan_segment(a, min(a + size, hi + 1), cfg)
+    return _scan_segment(a, min(a + size, stop), cfg)
 
 
 def _scan_windows(lo: int, hi: int, size: int, cfg: PrecisionConfig,
                   worker_count: int) -> Iterator[list]:
-    starts = range(lo, hi + 1, size)
-    # a window starting below _COVER_FROM is never covered: no walk unless
-    # the last one starts at or past it
-    bound = _cover_bound(hi, cfg) if starts[-1] >= _COVER_FROM else 0
-    # the covered windows, from _COVER_FROM on with b - 1 < bound, are one
-    # run starts[first:stop], since b only grows with a: every b - 1 <= hi,
-    # and a window with b - 1 < hi has b - 1 = a + size - 1
-    first = bisect.bisect_left(starts, _COVER_FROM)
-    stop = max(first, len(starts) if bound > hi
-               else bisect.bisect_left(starts, bound - size + 1))
-    # segment starts, not segments, and only those of the windows that
-    # need a sieve: a covered scan starts no pool
-    sieved = _pool_imap(functools.partial(_scan_segment_task, hi, size, cfg),
-                        [*starts[:first], *starts[stop:]], worker_count)
-    for _ in range(first):
-        yield next(sieved)
-    for _ in range(stop - first):
-        yield []
-    yield from sieved
+    # [lo, cut) lies below _COVER_FROM and is sieved whole.  Of [cut, hi]
+    # only [_cover_bound, hi] is, and an empty [cut, hi] runs no walk
+    cut = min(max(lo, _COVER_FROM), hi + 1)
+    rest = max(cut, _cover_bound(hi, cfg)) if cut <= hi else cut
+    for a, stop in ((lo, cut), (rest, hi + 1)):
+        # window starts, not windows, and none past the stretch's end
+        yield from _pool_imap(
+            functools.partial(_scan_segment_task, stop, size, cfg),
+            range(a, stop, size), worker_count)
 
 
 def iter_scan_results(
@@ -502,12 +491,12 @@ def iter_scan_results(
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     worker_count: int = 1,
 ) -> Iterator[list]:
-    """Per segment, ascending and streamed: ``_scan_segment``'s flagged pairs.
+    """Each sieved window's ``_scan_segment`` pairs, ascending and streamed.
 
-    Bad arguments are refused here, before the first segment is asked
-    for.  With that first request, ``_cover_bound`` is worked out once;
-    a window [a, b) with a >= 5583 and b - 1 below it holds no flagged n
-    and is not sieved.
+    Bad arguments are refused here, before the first window is asked
+    for.  With that first request, ``_cover_bound`` is worked out once
+    (if hi >= 5583); only [lo, 5583) and [bound, hi] are sieved, in
+    windows of ``SEGMENT_SIZE`` n that end at their stretch's end.
     """
     if lo < 2 or lo > hi:
         raise InvalidInput("need 2 <= lo <= hi")

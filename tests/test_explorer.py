@@ -499,13 +499,23 @@ def _windows(lo, hi, size):
     return [(a, min(a + size, hi + 1)) for a in range(lo, hi + 1, size)]
 
 
+def _stretch_windows(lo, hi, size, bound):
+    """The windows a scan with cover bound ``bound`` sieves.
+
+    [lo, 5582] and [max(lo, 5583, bound), hi], each cut from its own
+    start into windows of size n, the last one ending at its end.
+    """
+    return (_windows(lo, min(hi, 5582), size)
+            + _windows(max(lo, 5583, bound), hi, size))
+
+
 class TestCoveredWindows:
     LO, HI, SIZE = 2, 60_000, 4096
     H0 = 27_720  # 2^3 3^2 5 7 11
 
-    @pytest.fixture
-    def sieved(self, monkeypatch):
-        monkeypatch.setattr(explorer, "SEGMENT_SIZE", self.SIZE)
+    @staticmethod
+    def spy_sieve(monkeypatch):
+        """The (a, b) of every ``_sigma_segment`` call, in order."""
         calls = []
         real = explorer._sigma_segment
 
@@ -515,6 +525,11 @@ class TestCoveredWindows:
 
         monkeypatch.setattr(explorer, "_sigma_segment", spy)
         return calls
+
+    @pytest.fixture
+    def sieved(self, monkeypatch):
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", self.SIZE)
+        return self.spy_sieve(monkeypatch)
 
     def assert_sieved_alike(self, rep):
         """rep is the concatenated per-window ``_scan_segment`` output."""
@@ -528,9 +543,8 @@ class TestCoveredWindows:
 
     def test_only_windows_below_5583_are_sieved(self, sieved):
         rep = explorer.scan_range(self.LO, self.HI)
-        assert sieved == [(a, b) for a, b in _windows(self.LO, self.HI,
-                                                       self.SIZE)
-                          if a < explorer._COVER_FROM]
+        assert sieved == _stretch_windows(self.LO, self.HI, self.SIZE,
+                                          self.HI + 1)
         self.assert_sieved_alike(rep)
 
     def test_unsatisfied_hr_integer_sieves_the_windows_past_it(
@@ -544,9 +558,8 @@ class TestCoveredWindows:
             1 << 1000 if self.H0 % n == 0 else real_bound(s_hi, n, tail, X)))
         assert explorer._cover_bound(self.HI, DEFAULT_PRECISION) == self.H0
         rep = explorer.scan_range(self.LO, self.HI)
-        assert sieved == [(a, b) for a, b in _windows(self.LO, self.HI,
-                                                       self.SIZE)
-                          if a < explorer._COVER_FROM or b - 1 >= self.H0]
+        assert sieved == _stretch_windows(self.LO, self.HI, self.SIZE,
+                                          self.H0)
         self.assert_sieved_alike(rep)
 
     def test_undecided_small_case_covers_nothing(self, sieved, monkeypatch):
@@ -554,8 +567,31 @@ class TestCoveredWindows:
             intervals.Comparison.OVERLAPPING, None, cfg.start_bits))
         assert explorer._cover_bound(self.HI, DEFAULT_PRECISION) == 0
         rep = explorer.scan_range(self.LO, self.HI)
-        assert sieved == _windows(self.LO, self.HI, self.SIZE)
+        assert sieved == _stretch_windows(self.LO, self.HI, self.SIZE, 0)
         self.assert_sieved_alike(rep)
+
+    def test_scan_to_the_top_sieves_only_below_5583(self, monkeypatch):
+        calls = self.spy_sieve(monkeypatch)
+        rep = explorer.scan_range(2, explorer.MAX_SCAN_HI)
+        assert calls == [(2, explorer._COVER_FROM)]
+        assert len(rep.violations) == 27 and rep.indeterminates == ()
+
+    def test_covered_scan_yields_no_window(self):
+        assert list(explorer.iter_scan_results(
+            explorer._COVER_FROM, explorer.MAX_SCAN_HI)) == []
+
+    @pytest.mark.parametrize("bits, bound, want", [
+        (16, 0, [(2, 5583), (5583, 9001)]),
+        (17, 9001, [(2, 5583)]),
+    ])
+    def test_ladders_to_16_bits_sieve_past_5583(self, monkeypatch, bits,
+                                                bound, want):
+        # below 17 bits decide leaves 403/105 < e^gamma ln ln 5583 open
+        cfg = intervals.PrecisionConfig(bits, bits)
+        assert explorer._cover_bound(9000, cfg) == bound
+        calls = self.spy_sieve(monkeypatch)
+        explorer.scan_range(2, 9000, cfg)
+        assert calls == want
 
     def test_worker_counts_agree_across_5583(self, monkeypatch):
         monkeypatch.setattr(explorer, "SEGMENT_SIZE", 2048)
@@ -572,13 +608,10 @@ class TestCoveredWindows:
         calls = []
         monkeypatch.setattr(explorer, "_scan_segment", lambda a, b, cfg: (
             calls.append((a, b)) or [(a, None)]))
-        windows = _windows(self.LO, self.HI, size)
         got = list(explorer.iter_scan_results(self.LO, self.HI))
-        want = [(a, b) for a, b in windows
-                if a < explorer._COVER_FROM or b - 1 >= bound]
+        want = _stretch_windows(self.LO, self.HI, size, bound)
         assert calls == want
-        assert got == [[(a, None)] if (a, b) in want else []
-                       for a, b in windows]
+        assert got == [[(a, None)] for a, _ in want]
 
     def test_covered_scan_starts_no_pool(self, monkeypatch):
         def pool(*args, **kwargs):
