@@ -3,15 +3,13 @@
 The scanner certifies a whole segment at a time.  It never computes
 sigma(n): a multiplicative sieve over the primes p <= P, where
 P = min(128, sqrt(segment end)), gives the P-smooth part s of every n
-in the segment and sigma(s).  The wheel primes 2 to 11, each up to a
-capped power p^c_p, come from one cached period of the pattern
-(``_wheel``); strided numpy slices then take every multiple of p^(c_p + 1)
-(of p, for the other primes) to its exact power p^k, multiply in
-1 + p + ... + p^k and record p^k, after one exact division by the
-wheel's sigma(p^c_p) at those sparse positions.  The rest n / s holds
-only primes above P, at most k of them where (P+1)^k < segment end,
-and each raises sigma(n)/n by less than (P+1)/P (Robin 1984), so
-sigma(n)/n <= sigma(s)/s * ((P+1)/P)^k.
+in the segment and sigma(s).  Both arrays start at 1, and one strided
+numpy pass per prime power q = p^k, p <= P, with a multiple in the
+segment multiplies s by p at every multiple of q and turns the factor
+1 + p + ... + p^(k-1) of sigma(s) there into 1 + p + ... + p^k, in
+place.  The rest n / s holds only primes above P, at most k of them
+where (P+1)^k < segment end, and each raises sigma(n)/n by less than
+(P+1)/P (Robin 1984), so sigma(n)/n <= sigma(s)/s * ((P+1)/P)^k.
 Each block of consecutive n is then compared against a certified lower
 bound of the right-hand side at the block start (the RHS is increasing
 in n), lowered by P^k / (P+1)^k, using pure int64 arithmetic, and only
@@ -48,7 +46,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -98,12 +96,6 @@ MAX_SCAN_HI = 10 ** 12
 # against 52; 256 sieves 23 more primes, takes 10 % longer and sends no
 # fewer.
 _SMOOTH_MAX = 128
-# p: c_p.  ``_sigma_segment`` reads each p up to p^c_p from one period of
-# L = prod p^c_p (Pritchard's wheel sieve, 1982) instead of sieving it.
-# Per 2^20 window at 10^7, 10^9 and 10^11 (min of 8): no wheel 27.3 ms,
-# L = 27,720 19.0, 55,440 17.6, 110,880 (these caps, 1.8 MB) 16.5,
-# 151,200 (2^5 3^3 5^2 7, 2.4 MB) 16.7, 221,760 17.9.
-_WHEEL_CAPS = {2: 5, 3: 2, 5: 1, 7: 1, 11: 1}
 # sigma(5040)/5040; e^gamma ln ln n passes it between 5582 and _COVER_FROM,
 # from which on a scanned n may be certified without a sieve
 # (``_cover_bound``)
@@ -135,49 +127,18 @@ def _smooth_bound(b: int) -> tuple[int, int, int]:
     return P, down, up
 
 
-@functools.lru_cache(maxsize=16)
-def _wheel(P: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(L, sigma part, smooth part): one period of the wheel primes <= P.
-
-    L = prod p^c_p over the (p, c_p) of ``_WHEEL_CAPS`` with p <= P.  At
-    residue r the two read-only int64 arrays hold prod sigma(p^e) and
-    prod p^e, e = min(v_p(r), c_p), where r = 0 counts as divisible by
-    every p^c_p.  Each p^c_p divides L, so e = min(v_p(n), c_p) for every
-    n = r (mod L).  Built on first use, never at import;
-    ``_sigma_segment`` calls it with min(P, 11), so at most 11 entries.
-    """
-    caps = [(p, c) for p, c in _WHEEL_CAPS.items() if p <= P]
-    L = prod(p ** c for p, c in caps)
-    sig = np.ones(L, dtype=np.int64)
-    smooth = np.ones(L, dtype=np.int64)
-    for p, c in caps:
-        term = np.ones(L, dtype=np.int64)
-        q = 1
-        for _ in range(c):
-            q *= p
-            smooth[::q] *= p
-            term[::q] += q
-        sig *= term
-    sig.flags.writeable = smooth.flags.writeable = False
-    return L, sig, smooth
-
-
 def _sigma_segment(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """(sigma(s), s) as int64 for the P-smooth part s of each n in [a, b).
 
-    P = ``_smooth_bound(b)[0]``.  Both arrays start as the ``_wheel``
-    period rotated to a, which holds each wheel prime p <= P up to
-    p^c_p: numpy copies the period's last part into the head of the
-    window, broadcasts the whole period over the window's whole periods
-    and copies its first part into the tail, so nothing beside the two
-    arrays is allocated.  Then one strided pass per prime p <= P,
-    starting at p^(c_p + 1) (c_p = 0 off the wheel), takes each multiple
-    of it to its exact power p^k: p^k in s, and in sigma(s) the wheel's
-    factor sigma(p^c_p) is divided out and 1 + p + ... + p^k multiplied
-    in.  The division is exact: at those positions the sigma array's
-    value is a product with sigma(p^c_p) as one factor.  The rest of n,
-    whose primes all exceed P, is never looked at; ``_scan_segment``
-    bounds what it adds to sigma(n)/n.
+    P = ``_smooth_bound(b)[0]``.  Both arrays start at 1.  For each prime
+    p <= P and each power q = p^k with a multiple in the window, one
+    strided pass over the multiples of q multiplies s by p and turns the
+    sigma array's factor sigma(p^(k-1)) into sigma(p^k): an exact
+    division by the old factor (none at k = 1), then a multiplication by
+    the new one.  The division is exact: at a multiple of q the pass for
+    p^(k-1) put sigma(p^(k-1)) into the product.  The rest of n, whose
+    primes all exceed P, is never looked at; ``_scan_segment`` bounds
+    what it adds to sigma(n)/n.
 
     int64 headroom for b <= MAX_SCAN_HI + 1: s divides n <= 10^12, and
     each value the sigma array takes on the way, the quotient after the
@@ -186,40 +147,20 @@ def _sigma_segment(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     <= sigma(s) <= sigma(n) < 7n < 2^43.
     """
     width = b - a
-    P = _smooth_bound(b)[0]
-    L, wheel_sig, wheel_smooth = _wheel(min(P, max(_WHEEL_CAPS)))
-    start = a % L
-    head = min(-a % L, width)  # up to the window's first multiple of L
-    stop = head + (width - head) // L * L
-    sig = np.empty(width, dtype=np.int64)
-    smooth = np.empty(width, dtype=np.int64)
-    for out, period in ((sig, wheel_sig), (smooth, wheel_smooth)):
-        out[:head] = period[start:start + head]
-        out[head:stop].reshape(-1, L)[:] = period
-        out[stop:] = period[:width - stop]
-    for p in _primes.primes_up_to(P):
-        base = p ** (_WHEEL_CAPS.get(p, 0) + 1)
-        low = (base - 1) // (p - 1)  # sigma(p^c_p), already in sig
-        first = -a % base
-        view = smooth[first::base]
-        view *= p
-        term = low + base
-        q = base * p
+    sig = np.ones(width, dtype=np.int64)
+    smooth = np.ones(width, dtype=np.int64)
+    for p in _primes.primes_up_to(_smooth_bound(b)[0]):
+        q, low = p, 1  # low = sigma(q / p)
         j = -a % q
-        if j < width:
-            # some multiple holds p^(c_p + 2): per-element factors from here on
-            term = np.full(view.size, term, dtype=np.int64)
-            while j < width:
-                # in the view, multiples of q are q // base apart
-                i, step = (j - first) // base, q // base
-                view[i::step] *= p
-                term[i::step] += q
-                q *= p
-                j = -a % q
-        held = sig[first::base]
-        if low > 1:
-            held //= low
-        held *= term
+        while j < width:
+            smooth[j::q] *= p
+            held = sig[j::q]
+            if low > 1:
+                held //= low
+            low += q
+            held *= low
+            q *= p
+            j = -a % q
     return sig, smooth
 
 

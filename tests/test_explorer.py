@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 import types
 from fractions import Fraction
@@ -220,8 +222,7 @@ class TestSigmaSegment:
 
     def test_peak_memory_of_a_window_at_1e11(self):
         a, b = 10**11, 10**11 + 2**20
-        # grow the shared prime source and build the wheel first: the
-        # peak is the sieve's own
+        # grow the shared prime source first: the peak is the sieve's own
         explorer._sigma_segment(a, a + 1000)
         tracemalloc.start()
         try:
@@ -229,9 +230,26 @@ class TestSigmaSegment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the two result arrays and the largest term array, 1/13 of one:
-        # 2.08 of them measured
+        # the two result arrays: 2.00 of them measured
         assert peak <= 2.125 * 8 * (b - a)
+
+    def test_peak_memory_of_a_fresh_interpreters_first_window(self):
+        # the first window of a process allocates no more than any other:
+        # two result arrays, nothing built and kept for later windows
+        a, b = 2, explorer._COVER_FROM
+        code = (
+            "import tracemalloc\n"
+            "from robincheck import explorer, primes\n"
+            "primes.primes_up_to(1000)\n"
+            "tracemalloc.start()\n"
+            f"explorer._sigma_segment({a}, {b})\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert int(proc.stdout) <= 2.125 * 8 * (b - a)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=10**12),
@@ -260,26 +278,14 @@ def assert_sigma_segment_sampled(a, b, extra=()):
         assert got == oracles.smooth_part_sigma(n, P), n
 
 
-_L = prod(p ** c for p, c in explorer._WHEEL_CAPS.items())
+# 2^5 3^2 5 7 11 and its exponents c_p: windows at each residue mod _L
+# and around multiples of p^(c_p + 1) to p^(c_p + 4) take the sigma
+# array's exact division through several powers of each p
+_L = 110_880
+_CAPS = {2: 5, 3: 2, 5: 1, 7: 1, 11: 1}
 
 
 class TestWheel:
-    def test_period_and_entries(self):
-        L, sig, smooth = explorer._wheel(11)
-        assert L == _L == 2**5 * 3**2 * 5 * 7 * 11
-        assert sig.size == smooth.size == L
-        assert sig.dtype == smooth.dtype == "int64"
-        # each p^min(v_p(r), c_p), r = 0 holding every p^c_p: gcd(r, L)
-        for r in (0, 1, 2, 64, 96, 3 * 27, 121, L // 2, L - 1):
-            assert (int(sig[r]), int(smooth[r])) == (
-                oracles.smooth_part_sigma(gcd(r, L), 11)), r
-
-    def test_cached_arrays_are_read_only(self):
-        _, sig, smooth = explorer._wheel(11)
-        for arr in (sig, smooth):
-            with pytest.raises(ValueError):
-                arr[0] = 2
-
     # L - 1500: the 3000 n straddle a period boundary in their middle
     @pytest.mark.parametrize("r", [0, 1, _L - 1500, _L - 1])
     @pytest.mark.parametrize("q", [9000, 9_000_000])
@@ -293,14 +299,14 @@ class TestWheel:
     @pytest.mark.parametrize("a, b", [(2, 121), (60, 121), (2, 50), (2, 49),
                                       (2, 26), (2, 10), (2, 4), (1, 121)])
     def test_tiny_windows_use_only_primes_up_to_p(self, a, b):
-        # P = isqrt(b - 1) < 11 here, down to 1, with no wheel prime
+        # P = isqrt(b - 1) < 11 here, down to 1, where no prime is sieved
         assert smooth_limit(b) < 11
         assert_sigma_segment_exact(a, b)
 
-    @pytest.mark.parametrize("p", list(explorer._WHEEL_CAPS))
+    @pytest.mark.parametrize("p", list(_CAPS))
     def test_multiples_of_powers_above_the_cap(self, p):
         # p^(c_p + 1), ..., p^(c_p + 4) times a cofactor prime to p
-        c = explorer._WHEEL_CAPS[p]
+        c = _CAPS[p]
         for e in range(c + 1, c + 5):
             n = p ** e * (10**9 // p ** e // p * p + 1)
             assert_sigma_segment_exact(n - 200, n + 200)
@@ -592,6 +598,12 @@ class TestCoveredWindows:
         calls = self.spy_sieve(monkeypatch)
         explorer.scan_range(2, 9000, cfg)
         assert calls == want
+
+    def test_ladders_from_17_bits_sieve_nothing_past_5583(self):
+        # the 16-bit side is the [16-0] case above
+        cfg = intervals.PrecisionConfig(17, 17)
+        assert (explorer._cover_bound(explorer.MAX_SCAN_HI, cfg)
+                == explorer.MAX_SCAN_HI + 1)
 
     def test_worker_counts_agree_across_5583(self, monkeypatch):
         monkeypatch.setattr(explorer, "SEGMENT_SIZE", 2048)

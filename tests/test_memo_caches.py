@@ -1,13 +1,12 @@
-"""One memo mechanism: pure kernels memoize with ``functools.lru_cache``."""
+"""One memo mechanism: pure kernels memoize with ``functools.lru_cache``
+or ``functools.cache``, and each one is registered here with its bound."""
 
 import ast
 import os
-import subprocess
-import sys
 
 import pytest
 
-from robincheck import explorer, intervals, robin
+from robincheck import intervals, primes, robin
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src", "robincheck")
 
@@ -38,22 +37,45 @@ def test_module_level_dict_caches_are_only_the_named_ones():
     assert found == _DICT_CACHES
 
 
-@pytest.mark.parametrize("fn, maxsize", [
+_MEMOIZED = [
     (intervals._ln2_fp, 64),
     (intervals._ln_c_fp, 64 * 85),
     (intervals.exp_gamma, 64),
     (robin._floor_threshold, 1 << 16),
-    (explorer._wheel, 16),
-], ids=lambda v: getattr(v, "__name__", None))
+    (primes._small_primorial, None),
+    (primes._pm1_tables, None),
+]
+
+
+def _memo_decorated(tree: ast.Module):
+    """Functions in ``tree`` under ``lru_cache(...)`` or ``cache``, reached
+    as ``functools.<name>`` or imported by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "functools"):
+                    name = target.attr
+                else:
+                    name = getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    yield node.name
+
+
+def test_memoized_kernels_are_only_the_registered_ones():
+    found = set()
+    for name in sorted(os.listdir(_SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(_SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found.update((name[:-3], fn) for fn in _memo_decorated(tree))
+    assert found == {(fn.__module__.rpartition(".")[2], fn.__name__)
+                     for fn, _ in _MEMOIZED}
+
+
+@pytest.mark.parametrize("fn, maxsize", _MEMOIZED,
+                         ids=lambda v: getattr(v, "__name__", None))
 def test_memoized_kernels_keep_their_bounds(fn, maxsize):
     assert fn.cache_info().maxsize == maxsize
-
-
-def test_import_builds_no_wheel():
-    # the scan wheel's period is built by the first window, not at import
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(_SRC, "..")))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import robincheck; "
-         "print(robincheck.explorer._wheel.cache_info().currsize)"],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert proc.stdout == "0\n"
