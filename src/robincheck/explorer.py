@@ -46,7 +46,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -248,32 +248,33 @@ def _hr_primes(X: int) -> list[int]:
     return plist
 
 
-def _hr_walk(X: int, W: int,
-             prune: Optional[Callable[[tuple], bool]] = None
-             ) -> Iterator[tuple]:
-    """(entries, n, lo, hi, B, ln_lo) for Hardy-Ramanujan integers 2 <= n <= X.
+def _hr_walk(plist: Sequence[int], W: int, k_max: int, sorted_only: bool,
+             prune: Optional[Callable[[tuple], bool]] = None,
+             X: float = inf, ln_max: float = inf) -> Iterator[tuple]:
+    """(entries, n, hi, B, ln_lo, lo, ln_hi) per exponent pattern on ``plist``.
 
-    An HR integer is 2^k1 3^k2 ... p_r^kr with k1 >= ... >= kr >= 1.  It
-    holds the first r primes (``_hr_primes``), and 2^k1 <= n bounds every
-    exponent by the largest k with 2^k <= X.  Depth first on an explicit
-    stack, each node before its extensions by p_(r+1)^k, k <= kr, smaller
-    k first, each kept exactly when its n <= X.  Every HR integer comes
-    once, unless ``prune(node)``, asked after the node is handed out, is
-    true: then the node's extensions are not walked.
+    A node is p_1^k1 ... p_r^kr on the first r primes of ``plist``, every
+    kj >= 1, k1 <= k_max, and with ``sorted_only`` k1 >= ... >= kr (every
+    kj <= k_max otherwise).  Depth first on an explicit stack, each node
+    before its extensions by p_(r+1)^k, smaller k first, each kept while
+    both inclusion rules hold: n <= X, the cover bound's, and ln_hi <=
+    ln_max, the search's.  n and ln_hi grow with k, so the first k that
+    breaks a rule ends the extensions.  Every node comes once, unless
+    ``prune(node)``, asked after the node is handed out, is true: then
+    its extensions are not walked.
 
     Each node carries, from its parent in O(1): [lo, hi] =
     ``sigma_over_n_fp(n, W)``, the parent's pair extended by the one new
     entry (``sigma_over_n_extend``); B = sum k (bit_length(p) - 1), so
-    n >= 2**B; and ln_lo = sum k ``_ln_prime_fp(p, W)[0]``, ``log_n``'s
-    lower bound at W - _GUARD bits.
+    n >= 2**B; and [ln_lo, ln_hi] = sum k ``_ln_prime_fp(p, W)``,
+    ``log_n``'s bounds at W - _GUARD bits.
     """
-    plist = _hr_primes(X)
-    ln_lo_p = [_ln_prime_fp(p, W)[0] for p in plist]
+    ln_p = [_ln_prime_fp(p, W) for p in plist]
     one = 1 << W
-    stack = [((), 1, one, one, 0, 0)]
+    stack = [((), 1, one, 0, 0, one, 0)]
     while stack:
         node = stack.pop()
-        entries, n, lo, hi, B, ln_lo = node
+        entries, n, hi, B, ln_lo, lo, ln_hi = node
         if entries:
             yield node
             if prune is not None and prune(node):
@@ -281,16 +282,18 @@ def _hr_walk(X: int, W: int,
         r = len(entries)
         if r == len(plist):
             continue
-        p, L, bits = plist[r], ln_lo_p[r], plist[r].bit_length() - 1
+        p, (L, H), bits = plist[r], ln_p[r], plist[r].bit_length() - 1
         extensions = []
-        for k in range(1, (entries[-1][1] if entries else X.bit_length() - 1)
-                       + 1):
+        for k in range(1, (entries[-1][1] if entries and sorted_only
+                           else k_max) + 1):
             n *= p
-            if n > X:
+            ln_hi += H
+            if n > X or ln_hi > ln_max:
                 break
-            extensions.append((entries + ((p, k),), n,
-                               *sigma_over_n_extend(lo, hi, ((p, k),), W),
-                               B + k * bits, ln_lo + k * L))
+            entry = ((p, k),)
+            k_lo, k_hi = sigma_over_n_extend(lo, hi, entry, W)
+            extensions.append((entries + entry, n, k_hi, B + k * bits,
+                               ln_lo + k * L, k_lo, ln_hi))
         stack.extend(reversed(extensions))  # the first pops first
 
 
@@ -304,17 +307,44 @@ def _below_floors(hi: int, B: int, ln_lo: int, bits: int) -> bool:
             or _below_floor(hi, ln_lo, bits))
 
 
-def _hr_satisfied(node: tuple, cfg: PrecisionConfig) -> bool:
-    """Whether ``check`` certifies the ``_hr_walk`` node satisfied.
+def _bumped(entries: tuple[tuple[int, int], ...], j: int
+            ) -> tuple[tuple[int, int], ...]:
+    """entries with entry j's exponent raised by one; still canonical."""
+    p, k = entries[j]
+    return entries[:j] + ((p, k + 1),) + entries[j + 1:]
 
-    The node's carried hi, B and ln_lo are the values ``check`` computes
-    first, so where its floors decide (``_below_floors``) that is its
-    verdict; any other node goes to ``check`` itself.
+
+def _unsatisfied_task(cfg: PrecisionConfig, task: tuple
+                      ) -> Optional[CheckResult]:
+    """None if ``check`` certifies n satisfied, else its ``CheckResult``.
+
+    task = (node, j), node an ``_hr_walk`` node at W = cfg.start_bits +
+    _GUARD, or its first five fields: n is the node's for j None, else
+    the node's with entry j's exponent raised, n' = n p_j.  That state
+    comes from the node's in O(1): B and ln_lo gain bit_length(p) - 1 and
+    ``_ln_prime_fp(p, W)[0]``, as in ``check``, and hi is multiplied by
+    f(p, k+1)/f(p, k) = (p^(k+2) - 1) / (p (p^(k+1) - 1)), the exact ratio
+    of the entry's factors, rounded up, so it still bounds sigma(n')/n' *
+    2**W above.  The n is decided first by ``check``'s own floors on that
+    state (``_below_floors``): a sound upper bound below a floor puts
+    sigma(n)/n below the start rung's right side, where ``check`` calls n
+    satisfied too.  Only n the floors leave open has its entries built
+    and goes to ``check`` itself, so every verdict is ``check``'s.
     """
-    entries, _, _, hi, B, ln_lo = node
-    return (_below_floors(hi, B, ln_lo, cfg.start_bits)
-            or check(Factorization.from_canonical(entries), cfg).verdict
-            is Verdict.SATISFIED)
+    node, j = task
+    hi, B, ln_lo = node[2], node[3], node[4]
+    start = cfg.start_bits
+    if j is not None:
+        p, k = node[0][j]
+        q = p ** (k + 1)
+        hi = -(-hi * (q * p - 1) // (p * (q - 1)))
+        B += p.bit_length() - 1
+        ln_lo += _ln_prime_fp(p, start + _GUARD)[0]
+    if _below_floors(hi, B, ln_lo, start):
+        return None
+    entries = node[0] if j is None else _bumped(node[0], j)
+    r = check(Factorization.from_canonical(entries), cfg)
+    return None if r.verdict is Verdict.SATISFIED else r
 
 
 def _subtree_hi(hi: int, n: int, tail: Sequence[int], X: int) -> int:
@@ -348,9 +378,9 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
       n = prod Q_i^(e_i), Q_i its primes ascending, moved onto the first
       primes as M = prod p_i^(e_i) (p_i <= Q_i) gives M <= n and
       sigma(M)/M >= sigma(n)/n.
-    - Exchange (``_enumerate_bases``' swap, from ``conjecture32_search``'s
-      lemma): each swap that moves a larger exponent onto a smaller prime
-      lowers n and raises sigma(n)/n, so M's exponents sorted
+    - Exchange (the swap of ``conjecture32_search``'s exchange lemma):
+      each swap that moves a larger exponent onto a smaller prime lowers
+      n and raises sigma(n)/n, so M's exponents sorted
       non-increasing give an HR integer h <= M with sigma(h)/h >=
       sigma(M)/M.  If h > 5040, then h < bound is certified satisfied,
       and sigma(n)/n <= sigma(h)/h < e^gamma ln ln h <= e^gamma ln ln n,
@@ -361,11 +391,13 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
       e^gamma ln ln n passes 403/105 near n = 5582.15, so 5583 is the
       least cut-off this step gives.
 
-    How, in one ``_hr_walk`` at W = cfg.start_bits + _GUARD.
+    How, in one ``_hr_walk`` of the HR integers h <= hi at W =
+    cfg.start_bits + _GUARD, on ``_hr_primes(hi)``, with first exponents
+    up to the largest k with 2^k <= hi.
     - Carried step: a node h > 5040 is decided by ``check``'s own two
       floors on its carried hi, B and ln_lo, and goes to ``check`` itself
-      only where they do not decide (``_hr_satisfied``).  Either way the
-      verdict is ``check``'s.
+      only where they do not decide (``_unsatisfied_task``).  Either way
+      the verdict is ``check``'s.
     - Subtree step: every extension d of h in the walk is h times powers
       of the next primes p_(r+1) < p_(r+2) < ..., at most s of them,
       where s is the largest count with h p_(r+1) ... p_(r+s) <= hi.  As
@@ -391,7 +423,7 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     bound = hi + 1
 
     def prune(node: tuple) -> bool:
-        entries, n, _, s_hi, B, ln_lo = node
+        entries, n, s_hi, B, ln_lo, _, _ = node
         if n >= bound:
             return True
         r = len(entries)
@@ -402,8 +434,9 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
                              B + p.bit_length() - 1,
                              ln_lo + _ln_prime_fp(p, W)[0], start)
 
-    for node in _hr_walk(hi, W, prune):
-        if 5040 < node[1] < bound and not _hr_satisfied(node, cfg):
+    for node in _hr_walk(plist, W, hi.bit_length() - 1, True, prune, X=hi):
+        if 5040 < node[1] < bound and _unsatisfied_task(
+                cfg, (node, None)) is not None:
             bound = node[1]
     return bound
 
@@ -600,53 +633,20 @@ def _enumerate_bases(
     log_n_max: Fraction,
     non_increasing_only: bool,
     bits: int,
-) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """(entries, n) for all n over a prefix of the primes with ln n <= bound.
+) -> list[tuple]:
+    """(entries, n, hi, B, ln_lo) of each base over a prefix of the primes.
 
-    Exponent vectors are non-increasing by default.  Where n holds b at
-    p and a > b at q > p, swapping the two gives n' = n (p/q)^(a-b) <= n,
-    and (sigma(n')/n') / (sigma(n)/n) is the product over k = b..a-1 of
-    g_k(1/p) / g_k(1/q) >= 1, g_k the increasing ratio of
-    ``conjecture32_search``'s exchange lemma.  So a sorted arrangement
-    that is satisfied implies every other one.  Inclusion rule: the
-    certified upper bound of sum k_j ln p_j must not exceed log_n_max.
-    Depth first, each base before its extensions and smaller exponents
-    first, on an explicit stack, so a base may hold any number of primes;
-    each extension multiplies its base's n by the new prime power.
+    The ``_hr_walk`` nodes, in its order, on the first prime_count_max
+    primes at W = bits + _GUARD, exponents up to exponent_max and
+    non-increasing by default, kept while the certified upper bound of
+    sum k_j ln p_j does not exceed log_n_max; each node keeps only the
+    fields ``_unsatisfied_task`` reads.
     """
     W = bits + _GUARD
     x_fp = (log_n_max.numerator << W) // log_n_max.denominator
-    plist = _primes.first_primes(prime_count_max)
-    ln_hi = [_ln_prime_fp(p, W)[1] for p in plist]
-    out: list[tuple[tuple[tuple[int, int], ...], int]] = []
-    # (base, its n, exponent cap of its next prime, upper bound of its ln n)
-    stack = [((), 1, exponent_max, 0)]
-    while stack:
-        base, n, k_cap, s_hi = stack.pop()
-        if base:
-            out.append((base, n))
-        pos = len(base)
-        if pos == len(plist):
-            continue
-        p = plist[pos]
-        cap = k_cap if non_increasing_only else exponent_max
-        extensions = []
-        acc = s_hi
-        for k in range(1, cap + 1):
-            acc += ln_hi[pos]
-            if acc > x_fp:
-                break
-            n *= p
-            extensions.append((base + ((p, k),), n, k, acc))
-        stack.extend(reversed(extensions))  # the first pops first
-    return out
-
-
-def _bumped(entries: tuple[tuple[int, int], ...], j: int
-            ) -> tuple[tuple[int, int], ...]:
-    """entries with entry j's exponent raised by one; still canonical."""
-    p, k = entries[j]
-    return entries[:j] + ((p, k + 1),) + entries[j + 1:]
+    return [node[:5] for node in _hr_walk(
+        _primes.first_primes(prime_count_max), W, exponent_max,
+        non_increasing_only, ln_max=x_fp)]
 
 
 def _raised_at(base: tuple[tuple[int, int], ...], non_increasing_only: bool
@@ -662,18 +662,6 @@ def _raised_at(base: tuple[tuple[int, int], ...], non_increasing_only: bool
     return [ks.index(k) for k in ks]
 
 
-def _unsatisfied_task(cfg: PrecisionConfig, task: tuple
-                      ) -> Optional[CheckResult]:
-    """None if n is certified satisfied, else its ``CheckResult``.
-
-    task = (base, j): n is the base for j None, else base + e_j.
-    """
-    base, j = task
-    entries = base if j is None else _bumped(base, j)
-    r = check(Factorization.from_canonical(entries), cfg)
-    return None if r.verdict is Verdict.SATISFIED else r
-
-
 def conjecture32_search(
     prime_count_max: int,
     exponent_max: int,
@@ -686,12 +674,20 @@ def conjecture32_search(
 
     A base that is not certified satisfied is reported as a counterexample
     row of its own, with index None, and its increments are not reported.
-    Each distinct n is checked once: a dict keys the tasks by n (exact by
-    unique factorization; raising entry i multiplies n by p_i).
+    Each distinct n is decided once, by ``_unsatisfied_task`` from its
+    base's carried state, so ``check`` runs only where ``check``'s floors
+    leave n open: a dict keys the tasks by n (exact by unique
+    factorization; raising entry i multiplies n by p_i).
 
-    By default the increment n = base + e_j is decided by its sorted form
-    h = base + e_i (``_raised_at``), and checked itself only when h is not
-    satisfied.  Exchange lemma: n holds k + 1 at p_j and k at p_i <= p_j,
+    Bases are ``_enumerate_bases``' nodes, with exponents non-increasing
+    by default.  Where n holds b at p and a > b at q > p, swapping the two
+    gives n' = n (p/q)^(a-b) <= n, and (sigma(n')/n') / (sigma(n)/n) is
+    the product over k = b..a-1 of g_k(1/p) / g_k(1/q) >= 1, g_k the
+    increasing ratio of the exchange lemma below.  So a sorted arrangement
+    that is satisfied implies every other one.  Likewise the increment
+    n = base + e_j is decided by its sorted form h = base + e_i
+    (``_raised_at``), and decided itself only when h is not satisfied.
+    Exchange lemma: n holds k + 1 at p_j and k at p_i <= p_j,
     h swaps the two, so h = n p_i / p_j <= n.  sigma(m)/m is the product
     of S_e(1/p) = 1 + 1/p + ... + 1/p^e over m's entries p^e, so
     (sigma(h)/h) / (sigma(n)/n) = g_k(1/p_i) / g_k(1/p_j) with g_k(x) =
@@ -699,7 +695,7 @@ def conjecture32_search(
     in x: sigma(h)/h >= sigma(n)/n.  As e^gamma ln ln n increases in n,
     h satisfied gives n satisfied.  With ``non_increasing_only=False`` no
     lemma is used: every arrangement is enumerated and every increment
-    checked directly.
+    decided directly.
     """
     if prime_count_max < 1 or exponent_max < 1 or worker_count < 1:
         raise InvalidInput(
@@ -709,18 +705,20 @@ def conjecture32_search(
         raise InvalidInput("log_n_max must be positive")
     all_bases = _enumerate_bases(prime_count_max, exponent_max, log_n_max,
                                  non_increasing_only, cfg.start_bits)
-    bases = [(base, n) for base, n in all_bases if n > 5040]
-    # each distinct n -> the first (base, i) that reaches it
+    bases = [node for node in all_bases if node[1] > 5040]
+    # each distinct n -> the first (base's node, i) that reaches it
     tasks = {}
-    for base, n in bases:
-        tasks.setdefault(n, (base, None))
+    for node in bases:
+        base, n = node[:2]
+        tasks.setdefault(n, (node, None))
         for i in _raised_at(base, non_increasing_only):
-            tasks.setdefault(n * base[i][0], (base, i))
+            tasks.setdefault(n * base[i][0], (node, i))
     unsatisfied = {r.factorization.n(): r for r in _pool_imap(
         functools.partial(_unsatisfied_task, cfg), list(tasks.values()),
         worker_count, 64) if r is not None}
     counterexamples = []
-    for base, n in bases if unsatisfied else ():
+    for node in bases if unsatisfied else ():
+        base, n = node[:2]
         f = Factorization.from_canonical(base)
         r = unsatisfied.get(n)
         if r is not None:
@@ -728,8 +726,8 @@ def conjecture32_search(
             continue
         for j, i in enumerate(_raised_at(base, non_increasing_only)):
             r = unsatisfied.get(n * base[i][0])
-            if r is not None and i != j:  # h decides nothing: check n
-                r = _unsatisfied_task(cfg, (base, j))
+            if r is not None and i != j:  # h decides nothing: decide n
+                r = _unsatisfied_task(cfg, (node, j))
             if r is not None:
                 counterexamples.append((f, j, r))
     return SearchReport(

@@ -439,9 +439,15 @@ class TestCoverReduction:
 _W = DEFAULT_PRECISION.start_bits + _GUARD
 
 
+def _hr_walk(X, prune=None):
+    """``_cover_bound``'s walk: the HR integers n <= X, at _W."""
+    return explorer._hr_walk(explorer._hr_primes(X), _W, X.bit_length() - 1,
+                             True, prune, X=X)
+
+
 class TestHrWalk:
     def test_walk_is_the_oracle_set_to_1e12(self):
-        walk = list(explorer._hr_walk(10 ** 12, _W))
+        walk = list(_hr_walk(10 ** 12))
         assert all(n == Factorization(e).n() for e, n, *_ in walk)
         got = [n for _, n, *_ in walk if n > 5040]
         assert len(got) == len(set(got)) == 4290
@@ -453,15 +459,15 @@ class TestHrWalk:
         rng = random.Random(3101)
         for h in [2, 5040, 55440, hr[-1]] + rng.sample(hr, 24):
             for x in (h, h - 1):
-                assert ({node[1] for node in explorer._hr_walk(x, _W)}
+                assert ({node[1] for node in _hr_walk(x)}
                         == oracles.hr_integers(x)), x
 
     def test_carried_state_is_what_check_computes_to_1e12(self):
         start = DEFAULT_PRECISION.start_bits
-        for entries, n, lo, hi, B, ln_lo in explorer._hr_walk(10 ** 12, _W):
+        for entries, n, hi, B, ln_lo, lo, ln_hi in _hr_walk(10 ** 12):
             f = Factorization(entries)
             assert (lo, hi) == sigma_over_n_fp(f, _W), n
-            assert ln_lo == robin.log_n(f, start)[0], n
+            assert (ln_lo, ln_hi) == robin.log_n(f, start), n
             assert B == sum(k * (p.bit_length() - 1) for p, k in entries), n
 
 
@@ -475,8 +481,8 @@ class TestSubtreeBound:
         walked, bounds = set(), {}
         real_walk, real_bound = explorer._hr_walk, explorer._subtree_hi
 
-        def walk(*args):
-            for node in real_walk(*args):
+        def walk(*args, **kwargs):
+            for node in real_walk(*args, **kwargs):
                 walked.add(node[1])
                 yield node
 
@@ -557,9 +563,16 @@ class TestCoveredWindows:
             self, sieved, monkeypatch):
         # h0 fails the walk's node decision, and no ancestor of it may
         # skip it by the subtree bound
-        real, real_bound = explorer._hr_satisfied, explorer._subtree_hi
-        monkeypatch.setattr(explorer, "_hr_satisfied", lambda node, cfg: (
-            node[1] != self.H0 and real(node, cfg)))
+        real, real_bound = explorer._unsatisfied_task, explorer._subtree_hi
+
+        def decision(cfg, task):
+            (entries, n, *_), _ = task
+            if n != self.H0:
+                return real(cfg, task)
+            return robin.CheckResult(Factorization(entries), ..., ...,
+                                     Verdict.INDETERMINATE, cfg.start_bits)
+
+        monkeypatch.setattr(explorer, "_unsatisfied_task", decision)
         monkeypatch.setattr(explorer, "_subtree_hi", lambda s_hi, n, tail, X: (
             1 << 1000 if self.H0 % n == 0 else real_bound(s_hi, n, tail, X)))
         assert explorer._cover_bound(self.HI, DEFAULT_PRECISION) == self.H0
@@ -831,7 +844,7 @@ def _per_base_search(prime_count_max, exponent_max, log_n_max,
         prime_count_max, exponent_max, log_n_max, non_increasing_only,
         cfg.start_bits)
     rows, probed = [], 0
-    for entries, _ in all_bases:
+    for entries, *_ in all_bases:
         f = Factorization(entries)
         if f.n() <= 5040:
             continue
@@ -865,10 +878,40 @@ def checked(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def decided(monkeypatch):
+    """The entries of every n the search decides, in call order."""
+    calls = []
+    real = explorer._unsatisfied_task
+
+    def counting(cfg, task):
+        (entries, *_), j = task
+        calls.append(entries if j is None else explorer._bumped(entries, j))
+        return real(cfg, task)
+
+    monkeypatch.setattr(explorer, "_unsatisfied_task", counting)
+    return calls
+
+
+def _floors_off(monkeypatch):
+    """Send every n the search decides to ``explorer.check``."""
+    monkeypatch.setattr(explorer, "_below_floors",
+                        lambda hi, B, ln_lo, bits: False)
+
+
+def _node(entries, cfg=DEFAULT_PRECISION):
+    """(entries, n, hi, B, ln_lo) of n as the search's walk carries them."""
+    f = Factorization(entries)
+    return (f.entries, f.n(),
+            sigma_over_n_fp(f, cfg.start_bits + _GUARD)[1],
+            sum(k * (p.bit_length() - 1) for p, k in f.entries),
+            robin.log_n(f, cfg.start_bits)[0])
+
+
 class TestConjecture32Probe:
     """How the search probes a base: its check, then its increments'."""
 
-    def test_35280_all_increments_satisfied(self, checked):
+    def test_35280_all_increments_satisfied(self, decided):
         base = primes.parse_factor_string("2^4*3^2*5*7^2").entries
         # its exponents do not fall: every arrangement is enumerated
         rep = explorer.conjecture32_search(4, 4, Fraction("10.5"),
@@ -876,31 +919,36 @@ class TestConjecture32Probe:
         bumped = [primes.parse_factor_string(s).entries for s in (
             "2^5*3^2*5*7^2", "2^4*3^3*5*7^2", "2^4*3^2*5^2*7^2",
             "2^4*3^2*5*7^3")]
-        assert {base, *bumped} <= set(checked)
+        assert {base, *bumped} <= set(decided)
         assert rep.counterexamples == ()
 
-    def test_prime_power_5041(self):
+    def test_prime_power_5041(self, monkeypatch):
         # 71^2 is no base of a search over a prefix of the primes: the
-        # task decides it and its increment alone
-        for task in ((((71, 2),), None), (((71, 2),), 0)):
-            assert explorer._unsatisfied_task(DEFAULT_PRECISION, task) is None
+        # task decides it and its increment alone, by the floors, then
+        # with them off by check
+        node = _node(((71, 2),))
+        for _ in range(2):
+            for task in ((node, None), (node, 0)):
+                assert explorer._unsatisfied_task(DEFAULT_PRECISION,
+                                                  task) is None
+            _floors_off(monkeypatch)
 
     def test_base_5040_not_satisfied(self):
         # a result, not a refusal: the task hands back the violated check
         r = explorer._unsatisfied_task(
-            DEFAULT_PRECISION, (primes.factorize(5040).entries, None))
+            DEFAULT_PRECISION, (_node(primes.factorize(5040).entries), None))
         assert r.verdict is Verdict.VIOLATED
         assert r == robin.check(primes.factorize(5040))
 
-    def test_increment_shape(self, checked):
+    def test_increment_shape(self, decided):
         # the only base > 5040 is 30030.  Its six increments share one
         # sorted form, 2^2*3*5*7*11*13, which decides them all
         f = primes.parse_factor_string("2*3*5*7*11*13")
         rep = explorer.conjecture32_search(6, 1, Fraction("10.4"))
         assert rep.bases_probed == 1
-        assert checked == [f.entries, ((2, 2),) + f.entries[1:]]
+        assert decided == [f.entries, ((2, 2),) + f.entries[1:]]
         # with every arrangement, each of its six exponents goes up
-        checked.clear()
+        decided.clear()
         rep = explorer.conjecture32_search(6, 1, Fraction("10.4"),
                                            non_increasing_only=False)
         assert rep.bases_probed == 1
@@ -909,7 +957,7 @@ class TestConjecture32Probe:
             expect = list(f.entries)
             expect[j] = (p, k + 1)
             want.append(tuple(expect))
-        assert checked == want
+        assert decided == want
 
 
 def _recursive_enumerate(prime_count_max, exponent_max, log_n_max,
@@ -962,13 +1010,13 @@ def _failing_task(*args):
 
 class TestConjecture32Search:
     def test_enumeration_matches_naive(self):
-        got = [b for b, _ in explorer._enumerate_bases(
+        got = [b for b, *_ in explorer._enumerate_bases(
             4, 3, Fraction("11.0"), True, 53)]
         naive = _naive_enumerate(4, 3, 11.0, True)
         assert set(got) == naive
 
     def test_enumeration_all_arrangements_matches_naive(self):
-        got = [b for b, _ in explorer._enumerate_bases(
+        got = [b for b, *_ in explorer._enumerate_bases(
             3, 3, Fraction("9.5"), False, 53)]
         naive = _naive_enumerate(3, 3, 9.5, False)
         assert set(got) == naive
@@ -977,10 +1025,10 @@ class TestConjecture32Search:
     def test_enumeration_carries_n(self, non_increasing_only):
         got = explorer._enumerate_bases(5, 4, Fraction("16.0"),
                                         non_increasing_only, 53)
-        assert all(n == Factorization(b).n() for b, n in got)
+        assert all(n == Factorization(b).n() for b, n, *_ in got)
 
     def test_enumeration_unique(self):
-        got = [b for b, _ in explorer._enumerate_bases(
+        got = [b for b, *_ in explorer._enumerate_bases(
             5, 4, Fraction("16.0"), True, 53)]
         assert len(got) == len(set(got))
 
@@ -992,11 +1040,11 @@ class TestConjecture32Search:
         (9, 6, Fraction("27.631021"), True),
     ])
     def test_enumeration_order_matches_recursion(self, args):
-        assert ([b for b, _ in explorer._enumerate_bases(*args, 53)]
+        assert ([b for b, *_ in explorer._enumerate_bases(*args, 53)]
                 == _recursive_enumerate(*args, 53))
 
     def test_enumeration_deeper_than_the_recursion_limit(self):
-        got = [b for b, _ in explorer._enumerate_bases(
+        got = [b for b, *_ in explorer._enumerate_bases(
             1200, 1, Fraction(20000), True, 53)]
         plist = primes.first_primes(1200)
         assert got == [tuple((p, 1) for p in plist[:m])
@@ -1008,12 +1056,14 @@ class TestConjecture32Search:
         ((9, 6, "27.631021"), False, 46_634, False),
         ((12, 8, "45"), True, 10_693, True),
     ], ids=["default", "all_arrangements", "12_8_45"])
-    def test_each_distinct_n_checked_once(self, checked, search,
+    def test_each_distinct_n_checked_once(self, decided, checked, search,
                                           non_increasing, count, per_base):
         p, e, x = search
         rep = explorer.conjecture32_search(
             p, e, Fraction(x), non_increasing_only=non_increasing)
-        assert len(checked) == len(set(checked)) == count
+        assert len(decided) == len(set(decided)) == count
+        # the floors on carried state decide every one of them
+        assert checked == []
         if per_base:
             assert rep == _per_base_search(
                 p, e, x, non_increasing_only=non_increasing)
@@ -1022,7 +1072,7 @@ class TestConjecture32Search:
         # the exchange lemma, by brute force over the default search: the
         # form that decides base + e_j is sorted, no larger, and has a
         # sigma(n)/n at least as large
-        for base, _ in explorer._enumerate_bases(
+        for base, *_ in explorer._enumerate_bases(
                 9, 6, Fraction("27.631021"), True, 53):
             at = explorer._raised_at(base, True)
             for j, i in enumerate(at):
@@ -1033,9 +1083,9 @@ class TestConjecture32Search:
                 assert h.n() <= n.n()
                 assert sigma_over_n_fraction(h) >= sigma_over_n_fraction(n)
 
-    def test_every_arrangement_checked_once(self, checked):
+    def test_every_arrangement_checked_once(self, decided):
         # exponents in any order: more bases share an increment
-        bases = [b for b, _ in explorer._enumerate_bases(
+        bases = [b for b, *_ in explorer._enumerate_bases(
             4, 3, Fraction(12), False, 53) if Factorization(b).n() > 5040]
         want = set(bases)
         for b in bases:
@@ -1043,8 +1093,8 @@ class TestConjecture32Search:
                 want.add(b[:j] + ((p, k + 1),) + b[j + 1:])
         explorer.conjecture32_search(4, 3, Fraction(12),
                                      non_increasing_only=False)
-        assert len(checked) == len(want) < sum(len(b) + 1 for b in bases)
-        assert set(checked) == want
+        assert len(decided) == len(want) < sum(len(b) + 1 for b in bases)
+        assert set(decided) == want
 
     @pytest.mark.parametrize("non_increasing_only", [True, False])
     def test_increments_are_not_held(self, non_increasing_only, monkeypatch):
@@ -1052,6 +1102,7 @@ class TestConjecture32Search:
         # at once took 23 MiB
         monkeypatch.setattr(explorer, "check", lambda f, cfg: robin.CheckResult(
             f, Fraction(1), None, Verdict.SATISFIED, cfg.start_bits))
+        _floors_off(monkeypatch)
         tracemalloc.start()
         try:
             rep = explorer.conjecture32_search(
@@ -1078,6 +1129,7 @@ class TestConjecture32Search:
                                      cfg.start_bits)
 
         monkeypatch.setattr(explorer, "check", stub)
+        _floors_off(monkeypatch)
         want = _per_base_search(500, 1, 10000)
         # rows of bases, of first and of last entries
         assert {None, 0} < {j for _, j, _ in want.counterexamples}
@@ -1086,13 +1138,15 @@ class TestConjecture32Search:
     def test_no_increment_built_before_its_check(self, monkeypatch):
         # 1000 bases of up to 1000 primes: a raise is found by its n, the
         # base's n times p_i, so no entries are built until the tasks run
-        # (all 500,500 increments were once built and hashed first, 11.8 s)
+        # (all 500,500 increments were once built and hashed first, 11.8 s),
+        # and a task builds them only for check, once the floors (turned
+        # off here) leave n open
         built = []
         real = explorer._bumped
 
-        def counting(entries, j, d=1):
+        def counting(entries, j):
             built.append(j)
-            return real(entries, j, d)
+            return real(entries, j)
 
         class FirstCheck(Exception):
             pass
@@ -1102,6 +1156,7 @@ class TestConjecture32Search:
 
         monkeypatch.setattr(explorer, "_bumped", counting)
         monkeypatch.setattr(explorer, "check", first_check)
+        _floors_off(monkeypatch)
         with pytest.raises(FirstCheck):
             explorer.conjecture32_search(1000, 1, Fraction(10000))
         assert built == []
@@ -1119,7 +1174,7 @@ class TestConjecture32Search:
         *search, non_increasing = args
         ratios = sorted(
             float(sigma_over_n_fraction(f)) for f in (
-                Factorization(b) for b, _ in explorer._enumerate_bases(
+                Factorization(b) for b, *_ in explorer._enumerate_bases(
                     search[0], search[1], Fraction(search[2]),
                     non_increasing, 53))
             if f.n() > 5040)
@@ -1137,6 +1192,7 @@ class TestConjecture32Search:
 
         monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
         monkeypatch.setattr(robin, "compare", forced)
+        _floors_off(monkeypatch)
         want = _per_base_search(*search, non_increasing_only=non_increasing)
         assert {j is None for _, j, _ in want.counterexamples} == {True, False}
         assert {r.verdict for _, _, r in want.counterexamples} == {
@@ -1161,6 +1217,7 @@ class TestConjecture32Search:
 
     def test_undecided_base_is_a_row_without_index(self, monkeypatch):
         monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
+        _floors_off(monkeypatch)
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: intervals.Comparison.OVERLAPPING)
         cfg = intervals.PrecisionConfig(53, 106)
@@ -1178,7 +1235,8 @@ class TestConjecture32Search:
     def test_base_not_satisfied_pickles_with_its_result(self):
         # what a worker sends back for 5040, and a report holding it
         f = primes.factorize(5040)
-        r = explorer._unsatisfied_task(DEFAULT_PRECISION, (f.entries, None))
+        r = explorer._unsatisfied_task(DEFAULT_PRECISION,
+                                       (_node(f.entries), None))
         assert pickle.loads(pickle.dumps(r)) == r
         rep = explorer.SearchReport(1, 1, Fraction(9), 1, 0, ((f, None, r),))
         assert pickle.loads(pickle.dumps(rep)) == rep
@@ -1206,6 +1264,85 @@ class TestConjecture32Search:
             explorer.conjecture32_search(0, 1, Fraction(10))
         with pytest.raises(ValueError):
             explorer.conjecture32_search(2, 1, Fraction(-1))
+
+
+class TestSearchState:
+    """The state the search decides by equals, or bounds, ``check``'s."""
+
+    @pytest.mark.parametrize("args", [
+        (9, 6, Fraction("27.631021"), True),
+        (4, 3, Fraction(12), False),
+    ])
+    def test_bases_carry_what_check_computes(self, args, monkeypatch):
+        walked = []
+        real = explorer._hr_walk
+
+        def walk(*a, **kw):
+            for node in real(*a, **kw):
+                walked.append(node)
+                yield node
+
+        monkeypatch.setattr(explorer, "_hr_walk", walk)
+        got = explorer._enumerate_bases(*args, 53)
+        assert got == [node[:5] for node in walked]
+        for entries, n, hi, B, ln_lo, lo, ln_hi in walked:
+            f = Factorization(entries)
+            assert (lo, hi) == sigma_over_n_fp(f, 53 + _GUARD), n
+            assert (ln_lo, ln_hi) == robin.log_n(f, 53), n
+            assert B == sum(k * (p.bit_length() - 1) for p, k in entries), n
+
+    # of the 1,210 and 46,634 decisions; most bases are some earlier
+    # base's increment, and are decided as that
+    @pytest.mark.parametrize("non_increasing, increments", [
+        (True, 1194), (False, 46_595)])
+    def test_increments_bound_what_check_computes(self, non_increasing,
+                                                  increments, monkeypatch):
+        # each decision's floors see, for base + e_j, an hi at or above
+        # sigma(n)/n * 2**W and check's own B and ln_lo
+        seen, task_now = [], []
+        real_task, real_floors = (explorer._unsatisfied_task,
+                                  explorer._below_floors)
+
+        def task_spy(cfg, task):
+            task_now[:] = [task]
+            return real_task(cfg, task)
+
+        def floors_spy(hi, B, ln_lo, bits):
+            seen.append((task_now[0], hi, B, ln_lo))
+            return real_floors(hi, B, ln_lo, bits)
+
+        monkeypatch.setattr(explorer, "_unsatisfied_task", task_spy)
+        monkeypatch.setattr(explorer, "_below_floors", floors_spy)
+        explorer.conjecture32_search(9, 6, Fraction("27.631021"),
+                                     non_increasing_only=non_increasing)
+        assert sum(j is not None for (_, j), *_ in seen) == increments
+        for ((entries, *_), j), hi, B, ln_lo in seen:
+            f = Factorization.from_canonical(
+                entries if j is None else explorer._bumped(entries, j))
+            if j is None:
+                assert hi == sigma_over_n_fp(f, _W)[1]
+            assert Fraction(hi, 1 << _W) >= sigma_over_n_fraction(f), f
+            assert B == sum(k * (p.bit_length() - 1) for p, k in f.entries)
+            assert ln_lo == robin.log_n(f, DEFAULT_PRECISION.start_bits)[0]
+
+    @pytest.mark.parametrize("search, ladder, non_increasing, rows", [
+        ((6, 4, 25), (2, 4), True, 63),
+        ((5, 5, 22), (3, 6), False, 3),
+    ])
+    def test_low_ladders_match_the_per_base_loop(self, checked, search,
+                                                 ladder, non_increasing,
+                                                 rows):
+        # no stub: at these ladders the floors leave real nodes open, and
+        # check decides them, some not satisfied
+        cfg = intervals.PrecisionConfig(*ladder)
+        p, e, x = search
+        rep = explorer.conjecture32_search(
+            p, e, Fraction(x), cfg, non_increasing_only=non_increasing)
+        assert checked
+        assert len(rep.counterexamples) == rows
+        assert {j is None for _, j, _ in rep.counterexamples} == {True, False}
+        assert rep == _per_base_search(p, e, x, cfg,
+                                       non_increasing_only=non_increasing)
 
 
 class TestPoolSize:

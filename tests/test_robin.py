@@ -503,7 +503,7 @@ def _floor_identity_inputs():
            for _ in range(2000)]
     fs += [Factorization.from_canonical(((2, k),)) for k in range(13, 301)]
     fs += [Factorization.from_canonical(b)
-           for b, _ in explorer._enumerate_bases(
+           for b, *_ in explorer._enumerate_bases(
                9, 6, Fraction("27.631021"), True, 53)]
     return fs
 

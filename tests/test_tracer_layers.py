@@ -69,3 +69,27 @@ def test_traced_check_records_its_layers():
     # 5041's check ran no ln p series
     calls_5041 = {tuple(edge): n for edge, n in doc["edges_5041"]}
     assert calls_5041.get(("robin.check", "robin.log_n"), 0) == 0
+
+
+_TRACE_SEARCH = """
+import json, runpy, sys
+from fractions import Fraction
+t = runpy.run_path(sys.argv[1])["Tracer"]()
+t.install()
+import robincheck
+robincheck.explorer.conjecture32_search(4, 3, Fraction(15))
+print(json.dumps({"missing": t.missing, "calls": t.calls}))
+"""
+
+
+def test_traced_search_enumerates_its_bases_once():
+    # the search's walk runs inside explorer._enumerate_bases, the call
+    # the explorer.enumerate_bases layer wraps
+    env = dict(os.environ,
+               PYTHONPATH=os.path.abspath(os.path.join(_ROOT, "src")))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_SEARCH, _TRACER],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["missing"] == []
+    assert doc["calls"]["explorer.enumerate_bases"] == 1
