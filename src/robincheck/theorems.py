@@ -8,6 +8,12 @@ decreases (separation of the two sigma(n)/n enclosures, or an exact
 rational comparison where they overlap) and the log-side strictly
 increases (certified interval separation of the two ln n enclosures).
 
+The prime-power sweep uses the same fact for n = p^k: it groups the
+prime powers by k and the bit length of p.  Within a group ``check``'s
+bit-length floor has one threshold, and the upper bound on sigma(n)/n
+does not increase with p, so one floor test on the group's smallest p
+decides every member that ``check``'s first floor would.
+
 The corollary bound calculators compare the exponent-independent bound
 prod p/(p-1), and the squarefree bound prod (p+1)/p, over the first m
 primes against the fixed threshold e^gamma * ln ln 5040; these mirror
@@ -24,6 +30,7 @@ from .explorer import q_steps
 from .factorization import (
     Factorization,
     _coprime_fraction,
+    sigma_over_n_fp,
     sigma_over_n_interval,
 )
 from .intervals import (
@@ -33,10 +40,12 @@ from .intervals import (
     InvalidInput,
     PrecisionConfig,
     RealInterval,
+    _ln2_fp,
     compare,
 )
-from .robin import CheckResult, check, decide, log_n, robin_rhs
+from .robin import CheckResult, Verdict, check, decide, log_n, robin_rhs
 from . import primes as _primes
+from . import robin as _robin
 
 
 _F5040 = Factorization(((2, 4), (3, 2), (5, 1), (7, 1)))
@@ -64,12 +73,37 @@ def _prime_powers_in(lo_exclusive: int, hi_inclusive: int):
 def verify_prime_powers(
     limit: int, cfg: PrecisionConfig = DEFAULT_PRECISION
 ) -> list[CheckResult]:
-    """Check every prime power in (5040, limit]; all are predicted Satisfied."""
+    """Check every prime power in (5040, limit]; all are predicted Satisfied.
+
+    Each result is ``check``'s, verdict and rung, but one floor test
+    decides a whole group of prime powers p^k with the same k and the
+    same bit length of p.  Its members share B = k (bit_length(p) - 1),
+    so ``check``'s bit-length floor has one threshold for all of them,
+    and the upper bound hi of ``sigma_over_n_fp`` at the start rung
+    never increases with p inside the group: it is ceil(2**W * g(p))
+    for g(p) = (p + 1)/p, p/(p - 1) or sigma(p^k)/p^k, each falling in
+    p, and which of them applies depends only on k and the bit length.
+    So where the group's first and smallest member is below the floor
+    (``robin._below_floor``), every member is, and gets the Satisfied
+    result at the start rung that ``check`` returns there; a group whose
+    first member is not goes to ``check`` member by member.
+    """
     if limit <= 5040:
         raise InvalidInput("limit must exceed 5040")
+    start = cfg.start_bits
+    W = start + _GUARD
+    ln2_lo = _ln2_fp(W)[0]
+    below = {}  # (k, bit length of p) -> its first member is below the floor
     results = []
     for p, k, _ in _prime_powers_in(5040, limit):
-        results.append(check(Factorization.from_canonical(((p, k),)), cfg))
+        f = Factorization.from_canonical(((p, k),))
+        key = (k, p.bit_length())
+        floored = below.get(key)
+        if floored is None:  # ascending values: the group's smallest p
+            floored = below[key] = _robin._below_floor(
+                sigma_over_n_fp(f, W)[1], k * (key[1] - 1) * ln2_lo, start)
+        results.append(CheckResult(f, ..., ..., Verdict.SATISFIED, start)
+                       if floored else check(f, cfg))
     return results
 
 

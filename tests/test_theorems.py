@@ -1,5 +1,6 @@
 """Prime-power sweep, substitution monotonicity, corollary bounds."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,11 +8,43 @@ from fractions import Fraction
 import pytest
 
 from robincheck import primes, robin, theorems
-from robincheck.factorization import Factorization, sigma_over_n_fraction
-from robincheck.intervals import InvalidInput, PrecisionConfig, RealInterval
+from robincheck.factorization import (
+    Factorization,
+    sigma_over_n_fp,
+    sigma_over_n_fraction,
+)
+from robincheck.intervals import (
+    _GUARD,
+    InvalidInput,
+    PrecisionConfig,
+    RealInterval,
+)
 from robincheck.robin import Verdict
 
 import oracles
+
+
+def _slots(record):
+    """Every field of a dataclass record, the lazy ``_lhs``/``_rhs`` too."""
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+def _per_element(limit, cfg):
+    """``check`` on each prime power of the sweep, one by one."""
+    return [robin.check(Factorization.from_canonical(((p, k),)), cfg)
+            for p, k, _ in theorems._prime_powers_in(5040, limit)]
+
+
+def _sweep_groups(limit):
+    """The sweep's (k, bit length of p) groups: their (p, k) in its order."""
+    groups = {}
+    for p, k, _ in theorems._prime_powers_in(5040, limit):
+        groups.setdefault((k, p.bit_length()), []).append((p, k))
+    return groups
+
+
+_LADDERS = [PrecisionConfig(), PrecisionConfig(2, 4), PrecisionConfig(8, 8),
+            PrecisionConfig(16, 16), PrecisionConfig(17, 64)]
 
 
 def pp_lhs(p, k):
@@ -90,6 +123,83 @@ class TestVerifyPrimePowers:
         f = primes.primorial_factorization(1000)
         assert f == Factorization(tuple(f.entries))
         assert f.entries == tuple((p, 1) for p in primes.first_primes(1000))
+
+
+class TestSweepGroups:
+    """One floor test decides each (k, bit length of p) group."""
+
+    @pytest.mark.parametrize("cfg", _LADDERS, ids=str)
+    def test_results_equal_per_element_check(self, cfg):
+        # plain == leaves out the lazy slots, so it would not see a group
+        # given the floor's result that check decides another way
+        results = theorems.verify_prime_powers(10 ** 5, cfg)
+        want = _per_element(10 ** 5, cfg)
+        assert len(results) == len(want) == 8983
+        for got, ref in zip(results, want):
+            assert _slots(got) == _slots(ref), ref.factorization
+
+    def test_one_floor_test_per_group_and_no_check(self, monkeypatch):
+        floors, checked = [], []
+        real_floor, real_check = robin._below_floor, robin.check
+
+        def counted_floor(hi, x, bits):
+            floors.append((hi, x, bits))
+            return real_floor(hi, x, bits)
+
+        def counted_check(f, cfg):
+            checked.append(f)
+            return real_check(f, cfg)
+
+        monkeypatch.setattr(robin, "_below_floor", counted_floor)
+        # the sweep's own binding of check, and the module's
+        monkeypatch.setattr(theorems, "check", counted_check)
+        monkeypatch.setattr(robin, "check", counted_check)
+        results = theorems.verify_prime_powers(10 ** 5)
+        assert len(results) == 8983 and checked == []
+        # each on its group's first member, in the sweep's order
+        W = PrecisionConfig().start_bits + _GUARD
+        firsts = [members[0] for members in _sweep_groups(10 ** 5).values()]
+        assert len(firsts) > 1
+        assert [hi for hi, _, _ in floors] == [
+            sigma_over_n_fp(Factorization((pk,)), W)[1] for pk in firsts]
+
+    def test_group_split_by_the_floor_goes_to_check(self, monkeypatch):
+        # a floor that only the group's later members pass: the whole
+        # group is checked, and each result is check's own
+        cfg = PrecisionConfig()
+        W = cfg.start_bits + _GUARD
+        members = _sweep_groups(10 ** 5)[(1, 16)]
+        his = [sigma_over_n_fp(Factorization(((p, k),)), W)[1]
+               for p, k in members]
+        cut = his[-1] + 1
+        assert his[0] >= cut > his[-1]
+        group = set(members)
+        monkeypatch.setattr(robin, "_below_floor",
+                            lambda hi, x, bits: hi < cut)
+        checked = []
+
+        def counted(f, cfg):
+            checked.append(f.entries[0])
+            return robin.check(f, cfg)
+
+        monkeypatch.setattr(theorems, "check", counted)
+        results = theorems.verify_prime_powers(10 ** 5, cfg)
+        assert group <= set(checked)
+        want = _per_element(10 ** 5, cfg)
+        for got, ref in zip(results, want):
+            assert _slots(got) == _slots(ref), ref.factorization
+        # per-element check decides the group's members two ways
+        split = {r._rhs is ... for r in want
+                 if r.factorization.entries[0] in group}
+        assert split == {True, False}
+
+    @pytest.mark.parametrize("bits", [53, 2])
+    def test_upper_bound_never_increases_within_a_group(self, bits):
+        W = bits + _GUARD
+        for key, members in _sweep_groups(10 ** 6).items():
+            his = [sigma_over_n_fp(Factorization(((p, k),)), W)[1]
+                   for p, k in members]
+            assert all(a >= b for a, b in zip(his, his[1:])), key
 
 
 class TestSubstitutePrime:
