@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--max-precision-bits", type=_int_arg, default=4096,
                         help="escalation ceiling (default 4096)")
     common.add_argument("--jobs", type=_int_arg, default=1,
-                        help="worker processes for range/search commands")
+                        help="worker processes for scan")
     common.add_argument("--format", choices=("human", "csv", "json", "svg"),
                         default="human")
     common.add_argument("--output", default="-",
@@ -437,7 +437,6 @@ def _cmd_conjecture2(args, cfg: PrecisionConfig, out: TextIO) -> int:
             "pass --no-prune-justification to proceed anyway")
     report = explorer.conjecture32_search(
         args.prime_count, args.max_exp, args.max_log_n, cfg,
-        worker_count=args.jobs,
         non_increasing_only=not args.all_arrangements,
     )
     ce_rows = [{

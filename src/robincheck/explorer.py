@@ -33,9 +33,9 @@ scanner sieves only the two stretches left: [lo, 5583) and [bound, hi].
 Output is deterministic and independent of the worker count: the
 windows depend only on (lo, hi, ``SEGMENT_SIZE``) and the cover bound,
 a function of (hi, cfg), and results are merged in ascending order.
-``_pool_imap`` is the one worker pool, for the scanner and the
-conjecture-2 search; it never starts more processes than there are CPUs
-or tasks, and the scanner hands it the starts of the sieved windows.
+``_pool_imap`` is the one worker pool, the scanner's; it never starts
+more processes than there are CPUs or sieved windows, whose starts the
+scanner hands it.  Everything else runs in this process.
 """
 
 from __future__ import annotations
@@ -218,19 +218,19 @@ def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> list:
     return [(n, r) for n, r in results if r.verdict is not Verdict.SATISFIED]
 
 
-def _pool_imap(fn, tasks: Sequence, worker_count: int,
-               chunksize: int = 1) -> Iterator:
+def _pool_imap(fn, tasks: Sequence, worker_count: int) -> Iterator:
     """fn over tasks in order, on min(worker_count, CPUs, len(tasks)) processes.
 
-    A pool starts every worker when it is built, hence the clamp; a clamp
-    of 1 runs in this process.
+    The scanner's windows (``_scan_windows``) are its one use.  A pool
+    starts every worker when it is built, hence the clamp; a clamp of 1
+    runs in this process.
     """
     processes = min(worker_count, os.cpu_count() or 1, len(tasks))
     if processes <= 1:
         yield from map(fn, tasks)
         return
     with multiprocessing.Pool(processes=processes) as pool:
-        yield from pool.imap(fn, tasks, chunksize)
+        yield from pool.imap(fn, tasks)
 
 
 def _hr_primes(X: int) -> list[int]:
@@ -314,14 +314,14 @@ def _bumped(entries: tuple[tuple[int, int], ...], j: int
     return entries[:j] + ((p, k + 1),) + entries[j + 1:]
 
 
-def _unsatisfied_task(cfg: PrecisionConfig, task: tuple
-                      ) -> Optional[CheckResult]:
+def _unsatisfied_task(cfg: PrecisionConfig, node: tuple,
+                      j: Optional[int] = None) -> Optional[CheckResult]:
     """None if ``check`` certifies n satisfied, else its ``CheckResult``.
 
-    task = (node, j), node an ``_hr_walk`` node at W = cfg.start_bits +
-    _GUARD, or its first five fields: n is the node's for j None, else
-    the node's with entry j's exponent raised, n' = n p_j.  That state
-    comes from the node's in O(1): B and ln_lo gain bit_length(p) - 1 and
+    node is an ``_hr_walk`` node at W = cfg.start_bits + _GUARD, or its
+    first five fields: n is the node's for j None, else the node's with
+    entry j's exponent raised, n' = n p_j.  That state comes from the
+    node's in O(1): B and ln_lo gain bit_length(p) - 1 and
     ``_ln_prime_fp(p, W)[0]``, as in ``check``, and hi is multiplied by
     f(p, k+1)/f(p, k) = (p^(k+2) - 1) / (p (p^(k+1) - 1)), the exact ratio
     of the entry's factors, rounded up, so it still bounds sigma(n')/n' *
@@ -331,7 +331,6 @@ def _unsatisfied_task(cfg: PrecisionConfig, task: tuple
     satisfied too.  Only n the floors leave open has its entries built
     and goes to ``check`` itself, so every verdict is ``check``'s.
     """
-    node, j = task
     hi, B, ln_lo = node[2], node[3], node[4]
     start = cfg.start_bits
     if j is not None:
@@ -435,8 +434,7 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
                              ln_lo + _ln_prime_fp(p, W)[0], start)
 
     for node in _hr_walk(plist, W, hi.bit_length() - 1, True, prune, X=hi):
-        if 5040 < node[1] < bound and _unsatisfied_task(
-                cfg, (node, None)) is not None:
+        if 5040 < node[1] < bound and _unsatisfied_task(cfg, node) is not None:
             bound = node[1]
     return bound
 
@@ -667,17 +665,17 @@ def conjecture32_search(
     exponent_max: int,
     log_n_max: Fraction,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
-    worker_count: int = 1,
     non_increasing_only: bool = True,
 ) -> SearchReport:
     """Check every enumerated base > 5040 and each of its increments.
 
     A base that is not certified satisfied is reported as a counterexample
     row of its own, with index None, and its increments are not reported.
-    Each distinct n is decided once, by ``_unsatisfied_task`` from its
-    base's carried state, so ``check`` runs only where ``check``'s floors
-    leave n open: a dict keys the tasks by n (exact by unique
-    factorization; raising entry i multiplies n by p_i).
+    Each distinct n is decided once, in this process, by
+    ``_unsatisfied_task`` from its base's carried state, so ``check`` runs
+    only where ``check``'s floors leave n open: a dict keys the tasks by n
+    (exact by unique factorization; raising entry i multiplies n by p_i),
+    and the rows are read from its results once all are decided.
 
     Bases are ``_enumerate_bases``' nodes, with exponents non-increasing
     by default.  Where n holds b at p and a > b at q > p, swapping the two
@@ -697,9 +695,8 @@ def conjecture32_search(
     lemma is used: every arrangement is enumerated and every increment
     decided directly.
     """
-    if prime_count_max < 1 or exponent_max < 1 or worker_count < 1:
-        raise InvalidInput(
-            "prime_count_max, exponent_max and worker_count must be >= 1")
+    if prime_count_max < 1 or exponent_max < 1:
+        raise InvalidInput("prime_count_max and exponent_max must be >= 1")
     log_n_max = Fraction(log_n_max)
     if log_n_max <= 0:
         raise InvalidInput("log_n_max must be positive")
@@ -713,9 +710,11 @@ def conjecture32_search(
         tasks.setdefault(n, (node, None))
         for i in _raised_at(base, non_increasing_only):
             tasks.setdefault(n * base[i][0], (node, i))
-    unsatisfied = {r.factorization.n(): r for r in _pool_imap(
-        functools.partial(_unsatisfied_task, cfg), list(tasks.values()),
-        worker_count, 64) if r is not None}
+    unsatisfied = {}
+    for n, (node, i) in tasks.items():
+        r = _unsatisfied_task(cfg, node, i)
+        if r is not None:
+            unsatisfied[n] = r
     counterexamples = []
     for node in bases if unsatisfied else ():
         base, n = node[:2]
@@ -727,7 +726,7 @@ def conjecture32_search(
         for j, i in enumerate(_raised_at(base, non_increasing_only)):
             r = unsatisfied.get(n * base[i][0])
             if r is not None and i != j:  # h decides nothing: decide n
-                r = _unsatisfied_task(cfg, (node, j))
+                r = _unsatisfied_task(cfg, node, j)
             if r is not None:
                 counterexamples.append((f, j, r))
     return SearchReport(

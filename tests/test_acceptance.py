@@ -160,8 +160,7 @@ def test_criterion_7_conjecture31_table():
 
 def test_criterion_8_conjecture32_bounded_search():
     with criterion("8 conjecture 3.2 search (9, 6, ln 10^12)"):
-        report = explorer.conjecture32_search(
-            9, 6, Fraction("27.631021"), worker_count=4)
+        report = explorer.conjecture32_search(9, 6, Fraction("27.631021"))
         assert report.counterexamples == ()
         assert report.bases_probed > 500  # the experiment actually ran
 

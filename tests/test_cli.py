@@ -861,16 +861,38 @@ with open(os.path.join(_GOLDEN_DIR, "manifest.json")) as _fh:
     _GOLDEN_CASES = json.load(_fh)
 
 
-@pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[c["stdout"] for c in _GOLDEN_CASES])
-def test_golden_stdout_and_exit_code(case, capsys):
-    # every printed endpoint, margin and decimal is pinned byte for byte
-    code, out, err = run_cli(case["argv"], capsys)
+def _assert_golden(case, argv, capsys):
+    """argv prints the golden files of ``case`` and exits with its code."""
+    code, out, err = run_cli(argv, capsys)
     with open(os.path.join(_GOLDEN_DIR, case["stdout"]), newline="") as fh:
         assert out == fh.read()
     if "stderr" in case:
         with open(os.path.join(_GOLDEN_DIR, case["stderr"]), newline="") as fh:
             assert err == fh.read()
     assert code == case["exit"]
+
+
+@pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[c["stdout"] for c in _GOLDEN_CASES])
+def test_golden_stdout_and_exit_code(case, capsys):
+    # every printed endpoint, margin and decimal is pinned byte for byte
+    _assert_golden(case, case["argv"], capsys)
+
+
+_SEARCH_CASES = [c for c in _GOLDEN_CASES
+                 if c["stdout"].startswith("conjecture2_4_3_15.")]
+
+
+@pytest.mark.parametrize("case", _SEARCH_CASES,
+                         ids=[c["stdout"] for c in _SEARCH_CASES])
+def test_conjecture2_jobs_starts_no_process(case, capsys, monkeypatch):
+    # --jobs is the scan's alone: the search prints the same bytes in one
+    # process, with CPUs to spare
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(explorer.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _assert_golden(case, case["argv"] + ["--jobs", "4"], capsys)
 
 
 class TestGoldenDiff:

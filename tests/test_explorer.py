@@ -114,11 +114,10 @@ class TestScanGolden:
     @pytest.mark.parametrize("entry", [
         functools.partial(explorer.scan_range, 2, 300),
         functools.partial(explorer.iter_scan_results, 2, 300),
-        functools.partial(explorer.conjecture32_search, 4, 3, Fraction(15)),
-    ], ids=["scan_range", "iter_scan_results", "conjecture32_search"])
+    ], ids=["scan_range", "iter_scan_results"])
     def test_worker_count_below_one_refused(self, entry, worker_count,
                                             monkeypatch):
-        # these ran in-process: a full scan report, or 11 bases probed
+        # these ran in-process: a full scan report
         def no_check(f, cfg):
             raise AssertionError("work started before the refusal")
 
@@ -565,10 +564,10 @@ class TestCoveredWindows:
         # skip it by the subtree bound
         real, real_bound = explorer._unsatisfied_task, explorer._subtree_hi
 
-        def decision(cfg, task):
-            (entries, n, *_), _ = task
+        def decision(cfg, node, j=None):
+            entries, n, *_ = node
             if n != self.H0:
-                return real(cfg, task)
+                return real(cfg, node, j)
             return robin.CheckResult(Factorization(entries), ..., ...,
                                      Verdict.INDETERMINATE, cfg.start_bits)
 
@@ -884,10 +883,10 @@ def decided(monkeypatch):
     calls = []
     real = explorer._unsatisfied_task
 
-    def counting(cfg, task):
-        (entries, *_), j = task
+    def counting(cfg, node, j=None):
+        entries = node[0]
         calls.append(entries if j is None else explorer._bumped(entries, j))
-        return real(cfg, task)
+        return real(cfg, node, j)
 
     monkeypatch.setattr(explorer, "_unsatisfied_task", counting)
     return calls
@@ -928,15 +927,15 @@ class TestConjecture32Probe:
         # with them off by check
         node = _node(((71, 2),))
         for _ in range(2):
-            for task in ((node, None), (node, 0)):
-                assert explorer._unsatisfied_task(DEFAULT_PRECISION,
-                                                  task) is None
+            for j in (None, 0):
+                assert explorer._unsatisfied_task(DEFAULT_PRECISION, node,
+                                                  j) is None
             _floors_off(monkeypatch)
 
     def test_base_5040_not_satisfied(self):
         # a result, not a refusal: the task hands back the violated check
         r = explorer._unsatisfied_task(
-            DEFAULT_PRECISION, (_node(primes.factorize(5040).entries), None))
+            DEFAULT_PRECISION, _node(primes.factorize(5040).entries))
         assert r.verdict is Verdict.VIOLATED
         assert r == robin.check(primes.factorize(5040))
 
@@ -1197,13 +1196,10 @@ class TestConjecture32Search:
         assert {j is None for _, j, _ in want.counterexamples} == {True, False}
         assert {r.verdict for _, _, r in want.counterexamples} == {
             Verdict.INDETERMINATE, Verdict.VIOLATED}
-        # forked workers keep the patched compare; their rows come back
-        # through a pickle
-        for workers in (1, 2):
-            got = explorer.conjecture32_search(
-                search[0], search[1], Fraction(search[2]),
-                worker_count=workers, non_increasing_only=non_increasing)
-            assert got == want
+        got = explorer.conjecture32_search(
+            search[0], search[1], Fraction(search[2]),
+            non_increasing_only=non_increasing)
+        assert got == want
 
     def test_prime_powers_only(self):
         rep = explorer.conjecture32_search(1, 20, Fraction("20.7"))
@@ -1221,43 +1217,20 @@ class TestConjecture32Search:
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: intervals.Comparison.OVERLAPPING)
         cfg = intervals.PrecisionConfig(53, 106)
-        # two workers send each row back through a pickle (forked workers
-        # keep the patched compare)
-        for workers in (1, 2):
-            rep = explorer.conjecture32_search(1, 20, Fraction("20.7"), cfg,
-                                               worker_count=workers)
-            assert rep.bases_probed == 0
-            assert rep.counterexamples
-            for f, j, r in rep.counterexamples:
-                assert j is None and r.factorization == f
-                assert r.verdict is Verdict.INDETERMINATE
+        rep = explorer.conjecture32_search(1, 20, Fraction("20.7"), cfg)
+        assert rep.bases_probed == 0
+        assert rep.counterexamples
+        for f, j, r in rep.counterexamples:
+            assert j is None and r.factorization == f
+            assert r.verdict is Verdict.INDETERMINATE
 
     def test_base_not_satisfied_pickles_with_its_result(self):
-        # what a worker sends back for 5040, and a report holding it
+        # the row's result for 5040, and a report holding it
         f = primes.factorize(5040)
-        r = explorer._unsatisfied_task(DEFAULT_PRECISION,
-                                       (_node(f.entries), None))
+        r = explorer._unsatisfied_task(DEFAULT_PRECISION, _node(f.entries))
         assert pickle.loads(pickle.dumps(r)) == r
         rep = explorer.SearchReport(1, 1, Fraction(9), 1, 0, ((f, None, r),))
         assert pickle.loads(pickle.dumps(rep)) == rep
-
-    def test_worker_counts_agree(self):
-        a = explorer.conjecture32_search(6, 3, Fraction("12.5"),
-                                         worker_count=1)
-        b = explorer.conjecture32_search(6, 3, Fraction("12.5"),
-                                         worker_count=4)
-        assert a.candidates_enumerated == b.candidates_enumerated
-        assert a.bases_probed == b.bases_probed
-        assert a.counterexamples == b.counterexamples
-
-    def test_worker_exception_propagates_without_leaking_pool(
-            self, monkeypatch):
-        # module level, so the pool's workers can unpickle it by name
-        monkeypatch.setattr(explorer, "_unsatisfied_task", _failing_task)
-        with pytest.raises(RuntimeError, match="task failed"):
-            explorer.conjecture32_search(6, 3, Fraction("12.5"),
-                                         worker_count=2)
-        assert multiprocessing.active_children() == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1303,9 +1276,9 @@ class TestSearchState:
         real_task, real_floors = (explorer._unsatisfied_task,
                                   explorer._below_floors)
 
-        def task_spy(cfg, task):
-            task_now[:] = [task]
-            return real_task(cfg, task)
+        def task_spy(cfg, node, j=None):
+            task_now[:] = [(node, j)]
+            return real_task(cfg, node, j)
 
         def floors_spy(hi, B, ln_lo, bits):
             seen.append((task_now[0], hi, B, ln_lo))
@@ -1346,7 +1319,7 @@ class TestSearchState:
 
 
 class TestPoolSize:
-    """Both pooled paths start min(worker_count, CPUs, tasks) processes."""
+    """The scan starts min(worker_count, CPUs, sieved windows) processes."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -1390,17 +1363,16 @@ class TestPoolSize:
         explorer.scan_range(2, 20_000, worker_count=1)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         explorer.scan_range(2, 20_000, worker_count=8)
-        explorer.conjecture32_search(6, 3, Fraction("12.5"), worker_count=8)
+        explorer.conjecture32_search(6, 3, Fraction("12.5"))
         assert pools == []
 
-    def test_conjecture32_clamped_to_cpus_and_bases(self, pools):
-        want = explorer.conjecture32_search(6, 3, Fraction("12.5"))
-        got = explorer.conjecture32_search(6, 3, Fraction("12.5"),
-                                           worker_count=100_000)
-        assert pools == [3]
-        assert got == want
-        # the one base 2^13 and its increment 2^14: two distinct n
-        few = explorer.conjecture32_search(1, 13, Fraction(10),
-                                           worker_count=100_000)
-        assert few.bases_probed == 1
-        assert pools == [3, 2]
+    def test_worker_exception_propagates_without_leaking_pool(
+            self, monkeypatch):
+        # module level, so the pool's workers can unpickle it by name; 5
+        # sieved windows below 5583, so two workers start
+        monkeypatch.setattr(explorer, "_scan_segment_task", _failing_task)
+        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 1024)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="task failed"):
+            explorer.scan_range(2, 5000, worker_count=2)
+        assert multiprocessing.active_children() == []

@@ -10,6 +10,9 @@ read for printing or a margin.
 ``check`` decides on an enclosure of sigma(n)/n: the exact rational is
 built only by the lazy ``CheckResult.lhs`` and by the fallback that
 ``check`` hands to ``decide`` for a rung the enclosure overlaps.
+
+One worker pool, the scanner's: ``multiprocessing.Pool`` is built only in
+``explorer._pool_imap``, and only ``explorer._scan_windows`` calls that.
 """
 
 import ast
@@ -74,14 +77,18 @@ def test_only_the_views_and_dyadic_from_fraction_build_dyadics():
 
 
 def _scopes_naming(tree: ast.AST, name: str):
-    """The enclosing qualname of every load of ``name`` in ``tree``."""
+    """The enclosing qualname of every load of ``name`` in ``tree``.
+
+    Attribute loads ``x.name`` count too.
+    """
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef, ast.Lambda)):
             scope = scope + (getattr(node, "name", "<lambda>"),)
-        if isinstance(node, ast.Name) and node.id == name:
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -104,3 +111,16 @@ def test_exact_lhs_stays_off_the_verdict_path():
               and getattr(call.func, "id", None) == "decide"
               for arg in call.args]
     assert len(uses) == 1 and uses[0] in handed
+
+
+def test_one_pool_and_only_the_scan_uses_it():
+    found = {"Pool": set(), "_pool_imap": set()}
+    for name in sorted(os.listdir(_SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(_SRC, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for target, scopes in found.items():
+                scopes.update((name, where)
+                              for where in _scopes_naming(tree, target))
+    assert found == {"Pool": {("explorer.py", "_pool_imap")},
+                     "_pool_imap": {("explorer.py", "_scan_windows")}}

@@ -646,9 +646,6 @@ class TestRhsFloor:
     def test_worker_reports_equal_one_worker(self):
         assert (explorer.scan_range(2, 120_000, worker_count=2)
                 == explorer.scan_range(2, 120_000, worker_count=1))
-        ln_max = Fraction("27.631021")
-        assert (explorer.conjecture32_search(9, 6, ln_max, worker_count=2)
-                == explorer.conjecture32_search(9, 6, ln_max, worker_count=1))
 
     def test_sweep_builds_one_enclosure_per_floor_key(self, monkeypatch):
         # 8,983 _rhs_from_log calls before the floor: one per prime power
