@@ -90,8 +90,6 @@ def _build_parser() -> _Parser:
                         help="starting interval precision (default 53)")
     common.add_argument("--max-precision-bits", type=_int_arg, default=4096,
                         help="escalation ceiling (default 4096)")
-    common.add_argument("--jobs", type=_int_arg, default=1,
-                        help="worker processes for scan")
     common.add_argument("--format", choices=("human", "csv", "json", "svg"),
                         default="human")
     common.add_argument("--output", default="-",
@@ -280,8 +278,7 @@ SCAN_CSV_HEADER = "n,sigma,sigma_over_n_num,sigma_over_n_den,rhs_lo,rhs_hi,reaso
 
 
 def _cmd_scan(args, cfg: PrecisionConfig, out: TextIO) -> int:
-    segments = explorer.iter_scan_results(args.start, args.end, cfg,
-                                          worker_count=args.jobs)
+    segments = explorer.iter_scan_results(args.start, args.end, cfg)
     indeterminates: list[int] = []
 
     def violations():
@@ -658,8 +655,6 @@ def main(argv=None) -> int:
             raise InvalidInput("--format svg is only valid for: conjecture1")
         cfg = PrecisionConfig(start_bits=args.precision_bits,
                               max_bits=args.max_precision_bits)
-        if args.jobs < 1:
-            raise InvalidInput("--jobs must be >= 1")
         try:
             out = (sys.stdout if args.output == "-"
                    else _OutputFile(args.output))

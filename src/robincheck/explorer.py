@@ -30,20 +30,14 @@ the walk and skipping every subtree that one bound certifies, and every
 n in [5583, hi] below the least one not certified satisfied holds.  The
 scanner sieves only the two stretches left: [lo, 5583) and [bound, hi].
 
-Output is deterministic and independent of the worker count: the
-windows depend only on (lo, hi, ``SEGMENT_SIZE``) and the cover bound,
-a function of (hi, cfg), and results are merged in ascending order.
-``_pool_imap`` is the one worker pool, the scanner's; it never starts
-more processes than there are CPUs or sieved windows, whose starts the
-scanner hands it.  Everything else runs in this process.
+Everything runs in this process, one sieved window after another, in
+ascending order.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
@@ -216,21 +210,6 @@ def _scan_segment(a: int, b: int, cfg: PrecisionConfig) -> list:
 
     results = ((n, check(_primes.factorize(n), cfg)) for n in candidates)
     return [(n, r) for n, r in results if r.verdict is not Verdict.SATISFIED]
-
-
-def _pool_imap(fn, tasks: Sequence, worker_count: int) -> Iterator:
-    """fn over tasks in order, on min(worker_count, CPUs, len(tasks)) processes.
-
-    The scanner's windows (``_scan_windows``) are its one use.  A pool
-    starts every worker when it is built, hence the clamp; a clamp of 1
-    runs in this process.
-    """
-    processes = min(worker_count, os.cpu_count() or 1, len(tasks))
-    if processes <= 1:
-        yield from map(fn, tasks)
-        return
-    with multiprocessing.Pool(processes=processes) as pool:
-        yield from pool.imap(fn, tasks)
 
 
 def _hr_primes(X: int) -> list[int]:
@@ -439,29 +418,20 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     return bound
 
 
-def _scan_segment_task(stop: int, size: int, cfg: PrecisionConfig,
-                       a: int) -> list:
-    return _scan_segment(a, min(a + size, stop), cfg)
-
-
-def _scan_windows(lo: int, hi: int, size: int, cfg: PrecisionConfig,
-                  worker_count: int) -> Iterator[list]:
+def _scan_windows(lo: int, hi: int, cfg: PrecisionConfig) -> Iterator[list]:
     # [lo, cut) lies below _COVER_FROM and is sieved whole.  Of [cut, hi]
     # only [_cover_bound, hi] is, and an empty [cut, hi] runs no walk
     cut = min(max(lo, _COVER_FROM), hi + 1)
     rest = max(cut, _cover_bound(hi, cfg)) if cut <= hi else cut
-    for a, stop in ((lo, cut), (rest, hi + 1)):
-        # window starts, not windows, and none past the stretch's end
-        yield from _pool_imap(
-            functools.partial(_scan_segment_task, stop, size, cfg),
-            range(a, stop, size), worker_count)
+    for start, stop in ((lo, cut), (rest, hi + 1)):
+        for a in range(start, stop, SEGMENT_SIZE):
+            yield _scan_segment(a, min(a + SEGMENT_SIZE, stop), cfg)
 
 
 def iter_scan_results(
     lo: int,
     hi: int,
     cfg: PrecisionConfig = DEFAULT_PRECISION,
-    worker_count: int = 1,
 ) -> Iterator[list]:
     """Each sieved window's ``_scan_segment`` pairs, ascending and streamed.
 
@@ -472,12 +442,9 @@ def iter_scan_results(
     """
     if lo < 2 or lo > hi:
         raise InvalidInput("need 2 <= lo <= hi")
-    if worker_count < 1:
-        raise InvalidInput("worker_count must be >= 1")
     if hi > MAX_SCAN_HI:
         raise InvalidInput(f"hi exceeds the supported scan range {MAX_SCAN_HI}")
-    size = SEGMENT_SIZE  # read once; workers get it in the task
-    return _scan_windows(lo, hi, size, cfg, worker_count)
+    return _scan_windows(lo, hi, cfg)
 
 
 def scan_range(
@@ -486,9 +453,16 @@ def scan_range(
     cfg: PrecisionConfig = DEFAULT_PRECISION,
     worker_count: int = 1,
 ) -> ScanReport:
-    """Certified verdict for every n in [lo, hi]; violations ascending."""
-    flagged = [pair for segment in iter_scan_results(
-        lo, hi, cfg, worker_count) for pair in segment]
+    """Certified verdict for every n in [lo, hi]; violations ascending.
+
+    The scan runs in this process; ``worker_count`` is checked (>= 1) and
+    otherwise unused.  It stays for callers that still pass it, such as
+    perfbench's ``scan_jobs2`` part.
+    """
+    if worker_count < 1:
+        raise InvalidInput("worker_count must be >= 1")
+    flagged = [pair for segment in iter_scan_results(lo, hi, cfg)
+               for pair in segment]
     return ScanReport(
         lo=lo,
         hi=hi,

@@ -94,8 +94,8 @@ class TestExitCodes:
         ["conjecture2", "--primes", "\u0664"],
         ["substitute", "2^4*3^2*5*7", "\u0663", "11"],
         ["substitute", "2^4*3^2*5*7", "3", "1_1"],
-        ["scan", "2", "300", "--jobs", "\u0662"],
-        ["scan", "2", "300", "--jobs", "+2"],
+        ["scan", "2", "300", "--precision-bits", "\u0662"],
+        ["scan", "2", "300", "--precision-bits", "+2"],
         ["scan", "2", "9" * 5000],
     ])
     def test_integer_arguments_are_ascii_digits(self, argv, capsys):
@@ -120,7 +120,9 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("argv, message", [
-        (["check", "5041", "--jobs", "0"], "--jobs must be >= 1"),
+        # the scan runs in one process; --jobs is an unknown option
+        (["scan", "2", "300", "--jobs", "2"],
+         "unrecognized arguments: --jobs 2"),
         # past int()'s 4300-digit limit, which _decimal_arg turns into
         # argparse's own refusal
         (["conjecture2", "--max-log-n", "9" * 5000],
@@ -531,10 +533,9 @@ class TestScanCommand:
 
     def test_csv_stable_across_runs_and_jobs(self, capsys):
         outs = set()
-        for jobs in ("1", "4", "1"):
+        for _ in range(3):
             code, out, _ = run_cli(
-                ["scan", "2", "20000", "--format", "csv", "--jobs", jobs],
-                capsys)
+                ["scan", "2", "20000", "--format", "csv"], capsys)
             outs.add(out)
         assert len(outs) == 1
 
@@ -564,7 +565,7 @@ class TestScanCommand:
 
     def test_clean_million_scan(self, capsys):
         code, out, err = run_cli(
-            ["scan", "5041", "1000000", "--format", "csv", "--jobs", "2"],
+            ["scan", "5041", "1000000", "--format", "csv"],
             capsys)
         assert code == 0
         assert out.strip() == cli.SCAN_CSV_HEADER  # zero violation rows
@@ -876,23 +877,6 @@ def _assert_golden(case, argv, capsys):
 def test_golden_stdout_and_exit_code(case, capsys):
     # every printed endpoint, margin and decimal is pinned byte for byte
     _assert_golden(case, case["argv"], capsys)
-
-
-_SEARCH_CASES = [c for c in _GOLDEN_CASES
-                 if c["stdout"].startswith("conjecture2_4_3_15.")]
-
-
-@pytest.mark.parametrize("case", _SEARCH_CASES,
-                         ids=[c["stdout"] for c in _SEARCH_CASES])
-def test_conjecture2_jobs_starts_no_process(case, capsys, monkeypatch):
-    # --jobs is the scan's alone: the search prints the same bytes in one
-    # process, with CPUs to spare
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(explorer.multiprocessing, "Pool", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    _assert_golden(case, case["argv"] + ["--jobs", "4"], capsys)
 
 
 class TestGoldenDiff:

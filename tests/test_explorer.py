@@ -113,11 +113,11 @@ class TestScanGolden:
     @pytest.mark.parametrize("worker_count", [-3, 0])
     @pytest.mark.parametrize("entry", [
         functools.partial(explorer.scan_range, 2, 300),
-        functools.partial(explorer.iter_scan_results, 2, 300),
-    ], ids=["scan_range", "iter_scan_results"])
+    ], ids=["scan_range"])
     def test_worker_count_below_one_refused(self, entry, worker_count,
                                             monkeypatch):
-        # these ran in-process: a full scan report
+        # the scan runs in one process and ignores a valid worker_count,
+        # but a bad one is still refused before any work
         def no_check(f, cfg):
             raise AssertionError("work started before the refusal")
 
@@ -1003,10 +1003,6 @@ def _naive_enumerate(prime_count, exp_max, ln_max_float, non_increasing):
     return found
 
 
-def _failing_task(*args):
-    raise RuntimeError("task failed")
-
-
 class TestConjecture32Search:
     def test_enumeration_matches_naive(self):
         got = [b for b, *_ in explorer._enumerate_bases(
@@ -1316,63 +1312,3 @@ class TestSearchState:
         assert {j is None for _, j, _ in rep.counterexamples} == {True, False}
         assert rep == _per_base_search(p, e, x, cfg,
                                        non_increasing_only=non_increasing)
-
-
-class TestPoolSize:
-    """The scan starts min(worker_count, CPUs, sieved windows) processes."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        # a stand-in Pool that records its size, starts nothing and maps
-        # in this process
-        built = []
-
-        class FakePool:
-            def __init__(self, processes):
-                built.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(explorer, "multiprocessing",
-                            types.SimpleNamespace(Pool=FakePool))
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        return built
-
-    def test_scan_clamped_to_cpus_and_segments(self, pools, monkeypatch):
-        want = explorer.scan_range(2, 20_000)
-        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 1024)
-        got = explorer.scan_range(2, 20_000, worker_count=100_000)
-        # 20 segments; the 6 that start below 5583 need a sieve, the rest
-        # are covered and never reach the pool
-        assert pools == [3]
-        assert scan_golden_projection(got) == scan_golden_projection(want)
-        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 4096)
-        explorer.scan_range(2, 8000, worker_count=100_000)
-        assert pools == [3, 2]  # 2 segments
-
-    def test_one_process_runs_in_process(self, pools, monkeypatch):
-        explorer.scan_range(2, 20_000, worker_count=8)  # one segment
-        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 4096)
-        explorer.scan_range(2, 20_000, worker_count=1)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        explorer.scan_range(2, 20_000, worker_count=8)
-        explorer.conjecture32_search(6, 3, Fraction("12.5"))
-        assert pools == []
-
-    def test_worker_exception_propagates_without_leaking_pool(
-            self, monkeypatch):
-        # module level, so the pool's workers can unpickle it by name; 5
-        # sieved windows below 5583, so two workers start
-        monkeypatch.setattr(explorer, "_scan_segment_task", _failing_task)
-        monkeypatch.setattr(explorer, "SEGMENT_SIZE", 1024)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.raises(RuntimeError, match="task failed"):
-            explorer.scan_range(2, 5000, worker_count=2)
-        assert multiprocessing.active_children() == []

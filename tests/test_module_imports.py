@@ -1,4 +1,4 @@
-"""Module-shape guards, read from the source with ``ast``.
+"""Module-shape guards, read from the source with ``ast``, and one run.
 
 ``factorization`` is a leaf module: it imports nothing from ``primes``.
 ``primes`` imports ``factorization``, so an import the other way could only
@@ -11,12 +11,15 @@ read for printing or a margin.
 built only by the lazy ``CheckResult.lhs`` and by the fallback that
 ``check`` hands to ``decide`` for a rung the enclosure overlaps.
 
-One worker pool, the scanner's: ``multiprocessing.Pool`` is built only in
-``explorer._pool_imap``, and only ``explorer._scan_windows`` calls that.
+robincheck runs in one process: a fresh interpreter that imports it and
+sieves a multi-window scan has loaded no ``multiprocessing`` and no
+``concurrent.futures``.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src", "robincheck")
 
@@ -113,14 +116,25 @@ def test_exact_lhs_stays_off_the_verdict_path():
     assert len(uses) == 1 and uses[0] in handed
 
 
-def test_one_pool_and_only_the_scan_uses_it():
-    found = {"Pool": set(), "_pool_imap": set()}
-    for name in sorted(os.listdir(_SRC)):
-        if name.endswith(".py"):
-            with open(os.path.join(_SRC, name)) as fh:
-                tree = ast.parse(fh.read(), name)
-            for target, scopes in found.items():
-                scopes.update((name, where)
-                              for where in _scopes_naming(tree, target))
-    assert found == {"Pool": {("explorer.py", "_pool_imap")},
-                     "_pool_imap": {("explorer.py", "_scan_windows")}}
+_ONE_PROCESS = """
+import sys
+import robincheck, robincheck.cli
+from robincheck.explorer import scan_range
+from robincheck.intervals import PrecisionConfig
+
+# three sieved windows: a 16-bit ladder cannot certify the 5583 cut-off
+report = scan_range(5583, 5583 + 3 * 2 ** 20 - 1, PrecisionConfig(16, 16),
+                    worker_count=2)
+assert report.violations == () and report.indeterminates == ()
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+
+
+def test_robincheck_runs_in_one_process():
+    src = os.path.abspath(os.path.join(_SRC, ".."))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", _ONE_PROCESS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
