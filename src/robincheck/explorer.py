@@ -26,8 +26,9 @@ Hardy-Ramanujan integer h <= n (exponents non-increasing on the first
 primes) with sigma(h)/h >= sigma(n)/n, and sigma(5040)/5040 = 403/105
 lies below e^gamma ln ln 5583.  So once per call ``_cover_bound`` walks
 the HR integers in (5040, hi], deciding each from bounds carried down
-the walk and skipping every subtree that one bound certifies, and every
-n in [5583, hi] below the least one not certified satisfied holds.  The
+the walk and skipping every subtree whose layers (its extensions by j
+more primes, for each j) the floors certify, and every n in [5583, hi]
+below the least one not certified satisfied holds.  The
 scanner sieves only the two stretches left: [lo, 5583) and [bound, hi].
 
 Everything runs in this process, one sieved window after another, in
@@ -61,6 +62,8 @@ from .robin import (
     CheckResult,
     Verdict,
     _below_floor,
+    _floor_key,
+    _floor_threshold,
     _ln_prime_fp,
     _rhs_from_log,
     check,
@@ -230,7 +233,7 @@ def _hr_primes(X: int) -> list[int]:
 def _hr_walk(plist: Sequence[int], W: int, k_max: int, sorted_only: bool,
              prune: Optional[Callable[[tuple], bool]] = None,
              X: float = inf, ln_max: float = inf) -> Iterator[tuple]:
-    """(entries, n, hi, B, ln_lo, lo, ln_hi) per exponent pattern on ``plist``.
+    """(entries, n, hi, B, ln_lo, ln_hi) per exponent pattern on ``plist``.
 
     A node is p_1^k1 ... p_r^kr on the first r primes of ``plist``, every
     kj >= 1, k1 <= k_max, and with ``sorted_only`` k1 >= ... >= kr (every
@@ -242,18 +245,17 @@ def _hr_walk(plist: Sequence[int], W: int, k_max: int, sorted_only: bool,
     ``prune(node)``, asked after the node is handed out, is true: then
     its extensions are not walked.
 
-    Each node carries, from its parent in O(1): [lo, hi] =
-    ``sigma_over_n_fp(n, W)``, the parent's pair extended by the one new
-    entry (``sigma_over_n_extend``); B = sum k (bit_length(p) - 1), so
-    n >= 2**B; and [ln_lo, ln_hi] = sum k ``_ln_prime_fp(p, W)``,
-    ``log_n``'s bounds at W - _GUARD bits.
+    Each node carries, from its parent in O(1): hi, the upper end of
+    ``sigma_over_n_fp(n, W)``, the parent's hi extended by the one new
+    entry (``sigma_over_n_extend``, which needs no lower end for it); B =
+    sum k (bit_length(p) - 1), so n >= 2**B; and [ln_lo, ln_hi] = sum k
+    ``_ln_prime_fp(p, W)``, ``log_n``'s bounds at W - _GUARD bits.
     """
     ln_p = [_ln_prime_fp(p, W) for p in plist]
-    one = 1 << W
-    stack = [((), 1, one, 0, 0, one, 0)]
+    stack = [((), 1, 1 << W, 0, 0, 0)]
     while stack:
         node = stack.pop()
-        entries, n, hi, B, ln_lo, lo, ln_hi = node
+        entries, n, hi, B, ln_lo, ln_hi = node
         if entries:
             yield node
             if prune is not None and prune(node):
@@ -270,9 +272,9 @@ def _hr_walk(plist: Sequence[int], W: int, k_max: int, sorted_only: bool,
             if n > X or ln_hi > ln_max:
                 break
             entry = ((p, k),)
-            k_lo, k_hi = sigma_over_n_extend(lo, hi, entry, W)
-            extensions.append((entries + entry, n, k_hi, B + k * bits,
-                               ln_lo + k * L, k_lo, ln_hi))
+            extensions.append((entries + entry, n,
+                               sigma_over_n_extend(0, hi, entry, W)[1],
+                               B + k * bits, ln_lo + k * L, ln_hi))
         stack.extend(reversed(extensions))  # the first pops first
 
 
@@ -286,6 +288,19 @@ def _below_floors(hi: int, B: int, ln_lo: int, bits: int) -> bool:
             or _below_floor(hi, ln_lo, bits))
 
 
+def _bit_floors(top: int, bits: int) -> list[int]:
+    """Per B < top, the threshold of ``check``'s floor at B ln 2.
+
+    Entry B is ``_floor_threshold(_floor_key(B * ln2_lo), bits)``, ln2_lo
+    ``_ln2_fp(bits + _GUARD)``'s lower bound, so hi < entry B is
+    ``_below_floor(hi, B * ln2_lo, bits)``.  Entry 0 is 0, below every
+    hi: no n >= 2 has B = 0.
+    """
+    ln2_lo = _ln2_fp(bits + _GUARD)[0]
+    return [0] + [_floor_threshold(_floor_key(B * ln2_lo), bits)
+                  for B in range(1, top)]
+
+
 def _bumped(entries: tuple[tuple[int, int], ...], j: int
             ) -> tuple[tuple[int, int], ...]:
     """entries with entry j's exponent raised by one; still canonical."""
@@ -293,8 +308,8 @@ def _bumped(entries: tuple[tuple[int, int], ...], j: int
     return entries[:j] + ((p, k + 1),) + entries[j + 1:]
 
 
-def _unsatisfied_task(cfg: PrecisionConfig, node: tuple,
-                      j: Optional[int] = None) -> Optional[CheckResult]:
+def _unsatisfied(cfg: PrecisionConfig, node: tuple,
+                 j: Optional[int] = None) -> Optional[CheckResult]:
     """None if ``check`` certifies n satisfied, else its ``CheckResult``.
 
     node is an ``_hr_walk`` node at W = cfg.start_bits + _GUARD, or its
@@ -325,20 +340,28 @@ def _unsatisfied_task(cfg: PrecisionConfig, node: tuple,
     return None if r.verdict is Verdict.SATISFIED else r
 
 
-def _subtree_hi(hi: int, n: int, tail: Sequence[int], X: int) -> int:
-    """hi times p/(p - 1) for p in ``tail`` while n times those p is <= X.
+def _subtree_layers(hi: int, n: int, B: int, ln_lo: int,
+                    tail: Sequence[tuple[int, int, int]], X: int
+                    ) -> Iterator[tuple[int, int, int, int]]:
+    """(n P_j, U_j, B_j, ln_lo_j) for j = 1, 2, ... while n P_j <= X.
 
-    Each step is rounded up as ``sigma_over_n_fp`` rounds hi.  With hi of
+    ``tail`` holds (p, bit_length(p) - 1, ``_ln_prime_fp(p, W)[0]``) per
+    prime, and P_j is the product of its first j primes.  Layer j takes
+    hi, B and ln_lo through those j primes: U_j gains a factor p/(p - 1)
+    per prime, each step rounded up as ``sigma_over_n_fp`` rounds hi, and
+    B_j and ln_lo_j gain the prime's other two terms.  With the state of
     an HR integer h on the first r primes and ``tail`` the primes after
-    them, it bounds sigma(d)/d * 2**W above for every extension d of h
-    in ``_hr_walk`` (see ``_cover_bound``).
+    them, layer j bounds every extension of h in ``_hr_walk`` that holds
+    j more primes (see ``_cover_bound``).
     """
-    for p in tail:
+    for p, bits, ln_p in tail:
         n *= p
         if n > X:
-            break
+            return
         hi = -(-hi * p // (p - 1))
-    return hi
+        B += bits
+        ln_lo += ln_p
+        yield n, hi, B, ln_lo
 
 
 def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
@@ -374,20 +397,27 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     up to the largest k with 2^k <= hi.
     - Carried step: a node h > 5040 is decided by ``check``'s own two
       floors on its carried hi, B and ln_lo, and goes to ``check`` itself
-      only where they do not decide (``_unsatisfied_task``).  Either way
-      the verdict is ``check``'s.
-    - Subtree step: every extension d of h in the walk is h times powers
-      of the next primes p_(r+1) < p_(r+2) < ..., at most s of them,
-      where s is the largest count with h p_(r+1) ... p_(r+s) <= hi.  As
-      f(q, j) < q/(q - 1), sigma(d)/d < sigma(h)/h prod_(j=r+1..r+s)
-      p_j/(p_j - 1) <= U * 2**-W, U = ``_subtree_hi``, and d >= h
-      p_(r+1).  So where U is below the floor at h p_(r+1), by bit length
-      and then by ln_lo + ln p_(r+1), every d is satisfied and the walk
-      skips h's extensions.  ``check`` would call each such d satisfied
-      at its own floors too: its hi is at most U (the same rounded-up
-      steps, through factors no larger), its B and ln_lo are at least
-      those at h p_(r+1), and the floor threshold rises with them.  So
-      the result is the least n ``check`` leaves unsatisfied.
+      only where they do not decide (``_unsatisfied``).  Either way the
+      verdict is ``check``'s.
+    - Subtree step, by layers: an extension d of h on the first r primes
+      that holds exactly j more primes is h prod_(i<=j) p_(r+i)^(k_i),
+      every k_i >= 1.  So d >= h P_j, P_j = p_(r+1) ... p_(r+j), and
+      d <= hi needs h P_j <= hi.  As f(q, k) < q/(q - 1), sigma(d)/d <
+      sigma(h)/h prod_(i<=j) p_(r+i)/(p_(r+i) - 1) <= U_j * 2**-W, with
+      (h P_j, U_j, B_j, ln_lo_j) layer j of ``_subtree_layers``.  d's own
+      hi is at most U_j (the same rounded-up steps, through factors no
+      larger), and its B and ln_lo are at least B_j and ln_lo_j, so the
+      floor thresholds, which rise with B and ln_lo, are at least those
+      of layer j.  Where U_j lies below the floor at B_j ln 2 or at
+      ln_lo_j for every j with h P_j <= hi, ``check`` would call every d
+      satisfied at its own floors, and the walk skips h's extensions.
+      The first layer the floors leave open keeps the subtree; it is not
+      handed to ``decide``.  Extensions with more primes are larger, so
+      each layer meets a higher floor than one at h p_(r+1) would be.
+      So the result is the least n ``check`` leaves unsatisfied.
+    - A layer reads its B ln 2 floor from ``_bit_floors``, worked out
+      once per call, and asks ``_below_floor`` at ln_lo_j only where that
+      one does not decide.
     - The walk extends no node at or past the least unsatisfied n found
       so far, since its extensions are larger.
     """
@@ -398,22 +428,25 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     start = cfg.start_bits
     W = start + _GUARD
     plist = _hr_primes(hi)
+    tail = [(p, p.bit_length() - 1, _ln_prime_fp(p, W)[0]) for p in plist]
+    # every layer's B_j <= log2(hi)
+    b_floors = _bit_floors(hi.bit_length(), start)
     bound = hi + 1
 
     def prune(node: tuple) -> bool:
-        entries, n, s_hi, B, ln_lo, _, _ = node
+        entries, n, s_hi, B, ln_lo, _ = node
         if n >= bound:
             return True
-        r = len(entries)
-        if n <= 5040 or r == len(plist) or n * plist[r] > hi:
+        if n <= 5040:
             return False
-        p = plist[r]
-        return _below_floors(_subtree_hi(s_hi, n, plist[r:], hi),
-                             B + p.bit_length() - 1,
-                             ln_lo + _ln_prime_fp(p, W)[0], start)
+        for _, U, B_j, ln_j in _subtree_layers(s_hi, n, B, ln_lo,
+                                               tail[len(entries):], hi):
+            if U >= b_floors[B_j] and not _below_floor(U, ln_j, start):
+                return False
+        return True
 
     for node in _hr_walk(plist, W, hi.bit_length() - 1, True, prune, X=hi):
-        if 5040 < node[1] < bound and _unsatisfied_task(cfg, node) is not None:
+        if 5040 < node[1] < bound and _unsatisfied(cfg, node) is not None:
             bound = node[1]
     return bound
 
@@ -612,7 +645,7 @@ def _enumerate_bases(
     primes at W = bits + _GUARD, exponents up to exponent_max and
     non-increasing by default, kept while the certified upper bound of
     sum k_j ln p_j does not exceed log_n_max; each node keeps only the
-    fields ``_unsatisfied_task`` reads.
+    fields ``_unsatisfied`` reads.
     """
     W = bits + _GUARD
     x_fp = (log_n_max.numerator << W) // log_n_max.denominator
@@ -645,9 +678,9 @@ def conjecture32_search(
 
     A base that is not certified satisfied is reported as a counterexample
     row of its own, with index None, and its increments are not reported.
-    Each distinct n is decided once, in this process, by
-    ``_unsatisfied_task`` from its base's carried state, so ``check`` runs
-    only where ``check``'s floors leave n open: a dict keys the tasks by n
+    Each distinct n is decided once, in this process, by ``_unsatisfied``
+    from its base's carried state, so ``check`` runs only where
+    ``check``'s floors leave n open: a dict keys the decisions by n
     (exact by unique factorization; raising entry i multiplies n by p_i),
     and the rows are read from its results once all are decided.
 
@@ -678,15 +711,15 @@ def conjecture32_search(
                                  non_increasing_only, cfg.start_bits)
     bases = [node for node in all_bases if node[1] > 5040]
     # each distinct n -> the first (base's node, i) that reaches it
-    tasks = {}
+    decisions = {}
     for node in bases:
         base, n = node[:2]
-        tasks.setdefault(n, (node, None))
+        decisions.setdefault(n, (node, None))
         for i in _raised_at(base, non_increasing_only):
-            tasks.setdefault(n * base[i][0], (node, i))
+            decisions.setdefault(n * base[i][0], (node, i))
     unsatisfied = {}
-    for n, (node, i) in tasks.items():
-        r = _unsatisfied_task(cfg, node, i)
+    for n, (node, i) in decisions.items():
+        r = _unsatisfied(cfg, node, i)
         if r is not None:
             unsatisfied[n] = r
     counterexamples = []
@@ -700,7 +733,7 @@ def conjecture32_search(
         for j, i in enumerate(_raised_at(base, non_increasing_only)):
             r = unsatisfied.get(n * base[i][0])
             if r is not None and i != j:  # h decides nothing: decide n
-                r = _unsatisfied_task(cfg, node, j)
+                r = _unsatisfied(cfg, node, j)
             if r is not None:
                 counterexamples.append((f, j, r))
     return SearchReport(

@@ -197,7 +197,8 @@ def sigma_over_n_extend(lo: int, hi: int, entries, W: int
     ``sigma_over_n_fp``'s steps, lo rounded down and hi up, from any
     running pair.  Extending the pair of n by n's next entries gives the
     pair of the longer n bit for bit: the steps and their order are the
-    same.
+    same.  Neither end reads the other, so a caller that carries hi alone
+    passes lo = 0, which stays 0 at the cost of a few small-int steps.
     """
     for p, k in entries:
         if k == 1:  # most entries of a big n: (p + 1) / p

@@ -463,47 +463,106 @@ class TestHrWalk:
 
     def test_carried_state_is_what_check_computes_to_1e12(self):
         start = DEFAULT_PRECISION.start_bits
-        for entries, n, hi, B, ln_lo, lo, ln_hi in _hr_walk(10 ** 12):
+        for entries, n, hi, B, ln_lo, ln_hi in _hr_walk(10 ** 12):
             f = Factorization(entries)
-            assert (lo, hi) == sigma_over_n_fp(f, _W), n
+            assert hi == sigma_over_n_fp(f, _W)[1], n
             assert (ln_lo, ln_hi) == robin.log_n(f, start), n
             assert B == sum(k * (p.bit_length() - 1) for p, k in entries), n
 
 
-class TestSubtreeBound:
-    def test_skipped_hr_integers_lie_below_their_ancestor_bound(
-            self, monkeypatch):
-        # every HR integer d > 5040 the walk does not hand out lies under
-        # a pruned ancestor h, its deepest one handed out, with
-        # d >= h p_(r+1) and sigma(d)/d at most h's subtree bound
-        hi = 10 ** 12
-        walked, bounds = set(), {}
-        real_walk, real_bound = explorer._hr_walk, explorer._subtree_hi
+def _hr_entries(d: int) -> tuple[tuple[int, int], ...]:
+    """The entries of an HR integer d, by division on the first primes."""
+    entries = []
+    for p in oracles.naive_prime_list(100):
+        if d == 1:
+            return tuple(entries)
+        k = 0
+        while d % p == 0:
+            d //= p
+            k += 1
+        entries.append((p, k))
+    raise AssertionError("not an HR integer below 2 * 10^36")
+
+
+class TestSubtreeLayers:
+    @staticmethod
+    def spied_cover_bound(monkeypatch, hi):
+        """The walked n and each pruned n's layers, of one cover bound."""
+        walked, layers = set(), {}
+        real_walk, real_layers = explorer._hr_walk, explorer._subtree_layers
 
         def walk(*args, **kwargs):
             for node in real_walk(*args, **kwargs):
                 walked.add(node[1])
                 yield node
 
-        def subtree_hi(s_hi, n, tail, X):
-            bounds[n] = (tail[0], real_bound(s_hi, n, tail, X))
-            return bounds[n][1]
+        def subtree_layers(s_hi, n, *rest):
+            layers[n] = []
+            for layer in real_layers(s_hi, n, *rest):
+                layers[n].append(layer)
+                yield layer
 
         monkeypatch.setattr(explorer, "_hr_walk", walk)
-        monkeypatch.setattr(explorer, "_subtree_hi", subtree_hi)
-        assert explorer._cover_bound(hi, DEFAULT_PRECISION) == hi + 1
-        skipped = sorted(d for d in oracles.hr_integers(hi)
-                         if d > 5040 and d not in walked)
-        assert len(skipped) > 1000
+        monkeypatch.setattr(explorer, "_subtree_layers", subtree_layers)
+        bound = explorer._cover_bound(hi, DEFAULT_PRECISION)
+        return bound, walked, layers
+
+    @pytest.mark.parametrize("D, least_skipped", [(12, 3000), (20, 50_000)])
+    def test_skipped_hr_integers_lie_inside_their_layer(
+            self, monkeypatch, D, least_skipped):
+        # every HR integer d > 5040 the walk does not hand out lies under
+        # a pruned ancestor h > 5040, its deepest one handed out.  With j
+        # more primes than h, d >= h P_j, and d's own hi, B and ln_lo
+        # are on the floors' side of layer j's U_j, B_j and ln_lo_j
+        hi = 10 ** D
+        bound, walked, layers = self.spied_cover_bound(monkeypatch, hi)
+        assert bound == hi + 1
+        skipped = [d for d in oracles.hr_integers(hi)
+                   if d > 5040 and d not in walked]
+        assert len(skipped) > least_skipped
+        start = DEFAULT_PRECISION.start_bits
         for d in skipped:
-            entries = primes.factorize(d).entries
-            h = next(h for h in (prod(p ** k for p, k in entries[:r])
-                                 for r in range(len(entries) - 1, 0, -1))
-                     if h in walked)
-            p_next, U = bounds[h]
-            assert h > 5040 and d >= h * p_next, d
-            assert Fraction(sigma_int(Factorization(entries)), d) <= Fraction(
-                U, 1 << _W), d
+            entries = _hr_entries(d)
+            r = next(r for r in range(len(entries) - 1, 0, -1)
+                     if prod(p ** k for p, k in entries[:r]) in walked)
+            h = prod(p ** k for p, k in entries[:r])
+            j = len(entries) - r
+            assert h > 5040 and len(layers[h]) >= j, d
+            hP, U, B, ln_lo = layers[h][j - 1]
+            f = Factorization.from_canonical(entries)
+            assert d >= hP == h * prod(p for p, _ in entries[r:]), d
+            assert sigma_over_n_fp(f, _W)[1] <= U, d
+            assert sum(k * (p.bit_length() - 1) for p, k in entries) >= B, d
+            assert robin.log_n(f, start)[0] >= ln_lo, d
+
+    def test_bit_floors_are_below_floor(self):
+        bits = DEFAULT_PRECISION.start_bits
+        ln2_lo = intervals._ln2_fp(_W)[0]
+        for hi in (10 ** 12, 10 ** 50):
+            floors = explorer._bit_floors(hi.bit_length(), bits)
+            assert len(floors) == hi.bit_length() and floors[0] == 0
+            for B in range(1, len(floors)):
+                T = floors[B]
+                for U in (T - 1, T, T + 1):
+                    assert (U < T) is robin._below_floor(U, B * ln2_lo,
+                                                         bits), (hi, B, U)
+
+
+class TestCoverBoundPins:
+    """The layered walk's bound, and how few nodes it takes."""
+
+    @pytest.mark.parametrize("D", [12, 20, 30, 50])
+    def test_bound_at_10_to_the_D(self, D):
+        # every HR integer up to 10^D is certified satisfied
+        assert explorer._cover_bound(10 ** D, DEFAULT_PRECISION) == 10 ** D + 1
+
+    # the single subtree bound walked 1,578 and 81,317 nodes
+    @pytest.mark.parametrize("D, ceiling", [(12, 400), (30, 2000)])
+    def test_node_count_ceiling(self, monkeypatch, D, ceiling):
+        bound, walked, _ = TestSubtreeLayers.spied_cover_bound(monkeypatch,
+                                                                10 ** D)
+        assert bound == 10 ** D + 1
+        assert len(walked) <= ceiling
 
 
 def _windows(lo, hi, size):
@@ -522,7 +581,7 @@ def _stretch_windows(lo, hi, size, bound):
 
 class TestCoveredWindows:
     LO, HI, SIZE = 2, 60_000, 4096
-    H0 = 27_720  # 2^3 3^2 5 7 11
+    H0 = 25_920  # 2^6 3^4 5, whose ancestor 5184 = 2^6 3^4 may skip it
 
     @staticmethod
     def spy_sieve(monkeypatch):
@@ -561,8 +620,8 @@ class TestCoveredWindows:
     def test_unsatisfied_hr_integer_sieves_the_windows_past_it(
             self, sieved, monkeypatch):
         # h0 fails the walk's node decision, and no ancestor of it may
-        # skip it by the subtree bound
-        real, real_bound = explorer._unsatisfied_task, explorer._subtree_hi
+        # skip it by its subtree layers
+        real, real_layers = explorer._unsatisfied, explorer._subtree_layers
 
         def decision(cfg, node, j=None):
             entries, n, *_ = node
@@ -571,9 +630,12 @@ class TestCoveredWindows:
             return robin.CheckResult(Factorization(entries), ..., ...,
                                      Verdict.INDETERMINATE, cfg.start_bits)
 
-        monkeypatch.setattr(explorer, "_unsatisfied_task", decision)
-        monkeypatch.setattr(explorer, "_subtree_hi", lambda s_hi, n, tail, X: (
-            1 << 1000 if self.H0 % n == 0 else real_bound(s_hi, n, tail, X)))
+        monkeypatch.setattr(explorer, "_unsatisfied", decision)
+        # unpatched, an ancestor's layers skip h0, so it is never decided
+        assert (explorer._cover_bound(self.HI, DEFAULT_PRECISION)
+                == self.HI + 1)
+        monkeypatch.setattr(explorer, "_subtree_layers", lambda s_hi, n, *a: (
+            real_layers(1 << 1000 if self.H0 % n == 0 else s_hi, n, *a)))
         assert explorer._cover_bound(self.HI, DEFAULT_PRECISION) == self.H0
         rep = explorer.scan_range(self.LO, self.HI)
         assert sieved == _stretch_windows(self.LO, self.HI, self.SIZE,
@@ -881,14 +943,14 @@ def checked(monkeypatch):
 def decided(monkeypatch):
     """The entries of every n the search decides, in call order."""
     calls = []
-    real = explorer._unsatisfied_task
+    real = explorer._unsatisfied
 
     def counting(cfg, node, j=None):
         entries = node[0]
         calls.append(entries if j is None else explorer._bumped(entries, j))
         return real(cfg, node, j)
 
-    monkeypatch.setattr(explorer, "_unsatisfied_task", counting)
+    monkeypatch.setattr(explorer, "_unsatisfied", counting)
     return calls
 
 
@@ -928,13 +990,13 @@ class TestConjecture32Probe:
         node = _node(((71, 2),))
         for _ in range(2):
             for j in (None, 0):
-                assert explorer._unsatisfied_task(DEFAULT_PRECISION, node,
+                assert explorer._unsatisfied(DEFAULT_PRECISION, node,
                                                   j) is None
             _floors_off(monkeypatch)
 
     def test_base_5040_not_satisfied(self):
         # a result, not a refusal: the task hands back the violated check
-        r = explorer._unsatisfied_task(
+        r = explorer._unsatisfied(
             DEFAULT_PRECISION, _node(primes.factorize(5040).entries))
         assert r.verdict is Verdict.VIOLATED
         assert r == robin.check(primes.factorize(5040))
@@ -1223,7 +1285,7 @@ class TestConjecture32Search:
     def test_base_not_satisfied_pickles_with_its_result(self):
         # the row's result for 5040, and a report holding it
         f = primes.factorize(5040)
-        r = explorer._unsatisfied_task(DEFAULT_PRECISION, _node(f.entries))
+        r = explorer._unsatisfied(DEFAULT_PRECISION, _node(f.entries))
         assert pickle.loads(pickle.dumps(r)) == r
         rep = explorer.SearchReport(1, 1, Fraction(9), 1, 0, ((f, None, r),))
         assert pickle.loads(pickle.dumps(rep)) == rep
@@ -1254,9 +1316,9 @@ class TestSearchState:
         monkeypatch.setattr(explorer, "_hr_walk", walk)
         got = explorer._enumerate_bases(*args, 53)
         assert got == [node[:5] for node in walked]
-        for entries, n, hi, B, ln_lo, lo, ln_hi in walked:
+        for entries, n, hi, B, ln_lo, ln_hi in walked:
             f = Factorization(entries)
-            assert (lo, hi) == sigma_over_n_fp(f, 53 + _GUARD), n
+            assert hi == sigma_over_n_fp(f, 53 + _GUARD)[1], n
             assert (ln_lo, ln_hi) == robin.log_n(f, 53), n
             assert B == sum(k * (p.bit_length() - 1) for p, k in entries), n
 
@@ -1269,7 +1331,7 @@ class TestSearchState:
         # each decision's floors see, for base + e_j, an hi at or above
         # sigma(n)/n * 2**W and check's own B and ln_lo
         seen, task_now = [], []
-        real_task, real_floors = (explorer._unsatisfied_task,
+        real_task, real_floors = (explorer._unsatisfied,
                                   explorer._below_floors)
 
         def task_spy(cfg, node, j=None):
@@ -1280,7 +1342,7 @@ class TestSearchState:
             seen.append((task_now[0], hi, B, ln_lo))
             return real_floors(hi, B, ln_lo, bits)
 
-        monkeypatch.setattr(explorer, "_unsatisfied_task", task_spy)
+        monkeypatch.setattr(explorer, "_unsatisfied", task_spy)
         monkeypatch.setattr(explorer, "_below_floors", floors_spy)
         explorer.conjecture32_search(9, 6, Fraction("27.631021"),
                                      non_increasing_only=non_increasing)
