@@ -27,8 +27,8 @@ primes) with sigma(h)/h >= sigma(n)/n, and sigma(5040)/5040 = 403/105
 lies below e^gamma ln ln 5583.  So once per call ``_cover_bound`` walks
 the HR integers in (5040, hi], deciding each from bounds carried down
 the walk and skipping every subtree whose layers (its extensions by j
-more primes, for each j) the floors certify, and every n in [5583, hi]
-below the least one not certified satisfied holds.  The
+more primes, for each j) ``check``'s ln n floor certifies, and every n
+in [5583, hi] below the least one not certified satisfied holds.  The
 scanner sieves only the two stretches left: [lo, 5583) and [bound, hi].
 
 Everything runs in this process, one sieved window after another, in
@@ -54,7 +54,6 @@ from .intervals import (
     InvalidInput,
     PrecisionConfig,
     RealInterval,
-    _ln2_fp,
     _ln_fp,
     outward_ratio,
 )
@@ -62,8 +61,6 @@ from .robin import (
     CheckResult,
     Verdict,
     _below_floor,
-    _floor_key,
-    _floor_threshold,
     _ln_prime_fp,
     _rhs_from_log,
     check,
@@ -233,7 +230,7 @@ def _hr_primes(X: int) -> list[int]:
 def _hr_walk(plist: Sequence[int], W: int, k_max: int, sorted_only: bool,
              prune: Optional[Callable[[tuple], bool]] = None,
              X: float = inf, ln_max: float = inf) -> Iterator[tuple]:
-    """(entries, n, hi, B, ln_lo, ln_hi) per exponent pattern on ``plist``.
+    """(entries, n, hi, ln_lo, ln_hi) per exponent pattern on ``plist``.
 
     A node is p_1^k1 ... p_r^kr on the first r primes of ``plist``, every
     kj >= 1, k1 <= k_max, and with ``sorted_only`` k1 >= ... >= kr (every
@@ -247,15 +244,15 @@ def _hr_walk(plist: Sequence[int], W: int, k_max: int, sorted_only: bool,
 
     Each node carries, from its parent in O(1): hi, the upper end of
     ``sigma_over_n_fp(n, W)``, the parent's hi extended by the one new
-    entry (``sigma_over_n_extend``, which needs no lower end for it); B =
-    sum k (bit_length(p) - 1), so n >= 2**B; and [ln_lo, ln_hi] = sum k
-    ``_ln_prime_fp(p, W)``, ``log_n``'s bounds at W - _GUARD bits.
+    entry (``sigma_over_n_extend``, which needs no lower end for it); and
+    [ln_lo, ln_hi] = sum k ``_ln_prime_fp(p, W)``, ``log_n``'s bounds at
+    W - _GUARD bits.
     """
     ln_p = [_ln_prime_fp(p, W) for p in plist]
-    stack = [((), 1, 1 << W, 0, 0, 0)]
+    stack = [((), 1, 1 << W, 0, 0)]
     while stack:
         node = stack.pop()
-        entries, n, hi, B, ln_lo, ln_hi = node
+        entries, n, hi, ln_lo, ln_hi = node
         if entries:
             yield node
             if prune is not None and prune(node):
@@ -263,7 +260,7 @@ def _hr_walk(plist: Sequence[int], W: int, k_max: int, sorted_only: bool,
         r = len(entries)
         if r == len(plist):
             continue
-        p, (L, H), bits = plist[r], ln_p[r], plist[r].bit_length() - 1
+        p, (L, H) = plist[r], ln_p[r]
         extensions = []
         for k in range(1, (entries[-1][1] if entries and sorted_only
                            else k_max) + 1):
@@ -274,31 +271,8 @@ def _hr_walk(plist: Sequence[int], W: int, k_max: int, sorted_only: bool,
             entry = ((p, k),)
             extensions.append((entries + entry, n,
                                sigma_over_n_extend(0, hi, entry, W)[1],
-                               B + k * bits, ln_lo + k * L, ln_hi))
+                               ln_lo + k * L, ln_hi))
         stack.extend(reversed(extensions))  # the first pops first
-
-
-def _below_floors(hi: int, B: int, ln_lo: int, bits: int) -> bool:
-    """``check``'s two floors on hi: at B ln 2, then at ln_lo.
-
-    hi, B and ln_lo are at W = bits + _GUARD, as in ``check``; each floor
-    is ``robin._below_floor``, so the walk decides as ``check`` would.
-    """
-    return (_below_floor(hi, B * _ln2_fp(bits + _GUARD)[0], bits)
-            or _below_floor(hi, ln_lo, bits))
-
-
-def _bit_floors(top: int, bits: int) -> list[int]:
-    """Per B < top, the threshold of ``check``'s floor at B ln 2.
-
-    Entry B is ``_floor_threshold(_floor_key(B * ln2_lo), bits)``, ln2_lo
-    ``_ln2_fp(bits + _GUARD)``'s lower bound, so hi < entry B is
-    ``_below_floor(hi, B * ln2_lo, bits)``.  Entry 0 is 0, below every
-    hi: no n >= 2 has B = 0.
-    """
-    ln2_lo = _ln2_fp(bits + _GUARD)[0]
-    return [0] + [_floor_threshold(_floor_key(B * ln2_lo), bits)
-                  for B in range(1, top)]
 
 
 def _bumped(entries: tuple[tuple[int, int], ...], j: int
@@ -313,55 +287,53 @@ def _unsatisfied(cfg: PrecisionConfig, node: tuple,
     """None if ``check`` certifies n satisfied, else its ``CheckResult``.
 
     node is an ``_hr_walk`` node at W = cfg.start_bits + _GUARD, or its
-    first five fields: n is the node's for j None, else the node's with
+    first four fields: n is the node's for j None, else the node's with
     entry j's exponent raised, n' = n p_j.  That state comes from the
-    node's in O(1): B and ln_lo gain bit_length(p) - 1 and
-    ``_ln_prime_fp(p, W)[0]``, as in ``check``, and hi is multiplied by
-    f(p, k+1)/f(p, k) = (p^(k+2) - 1) / (p (p^(k+1) - 1)), the exact ratio
-    of the entry's factors, rounded up, so it still bounds sigma(n')/n' *
-    2**W above.  The n is decided first by ``check``'s own floors on that
-    state (``_below_floors``): a sound upper bound below a floor puts
-    sigma(n)/n below the start rung's right side, where ``check`` calls n
-    satisfied too.  Only n the floors leave open has its entries built
-    and goes to ``check`` itself, so every verdict is ``check``'s.
+    node's in O(1): ln_lo gains ``_ln_prime_fp(p, W)[0]``, as in
+    ``log_n``, and hi is multiplied by f(p, k+1)/f(p, k) = (p^(k+2) - 1) /
+    (p (p^(k+1) - 1)), the exact ratio of the entry's factors, rounded up,
+    so it still bounds sigma(n')/n' * 2**W above.  The n is decided first
+    by ``check``'s ln n floor on that state (``_below_floor`` at ln_lo):
+    a sound upper bound below it puts sigma(n)/n below the start rung's
+    right side, where ``check`` calls n satisfied too.  Only n the floor
+    leaves open has its entries built and goes to ``check`` itself, so
+    every verdict is ``check``'s.
     """
-    hi, B, ln_lo = node[2], node[3], node[4]
+    hi, ln_lo = node[2], node[3]
     start = cfg.start_bits
     if j is not None:
         p, k = node[0][j]
         q = p ** (k + 1)
         hi = -(-hi * (q * p - 1) // (p * (q - 1)))
-        B += p.bit_length() - 1
         ln_lo += _ln_prime_fp(p, start + _GUARD)[0]
-    if _below_floors(hi, B, ln_lo, start):
+    if _below_floor(hi, ln_lo, start):
         return None
     entries = node[0] if j is None else _bumped(node[0], j)
     r = check(Factorization.from_canonical(entries), cfg)
     return None if r.verdict is Verdict.SATISFIED else r
 
 
-def _subtree_layers(hi: int, n: int, B: int, ln_lo: int,
-                    tail: Sequence[tuple[int, int, int]], X: int
-                    ) -> Iterator[tuple[int, int, int, int]]:
-    """(n P_j, U_j, B_j, ln_lo_j) for j = 1, 2, ... while n P_j <= X.
+def _subtree_layers(hi: int, n: int, ln_lo: int,
+                    tail: Sequence[tuple[int, int]], X: int
+                    ) -> Iterator[tuple[int, int, int]]:
+    """(n P_j, U_j, ln_lo_j) for j = 1, 2, ... while n P_j <= X.
 
-    ``tail`` holds (p, bit_length(p) - 1, ``_ln_prime_fp(p, W)[0]``) per
-    prime, and P_j is the product of its first j primes.  Layer j takes
-    hi, B and ln_lo through those j primes: U_j gains a factor p/(p - 1)
-    per prime, each step rounded up as ``sigma_over_n_fp`` rounds hi, and
-    B_j and ln_lo_j gain the prime's other two terms.  With the state of
-    an HR integer h on the first r primes and ``tail`` the primes after
-    them, layer j bounds every extension of h in ``_hr_walk`` that holds
-    j more primes (see ``_cover_bound``).
+    ``tail`` holds (p, ``_ln_prime_fp(p, W)[0]``) per prime, and P_j is
+    the product of its first j primes.  Layer j takes hi and ln_lo
+    through those j primes: U_j gains a factor p/(p - 1) per prime, each
+    step rounded up as ``sigma_over_n_fp`` rounds hi, and ln_lo_j gains
+    the prime's lower bound on ln p.  With the state of an HR integer h
+    on the first r primes and ``tail`` the primes after them, layer j
+    bounds every extension of h in ``_hr_walk`` that holds j more primes
+    (see ``_cover_bound``).
     """
-    for p, bits, ln_p in tail:
+    for p, ln_p in tail:
         n *= p
         if n > X:
             return
         hi = -(-hi * p // (p - 1))
-        B += bits
         ln_lo += ln_p
-        yield n, hi, B, ln_lo
+        yield n, hi, ln_lo
 
 
 def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
@@ -395,29 +367,27 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     How, in one ``_hr_walk`` of the HR integers h <= hi at W =
     cfg.start_bits + _GUARD, on ``_hr_primes(hi)``, with first exponents
     up to the largest k with 2^k <= hi.
-    - Carried step: a node h > 5040 is decided by ``check``'s own two
-      floors on its carried hi, B and ln_lo, and goes to ``check`` itself
-      only where they do not decide (``_unsatisfied``).  Either way the
-      verdict is ``check``'s.
+    - Carried step: a node h > 5040 is decided by ``check``'s own ln n
+      floor on its carried hi and ln_lo, and goes to ``check`` itself
+      only where that floor does not decide (``_unsatisfied``).  Either
+      way the verdict is ``check``'s.
     - Subtree step, by layers: an extension d of h on the first r primes
       that holds exactly j more primes is h prod_(i<=j) p_(r+i)^(k_i),
       every k_i >= 1.  So d >= h P_j, P_j = p_(r+1) ... p_(r+j), and
       d <= hi needs h P_j <= hi.  As f(q, k) < q/(q - 1), sigma(d)/d <
       sigma(h)/h prod_(i<=j) p_(r+i)/(p_(r+i) - 1) <= U_j * 2**-W, with
-      (h P_j, U_j, B_j, ln_lo_j) layer j of ``_subtree_layers``.  d's own
-      hi is at most U_j (the same rounded-up steps, through factors no
-      larger), and its B and ln_lo are at least B_j and ln_lo_j, so the
-      floor thresholds, which rise with B and ln_lo, are at least those
-      of layer j.  Where U_j lies below the floor at B_j ln 2 or at
-      ln_lo_j for every j with h P_j <= hi, ``check`` would call every d
-      satisfied at its own floors, and the walk skips h's extensions.
-      The first layer the floors leave open keeps the subtree; it is not
-      handed to ``decide``.  Extensions with more primes are larger, so
-      each layer meets a higher floor than one at h p_(r+1) would be.
-      So the result is the least n ``check`` leaves unsatisfied.
-    - A layer reads its B ln 2 floor from ``_bit_floors``, worked out
-      once per call, and asks ``_below_floor`` at ln_lo_j only where that
-      one does not decide.
+      (h P_j, U_j, ln_lo_j) layer j of ``_subtree_layers``.  d's own hi
+      is at most U_j (the same rounded-up steps, through factors no
+      larger), and its ln_lo is at least ln_lo_j, so the floor threshold,
+      which rises with ln_lo, is at least that of layer j.  Where U_j
+      lies below the floor at ln_lo_j for every j with h P_j <= hi,
+      ``check`` would call every d satisfied at its ln n floor, and the
+      walk skips h's extensions.  That holds for any h, 5040 and below
+      included.  The first layer the floor leaves open keeps the
+      subtree; it is not handed to ``decide``.  Extensions with more
+      primes are larger, so each layer meets a higher floor than one at
+      h p_(r+1) would be.  So the result is the least n ``check`` leaves
+      unsatisfied.
     - The walk extends no node at or past the least unsatisfied n found
       so far, since its extensions are larger.
     """
@@ -428,20 +398,16 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     start = cfg.start_bits
     W = start + _GUARD
     plist = _hr_primes(hi)
-    tail = [(p, p.bit_length() - 1, _ln_prime_fp(p, W)[0]) for p in plist]
-    # every layer's B_j <= log2(hi)
-    b_floors = _bit_floors(hi.bit_length(), start)
+    tail = [(p, _ln_prime_fp(p, W)[0]) for p in plist]
     bound = hi + 1
 
     def prune(node: tuple) -> bool:
-        entries, n, s_hi, B, ln_lo, _ = node
+        entries, n, s_hi, ln_lo, _ = node
         if n >= bound:
             return True
-        if n <= 5040:
-            return False
-        for _, U, B_j, ln_j in _subtree_layers(s_hi, n, B, ln_lo,
-                                               tail[len(entries):], hi):
-            if U >= b_floors[B_j] and not _below_floor(U, ln_j, start):
+        for _, U, ln_j in _subtree_layers(s_hi, n, ln_lo,
+                                          tail[len(entries):], hi):
+            if not _below_floor(U, ln_j, start):
                 return False
         return True
 
@@ -639,19 +605,18 @@ def _enumerate_bases(
     non_increasing_only: bool,
     bits: int,
 ) -> list[tuple]:
-    """(entries, n, hi, B, ln_lo) of each base over a prefix of the primes.
+    """(entries, n, hi, ln_lo, ln_hi) of each base over a prefix of the primes.
 
     The ``_hr_walk`` nodes, in its order, on the first prime_count_max
     primes at W = bits + _GUARD, exponents up to exponent_max and
     non-increasing by default, kept while the certified upper bound of
-    sum k_j ln p_j does not exceed log_n_max; each node keeps only the
-    fields ``_unsatisfied`` reads.
+    sum k_j ln p_j does not exceed log_n_max.
     """
     W = bits + _GUARD
     x_fp = (log_n_max.numerator << W) // log_n_max.denominator
-    return [node[:5] for node in _hr_walk(
+    return list(_hr_walk(
         _primes.first_primes(prime_count_max), W, exponent_max,
-        non_increasing_only, ln_max=x_fp)]
+        non_increasing_only, ln_max=x_fp))
 
 
 def _raised_at(base: tuple[tuple[int, int], ...], non_increasing_only: bool
@@ -680,7 +645,7 @@ def conjecture32_search(
     row of its own, with index None, and its increments are not reported.
     Each distinct n is decided once, in this process, by ``_unsatisfied``
     from its base's carried state, so ``check`` runs only where
-    ``check``'s floors leave n open: a dict keys the decisions by n
+    ``check``'s ln n floor leaves n open: a dict keys the decisions by n
     (exact by unique factorization; raising entry i multiplies n by p_i),
     and the rows are read from its results once all are decided.
 

@@ -359,6 +359,16 @@ def _below_floor(hi: int, x: int, precision_bits: int) -> bool:
     return hi < _floor_threshold(_floor_key(x), precision_bits)
 
 
+def _below_bit_floor(hi: int, B: int, precision_bits: int) -> bool:
+    """``_below_floor`` at B ln 2, for an n >= 2**B.
+
+    B ln 2 takes ``_ln2_fp``'s lower bound at W = precision_bits +
+    _GUARD, so it bounds ln n * 2**W from below with no ln p series.
+    """
+    return _below_floor(hi, B * _ln2_fp(precision_bits + _GUARD)[0],
+                        precision_bits)
+
+
 def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckResult:
     """Certified verdict on sigma(n)/n < e^gamma ln ln n, escalating precision.
 
@@ -371,16 +381,16 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     The left side is ``sigma_over_n_fp``'s integer bounds [lo, hi] at
     scale 2**-W, W = ``cfg.start_bits`` + _GUARD, which hold sigma(n)/n.
     Where hi lies below ``_rhs_floor``'s integer threshold at the start
-    rung (``_below_floor``), tried at B ln 2 (B the sum of k
-    (bit_length(p) - 1), a lower bound on ln n that runs no ln p series)
-    and then at ``log_n``'s lower bound, it is Satisfied there; a floor
-    lies at or below the start rung's enclosure, so that is ``decide``'s
-    verdict and rung for the exact value too.  Up to there the work is on
-    ints: no interval is built and nothing is compared.  The rest builds
-    the enclosure and goes to ``decide``, whose start rung reuses those
-    ln n bounds and which builds the exact sigma(n)/n only for a rung the
-    enclosure overlaps; ``lhs`` and ``rhs`` are otherwise built on their
-    first read.
+    rung (``_below_floor``), tried at B ln 2 (``_below_bit_floor``, B the
+    sum of k (bit_length(p) - 1), a lower bound on ln n that runs no ln p
+    series) and then at ``log_n``'s lower bound, it is Satisfied there; a
+    floor lies at or below the start rung's enclosure, so that is
+    ``decide``'s verdict and rung for the exact value too.  Up to there
+    the work is on ints: no interval is built and nothing is compared.
+    The rest builds the enclosure and goes to ``decide``, whose start rung
+    reuses those ln n bounds and which builds the exact sigma(n)/n only
+    for a rung the enclosure overlaps; ``lhs`` and ``rhs`` are otherwise
+    built on their first read.
     """
     start = cfg.start_bits
     entries = f.entries
@@ -393,7 +403,7 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     B = 0
     for p, k in entries:
         B += k * (p.bit_length() - 1)
-    if _below_floor(hi, B * _ln2_fp(W)[0], start):
+    if _below_bit_floor(hi, B, start):
         return CheckResult(f, ..., ..., Verdict.SATISFIED, start)
     ln_lo, ln_hi = log_n(f, start)
     if _below_floor(hi, ln_lo, start):

@@ -40,7 +40,6 @@ from .intervals import (
     InvalidInput,
     PrecisionConfig,
     RealInterval,
-    _ln2_fp,
     compare,
 )
 from .robin import CheckResult, Verdict, check, decide, log_n, robin_rhs
@@ -84,7 +83,7 @@ def verify_prime_powers(
     for g(p) = (p + 1)/p, p/(p - 1) or sigma(p^k)/p^k, each falling in
     p, and which of them applies depends only on k and the bit length.
     So where the group's first and smallest member is below the floor
-    (``robin._below_floor``), every member is, and gets the Satisfied
+    (``robin._below_bit_floor``), every member is, and gets the Satisfied
     result at the start rung that ``check`` returns there; a group whose
     first member is not goes to ``check`` member by member.
     """
@@ -92,7 +91,6 @@ def verify_prime_powers(
         raise InvalidInput("limit must exceed 5040")
     start = cfg.start_bits
     W = start + _GUARD
-    ln2_lo = _ln2_fp(W)[0]
     below = {}  # (k, bit length of p) -> its first member is below the floor
     results = []
     for p, k, _ in _prime_powers_in(5040, limit):
@@ -100,8 +98,8 @@ def verify_prime_powers(
         key = (k, p.bit_length())
         floored = below.get(key)
         if floored is None:  # ascending values: the group's smallest p
-            floored = below[key] = _robin._below_floor(
-                sigma_over_n_fp(f, W)[1], k * (key[1] - 1) * ln2_lo, start)
+            floored = below[key] = _robin._below_bit_floor(
+                sigma_over_n_fp(f, W)[1], k * (key[1] - 1), start)
         results.append(CheckResult(f, ..., ..., Verdict.SATISFIED, start)
                        if floored else check(f, cfg))
     return results

@@ -362,8 +362,8 @@ class TestUndecided:
     @pytest.fixture(autouse=True)
     def _never_separates(self, monkeypatch):
         monkeypatch.setattr(robin, "_below_floor", lambda hi, x, bits: False)
-        monkeypatch.setattr(explorer, "_below_floors",
-                            lambda hi, B, ln_lo, bits: False)
+        monkeypatch.setattr(explorer, "_below_floor",
+                            lambda hi, ln_lo, bits: False)
         monkeypatch.setattr(robin, "compare",
                             lambda lhs, rhs: Comparison.OVERLAPPING)
 

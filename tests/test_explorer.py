@@ -463,11 +463,15 @@ class TestHrWalk:
 
     def test_carried_state_is_what_check_computes_to_1e12(self):
         start = DEFAULT_PRECISION.start_bits
-        for entries, n, hi, B, ln_lo, ln_hi in _hr_walk(10 ** 12):
+        for entries, n, hi, ln_lo, ln_hi in _hr_walk(10 ** 12):
             f = Factorization(entries)
             assert hi == sigma_over_n_fp(f, _W)[1], n
             assert (ln_lo, ln_hi) == robin.log_n(f, start), n
-            assert B == sum(k * (p.bit_length() - 1) for p, k in entries), n
+
+
+def _bit_length_sum(entries) -> int:
+    """B = sum k (bit_length(p) - 1), so n >= 2**B."""
+    return sum(k * (p.bit_length() - 1) for p, k in entries)
 
 
 def _hr_entries(d: int) -> tuple[tuple[int, int], ...]:
@@ -511,9 +515,9 @@ class TestSubtreeLayers:
     def test_skipped_hr_integers_lie_inside_their_layer(
             self, monkeypatch, D, least_skipped):
         # every HR integer d > 5040 the walk does not hand out lies under
-        # a pruned ancestor h > 5040, its deepest one handed out.  With j
-        # more primes than h, d >= h P_j, and d's own hi, B and ln_lo
-        # are on the floors' side of layer j's U_j, B_j and ln_lo_j
+        # a pruned ancestor h, its deepest one handed out.  With j more
+        # primes than h, d >= h P_j, and d's own hi and ln_lo are on the
+        # floor's side of layer j's U_j and ln_lo_j
         hi = 10 ** D
         bound, walked, layers = self.spied_cover_bound(monkeypatch, hi)
         assert bound == hi + 1
@@ -527,25 +531,63 @@ class TestSubtreeLayers:
                      if prod(p ** k for p, k in entries[:r]) in walked)
             h = prod(p ** k for p, k in entries[:r])
             j = len(entries) - r
-            assert h > 5040 and len(layers[h]) >= j, d
-            hP, U, B, ln_lo = layers[h][j - 1]
+            assert len(layers[h]) >= j, d
+            hP, U, ln_lo = layers[h][j - 1]
             f = Factorization.from_canonical(entries)
             assert d >= hP == h * prod(p for p, _ in entries[r:]), d
             assert sigma_over_n_fp(f, _W)[1] <= U, d
-            assert sum(k * (p.bit_length() - 1) for p, k in entries) >= B, d
             assert robin.log_n(f, start)[0] >= ln_lo, d
 
-    def test_bit_floors_are_below_floor(self):
-        bits = DEFAULT_PRECISION.start_bits
+    @staticmethod
+    def floor_calls(monkeypatch):
+        """(B, hi, ln_lo, bits) per ``explorer._below_floor`` call.
+
+        B is ``_bit_length_sum`` of n for a node that ``_unsatisfied``
+        decides, and of h P_j for layer j of a subtree the prune tests.
+        """
+        calls, now = [], []
+        real_task = explorer._unsatisfied
+        real_layers = explorer._subtree_layers
+
+        def task(cfg, node, j=None):
+            entries = node[0] if j is None else explorer._bumped(node[0], j)
+            now[:] = [_bit_length_sum(entries)]
+            return real_task(cfg, node, j)
+
+        def subtree_layers(s_hi, n, ln_lo, tail, X):
+            entries = _hr_entries(n)
+            for (p, _), layer in zip(tail, real_layers(s_hi, n, ln_lo, tail,
+                                                        X)):
+                entries += ((p, 1),)
+                now[:] = [_bit_length_sum(entries)]
+                yield layer
+
+        def floor(hi, ln_lo, bits):
+            calls.append((now.pop(), hi, ln_lo, bits))
+            return robin._below_floor(hi, ln_lo, bits)
+
+        monkeypatch.setattr(explorer, "_unsatisfied", task)
+        monkeypatch.setattr(explorer, "_subtree_layers", subtree_layers)
+        monkeypatch.setattr(explorer, "_below_floor", floor)
+        return calls
+
+    def test_dropped_bit_length_floor_never_decided_alone(self, monkeypatch):
+        # wherever check's floor at B ln 2 puts an hi that the walk or the
+        # search asks about below it, the ln n floor does too
+        calls = self.floor_calls(monkeypatch)
+        for D in (12, 20):
+            assert (explorer._cover_bound(10 ** D, DEFAULT_PRECISION)
+                    == 10 ** D + 1)
+        for non_increasing in (True, False):
+            explorer.conjecture32_search(9, 6, Fraction("27.631021"),
+                                         non_increasing_only=non_increasing)
         ln2_lo = intervals._ln2_fp(_W)[0]
-        for hi in (10 ** 12, 10 ** 50):
-            floors = explorer._bit_floors(hi.bit_length(), bits)
-            assert len(floors) == hi.bit_length() and floors[0] == 0
-            for B in range(1, len(floors)):
-                T = floors[B]
-                for U in (T - 1, T, T + 1):
-                    assert (U < T) is robin._below_floor(U, B * ln2_lo,
-                                                         bits), (hi, B, U)
+        by_bits = 0
+        for B, hi, ln_lo, bits in calls:
+            if robin._below_floor(hi, B * ln2_lo, bits):
+                by_bits += 1
+                assert robin._below_floor(hi, ln_lo, bits), (B, hi, ln_lo)
+        assert len(calls) > 55_000 and by_bits > 50_000
 
 
 class TestCoverBoundPins:
@@ -556,13 +598,14 @@ class TestCoverBoundPins:
         # every HR integer up to 10^D is certified satisfied
         assert explorer._cover_bound(10 ** D, DEFAULT_PRECISION) == 10 ** D + 1
 
-    # the single subtree bound walked 1,578 and 81,317 nodes
-    @pytest.mark.parametrize("D, ceiling", [(12, 400), (30, 2000)])
-    def test_node_count_ceiling(self, monkeypatch, D, ceiling):
+    # the single subtree bound walked 1,578 and 81,317 nodes, and the
+    # layered one 388 and 1,989 while it pruned no h <= 5040
+    @pytest.mark.parametrize("D, count", [(12, 365), (30, 1966)])
+    def test_node_count_ceiling(self, monkeypatch, D, count):
         bound, walked, _ = TestSubtreeLayers.spied_cover_bound(monkeypatch,
                                                                 10 ** D)
         assert bound == 10 ** D + 1
-        assert len(walked) <= ceiling
+        assert len(walked) == count
 
 
 def _windows(lo, hi, size):
@@ -956,16 +999,15 @@ def decided(monkeypatch):
 
 def _floors_off(monkeypatch):
     """Send every n the search decides to ``explorer.check``."""
-    monkeypatch.setattr(explorer, "_below_floors",
-                        lambda hi, B, ln_lo, bits: False)
+    monkeypatch.setattr(explorer, "_below_floor",
+                        lambda hi, ln_lo, bits: False)
 
 
 def _node(entries, cfg=DEFAULT_PRECISION):
-    """(entries, n, hi, B, ln_lo) of n as the search's walk carries them."""
+    """(entries, n, hi, ln_lo) of n as the search's walk carries them."""
     f = Factorization(entries)
     return (f.entries, f.n(),
             sigma_over_n_fp(f, cfg.start_bits + _GUARD)[1],
-            sum(k * (p.bit_length() - 1) for p, k in f.entries),
             robin.log_n(f, cfg.start_bits)[0])
 
 
@@ -1316,11 +1358,10 @@ class TestSearchState:
         monkeypatch.setattr(explorer, "_hr_walk", walk)
         got = explorer._enumerate_bases(*args, 53)
         assert got == [node[:5] for node in walked]
-        for entries, n, hi, B, ln_lo, ln_hi in walked:
+        for entries, n, hi, ln_lo, ln_hi in walked:
             f = Factorization(entries)
             assert hi == sigma_over_n_fp(f, 53 + _GUARD)[1], n
             assert (ln_lo, ln_hi) == robin.log_n(f, 53), n
-            assert B == sum(k * (p.bit_length() - 1) for p, k in entries), n
 
     # of the 1,210 and 46,634 decisions; most bases are some earlier
     # base's increment, and are decided as that
@@ -1328,32 +1369,30 @@ class TestSearchState:
         (True, 1194), (False, 46_595)])
     def test_increments_bound_what_check_computes(self, non_increasing,
                                                   increments, monkeypatch):
-        # each decision's floors see, for base + e_j, an hi at or above
-        # sigma(n)/n * 2**W and check's own B and ln_lo
+        # each decision's floor sees, for base + e_j, an hi at or above
+        # sigma(n)/n * 2**W and check's own ln_lo
         seen, task_now = [], []
-        real_task, real_floors = (explorer._unsatisfied,
-                                  explorer._below_floors)
+        real_task, real_floor = explorer._unsatisfied, explorer._below_floor
 
         def task_spy(cfg, node, j=None):
             task_now[:] = [(node, j)]
             return real_task(cfg, node, j)
 
-        def floors_spy(hi, B, ln_lo, bits):
-            seen.append((task_now[0], hi, B, ln_lo))
-            return real_floors(hi, B, ln_lo, bits)
+        def floor_spy(hi, ln_lo, bits):
+            seen.append((task_now[0], hi, ln_lo))
+            return real_floor(hi, ln_lo, bits)
 
         monkeypatch.setattr(explorer, "_unsatisfied", task_spy)
-        monkeypatch.setattr(explorer, "_below_floors", floors_spy)
+        monkeypatch.setattr(explorer, "_below_floor", floor_spy)
         explorer.conjecture32_search(9, 6, Fraction("27.631021"),
                                      non_increasing_only=non_increasing)
         assert sum(j is not None for (_, j), *_ in seen) == increments
-        for ((entries, *_), j), hi, B, ln_lo in seen:
+        for ((entries, *_), j), hi, ln_lo in seen:
             f = Factorization.from_canonical(
                 entries if j is None else explorer._bumped(entries, j))
             if j is None:
                 assert hi == sigma_over_n_fp(f, _W)[1]
             assert Fraction(hi, 1 << _W) >= sigma_over_n_fraction(f), f
-            assert B == sum(k * (p.bit_length() - 1) for p, k in f.entries)
             assert ln_lo == robin.log_n(f, DEFAULT_PRECISION.start_bits)[0]
 
     @pytest.mark.parametrize("search, ladder, non_increasing, rows", [

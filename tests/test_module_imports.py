@@ -11,6 +11,9 @@ read for printing or a margin.
 built only by the lazy ``CheckResult.lhs`` and by the fallback that
 ``check`` hands to ``decide`` for a rung the enclosure overlaps.
 
+Only ``robin`` names the floors' key and threshold, and only it and
+``intervals`` name the ln 2 bound.
+
 robincheck runs in one process: a fresh interpreter that imports it and
 sieves a multi-window scan has loaded no ``multiprocessing`` and no
 ``concurrent.futures``.
@@ -114,6 +117,29 @@ def test_exact_lhs_stays_off_the_verdict_path():
               and getattr(call.func, "id", None) == "decide"
               for arg in call.args]
     assert len(uses) == 1 and uses[0] in handed
+
+
+def _modules_naming(name: str) -> set[str]:
+    """The source modules that import ``name`` or load it."""
+    found = set()
+    for module in sorted(os.listdir(_SRC)):
+        if module.endswith(".py"):
+            with open(os.path.join(_SRC, module)) as fh:
+                tree = ast.parse(fh.read(), module)
+            if _scopes_naming(tree, name) or any(
+                    imported.rsplit(".", 1)[-1] == name
+                    for imported in _imported_names(tree)):
+                found.add(module)
+    return found
+
+
+def test_floor_internals_stay_behind_robin():
+    # the walk and the sweep reach check's floors through robin's
+    # _below_floor and _below_bit_floor, never by their key, threshold or
+    # ln 2 bound
+    assert _modules_naming("_floor_key") == {"robin.py"}
+    assert _modules_naming("_floor_threshold") == {"robin.py"}
+    assert _modules_naming("_ln2_fp") == {"intervals.py", "robin.py"}
 
 
 _ONE_PROCESS = """
