@@ -619,19 +619,6 @@ def _enumerate_bases(
         non_increasing_only, ln_max=x_fp))
 
 
-def _raised_at(base: tuple[tuple[int, int], ...], non_increasing_only: bool
-               ) -> list[int]:
-    """Per entry j, the entry i whose raise decides base + e_j.
-
-    With every arrangement that is j.  Otherwise it is the first entry
-    with j's exponent, so that base + e_i is base + e_j sorted.
-    """
-    if not non_increasing_only:
-        return list(range(len(base)))
-    ks = [k for _, k in base]
-    return [ks.index(k) for k in ks]
-
-
 def conjecture32_search(
     prime_count_max: int,
     exponent_max: int,
@@ -642,12 +629,13 @@ def conjecture32_search(
     """Check every enumerated base > 5040 and each of its increments.
 
     A base that is not certified satisfied is reported as a counterexample
-    row of its own, with index None, and its increments are not reported.
-    Each distinct n is decided once, in this process, by ``_unsatisfied``
-    from its base's carried state, so ``check`` runs only where
-    ``check``'s ln n floor leaves n open: a dict keys the decisions by n
-    (exact by unique factorization; raising entry i multiplies n by p_i),
-    and the rows are read from its results once all are decided.
+    row of its own, with index None, and its increments are neither
+    decided nor reported.  One pass over ``_enumerate_bases``' nodes
+    decides every n by ``_unsatisfied`` from its base's carried state, so
+    ``check`` runs only where ``check``'s ln n floor leaves n open.  A
+    memo keyed by n (exact by unique factorization; raising entry i
+    multiplies n by p_i) holds each result, so a distinct n reached again
+    is not decided again; the result depends on n alone.
 
     Bases are ``_enumerate_bases``' nodes, with exponents non-increasing
     by default.  Where n holds b at p and a > b at q > p, swapping the two
@@ -655,8 +643,9 @@ def conjecture32_search(
     the product over k = b..a-1 of g_k(1/p) / g_k(1/q) >= 1, g_k the
     increasing ratio of the exchange lemma below.  So a sorted arrangement
     that is satisfied implies every other one.  Likewise the increment
-    n = base + e_j is decided by its sorted form h = base + e_i
-    (``_raised_at``), and decided itself only when h is not satisfied.
+    n = base + e_j is decided by its sorted form h = base + e_i, i the
+    entry that starts j's run of equal exponents, through the memo, and
+    decided itself only when h is not satisfied.
     Exchange lemma: n holds k + 1 at p_j and k at p_i <= p_j,
     h swaps the two, so h = n p_i / p_j <= n.  sigma(m)/m is the product
     of S_e(1/p) = 1 + 1/p + ... + 1/p^e over m's entries p^e, so
@@ -664,48 +653,45 @@ def conjecture32_search(
     S_(k+1)(x) / S_k(x) = 1 + 1/(x^-1 + ... + x^-(k+1)), which increases
     in x: sigma(h)/h >= sigma(n)/n.  As e^gamma ln ln n increases in n,
     h satisfied gives n satisfied.  With ``non_increasing_only=False`` no
-    lemma is used: every arrangement is enumerated and every increment
-    decided directly.
+    lemma is used: every arrangement is enumerated, each entry is a run
+    of its own, and every increment is decided directly.
     """
     if prime_count_max < 1 or exponent_max < 1:
         raise InvalidInput("prime_count_max and exponent_max must be >= 1")
     log_n_max = Fraction(log_n_max)
     if log_n_max <= 0:
         raise InvalidInput("log_n_max must be positive")
-    all_bases = _enumerate_bases(prime_count_max, exponent_max, log_n_max,
-                                 non_increasing_only, cfg.start_bits)
-    bases = [node for node in all_bases if node[1] > 5040]
-    # each distinct n -> the first (base's node, i) that reaches it
-    decisions = {}
-    for node in bases:
+    nodes = _enumerate_bases(prime_count_max, exponent_max, log_n_max,
+                             non_increasing_only, cfg.start_bits)
+    memo = {}  # n -> _unsatisfied's result
+
+    def decided(n, node, i=None):
+        if n not in memo:
+            memo[n] = _unsatisfied(cfg, node, i)
+        return memo[n]
+
+    rows, probed = [], 0  # (base's entries, index, result)
+    for node in nodes:
         base, n = node[:2]
-        decisions.setdefault(n, (node, None))
-        for i in _raised_at(base, non_increasing_only):
-            decisions.setdefault(n * base[i][0], (node, i))
-    unsatisfied = {}
-    for n, (node, i) in decisions.items():
-        r = _unsatisfied(cfg, node, i)
-        if r is not None:
-            unsatisfied[n] = r
-    counterexamples = []
-    for node in bases if unsatisfied else ():
-        base, n = node[:2]
-        f = Factorization.from_canonical(base)
-        r = unsatisfied.get(n)
-        if r is not None:
-            counterexamples.append((f, None, r))
+        if n <= 5040:
             continue
-        for j, i in enumerate(_raised_at(base, non_increasing_only)):
-            r = unsatisfied.get(n * base[i][0])
-            if r is not None and i != j:  # h decides nothing: decide n
-                r = _unsatisfied(cfg, node, j)
+        r = decided(n, node)
+        if r is not None:
+            rows.append((base, None, r))
+            continue
+        probed += 1
+        for j, (p, k) in enumerate(base):
+            if not non_increasing_only or j == 0 or k != base[j - 1][1]:
+                i, h = j, decided(n * p, node, j)
+            r = h if h is None or i == j else _unsatisfied(cfg, node, j)
             if r is not None:
-                counterexamples.append((f, j, r))
+                rows.append((base, j, r))
     return SearchReport(
         prime_count_max=prime_count_max,
         exponent_max=exponent_max,
         log_n_max=log_n_max,
-        candidates_enumerated=len(all_bases),
-        bases_probed=len(bases) - sum(j is None for _, j, _ in counterexamples),
-        counterexamples=tuple(counterexamples),
+        candidates_enumerated=len(nodes),
+        bases_probed=probed,
+        counterexamples=tuple((Factorization.from_canonical(b), j, r)
+                              for b, j, r in rows),
     )

@@ -1173,8 +1173,9 @@ class TestConjecture32Search:
         # sigma(n)/n at least as large
         for base, *_ in explorer._enumerate_bases(
                 9, 6, Fraction("27.631021"), True, 53):
-            at = explorer._raised_at(base, True)
-            for j, i in enumerate(at):
+            exps = [k for _, k in base]
+            for j, k in enumerate(exps):
+                i = exps.index(k)  # the entry that starts j's run
                 n = Factorization.from_canonical(explorer._bumped(base, j))
                 h = Factorization.from_canonical(explorer._bumped(base, i))
                 ks = [k for _, k in h.entries]
@@ -1399,9 +1400,9 @@ class TestSearchState:
         ((6, 4, 25), (2, 4), True, 63),
         ((5, 5, 22), (3, 6), False, 3),
     ])
-    def test_low_ladders_match_the_per_base_loop(self, checked, search,
-                                                 ladder, non_increasing,
-                                                 rows):
+    def test_low_ladders_match_the_per_base_loop(self, checked, decided,
+                                                 search, ladder,
+                                                 non_increasing, rows):
         # no stub: at these ladders the floors leave real nodes open, and
         # check decides them, some not satisfied
         cfg = intervals.PrecisionConfig(*ladder)
@@ -1409,6 +1410,8 @@ class TestSearchState:
         rep = explorer.conjecture32_search(
             p, e, Fraction(x), cfg, non_increasing_only=non_increasing)
         assert checked
+        # the increments of a base that is not satisfied are not decided
+        assert len(decided) == {(6, 4, 25): 263, (5, 5, 22): 3563}[search]
         assert len(rep.counterexamples) == rows
         assert {j is None for _, j, _ in rep.counterexamples} == {True, False}
         assert rep == _per_base_search(p, e, x, cfg,
