@@ -8,8 +8,9 @@ if any is indeterminate, else 0.  64 is any ``InvalidInput`` (a usage
 error, primes past the sieve budget, a scan end above 10^12, ...), 65
 raw input too large to factor (use a factor string), 74 output that
 could not be opened or written (nothing is printed for a reader that
-closed the pipe early); a plain ValueError is a bug and ends in a
-traceback.  ``--output PATH`` is opened at the command's first write, so
+closed the pipe early), 70 any other exception, a bug or a
+``MemoryError``, with its traceback on stderr, so no failure reads as
+a verdict.  ``--output PATH`` is opened at the command's first write, so
 a refused command leaves it as it was.  Exact integers print through
 ``output.int_str``, except the running products of conjecture1 and
 bounds, whose digits carry from row to row as exact Decimals along
@@ -25,6 +26,7 @@ import json
 import os
 import re
 import sys
+import traceback
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -52,6 +54,7 @@ EXIT_VIOLATED = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_TOO_LARGE = 65
+EXIT_SOFTWARE = 70
 EXIT_IOERR = 74
 
 _N_PRINT_DIGITS = 50  # larger n are reported as log10(n)
@@ -678,6 +681,9 @@ def main(argv=None) -> int:
     except primes.InputTooLarge as exc:
         print(f"robincheck: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_SOFTWARE
     finally:
         sys.set_int_max_str_digits(max_str_digits)
 

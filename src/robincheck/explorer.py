@@ -41,6 +41,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import inf, isqrt
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -513,7 +514,7 @@ def q_steps(plist, d: int = 1, one=1, div=operator.floordiv,
     den_primes: set[int] = set()  # the primes of qd, each to the first power
     qn = qd = one
     for p in plist:
-        powers, _ = _primes.factor_small(p + d, plist)
+        powers = _primes.factor_small(p + d, plist)
         g2 = 1
         for r, e in powers:
             if r in den_primes:
@@ -598,6 +599,12 @@ class SearchReport:
     counterexamples: tuple[tuple[Factorization, Optional[int], CheckResult], ...]
 
 
+# the most bases a conjecture-2 search holds: each costs about 0.7 KB
+# with its memo entry, and the all-arrangements (12, 8, 45) search
+# enumerates 1,649,524
+_BASE_BUDGET = 1 << 21
+
+
 def _enumerate_bases(
     prime_count_max: int,
     exponent_max: int,
@@ -610,13 +617,20 @@ def _enumerate_bases(
     The ``_hr_walk`` nodes, in its order, on the first prime_count_max
     primes at W = bits + _GUARD, exponents up to exponent_max and
     non-increasing by default, kept while the certified upper bound of
-    sum k_j ln p_j does not exceed log_n_max.
+    sum k_j ln p_j does not exceed log_n_max.  A walk past
+    ``_BASE_BUDGET`` nodes is refused with ``InvalidInput`` once it
+    reaches one more, before the search decides anything.
     """
     W = bits + _GUARD
     x_fp = (log_n_max.numerator << W) // log_n_max.denominator
-    return list(_hr_walk(
+    nodes = list(islice(_hr_walk(
         _primes.first_primes(prime_count_max), W, exponent_max,
-        non_increasing_only, ln_max=x_fp))
+        non_increasing_only, ln_max=x_fp), _BASE_BUDGET + 1))
+    if len(nodes) > _BASE_BUDGET:
+        raise InvalidInput(
+            f"more than {_BASE_BUDGET} bases to search (the base budget); "
+            "lower prime_count_max, exponent_max or log_n_max")
+    return nodes
 
 
 def conjecture32_search(

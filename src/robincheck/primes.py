@@ -175,13 +175,13 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return _SOURCE.primes_up_to(limit)
 
 
-def factor_small(c: int, small: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
-    """Trial division of c >= 1 by ``small``, every prime up to small[-1].
+def factor_small(c: int, small: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The prime powers (r, e) of c >= 1, ascending, by trial division.
 
-    Returns the prime powers (r, e) found, ascending, and the part of c
-    they leave: 1 when c factored completely.  Otherwise the primes ran
-    out below the square root of that part, which then has no prime
-    factor in ``small`` and is at least small[-1]**2.
+    ``small`` holds every prime up to small[-1], and c must have at most
+    one prime factor above small[-1], counted with multiplicity: once
+    the trial primes pass the square root of what is left, or run out,
+    that part is 1 or prime.
     """
     powers = []
     for r in small:
@@ -194,11 +194,9 @@ def factor_small(c: int, small: tuple[int, ...]) -> tuple[list[tuple[int, int]],
                 c //= r
                 e += 1
             powers.append((r, e))
-    if c >= small[-1] ** 2:
-        return powers, c
     if c > 1:
         powers.append((c, 1))
-    return powers, 1
+    return powers
 
 
 def primorial_factorization(m: int) -> Factorization:
@@ -434,7 +432,7 @@ def factorize(n: int) -> Factorization:
         )
     # one gcd names the primes below 10^3 that divide n, and only they are
     # divided out; everything past 10^3 is cheaper to split than to try
-    found, _ = factor_small(gcd(n, _small_primorial()), primes_up_to(1000))
+    found = factor_small(gcd(n, _small_primorial()), primes_up_to(1000))
     factors = {}
     for r, _ in found:
         e = 0

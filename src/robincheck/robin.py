@@ -359,12 +359,20 @@ def _below_floor(hi: int, x: int, precision_bits: int) -> bool:
     return hi < _floor_threshold(_floor_key(x), precision_bits)
 
 
-def _below_bit_floor(hi: int, B: int, precision_bits: int) -> bool:
-    """``_below_floor`` at B ln 2, for an n >= 2**B.
+def _below_bit_floor(hi: int, entries, precision_bits: int) -> bool:
+    """``_below_floor`` at B ln 2, for n with these canonical entries.
 
-    B ln 2 takes ``_ln2_fp``'s lower bound at W = precision_bits +
-    _GUARD, so it bounds ln n * 2**W from below with no ln p series.
+    B = sum k (bit_length(p) - 1) over the entries (p, k), the one
+    definition of the bit-length sum, so n >= 2**B.  B ln 2 takes
+    ``_ln2_fp``'s lower bound at W = precision_bits + _GUARD, so it
+    bounds ln n * 2**W from below with no ln p series.  B does not fall
+    when a prime p is replaced by a larger one, and the floor does not
+    fall as B rises: an entry list below the floor at some hi stays below
+    it at any smaller hi with any larger primes.
     """
+    B = 0
+    for p, k in entries:
+        B += k * (p.bit_length() - 1)
     return _below_floor(hi, B * _ln2_fp(precision_bits + _GUARD)[0],
                         precision_bits)
 
@@ -381,12 +389,13 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
     The left side is ``sigma_over_n_fp``'s integer bounds [lo, hi] at
     scale 2**-W, W = ``cfg.start_bits`` + _GUARD, which hold sigma(n)/n.
     Where hi lies below ``_rhs_floor``'s integer threshold at the start
-    rung (``_below_floor``), tried at B ln 2 (``_below_bit_floor``, B the
-    sum of k (bit_length(p) - 1), a lower bound on ln n that runs no ln p
-    series) and then at ``log_n``'s lower bound, it is Satisfied there; a
-    floor lies at or below the start rung's enclosure, so that is
-    ``decide``'s verdict and rung for the exact value too.  Up to there
-    the work is on ints: no interval is built and nothing is compared.
+    rung (``_below_floor``), tried at B ln 2 (``_below_bit_floor``, which
+    sums B = sum k (bit_length(p) - 1) over the entries: a lower bound on
+    ln n that runs no ln p series) and then at ``log_n``'s lower bound,
+    it is Satisfied there; a floor lies at or below the start rung's
+    enclosure, so that is ``decide``'s verdict and rung for the exact
+    value too.  Up to there the work is on ints: no interval is built
+    and nothing is compared.
     The rest builds the enclosure and goes to ``decide``, whose start rung
     reuses those ln n bounds and which builds the exact sigma(n)/n only
     for a rung the enclosure overlaps; ``lhs`` and ``rhs`` are otherwise
@@ -399,11 +408,7 @@ def check(f: Factorization, cfg: PrecisionConfig = DEFAULT_PRECISION) -> CheckRe
                            REASON_RHS_UNDEFINED)
     W = start + _GUARD
     lo, hi = sigma_over_n_fp(f, W)
-    # n >= 2**B, so B ln 2 bounds ln n from below with no ln p series
-    B = 0
-    for p, k in entries:
-        B += k * (p.bit_length() - 1)
-    if _below_bit_floor(hi, B, start):
+    if _below_bit_floor(hi, entries, start):
         return CheckResult(f, ..., ..., Verdict.SATISFIED, start)
     ln_lo, ln_hi = log_n(f, start)
     if _below_floor(hi, ln_lo, start):

@@ -8,11 +8,11 @@ decreases (separation of the two sigma(n)/n enclosures, or an exact
 rational comparison where they overlap) and the log-side strictly
 increases (certified interval separation of the two ln n enclosures).
 
-The prime-power sweep uses the same fact for n = p^k: it groups the
-prime powers by k and the bit length of p.  Within a group ``check``'s
-bit-length floor has one threshold, and the upper bound on sigma(n)/n
-does not increase with p, so one floor test on the group's smallest p
-decides every member that ``check``'s first floor would.
+The prime-power sweep uses the same theorem for n = p^k: if p^k is
+satisfied, so is P^k for every prime P >= p.  It decides each exponent
+k once, at its smallest prime, through ``check``'s bit-length floor
+(``robin._below_bit_floor``) at an upper bound that holds for every
+larger prime too.
 
 The corollary bound calculators compare the exponent-independent bound
 prod p/(p-1), and the squarefree bound prod (p+1)/p, over the first m
@@ -30,7 +30,6 @@ from .explorer import q_steps
 from .factorization import (
     Factorization,
     _coprime_fraction,
-    sigma_over_n_fp,
     sigma_over_n_interval,
 )
 from .intervals import (
@@ -75,31 +74,34 @@ def verify_prime_powers(
     """Check every prime power in (5040, limit]; all are predicted Satisfied.
 
     Each result is ``check``'s, verdict and rung, but one floor test
-    decides a whole group of prime powers p^k with the same k and the
-    same bit length of p.  Its members share B = k (bit_length(p) - 1),
-    so ``check``'s bit-length floor has one threshold for all of them,
-    and the upper bound hi of ``sigma_over_n_fp`` at the start rung
-    never increases with p inside the group: it is ceil(2**W * g(p))
-    for g(p) = (p + 1)/p, p/(p - 1) or sigma(p^k)/p^k, each falling in
-    p, and which of them applies depends only on k and the bit length.
-    So where the group's first and smallest member is below the floor
-    (``robin._below_bit_floor``), every member is, and gets the Satisfied
-    result at the start rung that ``check`` returns there; a group whose
-    first member is not goes to ``check`` member by member.
+    decides every prime power p^k with the same k.  It runs at k's
+    smallest prime p0, the first p^k in ascending order, with hi = U =
+    ceil(2**W * p0/(p0 - 1)), W = ``cfg.start_bits`` + _GUARD, and it is
+    ``robin._below_bit_floor`` at the entries ((p0, k),).  Two facts make
+    its pass hold for every p >= p0:
+
+    1. sigma(p^k)/p^k < p/(p - 1) <= p0/(p0 - 1), and the one-entry hi of
+       ``sigma_over_n_fp`` is ceil(2**W * g) for some g <= p/(p - 1), so
+       each member's hi is at most U.
+    2. B = k (bit_length(p) - 1) only rises with p, so ``check``'s
+       bit-length floor only rises.
+
+    So where p0 passes, every member's hi lies below its own floor and
+    gets the Satisfied result at the start rung that ``check`` returns
+    there; where it does not, every p^k with that k goes to ``check``.
     """
     if limit <= 5040:
         raise InvalidInput("limit must exceed 5040")
     start = cfg.start_bits
     W = start + _GUARD
-    below = {}  # (k, bit length of p) -> its first member is below the floor
+    below = {}  # k -> its smallest p passes the floor at U
     results = []
     for p, k, _ in _prime_powers_in(5040, limit):
         f = Factorization.from_canonical(((p, k),))
-        key = (k, p.bit_length())
-        floored = below.get(key)
-        if floored is None:  # ascending values: the group's smallest p
-            floored = below[key] = _robin._below_bit_floor(
-                sigma_over_n_fp(f, W)[1], k * (key[1] - 1), start)
+        floored = below.get(k)
+        if floored is None:  # ascending values: k's smallest p
+            floored = below[k] = _robin._below_bit_floor(
+                -(-(p << W) // (p - 1)), f.entries, start)
         results.append(CheckResult(f, ..., ..., Verdict.SATISFIED, start)
                        if floored else check(f, cfg))
     return results

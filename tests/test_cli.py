@@ -228,14 +228,30 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert message in err
 
-    def test_internal_value_error_is_not_a_refusal(self, monkeypatch):
+    def test_internal_value_error_is_not_a_refusal(self, monkeypatch,
+                                                   capsys):
         def broken(*args):
             raise ValueError("broken invariant")
 
         monkeypatch.setattr(theorems, "bound_table", broken)
-        with pytest.raises(ValueError, match="broken invariant") as info:
-            cli.main(["bounds", "3"])
-        assert not isinstance(info.value, intervals.InvalidInput)
+        code, out, err = run_cli(["bounds", "3"], capsys)
+        assert code == cli.EXIT_SOFTWARE == 70
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("ValueError: broken invariant\n")
+        assert "robincheck: error:" not in err
+
+    def test_memory_error_is_not_a_verdict(self, monkeypatch, capsys):
+        # a search that runs out of memory must not read as exit 1,
+        # "counterexample found"
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(explorer, "conjecture32_search", exhausted)
+        code, out, err = run_cli(["conjecture2", "--primes", "3"], capsys)
+        assert code == 70 != cli.EXIT_VIOLATED
+        assert out == ""
+        assert err.rstrip().endswith("MemoryError")
 
     @pytest.mark.parametrize("code, verdicts", [
         (0, []),
@@ -663,6 +679,19 @@ class TestConjecture2Command:
         code, _, err = run_cli(
             ["conjecture2", "--max-log-n", "banana"], capsys)
         assert code == 64
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_search_past_the_base_budget_exit_64(self, fmt, monkeypatch,
+                                                 capsys):
+        # with every arrangement the default search enumerates 21,757 bases
+        monkeypatch.setattr(explorer, "_BASE_BUDGET", 1000)
+        code, out, err = run_cli(
+            ["conjecture2", "--all-arrangements", "--format", fmt], capsys)
+        assert code == 64
+        assert out == ""
+        assert err == ("robincheck: error: more than 1000 bases to search "
+                       "(the base budget); lower prime_count_max, "
+                       "exponent_max or log_n_max\n")
 
 
 class TestBoundsCommand:

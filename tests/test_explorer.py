@@ -1149,6 +1149,32 @@ class TestConjecture32Search:
         assert got == [tuple((p, 1) for p in plist[:m])
                        for m in range(1, 1201)]
 
+    def test_walk_past_the_base_budget_is_refused(self, monkeypatch):
+        # the all-arrangements (12, 8, 45) search fits the real budget
+        assert explorer._BASE_BUDGET == 1 << 21 > 1_649_524
+        args = (5, 4, Fraction("16.0"), True, 53)
+        count = len(explorer._enumerate_bases(*args))
+        monkeypatch.setattr(explorer, "_BASE_BUDGET", count)
+        assert len(explorer._enumerate_bases(*args)) == count
+        walked = []
+        real_walk = explorer._hr_walk
+
+        def counted_walk(*a, **kw):
+            for node in real_walk(*a, **kw):
+                walked.append(node)
+                yield node
+
+        monkeypatch.setattr(explorer, "_hr_walk", counted_walk)
+        monkeypatch.setattr(explorer, "_BASE_BUDGET", count // 2)
+        with pytest.raises(InvalidInput,
+                           match=rf"^more than {count // 2} bases to search "
+                                 r"\(the base budget\)"):
+            explorer._enumerate_bases(*args)
+        # the walk stops at the first node past the budget
+        assert len(walked) == count // 2 + 1
+        with pytest.raises(InvalidInput, match="base budget"):
+            explorer.conjecture32_search(5, 4, Fraction("16.0"))
+
     @pytest.mark.parametrize("search, non_increasing, count, per_base", [
         ((9, 6, "27.631021"), True, 1210, True),
         # the per-base loop takes about 1.8 s here

@@ -12,7 +12,9 @@ built only by the lazy ``CheckResult.lhs`` and by the fallback that
 ``check`` hands to ``decide`` for a rung the enclosure overlaps.
 
 Only ``robin`` names the floors' key and threshold, and only it and
-``intervals`` name the ln 2 bound.
+``intervals`` name the ln 2 bound.  The prime-power sweep in
+``theorems`` names neither ``sigma_over_n_fp`` nor ``bit_length``, and
+``check`` reaches the bit-length sum only through ``_below_bit_floor``.
 
 robincheck runs in one process: a fresh interpreter that imports it and
 sieves a multi-window scan has loaded no ``multiprocessing`` and no
@@ -140,6 +142,17 @@ def test_floor_internals_stay_behind_robin():
     assert _modules_naming("_floor_key") == {"robin.py"}
     assert _modules_naming("_floor_threshold") == {"robin.py"}
     assert _modules_naming("_ln2_fp") == {"intervals.py", "robin.py"}
+
+
+def test_sweep_keeps_no_copy_of_check_internals():
+    # the prime-power sweep bounds hi by p0/(p0 - 1) and leaves the
+    # bit-length sum B to robin._below_bit_floor, its one definition
+    assert "theorems.py" not in _modules_naming("sigma_over_n_fp")
+    assert "theorems.py" not in _modules_naming("bit_length")
+    with open(os.path.join(_SRC, "robin.py")) as fh:
+        tree = ast.parse(fh.read(), "robin.py")
+    assert "check" not in _scopes_naming(tree, "bit_length")
+    assert "_below_bit_floor" in _scopes_naming(tree, "bit_length")
 
 
 _ONE_PROCESS = """

@@ -18,6 +18,7 @@ from robincheck.intervals import (
     InvalidInput,
     PrecisionConfig,
     RealInterval,
+    _ln2_fp,
 )
 from robincheck.robin import Verdict
 
@@ -36,11 +37,21 @@ def _per_element(limit, cfg):
 
 
 def _sweep_groups(limit):
-    """The sweep's (k, bit length of p) groups: their (p, k) in its order."""
+    """The sweep's groups, one per exponent k: their (p, k) in its order."""
     groups = {}
     for p, k, _ in theorems._prime_powers_in(5040, limit):
-        groups.setdefault((k, p.bit_length()), []).append((p, k))
+        groups.setdefault(k, []).append((p, k))
     return groups
+
+
+def _group_hi(p0, W):
+    """U = ceil(2**W * p0/(p0 - 1)), the hi the sweep tests at p0."""
+    return -(-(p0 << W) // (p0 - 1))
+
+
+def _bit_sum(p, k):
+    """``check``'s bit-length sum B for n = p^k."""
+    return k * (p.bit_length() - 1)
 
 
 _LADDERS = [PrecisionConfig(), PrecisionConfig(2, 4), PrecisionConfig(8, 8),
@@ -126,7 +137,7 @@ class TestVerifyPrimePowers:
 
 
 class TestSweepGroups:
-    """One floor test decides each (k, bit length of p) group."""
+    """One floor test decides each exponent k, at its smallest prime."""
 
     @pytest.mark.parametrize("cfg", _LADDERS, ids=str)
     def test_results_equal_per_element_check(self, cfg):
@@ -138,7 +149,16 @@ class TestSweepGroups:
         for got, ref in zip(results, want):
             assert _slots(got) == _slots(ref), ref.factorization
 
+    def test_results_equal_per_element_check_to_1e6(self):
+        cfg = PrecisionConfig()
+        results = theorems.verify_prime_powers(10 ** 6, cfg)
+        want = _per_element(10 ** 6, cfg)
+        assert len(results) == len(want) == 78017
+        for got, ref in zip(results, want):
+            assert _slots(got) == _slots(ref), ref.factorization
+
     def test_one_floor_test_per_group_and_no_check(self, monkeypatch):
+        # a group is an exponent: 14 of them to 10^5 and 19 to 10^6
         floors, checked = [], []
         real_floor, real_check = robin._below_floor, robin.check
 
@@ -154,53 +174,74 @@ class TestSweepGroups:
         # the sweep's own binding of check, and the module's
         monkeypatch.setattr(theorems, "check", counted_check)
         monkeypatch.setattr(robin, "check", counted_check)
-        results = theorems.verify_prime_powers(10 ** 5)
-        assert len(results) == 8983 and checked == []
-        # each on its group's first member, in the sweep's order
-        W = PrecisionConfig().start_bits + _GUARD
-        firsts = [members[0] for members in _sweep_groups(10 ** 5).values()]
-        assert len(firsts) > 1
-        assert [hi for hi, _, _ in floors] == [
-            sigma_over_n_fp(Factorization((pk,)), W)[1] for pk in firsts]
+        bits = PrecisionConfig().start_bits
+        W = bits + _GUARD
+        ln2_lo = _ln2_fp(W)[0]
+        for limit, groups in ((10 ** 5, 14), (10 ** 6, 19)):
+            floors.clear()
+            results = theorems.verify_prime_powers(limit)
+            assert len(results) == len(theorems._prime_powers_in(5040, limit))
+            assert checked == []
+            # each at its exponent's smallest prime, in the sweep's
+            # order, with hi = U and x = B ln 2
+            firsts = [members[0] for members in _sweep_groups(limit).values()]
+            assert len(firsts) == groups
+            assert floors == [
+                (_group_hi(p0, W), _bit_sum(p0, k) * ln2_lo, bits)
+                for p0, k in firsts]
 
     def test_group_split_by_the_floor_goes_to_check(self, monkeypatch):
-        # a floor that only the group's later members pass: the whole
-        # group is checked, and each result is check's own
+        # a floor that k = 1's smallest prime fails at U: the whole
+        # exponent is checked, and each result is check's own.  The
+        # second cut passes that prime's own hi too: the test is at U,
+        # which bounds every larger prime's hi
         cfg = PrecisionConfig()
         W = cfg.start_bits + _GUARD
-        members = _sweep_groups(10 ** 5)[(1, 16)]
+        members = _sweep_groups(10 ** 5)[1]
         his = [sigma_over_n_fp(Factorization(((p, k),)), W)[1]
                for p, k in members]
-        cut = his[-1] + 1
-        assert his[0] >= cut > his[-1]
         group = set(members)
-        monkeypatch.setattr(robin, "_below_floor",
-                            lambda hi, x, bits: hi < cut)
-        checked = []
+        for cut, split in ((his[-1] + 1, {True, False}), (his[0] + 1, {True})):
+            assert _group_hi(members[0][0], W) >= cut > his[-1]
+            monkeypatch.setattr(robin, "_below_floor",
+                                lambda hi, x, bits: hi < cut)
+            checked = []
 
-        def counted(f, cfg):
-            checked.append(f.entries[0])
-            return robin.check(f, cfg)
+            def counted(f, cfg):
+                checked.append(f.entries[0])
+                return robin.check(f, cfg)
 
-        monkeypatch.setattr(theorems, "check", counted)
-        results = theorems.verify_prime_powers(10 ** 5, cfg)
-        assert group <= set(checked)
-        want = _per_element(10 ** 5, cfg)
-        for got, ref in zip(results, want):
-            assert _slots(got) == _slots(ref), ref.factorization
-        # per-element check decides the group's members two ways
-        split = {r._rhs is ... for r in want
-                 if r.factorization.entries[0] in group}
-        assert split == {True, False}
+            monkeypatch.setattr(theorems, "check", counted)
+            results = theorems.verify_prime_powers(10 ** 5, cfg)
+            assert group <= set(checked)
+            want = _per_element(10 ** 5, cfg)
+            for got, ref in zip(results, want):
+                assert _slots(got) == _slots(ref), ref.factorization
+            # per-element check decides by the floor alone where hi < cut
+            assert split == {r._rhs is ... for r in want
+                             if r.factorization.entries[0] in group}
 
-    @pytest.mark.parametrize("bits", [53, 2])
-    def test_upper_bound_never_increases_within_a_group(self, bits):
+    @pytest.mark.parametrize("bits", [1, 4, 53, 212])
+    def test_group_bound_holds_for_every_member(self, bits):
+        # the sweep's two facts, by brute force over every p^k in
+        # (5040, 10^6]: each member's hi is at most U, and its bit-length
+        # sum B is at least that of k's smallest prime; so a pass at the
+        # smallest prime is a pass at each member's own hi and B
         W = bits + _GUARD
-        for key, members in _sweep_groups(10 ** 6).items():
-            his = [sigma_over_n_fp(Factorization(((p, k),)), W)[1]
-                   for p, k in members]
-            assert all(a >= b for a, b in zip(his, his[1:])), key
-
+        groups = _sweep_groups(10 ** 6)
+        assert sum(map(len, groups.values())) == 78017
+        for k, members in groups.items():
+            p0 = members[0][0]
+            U = _group_hi(p0, W)
+            passed = robin._below_bit_floor(U, ((p0, k),), bits)
+            for p, _ in members:
+                hi = sigma_over_n_fp(Factorization.from_canonical(
+                    ((p, k),)), W)[1]
+                assert hi <= U, (p, k)
+                assert _bit_sum(p, k) >= _bit_sum(p0, k), (p, k)
+                if passed:
+                    assert robin._below_bit_floor(hi, ((p, k),), bits), (
+                        p, k)
 
 class TestSubstitutePrime:
     def test_basic(self):
