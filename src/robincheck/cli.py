@@ -5,7 +5,8 @@ substitute.  This module parses arguments, renders output and maps
 outcomes to exit codes; the rules behind them live in the library.
 ``_exit_code`` maps a command's verdicts to 1 if any is violated, else 2
 if any is indeterminate, else 0.  64 is any ``InvalidInput`` (a usage
-error, primes past the sieve budget, a scan end above 10^12, ...), 65
+error, primes past the sieve budget, a table past the row budget, a
+scan end above 10^12, ...), 65
 raw input too large to factor (use a factor string), 74 output that
 could not be opened or written (nothing is printed for a reader that
 closed the pipe early), 70 any other exception, a bug or a

@@ -551,10 +551,12 @@ def conjecture31_table(
 
     ln(primorial) is accumulated as sum ln p_j in fixed point, so the
     primorial itself is never materialized, and q comes from
-    ``q_steps``, so no row takes a gcd of its exact q.
+    ``q_steps``, so no row takes a gcd of its exact q.  More than
+    ``_ROW_BUDGET`` rows are refused before any prime is sieved.
     """
     if m_max < 1:
         raise InvalidInput("m_max must be >= 1")
+    _within_row_budget(m_max)
     bits = cfg.start_bits
     W = bits + _GUARD
     rows: list[ConjectureRow] = []
@@ -603,6 +605,19 @@ class SearchReport:
 # with its memo entry, and the all-arrangements (12, 8, 45) search
 # enumerates 1,649,524
 _BASE_BUDGET = 1 << 21
+
+# the most rows a prime table (``conjecture31_table``, ``theorems.
+# bound_table``) holds: each row keeps its exact product, so memory
+# grows with the square of the rows; ``conjecture1 20000 --format csv``
+# peaks at 716 MB of RSS, and JSON also holds every row's digits
+_ROW_BUDGET = 20_000
+
+
+def _within_row_budget(m_max: int) -> None:
+    """Refuse a table of more than ``_ROW_BUDGET`` rows, before any sieve."""
+    if m_max > _ROW_BUDGET:
+        raise InvalidInput(
+            f"{m_max} rows exceed the row budget {_ROW_BUDGET} of a table")
 
 
 def _enumerate_bases(

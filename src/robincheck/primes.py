@@ -13,14 +13,14 @@ a larger part is prime when a deterministic Miller-Rabin test on the
 first k prime bases says so, k the least with the part below psi_k, the
 smallest strong pseudoprime to all of them (13 bases, 2 to 41, below
 psi_13 ~ 3.3e24).  A composite part v is split in stages, cheapest
-first: a perfect square gives its root; from 45 bits on, a short Brent
-rho finds most factors below 10^6, and Pollard's p - 1 (stage 1 to
-B1, Montgomery's paired stage 2 to B2) the p whose p - 1 is smooth;
-the full Brent rho splits the rest.  No stage can make a result wrong:
-each only proposes a divisor, a gcd with v or the root of v itself,
-strictly between 1 and v, so every split is exact, and every final part
-is declared prime only by the bound or the test above.  Which stage
-splits v changes the path, never the entries, which come out sorted.
+first: a perfect square gives its root; from 45 bits on, Pollard's
+p - 1 (stage 1 to B1, Montgomery's paired stage 2 to B2) finds a p
+whose p - 1 is smooth; one Brent rho walk splits the rest.  No stage
+can make a result wrong: each only proposes a divisor, a gcd with v or
+the root of v itself, strictly between 1 and v, so every split is
+exact, and every final part is declared prime only by the bound or the
+test above.  Which stage splits v changes the path, never the entries,
+which come out sorted.
 Anything larger must arrive pre-factored as a factor string.
 """
 
@@ -238,45 +238,52 @@ def is_prime(n: int) -> bool:
 
 
 # The staged split of a composite part v (see the module docstring).
-# Steps 2 and 3 run only for v of at least _STAGED_BITS bits, which keeps
-# them away from every n <= 10^12.  The short rho gives up after the
-# round whose cycle length is _SHORT_RHO_CYCLE, about 2,000 steps, enough
-# for most factors below 10^6.  Pollard p - 1 runs stage 1 to _PM1_B1 and
-# stage 2 to _PM1_B2.  The sweep below timed each point against the
-# factorize it replaced (trial division to 10^3, then the full rho), the
-# two alternating per n, min of 3 passes, on the 120 products of two
-# 31-bit primes of perfbench's certify seeds 31-35, 3,000 log-uniform
+# p - 1 runs only for v of at least _STAGED_BITS bits, which keeps it
+# away from every n <= 10^12, with stage 1 to _PM1_B1 and stage 2 to
+# _PM1_B2.  The sweep below timed each point against the factorize it
+# replaced (trial division to 10^3, then the full rho), the two
+# alternating per n, min of 3 passes, on the 120 products of two 31-bit
+# primes of perfbench's certify seeds 31-35, 3,000 log-uniform
 # n <= 10^12 and 1,500 uniform 64-bit n (Python 3.11, x86-64, one core of
 # a machine whose speed swings 1.9x; repeats moved a ratio by up to 0.05).
 # Ratio of times, lower is faster; * marks the point kept:
 #
-#     B1       B2   cycle  bits | semiprimes  n <= 10^12  64-bit n
-#   5000   150000    2^8    45  |   0.48        0.72        0.86
-# * 5000   150000    2^9    45  |   0.51-0.53   0.72-0.77   0.81-0.89
-#   5000   150000    2^10   45  |   0.53        0.72        0.88
-#   5000   150000    2^9    40  |   0.53        0.72        0.83
-#   5000   150000    2^9    50  |   0.52        0.72        0.84
-#   5000   150000    none   45  |   0.49        0.72        0.96
-#   5000   300000    2^9    45  |   0.55        0.72        0.91
-#   3000   100000    2^9    45  |   0.52        0.71        0.86
-#  10000   300000    2^8    45  |   0.50        0.72        0.93
-#  10000   300000    2^9    45  |   0.50        0.72        0.91
-#  10000   300000    2^10   45  |   0.56        0.72        0.91
-#  10000   600000    2^9    45  |   0.55        0.72        0.97
-#  10000   600000    2^10   45  |   0.56        0.71        0.90
-#   neither short rho nor p - 1 |   0.99        0.71        0.95
+#     B1       B2  bits | semiprimes  n <= 10^12  64-bit n
+# * 5000   150000    45 |   0.49        0.72        0.96
+#   neither stage       |   0.99        0.71        0.95
 #   (the gcd, the square check and the full rho only)
 #
-# "none" is p - 1 without the short rho first: it gives up most of the
-# gain on uniform 64-bit n, whose second largest factor is usually small.
+# The points around it were timed the same way with a short Brent rho,
+# its cycle capped at 2^9, run before p - 1:
+#
+#     B1       B2  bits | semiprimes  n <= 10^12  64-bit n
+#   5000   150000    45 |   0.51-0.53   0.72-0.77   0.81-0.89
+#   5000   150000    40 |   0.53        0.72        0.83
+#   5000   150000    50 |   0.52        0.72        0.84
+#   5000   300000    45 |   0.55        0.72        0.91
+#   3000   100000    45 |   0.52        0.71        0.86
+#  10000   300000    45 |   0.50        0.72        0.91
+#  10000   600000    45 |   0.55        0.72        0.97
+#
+# That short rho split none of the 240 staged parts of 240 certify
+# semiprimes (drawn as certify draws them, seeds 501-510; p - 1 split
+# 153, the full rho 87) but 744 of the 973 staged parts of 1,500 uniform
+# 64-bit n, whose second largest factor is usually small; without it
+# p - 1 splits 890 and the one rho 57 of their 947.  Timed against the
+# split that ran it (min of 3 passes, six alternating process pairs, a
+# 2-vCPU x86-64 machine, Python 3.11), the split without it read
+# 0.88-1.03 (median 0.92) on the semiprimes, 0.89-1.09 (0.99) on
+# n <= 10^12, which runs the same code, and 0.99-1.09 (1.09) on uniform
+# 64-bit n.  The split runs no short rho: it pays only on uniform 64-bit
+# n, which no benchmark workload draws.
+#
 # A stage 2 that steps through the primes by their gaps, two products per
-# prime instead of one per pair, read 0.65 and 1.08 at the kept point.
-# The column n <= 10^12 never reaches the staged split; its gain is the
-# one gcd that replaces trial division.  _PM1_CHUNK and _PM1_GCD_BLOCKS
-# only set how often a gcd is taken: one per 32 primes in stage 1, one per
-# 16 blocks of _PM1_D in stage 2.
+# prime instead of one per pair, read 0.65 and 1.08 at 5000, 150000, 45
+# with the short rho.  The column n <= 10^12 never reaches the staged
+# split; its gain is the one gcd that replaces trial division.
+# _PM1_CHUNK and _PM1_GCD_BLOCKS only set how often a gcd is taken: one
+# per 32 primes in stage 1, one per 16 blocks of _PM1_D in stage 2.
 _STAGED_BITS = 45
-_SHORT_RHO_CYCLE = 1 << 9
 _PM1_B1 = 5_000
 _PM1_B2 = 150_000
 _PM1_CHUNK = 32
@@ -284,17 +291,12 @@ _PM1_D = 2310     # 2 * 3 * 5 * 7 * 11
 _PM1_GCD_BLOCKS = 16
 
 
-def _brent_rho(n: int, max_cycle: int | None = None) -> int | None:
-    """A nontrivial factor of odd composite n with no tiny prime factor.
-
-    With ``max_cycle``, None once the cycle length passes it unsplit.
-    """
+def _brent_rho(n: int) -> int:
+    """A nontrivial factor of odd composite n with no tiny prime factor."""
     for c in range(1, 1000):
         y, m_batch, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
-            if max_cycle is not None and r > max_cycle:
-                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -414,7 +416,7 @@ def _split(v: int) -> int:
     if root * root == v:
         return root
     if v.bit_length() >= _STAGED_BITS:
-        d = _brent_rho(v, _SHORT_RHO_CYCLE) or _pminus1(v)
+        d = _pminus1(v)
         if d:
             return d
     return _brent_rho(v)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .explorer import q_steps
+from .explorer import _within_row_budget, q_steps
 from .factorization import (
     Factorization,
     _coprime_fraction,
@@ -212,10 +212,12 @@ def bound_table(
     over the first m primes.  Each is compared with e^gamma ln ln 5040 up
     the precision ladder (``robin.decide``); ``passes`` is None when the
     two still overlap at the top.  The threshold every report carries is
-    the start rung's enclosure.
+    the start rung's enclosure.  More than ``explorer._ROW_BUDGET`` rows
+    are refused before any prime is sieved.
     """
     if m_max < 1:
         raise InvalidInput("m must be >= 1")
+    _within_row_budget(m_max)
     plist = _primes.first_primes(m_max)
     thr = threshold_5040(cfg)
 

@@ -182,13 +182,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["prime-powers", "--limit", "1000000000"],
-        ["conjecture1", "6000000"],  # p_m is about 1.04 * 10^8
+        # p_m is about 1.04 * 10^8, but the row budget refuses it first
+        ["conjecture1", "6000000"],
     ])
     def test_primes_past_sieve_budget_exit_64(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 64
         assert out == ""
-        assert "sieve budget" in err
+        budget = {"prime-powers": "sieve budget", "conjecture1": "row budget"}
+        assert budget[argv[0]] in err
+
+    @pytest.mark.parametrize("command", ["conjecture1", "bounds"])
+    def test_table_past_row_budget_exit_64(self, command, monkeypatch,
+                                           capsys):
+        def no_sieve(m):
+            raise AssertionError("primes asked for past the row budget")
+
+        monkeypatch.setattr(primes, "first_primes", no_sieve)
+        code, out, err = run_cli([command, str(explorer._ROW_BUDGET + 1)],
+                                 capsys)
+        assert code == 64
+        assert out == ""
+        assert "20001 rows exceed the row budget 20000" in err
 
     def test_scan_end_past_max_scan_hi_exit_64(self, capsys):
         code, out, err = run_cli(

@@ -143,6 +143,9 @@ class TestFactorize:
         (5040, ((2, 4), (3, 2), (5, 1), (7, 1))),
         (5041, ((71, 2),)),
         (2, ((2, 1),)),
+        # 10006 = 2 * 5003, 5003 in p - 1's stage 2; 562949953421381 is
+        # the least prime above 2^49
+        (10007 * 562949953421381, ((10007, 1), (562949953421381, 1))),
     ])
     def test_known(self, n, entries):
         assert primes.factorize(n).entries == entries
@@ -180,9 +183,9 @@ def _staged(monkeypatch, n):
     calls = []
     rho, pminus1 = primes._brent_rho, primes._pminus1
 
-    def spy_rho(v, max_cycle=None):
-        d = rho(v, max_cycle)
-        calls.append(("rho" if max_cycle is None else "short rho", v, d))
+    def spy_rho(v):
+        d = rho(v)
+        calls.append(("rho", v, d))
         return d
 
     def spy_pminus1(v):
@@ -231,14 +234,6 @@ class TestStagedSplit:
         assert entries == ((p, 2),)
         assert calls == []
 
-    def test_short_rho_finds_a_factor_near_ten_thousand(self, monkeypatch):
-        p50 = 562949953421381   # the least prime above 2^49
-        n = 10007 * p50
-        assert n.bit_length() >= primes._STAGED_BITS
-        entries, calls = _staged(monkeypatch, n)
-        assert entries == ((10007, 1), (p50, 1))
-        assert calls == [("short rho", n, 10007)]
-
     def test_pminus1_stage1(self, monkeypatch):
         # p - 1 = 2 * 223 * 953 * 2689 is B1-smooth; q = 2 * 865030979 + 1
         p, q = 1142927183, 1730061959
@@ -247,7 +242,7 @@ class TestStagedSplit:
         assert _stage1_gcd(p * q) == p
         entries, calls = _staged(monkeypatch, p * q)
         assert entries == ((p, 1), (q, 1))
-        assert calls == [("short rho", p * q, None), ("p-1", p * q, p)]
+        assert calls == [("p-1", p * q, p)]
 
     def test_pminus1_stage2(self, monkeypatch):
         # p - 1 = 2 * 5 * 2551 * 43237, one prime in (B1, B2]
@@ -258,7 +253,7 @@ class TestStagedSplit:
         assert _stage1_gcd(p * q) == 1
         entries, calls = _staged(monkeypatch, p * q)
         assert entries == ((p, 1), (q, 1))
-        assert calls == [("short rho", p * q, None), ("p-1", p * q, p)]
+        assert calls == [("p-1", p * q, p)]
 
     def test_pminus1_backs_off_when_the_chunk_gcd_is_v(self, monkeypatch):
         # both p - 1 and q - 1 are B1-smooth: their chunk's gcd is pq, and
@@ -269,7 +264,7 @@ class TestStagedSplit:
         assert _stage1_gcd(p * q) == p * q
         entries, calls = _staged(monkeypatch, p * q)
         assert entries == ((p, 1), (q, 1))
-        assert calls == [("short rho", p * q, None), ("p-1", p * q, q)]
+        assert calls == [("p-1", p * q, q)]
 
     # k with 6k + 1, 12k + 1 and 18k + 1 prime, 6k + 1 > 10^3 and their
     # product (a Carmichael number) below 2^64: 40 of the 1,666 such k
@@ -303,10 +298,9 @@ class TestStagedSplit:
             assert primes.is_prime((r - 1) // 2)
         entries, calls = _staged(monkeypatch, p * q)
         assert entries == ((p, 1), (q, 1))
-        assert [c[:2] for c in calls] == [
-            ("short rho", p * q), ("p-1", p * q), ("rho", p * q)]
-        assert calls[0][2] is None and calls[1][2] is None
-        assert calls[2][2] in (p, q)
+        assert [c[:2] for c in calls] == [("p-1", p * q), ("rho", p * q)]
+        assert calls[0][2] is None
+        assert calls[1][2] in (p, q)
 
     @pytest.mark.parametrize("bits,lo,count", [
         (31, 1 << 30, 100),

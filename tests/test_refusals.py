@@ -85,6 +85,8 @@ def test_raw_input_past_64_bits_is_not_a_refusal():
     (theorems.substitute_prime, (Factorization(((2, 1),)), 1, 3)),
     (primes.first_primes, (-1,)),
     (primes.primorial_factorization, (0,)),
+    (explorer.conjecture31_table, (explorer._ROW_BUDGET + 1,)),
+    (theorems.bound_table, (explorer._ROW_BUDGET + 1,)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_argument_checks_raise_invalid_input(fn, args):
     with pytest.raises(InvalidInput):
