@@ -24,12 +24,13 @@ Most of a scan needs no sieve.  The paper's substitution theorem, with
 the exchange lemma of ``conjecture32_search``, maps every n > 5040 to a
 Hardy-Ramanujan integer h <= n (exponents non-increasing on the first
 primes) with sigma(h)/h >= sigma(n)/n, and sigma(5040)/5040 = 403/105
-lies below e^gamma ln ln 5583.  So once per call ``_cover_bound`` walks
-the HR integers in (5040, hi], deciding each from bounds carried down
-the walk and skipping every subtree whose layers (its extensions by j
-more primes, for each j) ``check``'s ln n floor certifies, and every n
-in [5583, hi] below the least one not certified satisfied holds.  The
-scanner sieves only the two stretches left: [lo, 5583) and [bound, hi].
+lies below e^gamma ln ln 5583.  So once per ladder per process
+``_cover_bound`` walks the HR integers in (5040, MAX_SCAN_HI], deciding
+each from bounds carried down the walk and skipping every subtree whose
+layers (its extensions by j more primes, for each j) ``check``'s ln n
+floor certifies, and every n in [5583, hi] below the least one not
+certified satisfied holds (``_scan_cover``).  The scanner sieves only
+the two stretches left: [lo, 5583) and [bound, hi].
 
 Everything runs in this process, one sieved window after another, in
 ascending order.
@@ -418,11 +419,28 @@ def _cover_bound(hi: int, cfg: PrecisionConfig) -> int:
     return bound
 
 
+@functools.lru_cache(maxsize=64)
+def _scan_cover(cfg: PrecisionConfig) -> int:
+    """``_cover_bound(MAX_SCAN_HI, cfg)``, walked once per ladder.
+
+    For every hi <= H = MAX_SCAN_HI, min(_scan_cover(cfg), hi + 1) equals
+    ``_cover_bound(hi, cfg)``, the 0 case included.  ``_cover_bound(H,
+    cfg)`` is the least HR integer in (5040, H] that ``check`` leaves
+    unsatisfied, else H + 1, else 0 when the cut-off at _COVER_FROM is
+    not certified; each node's decision is ``check``'s verdict on that
+    node, which does not depend on the walk's limit.  So a bound b <= hi
+    is also the least such integer in (5040, hi], and a bound past hi
+    means there is none there, where the walk to hi returns hi + 1.
+    """
+    return _cover_bound(MAX_SCAN_HI, cfg)
+
+
 def _scan_windows(lo: int, hi: int, cfg: PrecisionConfig) -> Iterator[list]:
     # [lo, cut) lies below _COVER_FROM and is sieved whole.  Of [cut, hi]
-    # only [_cover_bound, hi] is, and an empty [cut, hi] runs no walk
+    # only [bound, hi] is, the bound walked once per ladder per process
+    # to MAX_SCAN_HI; an empty [cut, hi] asks for no bound
     cut = min(max(lo, _COVER_FROM), hi + 1)
-    rest = max(cut, _cover_bound(hi, cfg)) if cut <= hi else cut
+    rest = max(cut, min(_scan_cover(cfg), hi + 1)) if cut <= hi else cut
     for start, stop in ((lo, cut), (rest, hi + 1)):
         for a in range(start, stop, SEGMENT_SIZE):
             yield _scan_segment(a, min(a + SEGMENT_SIZE, stop), cfg)
@@ -436,9 +454,10 @@ def iter_scan_results(
     """Each sieved window's ``_scan_segment`` pairs, ascending and streamed.
 
     Bad arguments are refused here, before the first window is asked
-    for.  With that first request, ``_cover_bound`` is worked out once
-    (if hi >= 5583); only [lo, 5583) and [bound, hi] are sieved, in
-    windows of ``SEGMENT_SIZE`` n that end at their stretch's end.
+    for.  With that first request (if hi >= 5583) the cover bound is
+    read from ``_scan_cover``, which walks it once per ladder per
+    process, to MAX_SCAN_HI; only [lo, 5583) and [bound, hi] are sieved,
+    in windows of ``SEGMENT_SIZE`` n that end at their stretch's end.
     """
     if lo < 2 or lo > hi:
         raise InvalidInput("need 2 <= lo <= hi")

@@ -2,8 +2,27 @@ import os
 import sys
 from fractions import Fraction
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
+
+from robincheck import explorer  # found through the path above
+
+
+@pytest.fixture(autouse=True)
+def _fresh_scan_cover():
+    """Each test's scans walk their own cover bound.
+
+    ``explorer._scan_cover`` keeps one bound per ladder for the process,
+    so a test that patches the walk (``_unsatisfied``, ``_subtree_layers``,
+    ``decide``) would otherwise read a bound walked before its patches,
+    and leave one walked under them to the next test.
+    """
+    explorer._scan_cover.cache_clear()
+    yield
+    explorer._scan_cover.cache_clear()
+
 
 # CPython's default limit on int-to-str conversion.  Failures are
 # described without lifting it, so the CLI's own handling of the limit

@@ -4,7 +4,6 @@ import decimal
 import functools
 import itertools
 import math
-import multiprocessing
 import os
 import pickle
 import random
@@ -639,6 +638,19 @@ class TestCoveredWindows:
         monkeypatch.setattr(explorer, "_sigma_segment", spy)
         return calls
 
+    @staticmethod
+    def spy_walk(monkeypatch):
+        """The limit X of every ``_hr_walk`` call, in order."""
+        calls = []
+        real = explorer._hr_walk
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("X"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, "_hr_walk", spy)
+        return calls
+
     @pytest.fixture
     def sieved(self, monkeypatch):
         monkeypatch.setattr(explorer, "SEGMENT_SIZE", self.SIZE)
@@ -660,11 +672,9 @@ class TestCoveredWindows:
                                           self.HI + 1)
         self.assert_sieved_alike(rep)
 
-    def test_unsatisfied_hr_integer_sieves_the_windows_past_it(
-            self, sieved, monkeypatch):
-        # h0 fails the walk's node decision, and no ancestor of it may
-        # skip it by its subtree layers
-        real, real_layers = explorer._unsatisfied, explorer._subtree_layers
+    def fail_h0(self, monkeypatch):
+        """H0 fails the walk's node decision."""
+        real = explorer._unsatisfied
 
         def decision(cfg, node, j=None):
             entries, n, *_ = node
@@ -674,16 +684,41 @@ class TestCoveredWindows:
                                      Verdict.INDETERMINATE, cfg.start_bits)
 
         monkeypatch.setattr(explorer, "_unsatisfied", decision)
+
+    def expose_h0(self, monkeypatch):
+        """No ancestor of H0 may skip it by its subtree layers."""
+        real_layers = explorer._subtree_layers
+        monkeypatch.setattr(explorer, "_subtree_layers", lambda s_hi, n, *a: (
+            real_layers(1 << 1000 if self.H0 % n == 0 else s_hi, n, *a)))
+
+    def test_unsatisfied_hr_integer_sieves_the_windows_past_it(
+            self, sieved, monkeypatch):
+        self.fail_h0(monkeypatch)
         # unpatched, an ancestor's layers skip h0, so it is never decided
         assert (explorer._cover_bound(self.HI, DEFAULT_PRECISION)
                 == self.HI + 1)
-        monkeypatch.setattr(explorer, "_subtree_layers", lambda s_hi, n, *a: (
-            real_layers(1 << 1000 if self.H0 % n == 0 else s_hi, n, *a)))
+        self.expose_h0(monkeypatch)
         assert explorer._cover_bound(self.HI, DEFAULT_PRECISION) == self.H0
         rep = explorer.scan_range(self.LO, self.HI)
         assert sieved == _stretch_windows(self.LO, self.HI, self.SIZE,
                                           self.H0)
         self.assert_sieved_alike(rep)
+
+    @pytest.mark.parametrize("his", [(20_000, HI), (HI, 20_000)],
+                             ids=["below_h0_first", "past_h0_first"])
+    def test_one_walk_serves_scans_on_either_side_of_h0(
+            self, sieved, monkeypatch, his):
+        # each scan sieves what a walk to its own end would leave, though
+        # the walk to MAX_SCAN_HI runs once, for the first
+        self.fail_h0(monkeypatch)
+        self.expose_h0(monkeypatch)
+        walks = self.spy_walk(monkeypatch)
+        for hi in his:
+            del sieved[:]
+            explorer.scan_range(self.LO, hi)
+            assert sieved == _stretch_windows(self.LO, hi, self.SIZE,
+                                              min(self.H0, hi + 1))
+        assert len(walks) == 1
 
     def test_undecided_small_case_covers_nothing(self, sieved, monkeypatch):
         monkeypatch.setattr(explorer, "decide", lambda lhs, rhs_at, cfg: (
@@ -714,7 +749,12 @@ class TestCoveredWindows:
         assert explorer._cover_bound(9000, cfg) == bound
         calls = self.spy_sieve(monkeypatch)
         explorer.scan_range(2, 9000, cfg)
-        assert calls == want
+        # the bound is kept per ladder; at 16 bits it is 0, which covers
+        # nothing on the second scan either
+        assert explorer._scan_cover(cfg) == (
+            explorer.MAX_SCAN_HI + 1 if bound else 0)
+        explorer.scan_range(2, 9000, cfg)
+        assert calls == want + want
 
     def test_ladders_from_17_bits_sieve_nothing_past_5583(self):
         # the 16-bit side is the [16-0] case above
@@ -742,16 +782,18 @@ class TestCoveredWindows:
         assert calls == want
         assert got == [[(a, None)] for a, _ in want]
 
-    def test_covered_scan_starts_no_pool(self, monkeypatch):
-        def pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(multiprocessing, "Pool", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_second_scan_on_a_ladder_walks_zero_times(self, monkeypatch):
+        walks = self.spy_walk(monkeypatch)
         lo, hi = 10 ** 9, 10 ** 9 + 2 ** 21 - 1  # two covered windows
-        rep = explorer.scan_range(lo, hi, worker_count=2)
-        assert (rep.lo, rep.hi, rep.checked_count) == (lo, hi, hi - lo + 1)
-        assert rep.violations == () and rep.indeterminates == ()
+        for _ in range(2):
+            rep = explorer.scan_range(lo, hi)
+            assert (rep.lo, rep.hi, rep.checked_count) == (lo, hi, hi - lo + 1)
+            assert rep.violations == () and rep.indeterminates == ()
+        assert walks == [explorer.MAX_SCAN_HI]
+        # a second ladder walks once more, and the first walks no more
+        for cfg in (intervals.PrecisionConfig(24, 4096), DEFAULT_PRECISION):
+            assert list(explorer.iter_scan_results(lo, hi, cfg)) == []
+        assert walks == [explorer.MAX_SCAN_HI] * 2
 
 
 class TestPrecisionStability:

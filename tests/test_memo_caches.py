@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from robincheck import intervals, primes, robin
+from robincheck import explorer, intervals, primes, robin
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src", "robincheck")
 
@@ -44,6 +44,7 @@ _MEMOIZED = [
     (robin._floor_threshold, 1 << 16),
     (primes._small_primorial, None),
     (primes._pm1_tables, None),
+    (explorer._scan_cover, 64),
 ]
 
 
