@@ -1,14 +1,14 @@
 """Exact dyadic interval arithmetic with outward rounding.
 
 Every real quantity in this package that is not an exact rational is
-enclosed by integers.  The transcendental primitives are fixed-point
-kernels that return integer bounds (L, H) on x * 2**W: ``_ln_fp``, which
-encloses ln over an interval [lo/den, hi/den], ``_exp_fp``, and
-``exp_gamma``, which encloses e**gamma from an embedded digit string of
-the Euler-Mascheroni constant (1400 decimal digits, cross-verified
-against two independent arbitrary-precision libraries at build time) by
-an exact Taylor series with the truncation remainder folded into the
-upper bound.
+enclosed by integers.  The transcendental primitives return integer
+bounds (L, H) on x * 2**W: ``_ln_fp``, a fixed-point kernel that
+encloses ln over an interval [lo/den, hi/den], and ``exp_gamma``, which
+reads e**gamma (gamma the Euler-Mascheroni constant) off an embedded
+digit string, 1400 decimal digits generated with mpmath and
+cross-checked with Python's decimal module, and rounds that bracket
+outward at scale 2**W.  e**gamma is the one constant the right side
+needs, so no exp series runs.
 
 ``_ln_fp`` is table-driven (Tang, ACM TOMS 16, 1990).  One division
 writes the argument as y * 2**s with y in about [2/3, 4/3) and finds the
@@ -270,41 +270,63 @@ def compare(lhs: Fraction | RealInterval, rhs: RealInterval) -> Comparison:
 
 
 # ---------------------------------------------------------------------------
-# The Euler-Mascheroni constant
+# e**gamma
 # ---------------------------------------------------------------------------
 
-# 1400 decimal digits.  Generated with mpmath (mp.euler) and cross-checked
-# digit-for-digit against gmpy2.const_euler and the commonly published
-# 100-digit value; the two libraries implement independent algorithms.
-_GAMMA_DIGITS = (
-    "5772156649015328606065120900824024310421593359399235988057672348848677"
-    "2677766467093694706329174674951463144724980708248096050401448654283622"
-    "4173997644923536253500333742937337737673942792595258247094916008735203"
-    "9481656708532331517766115286211995015079847937450857057400299213547861"
-    "4669402960432542151905877553526733139925401296742051375413954911168510"
-    "2807984234877587205038431093997361372553060889331267600172479537836759"
-    "2713515772261027349291394079843010341777177808815495706610750101619166"
-    "3340152278935867965497252036212879226555953669628176388792726801324310"
-    "1047650596370394739495763890657296792960100901512519595092224350140934"
-    "9871228247949747195646976318506676129063811051824197444867836380861749"
-    "4551698927923018773910729457815543160050021828440960537724342032854783"
-    "6701517739439870030237033951832869000155819398804270741154222781971652"
-    "3011073565833967348717650491941812300040654693142999297779569303100503"
-    "0863034185698032310836916400258929708909854868257773642882539549258736"
-    "2959613329857473930237343884707037028441292016641785024873337908056275"
-    "4998434590761643167103146710722370021810745044418664759134803669025532"
-    "4586254422253451813879124345735013612977822782881489459098638460062931"
-    "6947188714958752549236649352047324364109726827616087759508809512620840"
-    "4544477992299157248292516251278427659657083214610298214617951957959095"
-    "9227042089896279712553632179488737642106606070659825619901028807561251"
+# The 1400 decimal digits of e**gamma = 1.7810724... after its leading 1.
+# Generated with mpmath (exp(mp.euler) at 1500 digits, the same at 2000)
+# and cross-checked with Python's decimal module, whose exp at 1500 digits
+# of the 1400-digit bracket [0.5772...1251, 0.5772...1252] on gamma
+# contains it.  No precision needs gamma itself, only e**gamma.
+_EXPGAMMA_DIGITS = (
+    "7810724179901979852365041031071795491696452143034302053576658765128410"
+    "7681358829370757421648841828033482224522514574200105579457424819650088"
+    "1568575126450011584595726740358281967942909506915784452444104950624749"
+    "4646739544224939206129736671899296118178171652864420491963881484122168"
+    "5979211079334642491962473558822697919096702915015433548608693369337054"
+    "6945590162327435295325983725766057036185991522439177800246866066358611"
+    "7287927837192311367757393941040997516402036473484352386382021226506642"
+    "4769625002147263444914484348856424178974964672272861347388162990813399"
+    "8637601650951225930470345744755950618891448569923966073975162156342628"
+    "6549551373909258141962310785511202080191889749032762449465399591732002"
+    "3702346972595868267504864024051730817333687405009498105976458687029389"
+    "6367065248715697709906547424211801204145061066518815890360582394179851"
+    "9634236370134771763646188686856689181798821908601430001906672557460571"
+    "2722169911418933648461722485988806975526316560646488540282278640017071"
+    "4829524143677069517465752235987166746273979360542550651924388928322749"
+    "1500350801831900327651318757803069558009536174449567011815778572529582"
+    "5116341511343042572164294069368769188902869226111280339714697009619248"
+    "1544422780670347367789806799770569507766490455401888270873790952892147"
+    "0852564851683119463337125595229976321326385162799697547790895200821585"
+    "1726084438236374063169226470897614035158862462724909056917747874522959"
 )
 
 # Largest precision (bits) the digit string can serve with outward rounding.
-GAMMA_MAX_BITS = int(len(_GAMMA_DIGITS) * 3.3219280948) - 2 * _GUARD
+GAMMA_MAX_BITS = int(len(_EXPGAMMA_DIGITS) * 3.3219280948) - 2 * _GUARD
 
-# True gamma lies in [D/10^k, (D+1)/10^k].
-_GAMMA_NUM = int(_GAMMA_DIGITS)
-_GAMMA_DEN = 10 ** len(_GAMMA_DIGITS)
+# True e**gamma lies in [N, N + 1] / 10^k: N is 1 and then the k digits.
+_EXPGAMMA_NUM = int("1" + _EXPGAMMA_DIGITS)
+_EXPGAMMA_DEN = 10 ** len(_EXPGAMMA_DIGITS)
+
+
+@functools.lru_cache(maxsize=64)
+def exp_gamma(precision_bits: int) -> tuple[int, int]:
+    """Bounds (L, H) on e**gamma * 2**W, W = precision_bits + _GUARD.
+
+    The embedded bracket [N, N + 1] / 10**1400 at scale 2**W, its lower
+    end rounded down and its upper end up.  e**gamma ~ 1.7810724, and
+    H - L <= 2, since the bracket's width 10**-1400 is below one ulp,
+    2**-W, for every W up to GAMMA_MAX_BITS + _GUARD.
+    """
+    if precision_bits <= 0:
+        raise InvalidInput("precision_bits must be positive")
+    if precision_bits > GAMMA_MAX_BITS:
+        raise InvalidInput(
+            f"gamma digit string supports at most {GAMMA_MAX_BITS} bits"
+        )
+    W = precision_bits + _GUARD
+    return (_floor_div_shift(_EXPGAMMA_NUM, _EXPGAMMA_DEN, W),
+            _ceil_div_shift(_EXPGAMMA_NUM + 1, _EXPGAMMA_DEN, W))
 
 
 # ---------------------------------------------------------------------------
@@ -472,45 +494,3 @@ def _ln_fp(lo_num: int, hi_num: int, den: int, W: int) -> tuple[int, int]:
         else:
             H = _ln_fp(hi_num, hi_num, den, W)[1]
     return L, H
-
-
-def _exp_fp(xn: int, xd: int, W: int) -> tuple[int, int]:
-    """Bounds [L, H] with L <= exp(xn/xd) * 2**W <= H, for 0 <= xn/xd <= 1."""
-    S = 1 << W
-    x_lo = _floor_div_shift(xn, xd, W)
-    x_hi = _ceil_div_shift(xn, xd, W)
-    L = H = S
-    t_lo = t_hi = S
-    i = 1
-    while True:
-        t_lo = ((t_lo * x_lo) >> W) // i
-        num_hi = (t_hi * x_hi + S - 1) >> W
-        t_hi = (num_hi + i - 1) // i
-        L += t_lo
-        H += t_hi
-        if t_hi <= 1 and i >= 2:
-            # Tail: sum_{j>i} x^j/j! <= (x^i/i!)/2 for x <= 1, i >= 2.
-            H += 2 * t_hi + 2
-            return L, H
-        i += 1
-
-
-# ---------------------------------------------------------------------------
-# e**gamma
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=64)
-def exp_gamma(precision_bits: int) -> tuple[int, int]:
-    """Bounds (L, H) on e**gamma * 2**W, W = precision_bits + _GUARD.
-
-    e**gamma ~ 1.7810724, and H - L <= 2**(W - precision_bits + 2).
-    """
-    if precision_bits <= 0:
-        raise InvalidInput("precision_bits must be positive")
-    if precision_bits > GAMMA_MAX_BITS:
-        raise InvalidInput(
-            f"gamma digit string supports at most {GAMMA_MAX_BITS} bits"
-        )
-    W = precision_bits + _GUARD
-    return (_exp_fp(_GAMMA_NUM, _GAMMA_DEN, W)[0],
-            _exp_fp(_GAMMA_NUM + 1, _GAMMA_DEN, W)[1])

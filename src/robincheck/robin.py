@@ -215,9 +215,10 @@ def _rhs_from_log(lo: int, hi: int, precision_bits: int,
     and B round to the same two grid points, those are the true value's
     RD and RU (Ziv's test), so the result does not depend on the kernel;
     otherwise ln x is recomputed with _GUARD more bits, at most
-    _ZIV_RERUNS times and within the gamma digits.  After that, or with
-    no ``ln_x`` (an input interval wide by itself), the result is the
-    outward rounding of the first attempt's [A, B], which is sound.
+    _ZIV_RERUNS times and up to GAMMA_MAX_BITS, the most the embedded
+    e^gamma digits serve.  After that, or with no ``ln_x`` (an input
+    interval wide by itself), the result is the outward rounding of the
+    first attempt's [A, B], which is sound.
     """
     b = precision_bits
     W = b + _GUARD

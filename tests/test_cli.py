@@ -54,6 +54,14 @@ class TestExitCodes:
         assert code == 1
         assert "rhs_undefined" in out
 
+    def test_precision_past_the_digits_is_refused(self, capsys):
+        # the embedded e^gamma digits serve 4586 bits, as README states
+        code, out, err = run_cli(["check", "5041", "--precision-bits", "4587",
+                                  "--max-precision-bits", "5000"], capsys)
+        assert code == 64 and out == ""
+        assert err == ("robincheck: error: start_bits exceeds the 4586 bits "
+                       "the gamma digits support\n")
+
     def test_usage_error_on_scan_order(self, capsys):
         code, _, err = run_cli(["scan", "10", "2"], capsys)
         assert code == 64

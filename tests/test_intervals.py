@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robincheck.intervals import (
-    _GAMMA_DEN,
-    _GAMMA_NUM,
+    _EXPGAMMA_DEN,
+    _EXPGAMMA_NUM,
     _GUARD,
     Comparison,
     Dyadic,
@@ -63,8 +63,8 @@ def _ln_interval(x: Fraction, bits: int) -> RealInterval:
 
 
 def _gamma_bracket(bits: int) -> RealInterval:
-    """The embedded gamma digits' bracket, rounded outward at bits + _GUARD."""
-    return outward_interval(_GAMMA_NUM, _GAMMA_NUM + 1, _GAMMA_DEN,
+    """The embedded e**gamma digits' bracket, rounded outward at bits + _GUARD."""
+    return outward_interval(_EXPGAMMA_NUM, _EXPGAMMA_NUM + 1, _EXPGAMMA_DEN,
                             bits + _GUARD)
 
 
@@ -98,29 +98,42 @@ class TestDyadic:
 
 
 class TestEulerGamma:
-    # the embedded digits: gamma lies in [_GAMMA_NUM, _GAMMA_NUM + 1] / _GAMMA_DEN
+    # the embedded digits: e**gamma lies in [_EXPGAMMA_NUM,
+    # _EXPGAMMA_NUM + 1] / _EXPGAMMA_DEN
 
     def test_contains_published_value(self):
         iv = _gamma_bracket(53)
-        assert oracles.agrees_with_decimal(iv, "0.5772156649")
-        assert _contains_mp(iv, mpmath.mp.euler)
+        assert oracles.agrees_with_decimal(iv, "1.7810724179")
+        assert _contains_mp(iv, _EXP_GAMMA_MP)
         assert _width(iv) <= Fraction(1, 2**53)
 
     def test_coarse_precision_still_encloses(self):
         iv = _gamma_bracket(8)
-        assert _contains_mp(iv, mpmath.mp.euler)
+        assert _contains_mp(iv, _EXP_GAMMA_MP)
         assert _width(iv) <= Fraction(1, 2**8)
 
+    def test_exact_bracket_contains_exp_gamma_at_1500_digits(self):
+        with mpmath.workdps(1500):
+            scaled = int(mpmath.floor(mpmath.exp(mpmath.euler)
+                                      * mpmath.mpf(10) ** 1500))
+        # mpmath's value lies within 10^-1490 of e**gamma, far inside a
+        # bracket 10^-1400 wide
+        assert _EXPGAMMA_DEN == 10 ** 1400
+        assert (_EXPGAMMA_NUM * 10 ** 100 < scaled
+                < (_EXPGAMMA_NUM + 1) * 10 ** 100)
+
     def test_midpoint_matches_published_digits(self):
-        # first 60 published decimals, embedded independently of the
-        # implementation's 1400-digit string
-        mid = Fraction(2 * _GAMMA_NUM + 1, 2 * _GAMMA_DEN)
-        published = Fraction(oracles.GAMMA_60_DIGITS)
-        assert abs(mid - published) < Fraction(1, 10**59)
+        # exp of the first 60 published decimals of gamma, embedded
+        # independently of the implementation's 1400-digit string
+        with mpmath.workdps(100):
+            mid = mpmath.mpf(2 * _EXPGAMMA_NUM + 1) / (2 * _EXPGAMMA_DEN)
+            published = mpmath.exp(mpmath.mpf(oracles.GAMMA_60_DIGITS))
+            assert abs(mid - published) < mpmath.mpf(10) ** -59
 
     def test_precision_unsupported(self):
         # the digits serve GAMMA_MAX_BITS plus the guard bits, no more
-        assert Fraction(1, _GAMMA_DEN) <= Fraction(1, 2 ** (GAMMA_MAX_BITS + _GUARD))
+        assert GAMMA_MAX_BITS == 4586
+        assert Fraction(1, _EXPGAMMA_DEN) <= Fraction(1, 2 ** (GAMMA_MAX_BITS + _GUARD))
         with pytest.raises(InvalidInput, match="supports at most"):
             exp_gamma(GAMMA_MAX_BITS + 1)
 

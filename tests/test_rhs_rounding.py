@@ -193,3 +193,37 @@ def test_wide_input_is_rounded_outward_without_reruns(monkeypatch):
     eg = mpmath.exp(mpmath.euler)
     for x in (mpmath.mpf(5) / 4, mpmath.mpf(7) * 2 ** 100):
         assert oracles.interval_contains_mp(rhs, eg * mpmath.log(x))
+
+
+def _wide_exp_gamma(widen: int):
+    """``exp_gamma`` with each bound moved out by ``widen`` ulps at 2**W."""
+    def wide(bits):
+        L, H = intervals.exp_gamma(bits)
+        return L - widen, H + widen
+    return wide
+
+
+def _printed_enclosures(bits: int) -> list:
+    """Right sides of 300 n, the 5040 threshold, and 300 rows' alpha and ratio."""
+    cfg = PrecisionConfig(bits, 4096)
+    rng = random.Random(4700 + bits)
+    out = [robin.robin_rhs(primes.factorize(int(math.exp(
+        rng.uniform(math.log(3), math.log(10 ** 12))))), bits)
+        for _ in range(300)]
+    out.append(theorems.threshold_5040(cfg))
+    for row in explorer.conjecture31_table(300, cfg):
+        out += [row.alpha, row.ratio]
+    return out
+
+
+@pytest.mark.parametrize("widen", [1, 2 ** 24])
+@pytest.mark.parametrize("bits", [1, 4, 53, 212])
+def test_enclosures_do_not_depend_on_exp_gammas_width(monkeypatch, bits,
+                                                      widen):
+    # Ziv's test makes each printed end the true value's RD or RU, so a
+    # sound but wider e^gamma moves no byte
+    want = _printed_enclosures(bits)
+    monkeypatch.setattr(robin, "exp_gamma", _wide_exp_gamma(widen))
+    got = _printed_enclosures(bits)
+    assert sum(iv is not None for iv in got) > 800
+    assert got == want

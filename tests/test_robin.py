@@ -508,6 +508,23 @@ def _floor_identity_inputs():
     return fs
 
 
+def _cover_walk_inputs():
+    """Every HR integer the walk of ``_cover_bound(10**50)`` visits."""
+    visited = []
+    real = explorer._hr_walk
+
+    def spy(*args, **kwargs):
+        for node in real(*args, **kwargs):
+            visited.append(Factorization.from_canonical(node[0]))
+            yield node
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "_hr_walk", spy)
+        assert (explorer._cover_bound(10 ** 50, DEFAULT_PRECISION)
+                == 10 ** 50 + 1)
+    return visited
+
+
 def _fields(r):
     return (r.factorization, r.lhs, r.rhs, r.verdict, r.precision_used,
             r.reason)
@@ -693,6 +710,24 @@ class TestRhsFloor:
             fine = robin._rhs_floor(ln_lo, bits)
             if coarse is not None and fine is not None:
                 assert coarse.lo.as_fraction() <= fine.lo.as_fraction(), f
+
+    @pytest.mark.parametrize("bits", [1, 4, 53, 212])
+    def test_floor_is_at_most_the_rhs(self, bits):
+        # _rhs_floor's docstring proves its lo <= robin_rhs's lo, at both
+        # of check's ln n lower bounds; both ends take exp_gamma(bits)[0]
+        ln2_lo = _ln2_fp(bits + _GUARD)[0]
+        walked = _cover_walk_inputs()
+        floors = 0
+        for f in _floor_identity_inputs() + walked:
+            b = sum(k * (p.bit_length() - 1) for p, k in f.entries)
+            rhs = robin.robin_rhs(f, bits)
+            for x in (b * ln2_lo, robin.log_n(f, bits)[0]):
+                floor = robin._rhs_floor(x, bits)
+                if floor is not None:
+                    floors += 1
+                    assert rhs is not None, f
+                    assert floor.lo.as_fraction() <= rhs.lo.as_fraction(), f
+        assert len(walked) > 5000 and floors > 2 * len(walked)
 
     @pytest.mark.parametrize("bits", [1, 4, 53, 212])
     def test_below_floor_is_compare_against_the_floor(self, bits):
