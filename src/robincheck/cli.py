@@ -15,7 +15,10 @@ a verdict.  ``--output PATH`` is opened at the command's first write, so
 a refused command leaves it as it was.  Exact integers print through
 ``output.int_str``, except the running products of conjecture1 and
 bounds, whose digits carry from row to row as exact Decimals along
-``explorer.q_steps``.
+``explorer.q_steps``.  ``main`` builds its parser on its first call and
+reuses it for the rest of the process: the parser holds no per-call
+state, since each ``parse_args`` fills a fresh namespace with every
+default and help reads the terminal width when it is printed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import errno
+import functools
 import json
 import os
 import re
@@ -88,6 +92,7 @@ def _decimal_arg(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"invalid decimal value: {text!r}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=_int_arg, default=53,

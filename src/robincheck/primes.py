@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import re
 import threading
 from math import gcd, isqrt
@@ -424,6 +425,7 @@ def _split(v: int) -> int:
 
 def factorize(n: int) -> Factorization:
     """Canonical factorization of 2 <= n <= 2^64 - 1; never wrong, may refuse."""
+    n = operator.index(n)  # a numpy integer's keys would stay numpy
     if n < 2:
         raise InvalidInput("n must be >= 2")
     if n > MAX_FACTOR_INPUT:
@@ -452,7 +454,8 @@ def factorize(n: int) -> Factorization:
         d = _split(v)
         stack.append(d)
         stack.append(v // d)
-    return Factorization(tuple(factors.items()))
+    # proven prime keys, exponents >= 1, at least one entry (n >= 2)
+    return Factorization.from_canonical(tuple(sorted(factors.items())))
 
 
 _TERM_RE = re.compile(r"^(\d+)(?:\^(-?\d+))?$", re.ASCII)

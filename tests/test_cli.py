@@ -991,3 +991,77 @@ class TestGoldenDiff:
             "<shape>": 1}
         assert golden_diff.changed_fields(
             "a.json", old, json.dumps(doc, indent=2)) == {"<layout>": 1}
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_parser(self):
+        # each test's first main builds the parser
+        cli._build_parser.cache_clear()
+
+    def test_three_mains_build_one_parser(self, monkeypatch, capsys):
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls[-1] += 1
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        for _ in range(3):
+            calls.append(0)
+            code, out, _ = run_cli(["scan", "2", "5040", "--format", "csv"],
+                                   capsys)
+            assert code == 1 and out.count("\n") == 28
+        # 18 arguments and a -h on each of the 8 parsers
+        assert calls == [26, 0, 0]
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_goldens_replay_twice_in_one_process(self, capsys):
+        for case in _GOLDEN_CASES + _GOLDEN_CASES[::-1]:
+            _assert_golden(case, case["argv"], capsys)
+
+    @pytest.mark.parametrize("default, flagged", [
+        (["conjecture2", "--primes", "4", "--max-exp", "3"],
+         ["--all-arrangements"]),
+        (["check", "12", "--format", "json"], ["--precision-bits", "212"]),
+    ], ids=["all_arrangements", "precision_bits"])
+    def test_flags_do_not_outlive_their_call(self, default, flagged, capsys):
+        before = run_cli(default, capsys)
+        assert run_cli(default + flagged, capsys)[1] != before[1]
+        assert run_cli(default, capsys) == before
+
+    def test_output_path_does_not_outlive_its_call(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        argv = ["check", "12", "--format", "json"]
+        assert run_cli(argv + ["--output", str(target)], capsys) == (1, "", "")
+        written = target.read_text()
+        assert json.loads(written)["verdict"] == "violated"
+        assert run_cli(argv, capsys) == (1, written, "")
+        assert target.read_text() == written
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+    def test_help_prints_the_same_bytes_each_call(self, argv, capsys):
+        printed = []
+        for _ in range(3):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            printed.append(capsys.readouterr())
+        assert printed[0].out.startswith("usage: robincheck")
+        assert printed[0].err == ""
+        assert printed[1] == printed[0] and printed[2] == printed[0]
+
+    def test_help_wraps_at_the_width_of_its_call(self, monkeypatch, capsys):
+        printed = {}
+        for columns in (60, 100, 60):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit):
+                cli.main(["scan", "--help"])
+            out = capsys.readouterr().out
+            assert printed.setdefault(columns, out) == out
+        lines = {c: out.splitlines() for c, out in printed.items()}
+        assert len(lines[100]) < len(lines[60])
+        assert max(map(len, lines[100])) > 60

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from robincheck import explorer, intervals, primes, robin
+from robincheck import cli, explorer, intervals, primes, robin
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src", "robincheck")
 
@@ -45,6 +45,7 @@ _MEMOIZED = [
     (primes._small_primorial, None),
     (primes._pm1_tables, None),
     (explorer._scan_cover, 64),
+    (cli._build_parser, None),
 ]
 
 

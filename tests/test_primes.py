@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -168,6 +169,42 @@ class TestFactorize:
                 assert primes.is_prime(p)
                 v *= p**k
             assert v == n
+
+    @staticmethod
+    def _assert_validated(n):
+        # factorize builds its result unvalidated; the validating
+        # constructor must find nothing to sort, convert or refuse
+        f = primes.factorize(n)
+        assert f == Factorization(f.entries)
+        assert all(type(p) is int and type(k) is int for p, k in f.entries)
+
+    @given(st.integers(2, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_validated_constructor(self, n):
+        self._assert_validated(n)
+
+    @pytest.mark.parametrize("p", [2, 3, 997, 1009, 65537, 2**31 - 1,
+                                   2**32 - 5])
+    def test_prime_powers_equal_the_validated_constructor(self, p):
+        q = p
+        while q < 2**64:
+            self._assert_validated(q)
+            q *= p
+
+    def test_62bit_semiprimes_equal_the_validated_constructor(self):
+        rng = random.Random(20261022)
+        for _ in range(40):
+            p, q = (_random_prime(rng, 1 << 30, 1 << 31) for _ in range(2))
+            self._assert_validated(p * q)
+
+    def test_carmichael_numbers_equal_the_validated_constructor(self):
+        for k in TestStagedSplit._CHERNICK_K:
+            self._assert_validated((6 * k + 1) * (12 * k + 1) * (18 * k + 1))
+
+    @pytest.mark.parametrize("n", [np.int64(2 * 999983),
+                                   np.uint64(2**64 - 59)])
+    def test_numpy_integer_gives_int_entries(self, n):
+        self._assert_validated(n)
 
     def test_input_too_large(self):
         with pytest.raises(primes.InputTooLarge):
